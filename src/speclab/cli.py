@@ -7,7 +7,8 @@ experiment name, so reruns with identical configuration produce byte-identical
 CSV output.
 
 Usage:
-    speclab run <name> [--seed N] [--nodes N] [--dim N] [--out DIR] [--config FILE]
+    speclab run <name> [--seed N] [--nodes N] [--dim N] [--trials N] [--trunc N]
+                       [--out DIR] [--config FILE]
     speclab list
 
 Outputs <name>.csv (measurement table) and <name>.json (machine-readable
@@ -28,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg_core import (
-    SpectralResolution,
     hermitian_eig,
     inner_product,
     operator_norm,
@@ -541,8 +541,7 @@ def _exp_spectral_measures(cfg: ExperimentConfig) -> ExperimentReport:
         worst_probe = max(worst_probe, probe_err)
         # eigenvalue <=> atom: each P_i carries mass for some vector, gaps carry none
         for i, lam in enumerate(res.eigenvalues):
-            vec = res.projections[i][:, int(np.argmax(np.diag(res.projections[i]).real))]
-            vec = vec / np.linalg.norm(vec)
+            vec = res.eigenvectors[:, res.offsets[i]]
             mass = spectral_fd.spectral_measure(res, vec, vec).masses[i].real
             atoms_ok = atoms_ok and mass > 0.5
         mids = (res.eigenvalues[:-1] + res.eigenvalues[1:]) / 2.0
@@ -674,10 +673,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment and write <name>.csv / <name>.json")
     runp.add_argument("name", help="experiment name (see 'speclab list')")
-    runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--nodes", type=int, default=None)
-    runp.add_argument("--dim", type=int, default=None)
-    runp.add_argument("--out", default=None, help="output directory (default: current)")
+    for key in _CONFIG_KEYS:
+        if key == "out":
+            runp.add_argument("--out", default=None, help="output directory (default: current)")
+        else:
+            runp.add_argument(f"--{key}", type=int, default=None)
     runp.add_argument("--config", default=None, help="flat key=value config file")
     sub.add_parser("list", help="list registered experiments")
     return parser
@@ -704,7 +704,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         for key, val in file_values.items():
             setattr(cfg, key, val)
-    for key in ("seed", "nodes", "dim", "out"):
+    for key in _CONFIG_KEYS:
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)

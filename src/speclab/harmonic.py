@@ -133,9 +133,7 @@ def dft(x: np.ndarray) -> np.ndarray:
     n = v.size
     if n < 1:
         raise ValueError("empty vector")
-    idx = np.arange(n)
-    phase = np.exp(2j * np.pi * np.outer(idx, idx) / n)
-    return (phase @ v) / np.sqrt(n)
+    return np.fft.ifft(v) * np.sqrt(n)
 
 
 def inverse_dft(x: np.ndarray) -> np.ndarray:
@@ -144,9 +142,7 @@ def inverse_dft(x: np.ndarray) -> np.ndarray:
     n = v.size
     if n < 1:
         raise ValueError("empty vector")
-    idx = np.arange(n)
-    phase = np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-    return (phase @ v) / np.sqrt(n)
+    return np.fft.fft(v) / np.sqrt(n)
 
 
 def halfplane_window(y: float, tau_tail: float = TAU_TAIL) -> float:
@@ -213,19 +209,14 @@ def momentum_model(lambda_twist: float, order: int) -> SpectralResolution:
 
     Eigenvalue on mode n is lambda_twist + n (twist 0 gives the periodic case
     where differentiation multiplies mode n by n).  Exact by construction:
-    projections are the coordinate projections in mode order.
+    the eigenvectors are the coordinate basis in mode order.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     modes = np.arange(-order, order + 1)
     dim = modes.size
     eigenvalues = lambda_twist + modes.astype(float)
-    projections = []
-    for k in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[k, k] = 1.0
-        projections.append(p)
-    return SpectralResolution(eigenvalues, projections, np.ones(dim, dtype=int))
+    return SpectralResolution(eigenvalues, np.eye(dim, dtype=complex), np.arange(dim + 1))
 
 
 def series_to_json(series: FourierSeries) -> list[dict]:

@@ -6,7 +6,9 @@ Conventions used throughout the package:
   <x, a*y + b*z> = a<x, y> + b<x, z>;
 * matrices are dense complex128 numpy arrays, row-major in serialized form;
 * a Hermitian matrix is resolved as A = sum_i lambda_i P_i with strictly
-  ascending distinct eigenvalues and orthogonal projections P_i.
+  ascending distinct eigenvalues and orthogonal projections P_i, stored as
+  the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
+  column block V_i of eigenvalue i; the projections are built only on access.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "operator_norm",
     "hadamard",
     "hermitian_eig",
+    "cluster_offsets",
     "SpectralResolution",
     "require_matrix",
     "require_hermitian",
@@ -172,31 +175,56 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralResolution:
-    """A = sum_i eigenvalues[i] * projections[i].
+    """A = sum_i eigenvalues[i] * P_i, with P_i = V_i V_i^*.
 
-    eigenvalues are strictly ascending and distinct after clustering;
-    projections are orthogonal projections summing to the identity, with
-    ranks recorded in multiplicities.
+    eigenvalues are strictly ascending and distinct after clustering.  The
+    columns of eigenvectors are orthonormal; cluster i owns the column block
+    V_i = eigenvectors[:, offsets[i]:offsets[i+1]], so offsets runs from 0 to
+    dim and its differences are the multiplicities.  The dense projections
+    P_i are built afresh on every access to `projections`.
     """
 
     eigenvalues: np.ndarray
-    projections: list[np.ndarray] = field(repr=False)
-    multiplicities: np.ndarray
+    eigenvectors: np.ndarray = field(repr=False)
+    offsets: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.projections[0].shape[0] if self.projections else 0
+        return self.eigenvectors.shape[0]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def projections(self) -> list[np.ndarray]:
+        """The orthogonal projections P_i, one dense dim x dim matrix each."""
+        v = self.eigenvectors
+        blocks = (v[:, lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:]))
+        return [b @ b.conj().T for b in blocks]
+
+    def combine(self, values) -> np.ndarray:
+        """Return sum_i values[i] P_i as V diag(values repeated by multiplicity) V^*."""
+        v = self.eigenvectors
+        return (v * np.repeat(values, self.multiplicities)) @ v.conj().T
 
     def reconstruct(self) -> np.ndarray:
         """Return sum_i lambda_i P_i."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for lam, p in zip(self.eigenvalues, self.projections):
-            out += lam * p
-        return out
+        return self.combine(self.eigenvalues)
 
 
 def cluster_tol_default(a: np.ndarray) -> float:
     return max(1e-8, 1e-12 * operator_norm(a))
+
+
+def cluster_offsets(w: np.ndarray, tol: float) -> np.ndarray:
+    """Offsets of the chain clusters of an ascending list.
+
+    Neighbours at most tol apart share a cluster, so cluster i is
+    w[offsets[i]:offsets[i+1]]; an empty list gives offsets [0].
+    """
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)
+    return np.append(starts, len(w))
 
 
 def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralResolution:
@@ -211,20 +239,9 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
     if cluster_tol is None:
         cluster_tol = cluster_tol_default(m)
     w, v = np.linalg.eigh(m)
-    # chain clustering of the ascending eigenvalue list
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= cluster_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    eigenvalues = np.array([float(np.mean(w[g])) for g in groups])
-    projections = []
-    for g in groups:
-        cols = v[:, g]
-        projections.append(cols @ cols.conj().T)
-    multiplicities = np.array([len(g) for g in groups], dtype=int)
-    return SpectralResolution(eigenvalues, projections, multiplicities)
+    offsets = cluster_offsets(w, cluster_tol)
+    eigenvalues = np.array([float(np.mean(w[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])])
+    return SpectralResolution(eigenvalues, v, offsets)
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

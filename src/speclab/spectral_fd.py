@@ -21,7 +21,6 @@ import numpy as np
 
 from .linalg_core import (
     SpectralResolution,
-    cluster_tol_default,
     hermitian_eig,
     inner_product,
     matrix_to_json,
@@ -119,12 +118,7 @@ class BorelSet:
 
 def pvm(res: SpectralResolution, e: BorelSet) -> np.ndarray:
     """Projection sum_{lambda_i in E} P_i; zero matrix for an empty hit set."""
-    n = res.dim
-    out = np.zeros((n, n), dtype=complex)
-    for lam, p in zip(res.eigenvalues, res.projections):
-        if e.contains(float(lam)):
-            out += p
-    return out
+    return res.combine([1.0 if e.contains(float(lam)) else 0.0 for lam in res.eigenvalues])
 
 
 @dataclass(frozen=True)
@@ -141,17 +135,16 @@ def measurable_calculus(res: SpectralResolution, m: Callable) -> np.ndarray:
     The evaluator must produce a finite complex value at every eigenvalue;
     anything else (exception, inf, nan) raises ValueError naming the point.
     """
-    n = res.dim
-    out = np.zeros((n, n), dtype=complex)
-    for lam, p in zip(res.eigenvalues, res.projections):
+    vals = np.empty(len(res.eigenvalues), dtype=complex)
+    for i, lam in enumerate(res.eigenvalues):
         try:
             val = complex(m(float(lam)))
         except Exception as exc:
             raise ValueError(f"evaluator undefined at eigenvalue {lam}: {exc}") from exc
         if not (np.isfinite(val.real) and np.isfinite(val.imag)):
             raise ValueError(f"evaluator not finite at eigenvalue {lam}: {val}")
-        out += val * p
-    return out
+        vals[i] = val
+    return res.combine(vals)
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,8 @@ def spectral_measure(res: SpectralResolution, x: np.ndarray, y: np.ndarray) -> S
     yv = np.asarray(y, dtype=complex).ravel()
     if xv.size != res.dim or yv.size != res.dim:
         raise ValueError("vector dimension does not match the resolution")
-    masses = np.array([inner_product(xv, p @ yv) for p in res.projections])
+    vh = res.eigenvectors.conj().T
+    masses = np.add.reduceat(np.conj(vh @ xv) * (vh @ yv), res.offsets[:-1])
     return SpectralMeasurePair(res.eigenvalues.copy(), masses)
 
 
@@ -372,27 +366,16 @@ def commuting_diagonalization(
     comm = operator_norm(ma @ mb - mb @ ma)
     if comm > tau_comm:
         return CompatibilityResult(False, comm)
-    w, v = np.linalg.eigh(ma)
-    tol = cluster_tol_default(ma)
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    cols = []
-    da: list[float] = []
-    db: list[float] = []
-    for g in groups:
-        s = v[:, g]
+    res = hermitian_eig(ma)
+    basis = np.empty_like(res.eigenvectors)
+    db = np.empty(res.dim)
+    for lo, hi in zip(res.offsets[:-1], res.offsets[1:]):
+        s = res.eigenvectors[:, lo:hi]
         block = s.conj().T @ mb @ s
         block = (block + block.conj().T) / 2.0
-        wb, vb = np.linalg.eigh(block)
-        cols.append(s @ vb)
-        da.extend([float(np.mean(w[g]))] * len(g))
-        db.extend(float(x) for x in wb)
-    basis = np.hstack(cols)
-    return CompatibilityResult(True, comm, basis, np.array(da), np.array(db))
+        db[lo:hi], vb = np.linalg.eigh(block)
+        basis[:, lo:hi] = s @ vb
+    return CompatibilityResult(True, comm, basis, np.repeat(res.eigenvalues, res.multiplicities), db)
 
 
 def resolution_to_json(res: SpectralResolution) -> dict:

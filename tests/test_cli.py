@@ -54,18 +54,23 @@ def test_seed_changes_the_table(tmp_path):
 
 def test_config_file_applies_and_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 5\ndim = 4  # small matrices\nout = ignored\n")
+    cfg.write_text("seed = 5\ndim = 4  # small matrices\ntrials = 5\nout = ignored\n")
     out = tmp_path / "out"
     rc = main(["run", "cayley", "--config", str(cfg), "--out", str(out)])
     assert rc == 0  # --out beat the file's out=
     doc = json.loads((out / "cayley.json").read_text())
     assert doc["seed"] == 5
     assert doc["params"]["dim"] == 4
+    assert doc["params"]["trials"] == 5
 
     flag_out = tmp_path / "flagged"
-    main(["run", "cayley", "--config", str(cfg), "--seed", "9", "--out", str(flag_out)])
+    main(["run", "cayley", "--config", str(cfg), "--seed", "9", "--trials", "3", "--trunc", "16",
+          "--out", str(flag_out)])
     doc2 = json.loads((flag_out / "cayley.json").read_text())
     assert doc2["seed"] == 9  # command line > file
+    assert doc2["params"]["trials"] == 3
+    assert doc2["params"]["trunc"] == 16
+    assert len((flag_out / "cayley.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):

@@ -181,6 +181,11 @@ def test_spectral_resolution_dim():
     res = hermitian_eig(np.diag([1.0, 2.0, 2.0, 7.0]))
     assert isinstance(res, SpectralResolution)
     assert res.dim == 4
+    empty = hermitian_eig(np.zeros((0, 0)))
+    assert empty.dim == 0
+    assert empty.eigenvalues.size == 0 and empty.multiplicities.size == 0
+    assert empty.projections == []
+    assert empty.reconstruct().shape == (0, 0)
 
 
 # ---------------------------------------------------------------- operator norm

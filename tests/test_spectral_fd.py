@@ -421,6 +421,9 @@ def test_degenerate_pair_compatible():
     a = v @ a @ v.T
     out = commuting_diagonalization(a, a @ a)
     assert out.compatible
+    empty = commuting_diagonalization(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert empty.compatible
+    assert empty.basis.shape == (0, 0) and empty.diag_a.size == 0 and empty.diag_b.size == 0
 
 
 def test_pauli_pair_incompatible():
@@ -428,6 +431,53 @@ def test_pauli_pair_incompatible():
     assert not out.compatible
     assert out.commutator_norm == pytest.approx(2.0, abs=1e-12)
     assert out.basis is None
+
+
+# ---------------------------------------------------------------- block route vs projection sums
+
+@pytest.mark.parametrize("split", [1e-10, None])
+def test_block_route_matches_projection_sums(split):
+    # Oracle: the explicit sums over res.projections that pvm, measurable_calculus,
+    # spectral_measure and reconstruct used to form.  With split set, each of three
+    # eigenvalues is smeared into a chain of steps well below cluster_tol (1e-8),
+    # which must merge into one cluster; with split None the spectrum is simple.
+    rng = np.random.default_rng(89)
+    f = lambda t: np.exp(1j * t) + t * t
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        if split is None:
+            d = np.sort(rng.uniform(-3.0, 3.0, n))
+        else:
+            centers = rng.choice([-2.0, 0.5, 3.0], n)
+            d = np.sort(centers + split * rng.integers(0, 4, n))
+        a = (q * d) @ q.conj().T
+        a = (a + a.conj().T) / 2.0
+        res = hermitian_eig(a)
+        if split is None:
+            assert res.multiplicities.tolist() == [1] * n
+        else:
+            assert res.multiplicities.tolist() == [int(np.sum(centers == c)) for c in np.unique(centers)]
+        projections = res.projections
+        tau = 1e-12 * (1.0 + operator_norm(a))
+
+        want = sum(lam * p for lam, p in zip(res.eigenvalues, projections))
+        assert operator_norm(res.reconstruct() - want) <= tau
+
+        want = sum(f(lam) * p for lam, p in zip(res.eigenvalues, projections))
+        assert operator_norm(measurable_calculus(res, f) - want) <= 1e-12 * (1.0 + operator_norm(want))
+
+        lo = float(res.eigenvalues[0])
+        for e in (BorelSet.interval(lo, float(np.median(res.eigenvalues))), BorelSet.point(float(res.eigenvalues[-1])), BorelSet.real_line()):
+            want = sum(p for lam, p in zip(res.eigenvalues, projections) if e.contains(float(lam)))
+            assert operator_norm(pvm(res, e) - want) <= 1e-12
+        assert not np.any(pvm(res, BorelSet.point(lo - 1.0)))  # empty hit set: exactly zero
+
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = np.array([inner_product(x, p @ y) for p in projections])
+        got = spectral_measure(res, x, y).masses
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.linalg.norm(x) * np.linalg.norm(y))
 
 
 # ---------------------------------------------------------------- serialization
