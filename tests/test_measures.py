@@ -83,6 +83,32 @@ def test_fourier_uniqueness_probe():
     assert sorted(mu.atoms) == sorted(nu.atoms)
 
 
+def test_density_transform_matches_direct_trapezoid_sum():
+    # oracle: the M x N phase matrix summed by np.trapezoid; grids cover the
+    # factored (arithmetic) path at large offsets and odd sizes, and the
+    # chunked path on grids perturbed off arithmetic within the uniformity check
+    rng = np.random.default_rng(12)
+    base = np.linspace(-50.0, 50.0, 5000)
+    grids = [
+        np.arange(-3.2e4, 3.2e4 + 0.125, 0.25)[::7],
+        np.linspace(1e5, 1e5 + 3.0, 2),
+        np.linspace(0.0, 1.0, 3),
+        np.linspace(-7.3, 11.1, 1001),
+        np.arange(1e3, 1e3 + 10.0, 0.1),
+        base + 5e-11 * rng.standard_normal(base.size),
+        np.linspace(-5.0, 5.0, 40000) + 1e-13 * rng.standard_normal(40000),
+    ]
+    for g in grids:
+        v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+        w = rng.uniform(-20.0, 20.0, size=(3, 7))
+        got = measure_fourier(FiniteMeasure.from_density(g, v), w)
+        ref = np.trapezoid(np.exp(-1j * np.multiply.outer(w, g)) * v, g, axis=-1)
+        assert got.shape == w.shape
+        # phase roundoff of either route is ~eps |w x| per term
+        scale = np.finfo(float).eps * 20.0 * np.max(np.abs(g)) * np.trapezoid(np.abs(v), g)
+        assert np.max(np.abs(got - ref)) <= 16.0 * scale + 1e-14
+
+
 # ---------------------------------------------------------------- poisson smoothing
 
 def test_smooth_point_mass_gives_kernel():
