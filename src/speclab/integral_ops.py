@@ -2,10 +2,16 @@
 
 Integral operators carry their raw kernel samples K and the symmetrized
 matrix B = W^{1/2} K W^{1/2} whose Hermitian eigensolve approximates the
-operator spectrum.  The Sturm-Liouville path is: homogeneous solutions by
-fixed-step RK4 shooting (with cubic-Hermite dense output), Wronskian check,
-Green kernel, Nystrom eigensolve of the Green operator, and a spectral shift
-ladder for problems where the operator is not injective.
+operator spectrum.  The Sturm-Liouville path is: a spectral shift ladder for
+problems where the operator is not injective, homogeneous solutions u, v by
+fixed-step RK4 shooting (with cubic-Hermite dense output) and a Wronskian
+check, all run once per solve.  The Green kernel u(max) v(min) / W is real
+and semiseparable, so its symmetrized Nystrom matrix and the off-grid
+interpolation table are assembled in float64 from u and v at the points, and
+a real symmetric eigensolve gives the spectrum.  The grid-doubling check
+compares eigenvalues only (eigvalsh at twice the nodes, same solutions), and
+each mode's residual is the defect of the integral eigen-equation
+f = (lambda - shift) G f, with G applied in O(N) by cumulative sums.
 """
 
 from __future__ import annotations
@@ -387,22 +393,83 @@ def sl_green(p: SturmLiouvilleProblem, solutions: SLSolutions) -> Callable:
     return g
 
 
+def _shift_ladder(p: SturmLiouvilleProblem, depth: int) -> tuple[float, SLSolutions]:
+    """The first injective rung mu of the ladder 0, +-1, ..., +-depth and the
+    homogeneous solutions of the problem shifted by mu."""
+    candidates = [0.0]
+    for m in range(1, depth + 1):
+        candidates.extend([float(m), float(-m)])
+    for mu in candidates:
+        try:
+            return mu, sl_homogeneous_solutions(p.shifted(mu))
+        except NonInjectiveError:
+            continue
+    raise ValueError(f"no injectivity shift found on the ladder up to +-{depth}")
+
+
 def sl_shift(p: SturmLiouvilleProblem, depth: int = SHIFT_LADDER_DEPTH) -> float:
     """A real mu such that the problem with potential q - mu is injective.
 
     mu = 0 is tried first, then the ladder +-1, +-2, ... up to `depth`;
     exhaustion raises ValueError.
     """
-    candidates = [0.0]
-    for m in range(1, depth + 1):
-        candidates.extend([float(m), float(-m)])
-    for mu in candidates:
-        try:
-            sl_homogeneous_solutions(p.shifted(mu))
-            return mu
-        except NonInjectiveError:
-            continue
-    raise ValueError(f"no injectivity shift found on the ladder up to +-{depth}")
+    return _shift_ladder(p, depth)[0]
+
+
+def _green_samples(solutions: SLSolutions, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The matrix G(x_i, t_j) = u(max) v(min) / W from u and v at the points only.
+
+    O(len(x) + len(t)) Hermite evaluations in place of sl_green's two per
+    entry; the entries are bit for bit those of sl_green(...)(x[:, None], t[None, :]).
+    """
+    upper = np.outer(solutions.u_at(x), solutions.v_at(t))
+    lower = np.outer(solutions.v_at(x), solutions.u_at(t))
+    out = np.where(x[:, None] >= t[None, :], upper, lower)
+    out /= solutions.wronskian
+    return out
+
+
+def _sl_grid(p: SturmLiouvilleProblem, n_nodes: int) -> QuadratureGrid:
+    return gauss_legendre_grid(p.a, p.b, max(1, int(round(n_nodes / NODES_PER_PANEL))), NODES_PER_PANEL)
+
+
+def _green_symmetrized(solutions: SLSolutions, grid: QuadratureGrid) -> np.ndarray:
+    """W^{1/2} G W^{1/2} on the grid: real symmetric for real q and real boundary data."""
+    sw = np.sqrt(grid.weights)
+    return sw[:, None] * _green_samples(solutions, grid.nodes, grid.nodes) * sw[None, :]
+
+
+def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> list[tuple[float, int]]:
+    """(lambda, index) for the k_wanted smallest |lambda| = |1/mu + shift| among the
+    4 k_wanted largest |mu| Green eigenvalues above 1e-13 max|mu|."""
+    order = np.argsort(-np.abs(mu_green))
+    floor = 1e-13 * float(np.max(np.abs(mu_green)))
+    cand = [int(i) for i in order[: 4 * k_wanted] if abs(mu_green[i]) > floor]
+    lam_cand = [(float(1.0 / mu_green[i] + mu_shift), i) for i in cand]
+    lam_cand.sort(key=lambda t: abs(t[0]))
+    return lam_cand[:k_wanted]
+
+
+def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """||f - scale G f|| / ||f|| for each column of f sampled on the uniform grid x.
+
+    G f(x) = (u(x) int_a^x v f + v(x) int_x^b u f) / W is applied in O(len(x))
+    by cumulative trapezoid sums.
+    """
+    u = solutions.u_at(x)[:, None]
+    v = solutions.v_at(x)[:, None]
+    half = (x[1] - x[0]) / 2.0
+
+    def cumulative(y):
+        out = np.zeros_like(y)
+        np.cumsum(half * (y[1:] + y[:-1]), axis=0, out=out[1:])
+        return out
+
+    left = cumulative(v * f)
+    right = cumulative(u * f)
+    right = right[-1] - right
+    defect = f - scale * (u * left + v * right) / solutions.wronskian
+    return np.linalg.norm(defect, axis=0) / np.linalg.norm(f, axis=0)
 
 
 @dataclass(frozen=True)
@@ -412,6 +479,7 @@ class SLMode:
     nodes: np.ndarray = field(repr=False)
     samples: np.ndarray = field(repr=False)
     residual: float
+    refine_drift: float | None = None
 
 
 def sl_eigensolve(
@@ -422,65 +490,51 @@ def sl_eigensolve(
 ) -> list[SLMode]:
     """Lowest |lambda| eigenvalues/eigenfunctions of -y'' + q y = lambda y.
 
-    Builds the Green operator of the (shift-stabilized) problem, eigensolves
-    its symmetrized Nystrom matrix, and maps Green eigenvalues mu back through
-    lambda = 1/mu + shift.  Eigenfunction node samples are orthonormal under
-    the quadrature pairing.  A grid-doubling drift above 1% emits a resolution
-    warning; each mode carries the relative ODE defect as its residual.
+    The shift ladder and RK4 shooting run once.  The symmetrized Nystrom
+    matrix of the Green operator of the shifted problem is assembled, real
+    and symmetric, from u and v at the nodes (G_ij = u(x_max) v(x_min) / W),
+    and real eigh gives its eigenvalues mu; lambda = 1/mu + shift.
+    Eigenfunction node samples are orthonormal under the quadrature pairing.
+    Each mode's residual is the relative L2 defect of f = (lambda - shift) G f
+    on 2001 uniform points, where f is the Nystrom extension
+    (1/mu) sum_j w_j G(x, x_j) f(x_j) and G is applied by cumulative
+    trapezoid sums.  With check_refinement, the same solutions give the
+    eigenvalues at 2 n_nodes (eigvalsh only); each mode records its relative
+    drift as refine_drift, and a drift above 1% emits a RuntimeWarning.
     """
-    mu_shift = sl_shift(p)
-    shifted = p.shifted(mu_shift)
-    sols = sl_homogeneous_solutions(shifted)
-    g = sl_green(shifted, sols)
-    panels = max(1, int(round(n_nodes / NODES_PER_PANEL)))
-    grid = gauss_legendre_grid(p.a, p.b, panels, NODES_PER_PANEL)
-    op = nystrom(g, grid)
-    herm = (op.symmetrized + op.symmetrized.conj().T) / 2.0
-    wb, vb = np.linalg.eigh(herm)
-    order = np.argsort(-np.abs(wb))
-    take = min(4 * k_wanted, len(wb))
-    cand = order[:take]
-    floor = 1e-13 * float(np.max(np.abs(wb)))
-    cand = [int(i) for i in cand if abs(wb[i]) > floor]
-    lam_cand = [(1.0 / wb[i] + mu_shift, i) for i in cand]
-    lam_cand.sort(key=lambda t: abs(t[0]))
-    lam_cand = lam_cand[:k_wanted]
+    mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
+    grid = _sl_grid(p, n_nodes)
+    wb, vb = np.linalg.eigh(_green_symmetrized(sols, grid))
+    lam_cand = _sl_candidates(wb, mu_shift, k_wanted)
+    lams = np.array([lam for lam, _ in lam_cand])
+    idx = [i for _, i in lam_cand]
 
-    q_vals = _eval_potential(p.q, grid.nodes)
-    sqw = np.sqrt(grid.weights)
-    modes: list[SLMode] = []
-    fine = np.linspace(p.a, p.b, 2001)
-    gfx = g(fine[:, None], grid.nodes[None, :])  # Nystrom interpolation table
-    hstep = fine[1] - fine[0]
-    q_fine = _eval_potential(p.q, fine)
-    for rank, (lam, i) in enumerate(lam_cand, start=1):
-        psi = vb[:, i]
-        k0 = int(np.argmax(np.abs(psi)))
-        phase = psi[k0] / abs(psi[k0])
-        psi = psi * np.conj(phase)
-        f_nodes = psi / sqw
-        if np.max(np.abs(f_nodes.imag)) <= 1e-9 * np.max(np.abs(f_nodes)):
-            f_nodes = f_nodes.real
-        # extend off-grid: f(x) = (1/mu) sum_j w_j G(x, x_j) f(x_j)
-        f_fine = (gfx @ (grid.weights * f_nodes)) / wb[i]
-        ypp = (f_fine[2:] - 2.0 * f_fine[1:-1] + f_fine[:-2]) / hstep ** 2
-        defect = -ypp + (q_fine[1:-1] - lam) * f_fine[1:-1]
-        num = float(np.sqrt(hstep * np.sum(np.abs(defect) ** 2)))
-        den = (1.0 + abs(lam)) * float(np.sqrt(hstep * np.sum(np.abs(f_fine) ** 2)))
-        modes.append(SLMode(rank, float(np.real(lam)), grid.nodes, f_nodes, num / den))
-
+    drifts: list[float | None] = [None] * len(lam_cand)
     if check_refinement:
-        finer = sl_eigensolve(p, 2 * n_nodes, k_wanted, check_refinement=False)
-        for m, m2 in zip(modes, finer):
-            drift = abs(m.lam - m2.lam) / max(1.0, abs(m.lam))
-            if drift > 0.01:
+        wf = np.linalg.eigvalsh(_green_symmetrized(sols, _sl_grid(p, 2 * n_nodes)))
+        finer = _sl_candidates(wf, mu_shift, k_wanted)
+        for r, (lam, (lam2, _)) in enumerate(zip(lams, finer)):
+            drifts[r] = float(abs(lam - lam2) / max(1.0, abs(lam)))
+        for r, drift in enumerate(drifts):
+            if drift is not None and drift > 0.01:
                 warnings.warn(
-                    f"eigenvalue {m.k} unstable under grid doubling "
+                    f"eigenvalue {r + 1} unstable under grid doubling "
                     f"(drift {drift:.2%}); increase n_nodes",
                     RuntimeWarning,
                 )
                 break
-    return modes
+
+    psi = vb[:, idx]
+    psi *= np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(len(idx))])
+    f_nodes = psi / np.sqrt(grid.weights)[:, None]
+    # extend off-grid: f(x) = (1/mu) sum_j w_j G(x, x_j) f(x_j)
+    fine = np.linspace(p.a, p.b, 2001)
+    f_fine = (_green_samples(sols, fine, grid.nodes) @ (grid.weights[:, None] * f_nodes)) / wb[idx]
+    residuals = _sl_residuals(sols, fine, f_fine, lams - mu_shift)
+    return [
+        SLMode(r + 1, float(lams[r]), grid.nodes, f_nodes[:, r], float(residuals[r]), drifts[r])
+        for r in range(len(idx))
+    ]
 
 
 def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -617,6 +671,7 @@ def sl_modes_to_json(modes: Sequence[SLMode]) -> list[dict]:
             "k": m.k,
             "lambda": float(m.lam),
             "residual": float(m.residual),
+            "refine_drift": m.refine_drift,
             "nodes": [float(x) for x in m.nodes],
             "samples": [float(np.real(s)) for s in m.samples],
         }

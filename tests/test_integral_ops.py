@@ -1,8 +1,11 @@
 """Nystrom operators, HS norm and trace, Volterra, Sturm-Liouville Green machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
+from speclab import integral_ops
 from speclab import (
     NonInjectiveError,
     QuadratureGrid,
@@ -342,6 +345,99 @@ def test_riesz_schauder_tail_green():
     assert mu[19] < 0.05 * mu[0]
 
 
+# ---------------------------------------------------------------- structured eigensolve vs dense route
+
+def neg_one_q(x):
+    return -np.ones_like(np.asarray(x, dtype=float))
+
+
+SL_CASES = {
+    "dirichlet-q0": dirichlet_problem(0.0, np.pi, zero_q),
+    "dirichlet-q-1": dirichlet_problem(0.0, np.pi, neg_one_q),  # lambda = 0: through the ladder
+    "dirichlet-cos": dirichlet_problem(0.0, np.pi, np.cos),
+    "robin-neumann-x2": SturmLiouvilleProblem(0.0, 1.0, lambda x: np.asarray(x, dtype=float) ** 2,
+                                              (1.0, -0.5), (0.0, 1.0)),
+    "robin-q0": SturmLiouvilleProblem(0.0, np.pi, zero_q, (1.0, 1.0), (1.0, 0.5)),
+}
+
+
+def dense_sl_oracle(p, n_nodes, k_wanted):
+    """The complex Nystrom route: sl_green sampled by nystrom, complex eigh, phase by argmax."""
+    mu = sl_shift(p)
+    shifted = p.shifted(mu)
+    sols = sl_homogeneous_solutions(shifted)
+    g = sl_green(shifted, sols)
+    grid = gauss_legendre_grid(p.a, p.b, max(1, round(n_nodes / 8)), 8)
+    op = nystrom(g, grid)
+    wb, vb = np.linalg.eigh((op.symmetrized + op.symmetrized.conj().T) / 2.0)
+    floor = 1e-13 * np.max(np.abs(wb))
+    cand = [i for i in np.argsort(-np.abs(wb))[: 4 * k_wanted] if abs(wb[i]) > floor]
+    chosen = sorted(((1.0 / wb[i] + mu, i) for i in cand), key=lambda t: abs(t[0]))[:k_wanted]
+    samples = []
+    for _, i in chosen:
+        psi = vb[:, i]
+        k0 = np.argmax(np.abs(psi))
+        samples.append(psi * np.conj(psi[k0] / abs(psi[k0])) / np.sqrt(grid.weights))
+    return np.array([lam for lam, _ in chosen]), samples, op, g, sols, grid
+
+
+@pytest.mark.parametrize("name", sorted(SL_CASES))
+def test_structured_eigensolve_matches_dense_route(name):
+    p = SL_CASES[name]
+    lams, samples, op, g, sols, grid = dense_sl_oracle(p, 240, 5)
+    modes = sl_eigensolve(p, n_nodes=240, k_wanted=5, check_refinement=False)
+    assert len(modes) == len(lams) == 5
+    for m, lam, f in zip(modes, lams, samples):
+        # max(1, |lambda|): q = -1 has lambda ~ 0 = 1/mu + 1, which both routes
+        # get only to absolute roundoff
+        assert abs(m.lam - lam) <= 1e-12 * max(1.0, abs(lam))
+        # argmax sign rule ties on symmetric problems (sin 2x peaks at pi/4 and 3pi/4)
+        assert min(np.max(np.abs(m.samples - f)), np.max(np.abs(m.samples + f))) <= 1e-10
+    x = grid.nodes
+    fine = np.linspace(p.a, p.b, 2001)
+    green = integral_ops._green_samples(sols, x, x)
+    assert green.dtype == np.float64
+    assert np.array_equal(green, op.kernel_matrix.real) and not np.any(op.kernel_matrix.imag)
+    assert np.array_equal(integral_ops._green_samples(sols, fine, x), g(fine[:, None], x[None, :]))
+
+
+@pytest.mark.parametrize("name", ["dirichlet-q0", "dirichlet-q-1", "dirichlet-cos", "robin-q0"])
+def test_residual_is_integral_equation_defect(name):
+    # f = (lambda - shift) G f holds up to discretization error, which falls
+    # about 4x per grid doubling; the old ODE-defect residual stayed near 1
+    p = SL_CASES[name]
+    coarse = sl_eigensolve(p, n_nodes=400, k_wanted=5, check_refinement=False)
+    fine = sl_eigensolve(p, n_nodes=800, k_wanted=5, check_refinement=False)
+    assert len(coarse) == len(fine) == 5
+    for c, f in zip(coarse, fine):
+        assert 0.0 < c.residual <= 1e-3
+        assert f.residual <= c.residual / 3.0
+
+
+def test_grid_doubling_warning_and_drift():
+    p = dirichlet_problem(0.0, np.pi, zero_q)
+    with pytest.warns(RuntimeWarning, match=re.escape("eigenvalue 1 unstable under grid doubling (drift 1.94%)")):
+        modes = sl_eigensolve(p, n_nodes=8, k_wanted=5)
+    assert abs(modes[0].refine_drift - 0.0194) < 5e-5
+    assert sl_modes_to_json(modes)[0]["refine_drift"] == modes[0].refine_drift
+    settled = sl_eigensolve(p, n_nodes=400, k_wanted=5)
+    assert all(0.0 < m.refine_drift <= 1e-3 for m in settled)
+
+
+def test_refinement_reuses_shift_and_solutions(monkeypatch):
+    shots = []
+    shoot = integral_ops.sl_homogeneous_solutions
+
+    def counting(problem, *args, **kwargs):
+        shots.append(problem)
+        return shoot(problem, *args, **kwargs)
+
+    monkeypatch.setattr(integral_ops, "sl_homogeneous_solutions", counting)
+    modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, neg_one_q), n_nodes=80, k_wanted=3)
+    assert len(shots) == 2  # mu = 0 is rejected, mu = +1 accepted; none for the 2n check
+    assert all(m.refine_drift is not None for m in modes)
+
+
 # ---------------------------------------------------------------- rayleigh refinement
 
 def test_rayleigh_diagonal_case():
@@ -397,4 +493,5 @@ def test_modes_export(tmp_path):
     assert len(lines) == 3
     blob = sl_modes_to_json(modes)
     assert blob[0]["k"] == 1
+    assert blob[0]["refine_drift"] is None
     assert len(blob[0]["samples"]) == len(modes[0].nodes)
