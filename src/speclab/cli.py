@@ -6,10 +6,16 @@ from one splittable generator whose per-experiment substream is keyed by the
 experiment name, so reruns with identical configuration produce byte-identical
 CSV output.
 
+Trials draw in order from that substream, one CSV row each; a worst-case check
+is np.max over a column of rows, so a NaN in any trial fails it.
+
 Usage:
     speclab run <name> [--seed N] [--nodes N] [--dim N] [--trials N] [--trunc N]
                        [--out DIR] [--config FILE]
     speclab list
+
+Sizes must be positive (nodes, dim, trials >= 1; trunc >= 2): a smaller one is
+a usage error (exit status 2), and run_experiment raises ValueError.
 
 Outputs <name>.csv (measurement table) and <name>.json (machine-readable
 report with verdicts) in the output directory.  Exit status is 0 iff every
@@ -46,6 +52,7 @@ __all__ = ["main", "run_experiment", "experiment_names", "ExperimentConfig"]
 # configuration
 
 _CONFIG_KEYS = ("seed", "nodes", "dim", "trials", "trunc", "out")
+_MIN_SIZES = {"nodes": 1, "dim": 1, "trials": 1, "trunc": 2}
 
 
 @dataclass
@@ -64,6 +71,14 @@ class ExperimentConfig:
         return default if self.trials is None else self.trials
 
 
+def _check_sizes(cfg: ExperimentConfig) -> None:
+    """Raise ValueError for a size below its minimum (trials=None keeps the default)."""
+    for key, least in _MIN_SIZES.items():
+        val = getattr(cfg, key)
+        if val is not None and val < least:
+            raise ValueError(f"{key} must be at least {least}, got {val}")
+
+
 @dataclass(frozen=True)
 class Check:
     label: str
@@ -78,6 +93,14 @@ def _leq(label: str, measured: float, tolerance: float) -> Check:
 
 def _flag(label: str, ok: bool) -> Check:
     return Check(label, 0.0 if ok else 1.0, 0.0, bool(ok))
+
+
+def _max_leq(label: str, rows: list[tuple], col, tolerance: float) -> Check:
+    """Check the largest row[col] (col may be a slice) against tolerance.
+
+    np.max propagates NaN, so a NaN in any row fails the check.
+    """
+    return _leq(label, np.max([r[col] for r in rows]), tolerance)
 
 
 @dataclass
@@ -95,6 +118,12 @@ class ExperimentReport:
 def _rng(name: str, seed: int) -> np.random.Generator:
     key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+
+
+def _trials(cfg: ExperimentConfig, default: int, trial: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
+    """One row (t, *trial(rng, t)) per trial t, all drawn in order from the experiment's stream."""
+    rng = _rng(cfg.name, cfg.seed)
+    return [(t, *trial(rng, t)) for t in range(cfg.resolved_trials(default))]
 
 
 def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -117,38 +146,31 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
-    p = integral_ops.SturmLiouvilleProblem(0.0, np.pi, lambda x: 0.0 * np.asarray(x, dtype=float))
+def _sl_rows(cfg: ExperimentConfig, shift: float, scale: Callable[[float], float]) -> tuple[list, list[tuple]]:
+    """Modes of -f'' + shift f = lambda f on [0, pi] with Dirichlet ends, and
+    rows (k, lambda, target k^2 + shift, |lambda - target| / scale(target), residual)."""
+    p = integral_ops.SturmLiouvilleProblem(0.0, np.pi, lambda x: shift + 0.0 * np.asarray(x, dtype=float))
     modes = integral_ops.sl_eigensolve(p, n_nodes=cfg.nodes, k_wanted=5)
-    rows = []
-    worst = 0.0
-    for m in modes:
-        target = float(m.k ** 2)
-        rel = abs(m.lam - target) / target
-        worst = max(worst, rel)
-        rows.append((m.k, m.lam, target, rel, m.residual))
+    targets = [float(m.k ** 2 + shift) for m in modes]
+    return modes, [(m.k, m.lam, t, abs(m.lam - t) / scale(t), m.residual) for m, t in zip(modes, targets)]
+
+
+def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
+    modes, rows = _sl_rows(cfg, 0.0, lambda t: t)
     grid = integral_ops.gauss_legendre_grid(0.0, np.pi, max(1, round(cfg.nodes / 8)), 8)
     s = np.stack([m.samples for m in modes])
     g = (s * grid.weights) @ s.conj().T
     gram_defect = float(np.max(np.abs(g - np.eye(len(modes)))))
     checks = [
-        _leq("eigenvalue max relative error vs k^2", worst, 5e-3),
+        _max_leq("eigenvalue max relative error vs k^2", rows, 3, 5e-3),
         _leq("eigenfunction gram defect", gram_defect, 1e-8),
     ]
     return ExperimentReport(cfg.name, ["k", "lambda", "target", "rel_err", "residual"], rows, checks)
 
 
 def _exp_sl_shifted(cfg: ExperimentConfig) -> ExperimentReport:
-    p = integral_ops.SturmLiouvilleProblem(0.0, np.pi, lambda x: -1.0 + 0.0 * np.asarray(x, dtype=float))
-    modes = integral_ops.sl_eigensolve(p, n_nodes=cfg.nodes, k_wanted=5)
-    rows = []
-    worst = 0.0
-    for m in modes:
-        target = float(m.k ** 2 - 1)
-        err = abs(m.lam - target) / (1.0 + abs(target))
-        worst = max(worst, err)
-        rows.append((m.k, m.lam, target, err, m.residual))
-    checks = [_leq("eigenvalue max normalized error vs k^2 - 1", worst, 5e-3)]
+    _, rows = _sl_rows(cfg, -1.0, lambda t: 1.0 + abs(t))
+    checks = [_max_leq("eigenvalue max normalized error vs k^2 - 1", rows, 3, 5e-3)]
     return ExperimentReport(cfg.name, ["k", "lambda", "target", "norm_err", "residual"], rows, checks)
 
 
@@ -157,17 +179,12 @@ def _exp_volterra(cfg: ExperimentConfig) -> ExperimentReport:
     pair = integral_ops.volterra(grid)
     herm = (pair.vstar_v.symmetrized + pair.vstar_v.symmetrized.conj().T) / 2.0
     mu = np.linalg.eigvalsh(herm)[::-1]
-    rows = []
-    worst = 0.0
-    for k in range(1, 6):
-        target = 4.0 / ((2 * k - 1) ** 2 * np.pi ** 2)
-        rel = abs(mu[k - 1] - target) / target
-        worst = max(worst, rel)
-        rows.append((k, float(mu[k - 1]), target, rel))
+    targets = [4.0 / ((2 * k - 1) ** 2 * np.pi ** 2) for k in range(1, 6)]
+    rows = [(k, float(m), t, abs(m - t) / t) for k, m, t in zip(range(1, 6), mu, targets)]
     vmax = float(np.max(np.abs(np.linalg.eigvals(pair.v.symmetrized))))
     tr = integral_ops.trace(pair.vstar_v)
     checks = [
-        _leq("V*V eigenvalues max relative error", worst, 1e-3),
+        _max_leq("V*V eigenvalues max relative error", rows, 3, 1e-3),
         _leq("max |eigenvalue| of discretized V", vmax, 0.05),
         _leq("trace(V*V) error vs 1/2", abs(tr - 0.5), 1e-12),
     ]
@@ -186,34 +203,24 @@ def _exp_poisson_halfplane(cfg: ExperimentConfig) -> ExperimentReport:
     dens = (y / np.pi) / (grid ** 2 + y * y)
     mu = measures.FiniteMeasure.from_density(grid, dens)
     omegas = np.linspace(-10.0, 10.0, 81)
-    rows = []
-    ft_worst = 0.0
-    for w in omegas:
-        val = measures.measure_fourier(mu, float(w))
-        target = float(np.exp(-y * abs(w)))
-        err = abs(val - target)
-        ft_worst = max(ft_worst, err)
-        rows.append((float(w), val.real, val.imag, target, err))
+    vals = measures.measure_fourier(mu, omegas)
+    targets = np.exp(-y * np.abs(omegas))
+    rows = [(float(w), v.real, v.imag, tw, abs(v - tw)) for w, v, tw in zip(omegas, vals, targets)]
     checks = [
         _leq("kernel mass error |int P_y - 1|", mass_err, 1e-6),
-        _leq("max |P_y^hat - e^{-y|w|}| on [-10, 10]", ft_worst, 1e-4),
+        _max_leq("max |P_y^hat - e^{-y|w|}| on [-10, 10]", rows, 4, 1e-4),
     ]
     return ExperimentReport(cfg.name, ["omega", "re", "im", "target", "err"], rows, checks)
 
 
 def _exp_poisson_disc(cfg: ExperimentConfig) -> ExperimentReport:
-    rows = []
-    worst = 0.0
-    for n in (0, 1, -2, 5):
-        phi = harmonic.SampledBoundaryFunction.on_circle(lambda t, n=n: np.exp(1j * n * t))
-        for rho in (0.3, 0.8):
-            for s in (0.0, 1.1, 2.0 * np.pi - 0.4):
-                val = harmonic.poisson_disc(phi, rho, s)
-                target = rho ** abs(n) * np.exp(1j * n * s)
-                err = abs(val - target)
-                worst = max(worst, err)
-                rows.append((n, rho, s, val.real, val.imag, err))
-    checks = [_leq("max error vs rho^|n| e^{ins}", worst, 1e-10)]
+    phis = {n: harmonic.SampledBoundaryFunction.on_circle(lambda t, n=n: np.exp(1j * n * t)) for n in (0, 1, -2, 5)}
+    vals = [
+        (n, rho, s, harmonic.poisson_disc(phi, rho, s))
+        for n, phi in phis.items() for rho in (0.3, 0.8) for s in (0.0, 1.1, 2.0 * np.pi - 0.4)
+    ]
+    rows = [(n, rho, s, v.real, v.imag, abs(v - rho ** abs(n) * np.exp(1j * n * s))) for n, rho, s, v in vals]
+    checks = [_max_leq("max error vs rho^|n| e^{ins}", rows, 5, 1e-10)]
     return ExperimentReport(cfg.name, ["n", "rho", "s", "re", "im", "err"], rows, checks)
 
 
@@ -229,21 +236,14 @@ def _exp_herglotz(cfg: ExperimentConfig) -> ExperimentReport:
 
     eps = 1e-3
     rec = measures.extract_atoms(measures.herglotz_recover(u, eps, (-2.0, 2.0)), eps)
-    rows = []
-    worst_mass = 1.0
-    worst_loc = 1.0
-    if len(rec.atoms) == len(targets):
-        worst_mass = 0.0
-        worst_loc = 0.0
-        for (a, m), (ra, rm) in zip(targets, sorted(rec.atoms)):
-            rel = abs(rm.real - m) / m
-            worst_mass = max(worst_mass, rel)
-            worst_loc = max(worst_loc, abs(ra - a))
-            rows.append((ra, rm.real, a, m, rel))
+    matched = len(rec.atoms) == len(targets)
+    # with the wrong atom count nothing pairs up: each target gets a NaN row, which fails both checks
+    found = sorted(rec.atoms) if matched else [(np.nan, np.nan)] * len(targets)
+    rows = [(ra, rm.real, a, m, abs(rm.real - m) / m) for (a, m), (ra, rm) in zip(targets, found)]
     checks = [
-        _flag("recovered atom count = 2", len(rec.atoms) == len(targets)),
-        _leq("max relative mass error", worst_mass, 0.02),
-        _leq("max location error", worst_loc, 10 * eps),
+        _flag("recovered atom count = 2", matched),
+        _max_leq("max relative mass error", rows, 4, 0.02),
+        _leq("max location error", np.max([abs(ra - a) for ra, _, a, _, _ in rows]), 10 * eps),
     ]
     return ExperimentReport(cfg.name, ["location", "mass", "target_location", "target_mass", "rel_err"], rows, checks)
 
@@ -274,120 +274,93 @@ def _exp_bochner(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _exp_dft_unitarity(cfg: ExperimentConfig) -> ExperimentReport:
     rng = _rng(cfg.name, cfg.seed)
-    rows = []
-    worst = 0.0
-    for n in (1, 2, 3, 8, 64):
+
+    def row(n):
         f = np.stack([harmonic.dft(col) for col in np.eye(n, dtype=complex).T], axis=1)
         defect = operator_norm(f.conj().T @ f - np.eye(n))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        roundtrip = float(np.linalg.norm(harmonic.inverse_dft(harmonic.dft(x)) - x))
-        worst = max(worst, defect, roundtrip)
-        rows.append((n, defect, roundtrip))
-    checks = [_leq("max unitarity/roundtrip defect", worst, 1e-12)]
+        return n, defect, float(np.linalg.norm(harmonic.inverse_dft(harmonic.dft(x)) - x))
+
+    rows = [row(n) for n in (1, 2, 3, 8, 64)]
+    checks = [_max_leq("max unitarity/roundtrip defect", rows, slice(1, 3), 1e-12)]
     return ExperimentReport(cfg.name, ["N", "unitarity_defect", "roundtrip_defect"], rows, checks)
 
 
 def _exp_gelfand(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(100)
-    rows = []
-    worst = 0.0
-    for t in range(trials):
+    def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
-        seq = spectral_fd.spectral_radius_gelfand(a, kmax=20)
+        estimate = float(spectral_fd.spectral_radius_gelfand(a, kmax=20)[-1])
         r = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        err = abs(float(seq[-1]) - r)
-        worst = max(worst, err)
-        rows.append((t, float(seq[-1]), r, err))
-    checks = [_leq("max |gelfand_20 - spectral radius|", worst, 1e-6)]
+        return estimate, r, abs(estimate - r)
+
+    rows = _trials(cfg, 100, trial)
+    checks = [_max_leq("max |gelfand_20 - spectral radius|", rows, 3, 1e-6)]
     return ExperimentReport(cfg.name, ["trial", "estimate", "spectral_radius", "err"], rows, checks)
 
 
 def _exp_hausdorff(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(1000)
-    rows = []
-    worst = -np.inf
-    for t in range(trials):
+    def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         b = _random_hermitian(rng, cfg.dim)
         dh = spectral_fd.hausdorff_distance_spectra(a, b)
         nd = operator_norm(a - b)
-        margin = dh - nd
-        worst = max(worst, margin)
-        rows.append((t, dh, nd, margin))
-    checks = [_leq("max (d_H - ||A-B||)", worst, 1e-10)]
+        return dh, nd, dh - nd
+
+    rows = _trials(cfg, 1000, trial)
+    checks = [_max_leq("max (d_H - ||A-B||)", rows, 3, 1e-10)]
     return ExperimentReport(cfg.name, ["trial", "hausdorff", "norm_diff", "margin"], rows, checks)
 
 
 def _exp_cayley(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(100)
-    rows = []
-    worst_u = 0.0
-    worst_map = 0.0
-    for t in range(trials):
+    def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         u = spectral_fd.cayley(a)
         unit = operator_norm(u.conj().T @ u - np.eye(cfg.dim))
         wu = np.linalg.eigvals(u)
         wm = np.array([spectral_fd.cayley_map(x) for x in np.linalg.eigvalsh(a)])
         d = np.abs(wu[:, None] - wm[None, :])
-        mapping = float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-        worst_u = max(worst_u, unit)
-        worst_map = max(worst_map, mapping)
-        rows.append((t, unit, mapping))
+        return unit, float(np.max([d.min(axis=1).max(), d.min(axis=0).max()]))
+
+    rows = _trials(cfg, 100, trial)
     checks = [
-        _leq("max unitarity defect", worst_u, 1e-10),
-        _leq("max spectral mapping defect", worst_map, 1e-10),
+        _max_leq("max unitarity defect", rows, 1, 1e-10),
+        _max_leq("max spectral mapping defect", rows, 2, 1e-10),
     ]
     return ExperimentReport(cfg.name, ["trial", "unitarity_defect", "mapping_defect"], rows, checks)
 
 
 def _exp_evolve(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(100)
     h = 1e-4
-    rows = []
-    worst_group = 0.0
-    worst_ratio = 0.0
-    for k in range(trials):
+
+    def trial(rng, k):
         a = _random_hermitian(rng, cfg.dim)
         s, t = rng.uniform(-2.0, 2.0, 2)
         group = operator_norm(spectral_fd.evolve(a, s + t) - spectral_fd.evolve(a, s) @ spectral_fd.evolve(a, t))
         gen = operator_norm((spectral_fd.evolve(a, h) - np.eye(cfg.dim)) / h - 1j * a)
-        bound = operator_norm(a) ** 2 * h
-        worst_group = max(worst_group, group)
-        worst_ratio = max(worst_ratio, gen / bound)
-        rows.append((k, group, gen, bound))
+        return group, gen, operator_norm(a) ** 2 * h
+
+    rows = _trials(cfg, 100, trial)
     checks = [
-        _leq("max group-law defect", worst_group, 1e-10),
-        _leq("max generator defect / (||A||^2 h)", worst_ratio, 1.0),
+        _max_leq("max group-law defect", rows, 1, 1e-10),
+        _leq("max generator defect / (||A||^2 h)", np.max([gen / bound for _, _, gen, bound in rows]), 1.0),
     ]
     return ExperimentReport(cfg.name, ["trial", "group_defect", "generator_defect", "bound"], rows, checks)
 
 
 def _exp_uncertainty(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(1000)
-    rows = []
-    worst_h = -np.inf
-    worst_r = -np.inf
-    for t in range(trials):
+    def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         b = _random_hermitian(rng, cfg.dim)
         rec = spectral_fd.uncertainty(a, b, _random_state(rng, cfg.dim))
-        mh = (rec.lhs - rec.rhs) / (1.0 + rec.rhs)
-        mr = (rec.robertson_lhs - rec.rhs) / (1.0 + rec.rhs)
-        worst_h = max(worst_h, mh)
-        worst_r = max(worst_r, mr)
-        rows.append((t, rec.lhs, rec.robertson_lhs, rec.rhs))
+        return rec.lhs, rec.robertson_lhs, rec.rhs
+
+    rows = _trials(cfg, 1000, trial)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1j], [1j, 0.0]])
     pauli = spectral_fd.uncertainty(sx, sy, np.array([1.0, 0.0], dtype=complex))
     checks = [
-        _leq("max normalized Heisenberg violation", worst_h, 1e-12),
-        _leq("max normalized Robertson-Schrodinger violation", worst_r, 1e-12),
+        _leq("max normalized Heisenberg violation", np.max([(h - r) / (1.0 + r) for _, h, _, r in rows]), 1e-12),
+        _leq("max normalized Robertson-Schrodinger violation", np.max([(s - r) / (1.0 + r) for _, _, s, r in rows]), 1e-12),
         _leq("Pauli equality gap |lhs - rhs|", abs(pauli.lhs - pauli.rhs), 1e-12),
     ]
     return ExperimentReport(cfg.name, ["trial", "lhs", "robertson_lhs", "rhs"], rows, checks)
@@ -408,10 +381,7 @@ def _exp_compatibility(cfg: ExperimentConfig) -> ExperimentReport:
     if res.compatible:
         da = res.basis.conj().T @ a @ res.basis
         db = res.basis.conj().T @ b @ res.basis
-        off = max(
-            float(np.max(np.abs(da - np.diag(np.diag(da))))),
-            float(np.max(np.abs(db - np.diag(np.diag(db))))),
-        )
+        off = float(np.max(np.abs([da - np.diag(np.diag(da)), db - np.diag(np.diag(db))])))
         checks.append(_leq("joint off-diagonal residual", off, 1e-8))
         rows.append(("joint-residual", True, off))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -426,19 +396,16 @@ def _exp_compatibility(cfg: ExperimentConfig) -> ExperimentReport:
 def _exp_rkhs_psd(cfg: ExperimentConfig) -> ExperimentReport:
     rng = _rng(cfg.name, cfg.seed)
     trials = cfg.resolved_trials(200)
-    rows = []
-    checks = []
-    for name in rkhs.KERNEL_NAMES:
-        k = rkhs.kernel_by_name(name)
-        worst = np.inf
-        for _ in range(trials):
-            size = int(rng.integers(2, 13))
-            z = rng.uniform(0.0, 0.95, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
-            g = rkhs.gram(k, z)
-            lo = float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
-            worst = min(worst, lo)
-        rows.append((name, trials, worst))
-        checks.append(_leq(f"{name} worst gram min-eigenvalue >= -1e-9", -worst, 1e-9))
+
+    def lowest_eigenvalue(k):
+        size = int(rng.integers(2, 13))
+        z = rng.uniform(0.0, 0.95, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+        g = rkhs.gram(k, z)
+        return float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
+
+    kernels = {name: rkhs.kernel_by_name(name) for name in rkhs.KERNEL_NAMES}
+    rows = [(name, trials, np.min([lowest_eigenvalue(k) for _ in range(trials)])) for name, k in kernels.items()]
+    checks = [_leq(f"{name} worst gram min-eigenvalue >= -1e-9", -worst, 1e-9) for name, _, worst in rows]
     return ExperimentReport(cfg.name, ["kernel", "point_sets", "worst_min_eigenvalue"], rows, checks)
 
 
@@ -458,13 +425,7 @@ def _exp_multiplier_adjoint(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _exp_dirichlet_invariance(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(20)
-    rows = []
-    worst_quad = 0.0
-    worst_mob = 0.0
-    worst_pow = 0.0
-    for t in range(trials):
+    def trial(rng, t):
         c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         s_coeff = rkhs.dirichlet_seminorm(c)
         dp = rkhs.poly_derivative(c)
@@ -472,57 +433,43 @@ def _exp_dirichlet_invariance(cfg: ExperimentConfig) -> ExperimentReport:
         a = 0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         v = np.exp(2j * np.pi * rng.uniform())
         s_mob = rkhs.dirichlet_seminorm_quad(rkhs.compose_mobius(c, a, v).derivative)
-        e_quad = abs(s_coeff - s_quad)
-        e_mob = abs(s_coeff - s_mob)
         c4 = c[:5]
-        e_pow = max(
+        e_pow = np.max([
             abs(rkhs.dirichlet_seminorm(rkhs.compose_power(c4, n)) - n * rkhs.dirichlet_seminorm(c4))
             for n in (2, 3, 7)
-        )
-        worst_quad = max(worst_quad, e_quad)
-        worst_mob = max(worst_mob, e_mob)
-        worst_pow = max(worst_pow, e_pow)
-        rows.append((t, s_coeff, s_quad, s_mob, e_quad, e_mob, e_pow))
+        ])
+        return s_coeff, s_quad, s_mob, abs(s_coeff - s_quad), abs(s_coeff - s_mob), e_pow
+
+    rows = _trials(cfg, 20, trial)
     checks = [
-        _leq("max |coefficient - quadrature| seminorm gap", worst_quad, 1e-6),
-        _leq("max Mobius invariance gap", worst_mob, 1e-6),
-        _leq("max |[f o p_n] - n [f]|", worst_pow, 1e-8),
+        _max_leq("max |coefficient - quadrature| seminorm gap", rows, 4, 1e-6),
+        _max_leq("max Mobius invariance gap", rows, 5, 1e-6),
+        _max_leq("max |[f o p_n] - n [f]|", rows, 6, 1e-8),
     ]
     header = ["trial", "seminorm", "quadrature", "mobius", "err_quad", "err_mobius", "err_power"]
     return ExperimentReport(cfg.name, header, rows, checks)
 
 
 def _exp_hs_invariance(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(200)
-    rows = []
-    worst_inv = 0.0
-    worst_dom = -np.inf
-    for t in range(trials):
+    def trial(rng, t):
         a = rng.standard_normal((cfg.dim, cfg.dim)) + 1j * rng.standard_normal((cfg.dim, cfg.dim))
         u = _random_unitary(rng, cfg.dim)
         hs = integral_ops.hs_norm(a)
         inv = abs(integral_ops.hs_norm(u @ a @ u.conj().T) - hs) / (1.0 + hs)
-        dom = operator_norm(a) - hs
-        worst_inv = max(worst_inv, inv)
-        worst_dom = max(worst_dom, dom)
-        rows.append((t, hs, inv, dom))
+        return hs, inv, operator_norm(a) - hs
+
+    rows = _trials(cfg, 200, trial)
     checks = [
-        _leq("max normalized unitary-invariance defect", worst_inv, 1e-10),
-        _leq("max (||A|| - ||A||_HS)", worst_dom, 0.0),
+        _max_leq("max normalized unitary-invariance defect", rows, 2, 1e-10),
+        _max_leq("max (||A|| - ||A||_HS)", rows, 3, 0.0),
     ]
     return ExperimentReport(cfg.name, ["trial", "hs_norm", "invariance_defect", "norm_minus_hs"], rows, checks)
 
 
 def _exp_spectral_measures(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-    trials = cfg.resolved_trials(100)
     probe = lambda t: t ** 3 - 2.0 * t + 1.0
-    rows = []
-    worst_mass = 0.0
-    worst_probe = 0.0
-    atoms_ok = True
-    for t in range(trials):
+
+    def trial(rng, t):
         if t % 3 == 0:
             q = _random_unitary(rng, cfg.dim)
             d = np.sort(rng.integers(-2, 3, cfg.dim).astype(float))
@@ -537,25 +484,25 @@ def _exp_spectral_measures(cfg: ExperimentConfig) -> ExperimentReport:
         mass_err = abs(sm.total_mass() - inner_product(x, y))
         ma = spectral_fd.measurable_calculus(res, probe)
         probe_err = abs(sm.integrate(probe) - inner_product(x, ma @ y))
-        worst_mass = max(worst_mass, mass_err)
-        worst_probe = max(worst_probe, probe_err)
         # eigenvalue <=> atom: each P_i carries mass for some vector, gaps carry none
-        for i, lam in enumerate(res.eigenvalues):
-            vec = res.eigenvectors[:, res.offsets[i]]
-            mass = spectral_fd.spectral_measure(res, vec, vec).masses[i].real
-            atoms_ok = atoms_ok and mass > 0.5
-        mids = (res.eigenvalues[:-1] + res.eigenvalues[1:]) / 2.0
-        for lam in mids:
-            if np.min(np.abs(res.eigenvalues - lam)) > 1e-6:
-                p = spectral_fd.pvm(res, spectral_fd.BorelSet.point(float(lam)))
-                atoms_ok = atoms_ok and float(np.max(np.abs(p))) == 0.0
-        rows.append((t, mass_err, probe_err))
+        ev = res.eigenvalues
+        atoms = all(
+            spectral_fd.spectral_measure(res, vec, vec).masses[i].real > 0.5
+            for i, vec in enumerate(res.eigenvectors[:, res.offsets[:-1]].T)
+        )
+        gaps = all(
+            float(np.max(np.abs(spectral_fd.pvm(res, spectral_fd.BorelSet.point(float(lam)))))) == 0.0
+            for lam in (ev[:-1] + ev[1:]) / 2.0 if np.min(np.abs(ev - lam)) > 1e-6
+        )
+        return mass_err, probe_err, atoms and gaps
+
+    rows = _trials(cfg, 100, trial)
     checks = [
-        _leq("max |total mass - <x,y>|", worst_mass, 1e-12),
-        _leq("max polynomial-probe defect", worst_probe, 1e-10),
-        _flag("eigenvalue <=> atom on all instances", atoms_ok),
+        _max_leq("max |total mass - <x,y>|", rows, 1, 1e-12),
+        _max_leq("max polynomial-probe defect", rows, 2, 1e-10),
+        _flag("eigenvalue <=> atom on all instances", all(r[3] for r in rows)),
     ]
-    return ExperimentReport(cfg.name, ["trial", "mass_err", "probe_err"], rows, checks)
+    return ExperimentReport(cfg.name, ["trial", "mass_err", "probe_err"], [r[:3] for r in rows], checks)
 
 
 def _exp_momentum_model(cfg: ExperimentConfig) -> ExperimentReport:
@@ -640,6 +587,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one registered experiment and write <name>.csv / <name>.json."""
     if cfg.name not in _EXPERIMENTS:
         raise KeyError(cfg.name)
+    _check_sizes(cfg)
     report = _EXPERIMENTS[cfg.name][2](cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -697,17 +645,14 @@ def main(argv=None) -> int:
         parser.error(f"unknown experiment {args.name!r} (run 'speclab list')")
 
     cfg = ExperimentConfig(name=args.name)
-    if args.config is not None:
-        try:
-            file_values = _parse_config_file(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        for key, val in file_values.items():
+    try:
+        values = _parse_config_file(args.config) if args.config is not None else {}
+        values.update({key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None})
+        for key, val in values.items():
             setattr(cfg, key, val)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
+        _check_sizes(cfg)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
     report = run_experiment(cfg)
     for c in report.checks:

@@ -64,9 +64,10 @@ def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     m = require_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if tol is None:
-        tol = hermiticity_tol(m)
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if tol is None:
+        # hermiticity_tol is never below 1e-10, so a smaller defect needs no SVD
+        tol = hermiticity_tol(m) if defect > 1e-10 else 1e-10
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
     return m
@@ -236,9 +237,10 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
     max(1e-8, 1e-12 * ||A||).
     """
     m = require_hermitian(a)
-    if cluster_tol is None:
-        cluster_tol = cluster_tol_default(m)
     w, v = np.linalg.eigh(m)
+    if cluster_tol is None:
+        # cluster_tol_default(m), with ||A|| = max |lambda| from eigh in place of an SVD
+        cluster_tol = max(1e-8, 1e-12 * float(np.max(np.abs(w), initial=0.0)))
     offsets = cluster_offsets(w, cluster_tol)
     eigenvalues = np.array([float(np.mean(w[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])])
     return SpectralResolution(eigenvalues, v, offsets)

@@ -1,9 +1,13 @@
 """Experiment runner: catalog, determinism, config precedence, exit codes."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 
+from speclab import cli, measures, spectral_fd
 from speclab.cli import ExperimentConfig, experiment_names, main, run_experiment
 
 LIBRARY_MODULES = {"linalg_core", "harmonic", "measures", "spectral_fd", "integral_ops", "rkhs"}
@@ -36,12 +40,35 @@ def test_run_writes_table_and_report(tmp_path):
         assert {"label", "measured", "tolerance", "passed"} <= set(check)
 
 
-def test_reruns_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("name", experiment_names())
+def test_reruns_are_byte_identical(tmp_path, name):
     a = tmp_path / "a"
     b = tmp_path / "b"
     for out in (a, b):
-        assert main(["run", "cayley", "--seed", "7", "--dim", "6", "--out", str(out)]) == 0
-    assert (a / "cayley.csv").read_bytes() == (b / "cayley.csv").read_bytes()
+        assert main(["run", name, "--out", str(out)]) == 0
+    assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
+
+
+def test_nan_in_a_later_trial_fails_its_check(tmp_path, monkeypatch):
+    real = spectral_fd.hausdorff_distance_spectra
+    calls = []
+
+    def nan_on_second_call(a, b):
+        calls.append(1)
+        return float("nan") if len(calls) == 2 else real(a, b)
+
+    monkeypatch.setattr(spectral_fd, "hausdorff_distance_spectra", nan_on_second_call)
+    report = run_experiment(ExperimentConfig(name="hausdorff", trials=5, out=str(tmp_path)))
+    assert not report.passed
+    (check,) = report.checks
+    assert math.isnan(check.measured) and not check.passed
+    assert json.loads((tmp_path / "hausdorff.json").read_text())["passed"] is False
+
+    # a wrong atom count leaves nothing to pair: NaN rows, and every check fails
+    monkeypatch.setattr(measures, "extract_atoms", lambda *args: measures.FiniteMeasure(atoms=((0.0, 5.0),)))
+    report = run_experiment(ExperimentConfig(name="herglotz-roundtrip", out=str(tmp_path)))
+    assert not any(c.passed for c in report.checks)
+    assert all(math.isnan(r[0]) for r in report.rows) and len(report.rows) == 2
 
 
 def test_seed_changes_the_table(tmp_path):
@@ -75,10 +102,16 @@ def test_config_file_applies_and_flags_override(tmp_path):
 
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("sede = 5\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "cayley", "--config", str(cfg)])
-    assert exc.value.code == 2
+    for text in ("sede = 5\n", "trials = 0\n", "dim = 0\n", "trunc = 1\n"):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "cayley", "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2, text
+    for flags in (["--trials", "0"], ["--trials", "-3"], ["--dim", "0"], ["--nodes", "0"], ["--trunc", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "hausdorff", *flags, "--out", str(tmp_path)])
+        assert exc.value.code == 2, flags
+    assert not list(tmp_path.glob("*.json"))  # rejected before anything ran
 
 
 def test_unknown_experiment_is_usage_error():
@@ -94,3 +127,16 @@ def test_run_experiment_api_reports_checks(tmp_path):
     assert all(c.measured <= c.tolerance for c in report.checks)
     with pytest.raises(KeyError):
         run_experiment(ExperimentConfig(name="nope", out=str(tmp_path)))
+    for size in ({"trials": 0}, {"dim": 0}, {"nodes": -1}, {"trunc": 1}):
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(name="gelfand", out=str(tmp_path), **size))
+
+
+def test_readme_and_usage_list_the_run_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z]+", section)) == flags
+    assert set(re.findall(r"--[a-z]+", cli.__doc__)) == flags

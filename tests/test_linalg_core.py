@@ -143,6 +143,11 @@ def test_diagonal_clustering():
     res = hermitian_eig(np.diag([3.0, 3.0, -5.0]), cluster_tol=1e-8)
     np.testing.assert_allclose(res.eigenvalues, [-5.0, 3.0])
     assert res.multiplicities.tolist() == [1, 2]
+    # default cluster_tol at ||A|| = 1e6 is 1e-12 * 1e6 = 1e-6: a 5e-7 gap merges, a 2e-6 gap does not
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    for gap, mults in ((5e-7, [1, 2]), (2e-6, [1, 1, 1])):
+        a = q @ np.diag([-1e6, 1.0, 1.0 + gap]) @ q.T
+        assert hermitian_eig((a + a.T) / 2.0).multiplicities.tolist() == mults
 
 
 def test_reconstruction_oracle_8x8():
@@ -306,6 +311,11 @@ def test_gram_schmidt_dependence_names_index():
 def test_require_hermitian_tolerates_roundoff():
     a = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
     require_hermitian(a)
+    # a 1e-6 defect passes only through the norm-scaled tolerance 1e-10 * (1 + 1e6)
+    big = np.array([[1e6, 0.5 + 1e-6], [0.5, 2.0]])
+    require_hermitian(big)
+    with pytest.raises(ValueError):
+        require_hermitian(big, tol=1e-7)
 
 
 def test_require_hermitian_rejects_visible_defect():
