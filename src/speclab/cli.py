@@ -18,8 +18,10 @@ Sizes must be positive (nodes, dim, trials >= 1; trunc >= 2): a smaller one is
 a usage error (exit status 2), and run_experiment raises ValueError.
 
 Outputs <name>.csv (measurement table) and <name>.json (machine-readable
-report with verdicts) in the output directory.  Exit status is 0 iff every
-check passes; failing checks are named on stdout.
+report with verdicts) in the output directory.  The JSON is strict: a
+non-finite measurement is written as the string "NaN", "Infinity" or
+"-Infinity".  Exit status is 0 iff every check passes; failing checks are
+named on stdout.
 """
 
 from __future__ import annotations
@@ -577,10 +579,15 @@ def _write_json(path: Path, cfg: ExperimentConfig, report: ExperimentReport) -> 
         "experiment": report.name,
         "seed": cfg.seed,
         "params": {"nodes": cfg.nodes, "dim": cfg.dim, "trials": cfg.trials, "trunc": cfg.trunc},
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [{k: _json_number(v) for k, v in asdict(c).items()} for c in report.checks],
         "passed": report.passed,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _json_number(v):
+    """A non-finite float as its name ("NaN", "Infinity", "-Infinity"): JSON has no literal for it."""
+    return json.dumps(v) if isinstance(v, float) and not np.isfinite(v) else v
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

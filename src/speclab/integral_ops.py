@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg_core import operator_norm, require_hermitian, require_matrix
+from .linalg_core import _sample, operator_norm, require_hermitian, require_matrix
 
 __all__ = [
     "QuadratureGrid",
@@ -131,20 +131,12 @@ class IntegralOperator:
 def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     """Sample a kernel on grid x grid and store K with B = W^{1/2} K W^{1/2}.
 
-    The kernel evaluator is tried in vectorized form first and sampled
-    entrywise as a fallback.  A non-finite sample raises ValueError naming
-    the indices.
+    k is called once as k(x[:, None], x[None, :]); a kernel that does not
+    broadcast is sampled entry by entry instead.  A non-finite sample raises
+    ValueError naming the indices.
     """
     x = grid.nodes
-    try:
-        km = np.asarray(k(x[:, None], x[None, :]), dtype=complex)
-        if km.shape != (x.size, x.size):
-            raise ValueError
-    except Exception:
-        km = np.empty((x.size, x.size), dtype=complex)
-        for i in range(x.size):
-            for j in range(x.size):
-                km[i, j] = complex(k(x[i], x[j]))
+    km = _sample(k, x[:, None], x[None, :])
     bad = ~np.isfinite(km.view(float)).reshape(km.shape + (2,)).all(axis=-1)
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -243,12 +235,7 @@ class SturmLiouvilleProblem:
 
 
 def _eval_potential(q: Callable, xs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(q(xs), dtype=complex)
-        if vals.shape != xs.shape:
-            raise ValueError
-    except Exception:
-        vals = np.array([complex(q(float(x))) for x in xs])
+    vals = _sample(q, xs)
     if not np.all(np.isfinite(vals.view(float))):
         raise ValueError("potential not finite on the integration grid")
     if np.max(np.abs(vals.imag)) > 1e-12 * (1.0 + np.max(np.abs(vals.real))):

@@ -46,6 +46,23 @@ def require_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
+def _sample(f: Callable, *args) -> np.ndarray:
+    """f called once on its argument arrays, as a complex array of their broadcast shape.
+
+    An evaluator that raises on arrays, or returns the wrong shape, is called entry by entry.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a) for a in args))
+    shape = arrays[0].shape
+    try:
+        out = np.asarray(f(*args), dtype=complex)
+        if out.shape == shape:
+            return out
+    except Exception:  # whatever a user evaluator raises on arrays, it may still take scalars
+        pass
+    entries = zip(*(a.ravel().tolist() for a in arrays))
+    return np.array([complex(f(*e)) for e in entries], dtype=complex).reshape(shape)
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Operator norm (largest singular value)."""
     m = require_matrix(a)

@@ -12,6 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .linalg_core import _sample
+
 __all__ = [
     "FiniteMeasure",
     "measure_fourier",
@@ -244,18 +246,16 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
     """Finite-section positive-definiteness test of a function on the line.
 
     Builds M[k, j] = f(x_k - x_j) and reports the minimum eigenvalue; the
-    verdict is PD iff min eig >= -tau.  The Hermitian-symmetry precondition
-    f(-x) = conj(f(x)) is checked on the probed differences first and its
-    violation raises ValueError (a structural failure, not a not-PD verdict).
+    verdict is PD iff min eig >= -tau.  f is called once on the matrix of
+    differences; a function that does not broadcast is sampled entry by entry
+    instead.  The Hermitian-symmetry precondition f(-x) = conj(f(x)) is
+    checked on the probed differences first and its violation raises
+    ValueError (a structural failure, not a not-PD verdict).
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("points must be a nonempty 1-d list")
-    diff = x[:, None] - x[None, :]
-    m = np.empty(diff.shape, dtype=complex)
-    for k in range(x.size):
-        for j in range(x.size):
-            m[k, j] = complex(f(diff[k, j]))
+    m = _sample(f, x[:, None] - x[None, :])
     scale = float(np.max(np.abs(m))) + 1.0
     defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > tau * scale:

@@ -8,7 +8,9 @@ invariance.
 
 Kernel convention: evaluate(x, y) is the kernel function centered at y
 evaluated at x, so gram[i, j] = evaluate(x_i, x_j) and PSD means
-sum conj(a_i) a_j gram[i, j] >= 0.
+sum conj(a_i) a_j gram[i, j] >= 0.  evaluate may broadcast over arrays of
+points, as the builtin kernels do (scalar points still give a scalar); a
+kernel that does not is sampled entry by entry.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from .linalg_core import _sample
 
 __all__ = [
     "Kernel",
@@ -47,28 +51,29 @@ MAX_POLY_DEGREE = 32
 _SERIES_SWITCH = 1e-2
 
 
-def _require_disc_point(z: complex, name: str = "z") -> complex:
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"{name} = {z} lies outside the open unit disc")
+def _require_disc_point(z, name: str = "z") -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    outside = np.abs(z) >= 1.0
+    if outside.any():
+        raise ValueError(f"{name} = {z[outside][0]} lies outside the open unit disc")
     return z
 
 
-def hardy_kernel(z: complex, w: complex) -> complex:
+def hardy_kernel(z, w):
     """Hardy-space kernel 1 / (1 - conj(w) z); equals 1 whenever z or w is 0."""
     z = _require_disc_point(z, "z")
     w = _require_disc_point(w, "w")
     return 1.0 / (1.0 - np.conj(w) * z)
 
 
-def harmonic_hardy_kernel(z: complex, w: complex) -> float:
+def harmonic_hardy_kernel(z, w):
     """Harmonic-extension kernel (1 - |z|^2 |w|^2) / |1 - conj(w) z|^2 (real)."""
     z = _require_disc_point(z, "z")
     w = _require_disc_point(w, "w")
-    return float((1.0 - abs(z) ** 2 * abs(w) ** 2) / abs(1.0 - np.conj(w) * z) ** 2)
+    return (1.0 - np.abs(z) ** 2 * np.abs(w) ** 2) / np.abs(1.0 - np.conj(w) * z) ** 2
 
 
-def dirichlet_kernel(z: complex, w: complex) -> complex:
+def dirichlet_kernel(z, w):
     """Dirichlet-space kernel sum_n (conj(w) z)^n / (n+1) = -log(1-s)/s at s = conj(w) z.
 
     The closed form degenerates at s = 0; below |s| < 1e-2 the power series is
@@ -77,14 +82,13 @@ def dirichlet_kernel(z: complex, w: complex) -> complex:
     z = _require_disc_point(z, "z")
     w = _require_disc_point(w, "w")
     s = np.conj(w) * z
-    if abs(s) < _SERIES_SWITCH:
-        acc = 0j
-        term = 1.0 + 0j
-        for n in range(12):
-            acc += term / (n + 1)
-            term *= s
-        return complex(acc)
-    return complex(-np.log(1.0 - s) / s)
+    small = np.abs(s) < _SERIES_SWITCH
+    series, term = np.zeros_like(s), np.ones_like(s)
+    for n in range(12):
+        series += term / (n + 1)
+        term *= s
+    safe = np.where(small, 0.5, s)  # keeps the closed form off s = 0
+    return np.where(small, series, -np.log(1.0 - safe) / safe)[()]  # a scalar for scalar z, w
 
 
 @dataclass(frozen=True)
@@ -149,17 +153,12 @@ def kernel_from_gram(points: Sequence[complex], matrix: np.ndarray) -> Kernel:
 
 def gram(k: Kernel, points: Sequence[complex]) -> np.ndarray:
     """Gram matrix G[i, j] = k(x_i, x_j) after checking every point's domain."""
-    pts = [complex(p) for p in points]
-    if not pts:
+    z = np.array([complex(p) for p in points])
+    if not z.size:
         raise ValueError("need at least one point")
-    for p in pts:
+    for p in z:
         k.check_point(p)
-    n = len(pts)
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = complex(k.evaluate(pts[i], pts[j]))
-    return g
+    return _sample(k.evaluate, z[:, None], z[None, :])
 
 
 @dataclass(frozen=True)
@@ -192,21 +191,14 @@ class SpanElement:
 def reproduce(f: SpanElement, x) -> complex:
     """Evaluate a span element at a point, f(x) = sum_i a_i k(x, x_i)."""
     f.kernel.check_point(x)
-    acc = 0j
-    for a, p in zip(f.coefficients, f.points):
-        acc += a * complex(f.kernel.evaluate(x, p))
-    return complex(acc)
+    return complex(np.sum(f.coefficients * _sample(f.kernel.evaluate, x, np.array(f.points))))
 
 
 def _symbol_coefficients(b: Callable, n_trunc: int) -> np.ndarray:
     """Recover polynomial coefficients of b by DFT on the unit circle (exact for degree <= n_trunc)."""
     m = n_trunc + 1
     t = 2.0 * np.pi * np.arange(m) / m
-    samples = np.array([complex(b(np.exp(1j * tt))) for tt in t])
-    coeffs = np.array(
-        [np.mean(samples * np.exp(-1j * k * t)) for k in range(m)]
-    )
-    return coeffs
+    return np.fft.fft(_sample(b, np.exp(1j * t))) / m
 
 
 @dataclass(frozen=True)
@@ -256,11 +248,8 @@ def multiplier_adjoint_check(
         if coeffs.size - 1 > n_trunc // 2:
             raise ValueError("symbol is not a polynomial of degree <= N/2")
     dim = n_trunc + 1
-    mb = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(0, i + 1):
-            if i - j < coeffs.size:
-                mb[i, j] = coeffs[i - j]
+    lag = np.subtract.outer(np.arange(dim), np.arange(dim))  # mb[i, j] = coeffs[i - j] for i >= j
+    mb = np.tril(np.concatenate((coeffs, np.zeros(dim - coeffs.size)))[np.abs(lag)])
     pts = tuple(complex(p) for p in points)
     residuals = np.empty(len(pts))
     max_abs_b = 0.0

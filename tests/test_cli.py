@@ -40,6 +40,14 @@ def test_run_writes_table_and_report(tmp_path):
         assert {"label", "measured", "tolerance", "passed"} <= set(check)
 
 
+def strict_json(path):
+    """Parse a report as RFC 8259 JSON: a bare NaN or Infinity is an error."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.mark.parametrize("name", experiment_names())
 def test_reruns_are_byte_identical(tmp_path, name):
     a = tmp_path / "a"
@@ -47,6 +55,7 @@ def test_reruns_are_byte_identical(tmp_path, name):
     for out in (a, b):
         assert main(["run", name, "--out", str(out)]) == 0
     assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
+    assert strict_json(a / f"{name}.json")["passed"] is True
 
 
 def test_nan_in_a_later_trial_fails_its_check(tmp_path, monkeypatch):
@@ -62,7 +71,8 @@ def test_nan_in_a_later_trial_fails_its_check(tmp_path, monkeypatch):
     assert not report.passed
     (check,) = report.checks
     assert math.isnan(check.measured) and not check.passed
-    assert json.loads((tmp_path / "hausdorff.json").read_text())["passed"] is False
+    doc = strict_json(tmp_path / "hausdorff.json")
+    assert doc["passed"] is False and doc["checks"][0]["measured"] == "NaN"
 
     # a wrong atom count leaves nothing to pair: NaN rows, and every check fails
     monkeypatch.setattr(measures, "extract_atoms", lambda *args: measures.FiniteMeasure(atoms=((0.0, 5.0),)))

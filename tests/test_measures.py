@@ -1,5 +1,7 @@
 """Finite measures: Fourier transforms, Poisson smoothing, Herglotz recovery, Bochner tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,10 @@ def test_exponential_kernel_is_pd():
     assert verdict.is_pd
     assert verdict.min_eigenvalue >= -1e-9
     assert verdict.verdict == "PD"
+    # a scalar-only function is sampled entry by entry, to the same verdict
+    scalar = positive_definite_test(lambda x: math.exp(-abs(x)), pts)
+    assert scalar.is_pd == verdict.is_pd
+    assert abs(scalar.min_eigenvalue - verdict.min_eigenvalue) <= 1e-15
 
 
 def test_cosine_is_pd():

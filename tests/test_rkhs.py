@@ -72,6 +72,26 @@ def test_kernels_reject_points_outside_disc():
         dirichlet_kernel(0.5, 1.2)
     with pytest.raises(ValueError):
         gram(HARDY, [0.5, 2.0])
+    # one bad point in an array is named, whichever argument holds it
+    for name in KERNEL_NAMES:
+        with pytest.raises(ValueError, match=r"w = \(1\.2\+0j\)"):
+            kernel_by_name(name).evaluate(0.5, np.array([0.1, 1.2, 0.3j]))
+        with pytest.raises(ValueError, match="z = "):
+            kernel_by_name(name).evaluate(np.array([[0.0], [-1.0]]), 0.5)
+
+
+def test_broadcast_gram_matches_scalar_calls():
+    # s = conj(w) z: exactly 0 at z = 0, either side of the |s| = 1e-2 series switch
+    # for pairs with 0.95, and close to the boundary between 0.95 and 0.95j
+    pts = np.array([0.0, 0.95, 0.95j, 0.0099 / 0.95 * np.exp(0.7j),
+                    0.0101 / 0.95 * np.exp(-2.1j), 0.3 - 0.4j])
+    s = np.abs(np.conj(pts)[None, :] * pts[:, None])
+    assert np.any(s == 0.0) and np.any((s > 0.0098) & (s < 1e-2)) and np.any((s > 1e-2) & (s < 0.0102))
+    for name in KERNEL_NAMES:
+        k = kernel_by_name(name)
+        scalar = [[k.evaluate(complex(z), complex(w)) for w in pts] for z in pts]
+        assert all(np.isscalar(v) for row in scalar for v in row)
+        np.testing.assert_allclose(gram(k, pts), np.array(scalar), rtol=1e-15, atol=0.0)
 
 
 def test_registry_contents_and_lookup_failure():
