@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg_core import (
+    _read_key_values,
     hermitian_eig,
     inner_product,
     operator_norm,
@@ -148,18 +149,18 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _sl_rows(cfg: ExperimentConfig, shift: float, scale: Callable[[float], float]) -> tuple[list, list[tuple]]:
-    """Modes of -f'' + shift f = lambda f on [0, pi] with Dirichlet ends, and
-    rows (k, lambda, target k^2 + shift, |lambda - target| / scale(target), residual)."""
+def _sl_rows(cfg: ExperimentConfig, shift: float, scale: Callable[[float], float]) -> tuple:
+    """The problem -f'' + shift f = lambda f on [0, pi] with Dirichlet ends, its modes,
+    and rows (k, lambda, target k^2 + shift, |lambda - target| / scale(target), residual)."""
     p = integral_ops.SturmLiouvilleProblem(0.0, np.pi, lambda x: shift + 0.0 * np.asarray(x, dtype=float))
     modes = integral_ops.sl_eigensolve(p, n_nodes=cfg.nodes, k_wanted=5)
     targets = [float(m.k ** 2 + shift) for m in modes]
-    return modes, [(m.k, m.lam, t, abs(m.lam - t) / scale(t), m.residual) for m, t in zip(modes, targets)]
+    return p, modes, [(m.k, m.lam, t, abs(m.lam - t) / scale(t), m.residual) for m, t in zip(modes, targets)]
 
 
 def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
-    modes, rows = _sl_rows(cfg, 0.0, lambda t: t)
-    grid = integral_ops.gauss_legendre_grid(0.0, np.pi, max(1, round(cfg.nodes / 8)), 8)
+    p, modes, rows = _sl_rows(cfg, 0.0, lambda t: t)
+    grid = integral_ops._sl_grid(p, cfg.nodes)  # the eigensolver's own grid
     s = np.stack([m.samples for m in modes])
     g = (s * grid.weights) @ s.conj().T
     gram_defect = float(np.max(np.abs(g - np.eye(len(modes)))))
@@ -171,7 +172,7 @@ def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _exp_sl_shifted(cfg: ExperimentConfig) -> ExperimentReport:
-    _, rows = _sl_rows(cfg, -1.0, lambda t: 1.0 + abs(t))
+    *_, rows = _sl_rows(cfg, -1.0, lambda t: 1.0 + abs(t))
     checks = [_max_leq("eigenvalue max normalized error vs k^2 - 1", rows, 3, 5e-3)]
     return ExperimentReport(cfg.name, ["k", "lambda", "target", "norm_err", "residual"], rows, checks)
 
@@ -606,23 +607,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # command line
 
-def _parse_config_file(path: str) -> dict:
-    values: dict = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(_CONFIG_KEYS)})")
-        values[key] = val if key == "out" else int(val)
-    return values
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="speclab", description="Run named numerical experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -653,10 +637,10 @@ def main(argv=None) -> int:
 
     cfg = ExperimentConfig(name=args.name)
     try:
-        values = _parse_config_file(args.config) if args.config is not None else {}
+        values = _read_key_values(args.config, _CONFIG_KEYS) if args.config is not None else {}
         values.update({key: getattr(args, key) for key in _CONFIG_KEYS if getattr(args, key) is not None})
         for key, val in values.items():
-            setattr(cfg, key, val)
+            setattr(cfg, key, val if key == "out" else int(val))
         _check_sizes(cfg)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg_core import _sample, operator_norm, require_hermitian, require_matrix
+from .linalg_core import _read_key_values, _sample, operator_norm, require_hermitian, require_matrix
 
 __all__ = [
     "QuadratureGrid",
@@ -141,9 +141,23 @@ def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"kernel sample not finite at nodes ({i}, {j})")
+    return IntegralOperator(grid, km, _symmetrized(km, grid))
+
+
+def _symmetrized(km: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """W^{1/2} K W^{1/2} for the grid's quadrature weights W."""
     sw = np.sqrt(grid.weights)
-    sym = sw[:, None] * km * sw[None, :]
-    return IntegralOperator(grid, km, sym)
+    return sw[:, None] * km * sw[None, :]
+
+
+def _positive_hermitian_part(m: np.ndarray, scale: float, message: str) -> np.ndarray:
+    """(M + M*) / 2 once it plus 1e-10 * scale * I has a Cholesky factor, else ValueError(message)."""
+    herm = (m + m.conj().T) / 2.0
+    try:
+        np.linalg.cholesky(herm + 1e-10 * scale * np.eye(m.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError(message)
+    return herm
 
 
 def hs_norm(t) -> float:
@@ -164,11 +178,7 @@ def trace(t):
         scale = float(np.max(np.abs(b))) + 1.0
         if t.hermitian_defect() > 1e-10 * scale:
             raise ValueError("operator trace requires a Hermitian kernel")
-        herm = (b + b.conj().T) / 2.0
-        try:
-            np.linalg.cholesky(herm + 1e-10 * scale * np.eye(b.shape[0]))
-        except np.linalg.LinAlgError:
-            raise ValueError("operator trace requires a positive kernel")
+        _positive_hermitian_part(b, scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
     m = require_matrix(t)
     if m.shape[0] != m.shape[1]:
@@ -195,8 +205,7 @@ def volterra(grid: QuadratureGrid) -> VolterraPair:
     yj = x[None, :]
     kv = (yj < xi).astype(complex) + 0.5 * (yj == xi)
     kvv = (1.0 - np.maximum(xi, yj)).astype(complex)
-    sw = np.sqrt(grid.weights)
-    make = lambda km: IntegralOperator(grid, km, sw[:, None] * km * sw[None, :])
+    make = lambda km: IntegralOperator(grid, km, _symmetrized(km, grid))
     return VolterraPair(make(kv), make(kvv))
 
 
@@ -243,31 +252,20 @@ def _eval_potential(q: Callable, xs: np.ndarray) -> np.ndarray:
     return vals.real
 
 
-def _rk4_linear(qs: np.ndarray, h: float, y0: float, p0: float, forward: bool):
-    """Integrate y'' = q(x) y with classical RK4 at fixed step.
+def _rk4_linear(qs: np.ndarray, hh: float, y0: float, p0: float):
+    """Integrate y'' = q(x) y with classical RK4 at fixed step hh from the first node.
 
     qs holds the potential at half-step resolution (node k at index 2k, the
-    midpoint of step k at 2k+1).  Returns (y, y') arrays over all nodes in
-    ascending order regardless of direction.
+    midpoint of step k at 2k+1).  Returns (y, y') over all nodes in integration
+    order; shooting from the last node is the same call on qs[::-1] with step -h.
     """
     n = (qs.size - 1) // 2
     y = np.empty(n + 1)
     p = np.empty(n + 1)
-    if forward:
-        idx = range(n)
-        sgn = 1.0
-        y[0], p[0] = y0, p0
-    else:
-        idx = range(n, 0, -1)
-        sgn = -1.0
-        y[n], p[n] = y0, p0
-    hh = sgn * h
+    y[0], p[0] = y0, p0
     cy, cp = y0, p0
-    for k in idx:
-        if forward:
-            q0, qm, q1 = qs[2 * k], qs[2 * k + 1], qs[2 * k + 2]
-        else:
-            q0, qm, q1 = qs[2 * k], qs[2 * k - 1], qs[2 * k - 2]
+    for k in range(n):
+        q0, qm, q1 = qs[2 * k], qs[2 * k + 1], qs[2 * k + 2]
         k1y = cp
         k1p = q0 * cy
         y2 = cy + 0.5 * hh * k1y
@@ -284,8 +282,7 @@ def _rk4_linear(qs: np.ndarray, h: float, y0: float, p0: float, forward: bool):
         k4p = q1 * y4
         cy = cy + hh / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         cp = cp + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        tgt = k + 1 if forward else k - 1
-        y[tgt], p[tgt] = cy, cp
+        y[k + 1], p[k + 1] = cy, cp
     return y, p
 
 
@@ -354,8 +351,8 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
     xs = xs_half[::2]
     a0, a1 = p.bc_left
     b0, b1 = p.bc_right
-    v, vp = _rk4_linear(qs, h, a1, -a0, forward=True)
-    u, up = _rk4_linear(qs, h, b1, -b0, forward=False)
+    v, vp = _rk4_linear(qs, h, a1, -a0)
+    u, up = (s[::-1] for s in _rk4_linear(qs[::-1], -h, b1, -b0))
     wr = u * vp - up * v
     w = float(np.mean(wr))
     drift = float(np.max(wr) - np.min(wr))
@@ -422,8 +419,7 @@ def _sl_grid(p: SturmLiouvilleProblem, n_nodes: int) -> QuadratureGrid:
 
 def _green_symmetrized(solutions: SLSolutions, grid: QuadratureGrid) -> np.ndarray:
     """W^{1/2} G W^{1/2} on the grid: real symmetric for real q and real boundary data."""
-    sw = np.sqrt(grid.weights)
-    return sw[:, None] * _green_samples(solutions, grid.nodes, grid.nodes) * sw[None, :]
+    return _symmetrized(_green_samples(solutions, grid.nodes, grid.nodes), grid)
 
 
 def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> list[tuple[float, int]]:
@@ -538,11 +534,7 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
     scale = operator_norm(m)
-    herm = (m + m.conj().T) / 2.0
-    try:
-        np.linalg.cholesky(herm + 1e-10 * (1.0 + scale) * np.eye(n))
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive within tolerance")
+    herm = _positive_hermitian_part(m, 1.0 + scale, "matrix is not positive within tolerance")
     mu = np.zeros(k)
     vecs = np.zeros((n, k), dtype=complex)
 
@@ -618,21 +610,9 @@ def sl_problem_from_config(path: str) -> SturmLiouvilleProblem:
 
     Keys: interval = a,b ; q = zero|one|const:c|poly:c0,c1,... ;
     bc_left = alpha0,alpha1 ; bc_right = beta0,beta1.
-    Unknown keys are rejected.
+    Unknown keys are rejected; '#' starts a comment, alone or after a value.
     """
-    known = {"interval", "q", "bc_left", "bc_right"}
-    data: dict[str, str] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {line_no}: expected key=value, got {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ValueError(f"line {line_no}: unknown key {key!r}")
-            data[key] = val
+    data = _read_key_values(path, ("interval", "q", "bc_left", "bc_right"))
     if "interval" not in data:
         raise ValueError("config must set interval = a,b")
     a, b = (float(t) for t in data["interval"].split(","))

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +62,24 @@ def _sample(f: Callable, *args) -> np.ndarray:
         pass
     entries = zip(*(a.ravel().tolist() for a in arrays))
     return np.array([complex(f(*e)) for e in entries], dtype=complex).reshape(shape)
+
+
+def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
+    """The key = value lines of a flat config file as strings; '#' starts a comment
+    anywhere on a line.  A line without '=' or with a key not in `known` raises
+    ValueError at `path:line:`."""
+    values: dict[str, str] = {}
+    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
+        if key not in known:
+            raise ValueError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(known)})")
+        values[key] = val
+    return values
 
 
 def operator_norm(a: np.ndarray) -> float:

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .harmonic import TAU_TAIL
 from .linalg_core import _sample
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
 ]
 
 TAU_NEG = 1e-9
-TAU_TAIL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ evaluated at x, so gram[i, j] = evaluate(x_i, x_j) and PSD means
 sum conj(a_i) a_j gram[i, j] >= 0.  evaluate may broadcast over arrays of
 points, as the builtin kernels do (scalar points still give a scalar); a
 kernel that does not is sampled entry by entry.
+
+A finite-set kernel (kernel_from_gram) reads a point as the first ground
+point within 1e-12 of it; a point with no such ground point is outside.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ _SERIES_SWITCH = 1e-2
 
 def _require_disc_point(z, name: str = "z") -> np.ndarray:
     z = np.asarray(z, dtype=complex)
-    outside = np.abs(z) >= 1.0
+    outside = ~(np.abs(z) < 1.0)  # a NaN point is outside too
     if outside.any():
         raise ValueError(f"{name} = {z[outside][0]} lies outside the open unit disc")
     return z
@@ -101,17 +104,18 @@ class Kernel:
     domain_data: tuple = ()
 
     def check_point(self, x) -> None:
+        """Raise ValueError naming the first point of x (one point or an array of them)
+        outside the domain; a NaN point is always outside."""
         if self.domain == "disc":
-            if abs(complex(x)) >= 1.0:
-                raise ValueError(f"point {x} outside the open unit disc")
+            _require_disc_point(x, "point")
         elif self.domain == "interval":
             lo, hi = self.domain_data
-            xv = complex(x)
-            if abs(xv.imag) > 0 or not lo <= xv.real <= hi:
-                raise ValueError(f"point {x} outside [{lo}, {hi}]")
+            xv = np.asarray(x, dtype=complex)
+            outside = ~((xv.imag == 0) & (lo <= xv.real) & (xv.real <= hi))
+            if outside.any():
+                raise ValueError(f"point {xv[outside][0]} outside [{lo}, {hi}]")
         elif self.domain == "finite":
-            if not any(abs(complex(x) - complex(p)) <= 1e-12 for p in self.domain_data):
-                raise ValueError(f"point {x} not in the kernel's finite ground set")
+            _ground_index(self.domain_data, x)
         else:
             raise ValueError(f"unknown domain tag {self.domain!r}")
 
@@ -132,22 +136,23 @@ def kernel_by_name(name: str) -> Kernel:
         raise ValueError(f"unknown kernel {name!r}; known: {', '.join(KERNEL_NAMES)}")
 
 
+def _ground_index(pts: tuple, t) -> np.ndarray:
+    """Index of the first ground point within 1e-12 of each point of t; t broadcasts."""
+    tv = np.asarray(t, dtype=complex)
+    near = np.abs(tv[..., None] - np.asarray(pts)) <= 1e-12
+    found = near.any(axis=-1)
+    if not found.all():
+        raise ValueError(f"point {tv[~found][0]} not in the kernel's finite ground set")
+    return near.argmax(axis=-1)
+
+
 def kernel_from_gram(points: Sequence[complex], matrix: np.ndarray) -> Kernel:
     """Kernel on a finite ground set, backed by a user-supplied Gram matrix."""
     pts = tuple(complex(p) for p in points)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (len(pts), len(pts)):
         raise ValueError("gram matrix shape does not match the point count")
-
-    def ev(x, y):
-        def find(t):
-            for i, p in enumerate(pts):
-                if abs(complex(t) - p) <= 1e-12:
-                    return i
-            raise ValueError(f"point {t} not in the kernel's finite ground set")
-
-        return complex(m[find(x), find(y)])
-
+    ev = lambda x, y: m[_ground_index(pts, x), _ground_index(pts, y)]
     return Kernel("user-gram", "finite", ev, pts)
 
 
@@ -156,8 +161,7 @@ def gram(k: Kernel, points: Sequence[complex]) -> np.ndarray:
     z = np.array([complex(p) for p in points])
     if not z.size:
         raise ValueError("need at least one point")
-    for p in z:
-        k.check_point(p)
+    k.check_point(z)
     return _sample(k.evaluate, z[:, None], z[None, :])
 
 
@@ -250,13 +254,11 @@ def multiplier_adjoint_check(
     dim = n_trunc + 1
     lag = np.subtract.outer(np.arange(dim), np.arange(dim))  # mb[i, j] = coeffs[i - j] for i >= j
     mb = np.tril(np.concatenate((coeffs, np.zeros(dim - coeffs.size)))[np.abs(lag)])
-    pts = tuple(complex(p) for p in points)
+    pts = tuple(_require_disc_point(points, "probe point").tolist())
     residuals = np.empty(len(pts))
     max_abs_b = 0.0
     cb = [complex(c).conjugate() for c in coeffs]
     for idx, x in enumerate(pts):
-        if abs(x) >= 1.0:
-            raise ValueError(f"probe point {x} outside the open unit disc")
         # scalar arithmetic throughout: conj(b(x)) * kv[n] then runs through the
         # exact same multiply sequence as kv[n + m], so shift terms cancel bitwise
         # and the reported residual is purely the truncation tail

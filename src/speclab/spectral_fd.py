@@ -221,7 +221,7 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
         return NeumannResult(np.full((n, n), np.nan, dtype=complex), False, 0, np.inf)
     term = np.eye(n, dtype=complex) / z
     acc = term.copy()
-    tail = operator_norm(term)
+    tail = 1.0 / abs(z) if n else 0.0  # ||I / z||, exactly
     k = 1
     while k <= kmax:
         term = m @ term / z

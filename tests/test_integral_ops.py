@@ -198,6 +198,16 @@ def test_q_zero_dirichlet_solutions_by_hand():
     assert abs(abs(sol.wronskian) - 1.0) <= 1e-8
 
 
+def test_backward_shot_mirrors_forward_shot():
+    # q constant and Dirichlet ends: u(x) = -v(a + b - x) and u'(x) = v'(a + b - x),
+    # and RK4 with step -h reproduces that mirror image exactly
+    p = dirichlet_problem(0.0, 2.0, lambda x: 2.5 * np.ones_like(np.asarray(x, dtype=float)))
+    sol = sl_homogeneous_solutions(p, h=2.0 / 512)
+    assert np.array_equal(sol.u, -sol.v[::-1])
+    assert np.array_equal(sol.up, sol.vp[::-1])
+    assert abs(sol.v[-1]) > 1.0  # the shot has grown well away from its start
+
+
 def test_wronskian_drift_small():
     p = dirichlet_problem(0.0, np.pi, lambda x: np.cos(x))
     sol = sl_homogeneous_solutions(p)
@@ -474,12 +484,16 @@ def test_problem_from_config(tmp_path):
     assert p.a == 0.0 and abs(p.b - 3.14159) < 1e-12
     assert float(p.q(0.5)) == 1.0
     assert p.bc_left == (1.0, 0.0)
+    cfg.write_text("interval = 0, 1  # unit interval\nq = zero  # free particle\n")
+    p = sl_problem_from_config(str(cfg))
+    assert (p.a, p.b) == (0.0, 1.0)
+    assert float(p.q(0.5)) == 0.0
 
 
 def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("interval = 0,1\nwavelength = 3\n")
-    with pytest.raises(ValueError, match="unknown key"):
+    with pytest.raises(ValueError, match=r"bad\.cfg:2: unknown key 'wavelength'"):
         sl_problem_from_config(str(cfg))
 
 

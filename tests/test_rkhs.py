@@ -5,6 +5,7 @@ import pytest
 
 from speclab import (
     KERNEL_NAMES,
+    Kernel,
     SpanElement,
     compose_mobius,
     compose_power,
@@ -78,6 +79,22 @@ def test_kernels_reject_points_outside_disc():
             kernel_by_name(name).evaluate(0.5, np.array([0.1, 1.2, 0.3j]))
         with pytest.raises(ValueError, match="z = "):
             kernel_by_name(name).evaluate(np.array([[0.0], [-1.0]]), 0.5)
+    with pytest.raises(ValueError, match=r"point = \(0\.9\+0\.9j\)"):
+        HARDY.check_point(np.array([0.1, 0.9 + 0.9j, 2.0]))
+
+
+def test_check_point_rejects_nan_on_every_domain():
+    ev = lambda x, y: 0.0 * x * y
+    kernels = [HARDY, Kernel("unit", "interval", ev, (0.0, 1.0)), kernel_from_gram([0.0, 0.5], np.eye(2))]
+    for k in kernels:
+        k.check_point(np.array([0.0, 0.5]))
+        for bad in (np.nan, complex(0.5, np.nan), np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match="nan"):
+                k.check_point(bad)
+            with pytest.raises(ValueError):
+                gram(k, np.atleast_1d(bad))
+    with pytest.raises(ValueError, match=r"point \(1\.5\+0j\) outside \[0\.0, 1\.0\]"):
+        kernels[1].check_point(np.array([0.25, 1.5, -1.0]))
 
 
 def test_broadcast_gram_matches_scalar_calls():
@@ -134,6 +151,17 @@ def test_kernel_from_gram_finite_set():
     np.testing.assert_allclose(gram(k, pts), base, atol=1e-14)
     with pytest.raises(ValueError):
         k.evaluate(0.1, 0.5j)  # not in the finite domain
+    # the lookup broadcasts: one evaluator call gives the base matrix bit for bit
+    calls = []
+    counting = Kernel(k.name, k.domain, lambda x, y: calls.append(1) or k.evaluate(x, y), k.domain_data)
+    shuffled = [pts[2], pts[0], pts[1], pts[0]]
+    assert np.array_equal(gram(counting, pts), base)
+    assert np.array_equal(gram(counting, shuffled), base[np.ix_([2, 0, 1, 0], [2, 0, 1, 0])])
+    assert len(calls) == 2
+    # within 1e-12 of a ground point counts as that point; anything else is named
+    assert k.evaluate(0.5j + 1e-13, -0.25) == base[1, 2]
+    with pytest.raises(ValueError, match=r"point \(0\.1\+0j\) not in the kernel's finite ground set"):
+        k.check_point(np.array([0.0, 0.1, 0.2]))
 
 
 # ---------------------------------------------------------------- span elements
@@ -230,6 +258,12 @@ def test_multiplier_norm_dominates_symbol():
     report = multiplier_adjoint_check(coeffs, HARDY, pts, n_trunc=32)
     sup = max(abs(poly_eval(coeffs, z)) for z in pts)
     assert report.multiplier_norm >= sup - 1e-10
+
+
+def test_probe_point_outside_disc_rejected():
+    for bad in (1.0, 0.6 + 0.8j, np.nan):
+        with pytest.raises(ValueError, match="probe point = "):
+            multiplier_adjoint_check((0.0, 1.0), HARDY, [0.2, bad], n_trunc=16)
 
 
 def test_high_degree_symbol_rejected():

@@ -262,6 +262,11 @@ def test_neumann_matches_direct_inverse():
     assert operator_norm(out.matrix - direct) <= 1e-8
     # the series sums (zI - A)^{-1}, the sign-flipped resolvent
     assert operator_norm(out.matrix + resolvent(a, z)) <= 1e-8
+    # no terms past the first: I / z, with its exact norm 1/|z| as the tail
+    first = neumann_resolvent(a, z, kmax=0)
+    assert np.array_equal(first.matrix, np.eye(6) / z)
+    assert (first.terms, first.converged) == (0, False)
+    assert abs(first.tail - 1.0 / z) <= 1e-15 / z
 
 
 def test_neumann_divergence_is_flagged():
