@@ -160,7 +160,7 @@ def _sl_rows(cfg: ExperimentConfig, shift: float, scale: Callable[[float], float
 
 def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
     p, modes, rows = _sl_rows(cfg, 0.0, lambda t: t)
-    grid = integral_ops._sl_grid(p, cfg.nodes)  # the eigensolver's own grid
+    grid = integral_ops._panel_grid(p.a, p.b, cfg.nodes)  # the eigensolver's own grid
     s = np.stack([m.samples for m in modes])
     g = (s * grid.weights) @ s.conj().T
     gram_defect = float(np.max(np.abs(g - np.eye(len(modes)))))
@@ -178,7 +178,7 @@ def _exp_sl_shifted(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _exp_volterra(cfg: ExperimentConfig) -> ExperimentReport:
-    grid = integral_ops.gauss_legendre_grid(0.0, 1.0, max(1, round(cfg.nodes / 8)), 8)
+    grid = integral_ops._panel_grid(0.0, 1.0, cfg.nodes)
     pair = integral_ops.volterra(grid)
     herm = (pair.vstar_v.symmetrized + pair.vstar_v.symmetrized.conj().T) / 2.0
     mu = np.linalg.eigvalsh(herm)[::-1]

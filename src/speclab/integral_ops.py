@@ -413,8 +413,9 @@ def _green_samples(solutions: SLSolutions, x: np.ndarray, t: np.ndarray) -> np.n
     return out
 
 
-def _sl_grid(p: SturmLiouvilleProblem, n_nodes: int) -> QuadratureGrid:
-    return gauss_legendre_grid(p.a, p.b, max(1, int(round(n_nodes / NODES_PER_PANEL))), NODES_PER_PANEL)
+def _panel_grid(a: float, b: float, n_nodes: int) -> QuadratureGrid:
+    """Composite Gauss-Legendre grid on [a, b] with about n_nodes nodes, NODES_PER_PANEL per panel."""
+    return gauss_legendre_grid(a, b, max(1, int(round(n_nodes / NODES_PER_PANEL))), NODES_PER_PANEL)
 
 
 def _green_symmetrized(solutions: SLSolutions, grid: QuadratureGrid) -> np.ndarray:
@@ -486,7 +487,7 @@ def sl_eigensolve(
     drift as refine_drift, and a drift above 1% emits a RuntimeWarning.
     """
     mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
-    grid = _sl_grid(p, n_nodes)
+    grid = _panel_grid(p.a, p.b, n_nodes)
     wb, vb = np.linalg.eigh(_green_symmetrized(sols, grid))
     lam_cand = _sl_candidates(wb, mu_shift, k_wanted)
     lams = np.array([lam for lam, _ in lam_cand])
@@ -494,7 +495,7 @@ def sl_eigensolve(
 
     drifts: list[float | None] = [None] * len(lam_cand)
     if check_refinement:
-        wf = np.linalg.eigvalsh(_green_symmetrized(sols, _sl_grid(p, 2 * n_nodes)))
+        wf = np.linalg.eigvalsh(_green_symmetrized(sols, _panel_grid(p.a, p.b, 2 * n_nodes)))
         finer = _sl_candidates(wf, mu_shift, k_wanted)
         for r, (lam, (lam2, _)) in enumerate(zip(lams, finer)):
             drifts[r] = float(abs(lam - lam2) / max(1.0, abs(lam)))

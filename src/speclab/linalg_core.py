@@ -90,6 +90,27 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _norm_certainly_within(a: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[bool, np.ndarray]:
+    """Whether cheap bounds prove lo <= ||A||_2 <= hi, and the probe for the next call.
+
+    ||A x|| for the unit vector x bounds the norm below and ||A||_F bounds it
+    above (Golub & Van Loan, Matrix Computations, 2.3).  Each bound must clear
+    its threshold by a relative margin of 1e-8, far above their roundoff, so a
+    True never contradicts operator_norm; False means undecided, not outside.
+    The returned probe is A*(A x) normalized, one power step of A*A, so a
+    caller bracketing a sequence of related matrices tightens the lower bound.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: undecided
+        ax = a @ x
+        lo_a = float(np.linalg.norm(ax))
+        hi_a = float(np.linalg.norm(a))
+        if 0.0 < lo_a < np.inf:
+            y = ((ax / lo_a).conj() @ a).conj()  # A* (A x) / ||A x||, without forming A*
+            x = y / np.linalg.norm(y)
+    margin = 1.0 + 1e-8
+    return lo_a >= lo * margin and hi_a * margin <= hi, x
+
+
 def hermiticity_tol(a: np.ndarray) -> float:
     """Default tolerance for calling a matrix Hermitian: 1e-10 * (1 + ||A||)."""
     return 1e-10 * (1.0 + operator_norm(a))

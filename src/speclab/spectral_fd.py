@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg_core import (
     SpectralResolution,
+    _norm_certainly_within,
     hermitian_eig,
     inner_product,
     matrix_to_json,
@@ -210,8 +211,15 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
 
     Convergence is declared when a term's operator norm drops below tau; if
     kmax terms never get there the result carries converged=False (a flag,
-    not an exception).  Note the sign: the limit is the inverse of (zI - A),
-    which is minus `resolvent(a, z)`.
+    not an exception).  A term whose norm exceeds 1e120 (or is not finite)
+    stops the series unconverged.  Note the sign: the limit is the inverse of
+    (zI - A), which is minus `resolvent(a, z)`.
+
+    Each stopping decision is certified by a cheap bracket of the term's norm:
+    ||T x|| below, with x carried forward as one power step of T*T per term,
+    and the Frobenius norm above.  The exact SVD norm runs only when the
+    bracket straddles tau or 1e120 (within a 1e-8 relative margin), and on
+    the last term, so `tail` is always the exact norm of the last term.
     """
     m = require_matrix(a)
     if m.shape[0] != m.shape[1]:
@@ -222,16 +230,20 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     term = np.eye(n, dtype=complex) / z
     acc = term.copy()
     tail = 1.0 / abs(z) if n else 0.0  # ||I / z||, exactly
-    k = 1
-    while k <= kmax:
+    probe = np.random.default_rng(0).standard_normal(n)  # fixed start: reruns make the same calls
+    probe /= np.linalg.norm(probe)
+    for k in range(1, kmax + 1):
         term = m @ term / z
+        certain, probe = _norm_certainly_within(term, probe, tau, 1e120)
+        if certain and k < kmax:
+            acc += term
+            continue
         tail = operator_norm(term)
         if not np.isfinite(tail) or tail > 1e120:
             return NeumannResult(acc, False, k, float(tail))
         acc += term
         if tail < tau:
             return NeumannResult(acc, True, k, float(tail))
-        k += 1
     return NeumannResult(acc, False, kmax, float(tail))
 
 
@@ -361,8 +373,9 @@ def commuting_diagonalization(
     mb = require_hermitian(b)
     if ma.shape != mb.shape:
         raise ValueError("matrices must have the same shape")
-    if tau_comm is None:
-        tau_comm = 1e-10 * (1.0 + operator_norm(ma)) * (1.0 + operator_norm(mb))
+    if tau_comm is None:  # Hermitian, so ||A|| = max |lambda|: no SVD needed
+        na, nb = (float(np.max(np.abs(np.linalg.eigvalsh(x)), initial=0.0)) for x in (ma, mb))
+        tau_comm = 1e-10 * (1.0 + na) * (1.0 + nb)
     comm = operator_norm(ma @ mb - mb @ ma)
     if comm > tau_comm:
         return CompatibilityResult(False, comm)

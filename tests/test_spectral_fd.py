@@ -21,6 +21,7 @@ from speclab import (
     pvm,
     resolution_to_json,
     resolvent,
+    spectral_fd,
     spectral_measure,
     spectral_measure_to_json,
     spectral_radius_gelfand,
@@ -282,6 +283,83 @@ def test_neumann_nilpotent_terminates():
     out = neumann_resolvent(n, 2.0)
     assert out.converged
     np.testing.assert_allclose(out.matrix, np.linalg.inv(2.0 * np.eye(2) - n), atol=1e-12)
+
+
+def _neumann_by_svd(a, z, kmax=256, tau=1e-12):
+    """Reference: every stopping decision from the exact norm; returns the result and the term norms."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if z == 0:
+        return spectral_fd.NeumannResult(np.full((n, n), np.nan, dtype=complex), False, 0, np.inf), []
+    term = np.eye(n, dtype=complex) / z
+    acc, tail, norms = term.copy(), 1.0 / abs(z), []
+    for k in range(1, kmax + 1):
+        term = a @ term / z
+        tail = operator_norm(term)
+        norms.append(tail)
+        if not np.isfinite(tail) or tail > 1e120:
+            return spectral_fd.NeumannResult(acc, False, k, tail), norms
+        acc += term
+        if tail < tau:
+            return spectral_fd.NeumannResult(acc, True, k, tail), norms
+    return spectral_fd.NeumannResult(acc, False, kmax, tail), norms
+
+
+def _jordan(n, lam):
+    return lam * np.eye(n) + np.eye(n, k=1)
+
+
+def _unit_hermitian(seed, n):
+    a = random_hermitian(np.random.default_rng(seed), n)
+    return a / operator_norm(a)
+
+
+_DIVERGENT = random_hermitian(np.random.default_rng(37), 4)  # test_neumann_divergence_is_flagged's input
+
+# name: (A, z, keyword arguments, least number of exact norms the call must take)
+NEUMANN_CASES = {
+    # ||T x|| / ||T|| stays near 0.8 while the norms cross tau = 0.15 at term 7
+    "jordan-loose-bound": (_jordan(12, 0.7), 2.0, {"tau": 0.15}, 2),
+    "jordan-to-1e-12": (_jordan(8, 0.5), 1.0, {}, 1),
+    "nilpotent": (np.eye(6, k=1), 2.0, {}, 1),
+    "exits-above-1e120": (1e3 * _unit_hermitian(41, 6), 1.0, {}, 1),
+    # term 2 has entries near 1e200, whose squares overflow in the Frobenius bound
+    "jumps-past-1e154": (np.diag([1e100, 1.0]), 1.0, {}, 1),
+    "kmax-exhausted": (_DIVERGENT, 0.5 * operator_norm(_DIVERGENT), {}, 1),  # ratio 2: 2^256 < 1e120
+    "z-zero": (_unit_hermitian(43, 3), 0.0, {}, 0),
+    # term 20 has norm 2^-20 exactly, 1e-10 relative above or below tau
+    "norm-just-above-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 - 1e-10)}, 2),
+    "norm-just-below-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 + 1e-10)}, 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", NEUMANN_CASES)
+def test_neumann_matches_svd_per_term_reference(case, monkeypatch):
+    a, z, kw, least_exact = NEUMANN_CASES[case]
+    want, norms = _neumann_by_svd(a, z, **kw)
+    exact = []
+    monkeypatch.setattr(spectral_fd, "operator_norm", lambda t: exact.append(operator_norm(t)) or exact[-1])
+    got = neumann_resolvent(a, z, **kw)
+    assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
+    assert (got.terms, got.converged, got.tail) == (want.terms, want.converged, want.tail)
+    assert len(exact) >= least_exact
+    # a term whose norm lies within 1e-8 of a threshold is decided by the exact norm
+    tau = kw.get("tau", 1e-12)
+    near = [t for t in norms if abs(t - tau) <= 1e-8 * tau or abs(t - 1e120) <= 1e-8 * 1e120]
+    assert set(near) <= set(exact)
+
+
+def test_neumann_takes_few_exact_norms(monkeypatch):
+    rng = np.random.default_rng(59)
+    m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    a = (m + m.conj().T) / (2.0 * np.sqrt(64))  # semicircle spectrum on about [-2, 2]
+    z = 2.0 * float(np.max(np.abs(np.linalg.eigvalsh(a)))) * np.exp(0.7j)
+    calls = []
+    monkeypatch.setattr(spectral_fd, "operator_norm", lambda t: calls.append(1) or operator_norm(t))
+    out = neumann_resolvent(a, z)
+    assert out.converged and out.terms > 30
+    assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------- gelfand radius
