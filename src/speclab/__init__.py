@@ -6,105 +6,16 @@ extensions and Fourier machinery, finite Borel measures with Herglotz
 and Bochner tests, Nystrom-discretized integral operators with a
 Sturm-Liouville eigensolver, reproducing-kernel spaces on the disc, and
 a CLI exposing everything as reproducible experiments.
+
+The package namespace is the union of the library modules' ``__all__``
+lists; each module's list is the one place its public names are declared.
 """
 
-from .linalg_core import (
-    InnerProductSpace,
-    SpectralResolution,
-    gram_schmidt,
-    hadamard,
-    hermitian_eig,
-    inner_product,
-    matrix_from_json,
-    matrix_to_json,
-    operator_norm,
-    require_hermitian,
-)
-from .harmonic import (
-    FourierSeries,
-    SampledBoundaryFunction,
-    boundary_from_csv,
-    boundary_to_csv,
-    dft,
-    fourier_coefficients,
-    halfplane_window,
-    inverse_dft,
-    momentum_model,
-    poisson_disc,
-    poisson_halfplane,
-    series_from_json,
-    series_to_json,
-)
-from .measures import (
-    FiniteMeasure,
-    PDVerdict,
-    extract_atoms,
-    herglotz_recover,
-    measure_fourier,
-    measure_from_json,
-    measure_to_json,
-    poisson_smooth,
-    positive_definite_test,
-)
-from .spectral_fd import (
-    BorelSet,
-    ProjectionValuedMeasure,
-    cayley,
-    cayley_map,
-    commuting_diagonalization,
-    evolve,
-    hausdorff_distance_spectra,
-    measurable_calculus,
-    neumann_resolvent,
-    pvm,
-    resolution_to_json,
-    resolvent,
-    spectral_measure,
-    spectral_measure_to_json,
-    spectral_radius_gelfand,
-    uncertainty,
-)
-from .integral_ops import (
-    IntegralOperator,
-    NonInjectiveError,
-    QuadratureGrid,
-    SLMode,
-    SturmLiouvilleProblem,
-    gauss_legendre_grid,
-    hs_norm,
-    nystrom,
-    rayleigh_refine,
-    sl_eigensolve,
-    sl_green,
-    sl_homogeneous_solutions,
-    sl_modes_to_csv,
-    sl_modes_to_json,
-    sl_problem_from_config,
-    sl_shift,
-    trace,
-    volterra,
-)
-from .rkhs import (
-    KERNEL_NAMES,
-    Kernel,
-    MobiusMap,
-    MultiplierReport,
-    SpanElement,
-    compose_mobius,
-    compose_power,
-    dirichlet_kernel,
-    dirichlet_seminorm,
-    dirichlet_seminorm_quad,
-    disc_quadrature,
-    gram,
-    hardy_kernel,
-    harmonic_hardy_kernel,
-    kernel_by_name,
-    kernel_from_gram,
-    multiplier_adjoint_check,
-    poly_derivative,
-    poly_eval,
-    reproduce,
-)
+from .linalg_core import *
+from .harmonic import *
+from .measures import *
+from .spectral_fd import *
+from .integral_ops import *
+from .rkhs import *
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng  # loaded with the CLI: numpy imports it lazily, and every run draws from it
 
 from .linalg_core import (
     _read_key_values,
@@ -120,12 +121,13 @@ class ExperimentReport:
 
 def _rng(name: str, seed: int) -> np.random.Generator:
     key = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
+    return default_rng(SeedSequence(seed, spawn_key=(key,)))
 
 
-def _trials(cfg: ExperimentConfig, default: int, trial: Callable[[np.random.Generator, int], tuple]) -> list[tuple]:
+def _trials(
+    cfg: ExperimentConfig, rng: np.random.Generator, default: int, trial: Callable[[np.random.Generator, int], tuple]
+) -> list[tuple]:
     """One row (t, *trial(rng, t)) per trial t, all drawn in order from the experiment's stream."""
-    rng = _rng(cfg.name, cfg.seed)
     return [(t, *trial(rng, t)) for t in range(cfg.resolved_trials(default))]
 
 
@@ -141,6 +143,12 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _hermitian_with_spectrum(q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """q diag(d) q*, symmetrized: Hermitian with eigenvalues d when q is unitary."""
+    a = q @ np.diag(d) @ q.conj().T
+    return (a + a.conj().T) / 2.0
+
+
 def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return h / np.linalg.norm(h)
@@ -148,6 +156,10 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # experiments
+
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
 
 def _sl_rows(cfg: ExperimentConfig, shift: float, scale: Callable[[float], float]) -> tuple:
     """The problem -f'' + shift f = lambda f on [0, pi] with Dirichlet ends, its modes,
@@ -158,7 +170,7 @@ def _sl_rows(cfg: ExperimentConfig, shift: float, scale: Callable[[float], float
     return p, modes, [(m.k, m.lam, t, abs(m.lam - t) / scale(t), m.residual) for m, t in zip(modes, targets)]
 
 
-def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_sl_dirichlet(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     p, modes, rows = _sl_rows(cfg, 0.0, lambda t: t)
     grid = integral_ops._panel_grid(p.a, p.b, cfg.nodes)  # the eigensolver's own grid
     s = np.stack([m.samples for m in modes])
@@ -171,13 +183,13 @@ def _exp_sl_dirichlet(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["k", "lambda", "target", "rel_err", "residual"], rows, checks)
 
 
-def _exp_sl_shifted(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_sl_shifted(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     *_, rows = _sl_rows(cfg, -1.0, lambda t: 1.0 + abs(t))
     checks = [_max_leq("eigenvalue max normalized error vs k^2 - 1", rows, 3, 5e-3)]
     return ExperimentReport(cfg.name, ["k", "lambda", "target", "norm_err", "residual"], rows, checks)
 
 
-def _exp_volterra(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_volterra(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     grid = integral_ops._panel_grid(0.0, 1.0, cfg.nodes)
     pair = integral_ops.volterra(grid)
     herm = (pair.vstar_v.symmetrized + pair.vstar_v.symmetrized.conj().T) / 2.0
@@ -194,7 +206,7 @@ def _exp_volterra(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["k", "mu", "target", "rel_err"], rows, checks)
 
 
-def _exp_poisson_halfplane(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_poisson_halfplane(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     y = 1.0
     t = 2.0 * harmonic.halfplane_window(y)  # tail ~ tau_tail/2: clear margin inside 1e-6
     ones = harmonic.SampledBoundaryFunction.on_window(lambda x: np.ones_like(x), -t, t, 4097)
@@ -216,7 +228,7 @@ def _exp_poisson_halfplane(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["omega", "re", "im", "target", "err"], rows, checks)
 
 
-def _exp_poisson_disc(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_poisson_disc(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     phis = {n: harmonic.SampledBoundaryFunction.on_circle(lambda t, n=n: np.exp(1j * n * t)) for n in (0, 1, -2, 5)}
     vals = [
         (n, rho, s, harmonic.poisson_disc(phi, rho, s))
@@ -227,7 +239,7 @@ def _exp_poisson_disc(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["n", "rho", "s", "re", "im", "err"], rows, checks)
 
 
-def _exp_herglotz(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_herglotz(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     targets = ((-1.0, 2.0), (1.0, 3.0))
 
     def u(z):
@@ -251,8 +263,7 @@ def _exp_herglotz(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["location", "mass", "target_location", "target_mass", "rel_err"], rows, checks)
 
 
-def _exp_bochner(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
+def _exp_bochner(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     pts = np.sort(rng.uniform(-5.0, 5.0, 16))
     cases = [
         ("exp(-|x|)", lambda x: np.exp(-abs(x)), True),
@@ -275,9 +286,7 @@ def _exp_bochner(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["function", "verdict", "min_eigenvalue"], rows, checks)
 
 
-def _exp_dft_unitarity(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
-
+def _exp_dft_unitarity(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def row(n):
         f = np.stack([harmonic.dft(col) for col in np.eye(n, dtype=complex).T], axis=1)
         defect = operator_norm(f.conj().T @ f - np.eye(n))
@@ -289,19 +298,19 @@ def _exp_dft_unitarity(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["N", "unitarity_defect", "roundtrip_defect"], rows, checks)
 
 
-def _exp_gelfand(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_gelfand(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         estimate = float(spectral_fd.spectral_radius_gelfand(a, kmax=20)[-1])
         r = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         return estimate, r, abs(estimate - r)
 
-    rows = _trials(cfg, 100, trial)
+    rows = _trials(cfg, rng, 100, trial)
     checks = [_max_leq("max |gelfand_20 - spectral radius|", rows, 3, 1e-6)]
     return ExperimentReport(cfg.name, ["trial", "estimate", "spectral_radius", "err"], rows, checks)
 
 
-def _exp_hausdorff(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_hausdorff(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         b = _random_hermitian(rng, cfg.dim)
@@ -309,12 +318,12 @@ def _exp_hausdorff(cfg: ExperimentConfig) -> ExperimentReport:
         nd = operator_norm(a - b)
         return dh, nd, dh - nd
 
-    rows = _trials(cfg, 1000, trial)
+    rows = _trials(cfg, rng, 1000, trial)
     checks = [_max_leq("max (d_H - ||A-B||)", rows, 3, 1e-10)]
     return ExperimentReport(cfg.name, ["trial", "hausdorff", "norm_diff", "margin"], rows, checks)
 
 
-def _exp_cayley(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_cayley(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         u = spectral_fd.cayley(a)
@@ -324,7 +333,7 @@ def _exp_cayley(cfg: ExperimentConfig) -> ExperimentReport:
         d = np.abs(wu[:, None] - wm[None, :])
         return unit, float(np.max([d.min(axis=1).max(), d.min(axis=0).max()]))
 
-    rows = _trials(cfg, 100, trial)
+    rows = _trials(cfg, rng, 100, trial)
     checks = [
         _max_leq("max unitarity defect", rows, 1, 1e-10),
         _max_leq("max spectral mapping defect", rows, 2, 1e-10),
@@ -332,7 +341,7 @@ def _exp_cayley(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["trial", "unitarity_defect", "mapping_defect"], rows, checks)
 
 
-def _exp_evolve(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_evolve(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     h = 1e-4
 
     def trial(rng, k):
@@ -342,7 +351,7 @@ def _exp_evolve(cfg: ExperimentConfig) -> ExperimentReport:
         gen = operator_norm((spectral_fd.evolve(a, h) - np.eye(cfg.dim)) / h - 1j * a)
         return group, gen, operator_norm(a) ** 2 * h
 
-    rows = _trials(cfg, 100, trial)
+    rows = _trials(cfg, rng, 100, trial)
     checks = [
         _max_leq("max group-law defect", rows, 1, 1e-10),
         _leq("max generator defect / (||A||^2 h)", np.max([gen / bound for _, _, gen, bound in rows]), 1.0),
@@ -350,17 +359,15 @@ def _exp_evolve(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["trial", "group_defect", "generator_defect", "bound"], rows, checks)
 
 
-def _exp_uncertainty(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_uncertainty(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def trial(rng, t):
         a = _random_hermitian(rng, cfg.dim)
         b = _random_hermitian(rng, cfg.dim)
         rec = spectral_fd.uncertainty(a, b, _random_state(rng, cfg.dim))
         return rec.lhs, rec.robertson_lhs, rec.rhs
 
-    rows = _trials(cfg, 1000, trial)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1j], [1j, 0.0]])
-    pauli = spectral_fd.uncertainty(sx, sy, np.array([1.0, 0.0], dtype=complex))
+    rows = _trials(cfg, rng, 1000, trial)
+    pauli = spectral_fd.uncertainty(_SIGMA_X, _SIGMA_Y, np.array([1.0, 0.0], dtype=complex))
     checks = [
         _leq("max normalized Heisenberg violation", np.max([(h - r) / (1.0 + r) for _, h, _, r in rows]), 1e-12),
         _leq("max normalized Robertson-Schrodinger violation", np.max([(s - r) / (1.0 + r) for _, _, s, r in rows]), 1e-12),
@@ -369,15 +376,12 @@ def _exp_uncertainty(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["trial", "lhs", "robertson_lhs", "rhs"], rows, checks)
 
 
-def _exp_compatibility(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
+def _exp_compatibility(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     q = _random_unitary(rng, cfg.dim)
     d1 = np.sort(rng.integers(0, 3, cfg.dim).astype(float))  # repeats force refinement
     d2 = rng.standard_normal(cfg.dim)
-    a = q @ np.diag(d1) @ q.conj().T
-    b = q @ np.diag(d2) @ q.conj().T
-    a = (a + a.conj().T) / 2.0
-    b = (b + b.conj().T) / 2.0
+    a = _hermitian_with_spectrum(q, d1)
+    b = _hermitian_with_spectrum(q, d2)
     res = spectral_fd.commuting_diagonalization(a, b)
     rows = [("commuting", res.compatible, res.commutator_norm)]
     checks = [_flag("commuting pair detected compatible", res.compatible)]
@@ -387,17 +391,14 @@ def _exp_compatibility(cfg: ExperimentConfig) -> ExperimentReport:
         off = float(np.max(np.abs([da - np.diag(np.diag(da)), db - np.diag(np.diag(db))])))
         checks.append(_leq("joint off-diagonal residual", off, 1e-8))
         rows.append(("joint-residual", True, off))
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1j], [1j, 0.0]])
-    pauli = spectral_fd.commuting_diagonalization(sx, sy)
+    pauli = spectral_fd.commuting_diagonalization(_SIGMA_X, _SIGMA_Y)
     rows.append(("pauli-xy", pauli.compatible, pauli.commutator_norm))
     checks.append(_flag("Pauli pair detected incompatible", not pauli.compatible))
     checks.append(_leq("Pauli commutator norm error vs 2", abs(pauli.commutator_norm - 2.0), 1e-12))
     return ExperimentReport(cfg.name, ["case", "compatible", "witness"], rows, checks)
 
 
-def _exp_rkhs_psd(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
+def _exp_rkhs_psd(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     trials = cfg.resolved_trials(200)
 
     def lowest_eigenvalue(k):
@@ -412,8 +413,7 @@ def _exp_rkhs_psd(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["kernel", "point_sets", "worst_min_eigenvalue"], rows, checks)
 
 
-def _exp_multiplier_adjoint(cfg: ExperimentConfig) -> ExperimentReport:
-    rng = _rng(cfg.name, cfg.seed)
+def _exp_multiplier_adjoint(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     r = 0.5
     pts = list(r * np.sqrt(rng.uniform(0.0, 1.0, 12)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 12)))
     pts += [r + 0j, -r + 0j, r * 1j, r * np.exp(0.3j)]  # extremes on |x| = r
@@ -427,7 +427,7 @@ def _exp_multiplier_adjoint(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["x_re", "x_im", "residual"], rows, checks)
 
 
-def _exp_dirichlet_invariance(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_dirichlet_invariance(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def trial(rng, t):
         c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         s_coeff = rkhs.dirichlet_seminorm(c)
@@ -443,7 +443,7 @@ def _exp_dirichlet_invariance(cfg: ExperimentConfig) -> ExperimentReport:
         ])
         return s_coeff, s_quad, s_mob, abs(s_coeff - s_quad), abs(s_coeff - s_mob), e_pow
 
-    rows = _trials(cfg, 20, trial)
+    rows = _trials(cfg, rng, 20, trial)
     checks = [
         _max_leq("max |coefficient - quadrature| seminorm gap", rows, 4, 1e-6),
         _max_leq("max Mobius invariance gap", rows, 5, 1e-6),
@@ -453,7 +453,7 @@ def _exp_dirichlet_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, header, rows, checks)
 
 
-def _exp_hs_invariance(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_hs_invariance(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     def trial(rng, t):
         a = rng.standard_normal((cfg.dim, cfg.dim)) + 1j * rng.standard_normal((cfg.dim, cfg.dim))
         u = _random_unitary(rng, cfg.dim)
@@ -461,7 +461,7 @@ def _exp_hs_invariance(cfg: ExperimentConfig) -> ExperimentReport:
         inv = abs(integral_ops.hs_norm(u @ a @ u.conj().T) - hs) / (1.0 + hs)
         return hs, inv, operator_norm(a) - hs
 
-    rows = _trials(cfg, 200, trial)
+    rows = _trials(cfg, rng, 200, trial)
     checks = [
         _max_leq("max normalized unitary-invariance defect", rows, 2, 1e-10),
         _max_leq("max (||A|| - ||A||_HS)", rows, 3, 0.0),
@@ -469,15 +469,13 @@ def _exp_hs_invariance(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["trial", "hs_norm", "invariance_defect", "norm_minus_hs"], rows, checks)
 
 
-def _exp_spectral_measures(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_spectral_measures(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     probe = lambda t: t ** 3 - 2.0 * t + 1.0
 
     def trial(rng, t):
         if t % 3 == 0:
             q = _random_unitary(rng, cfg.dim)
-            d = np.sort(rng.integers(-2, 3, cfg.dim).astype(float))
-            a = q @ np.diag(d) @ q.conj().T
-            a = (a + a.conj().T) / 2.0
+            a = _hermitian_with_spectrum(q, np.sort(rng.integers(-2, 3, cfg.dim).astype(float)))
         else:
             a = _random_hermitian(rng, cfg.dim)
         res = hermitian_eig(a)
@@ -499,7 +497,7 @@ def _exp_spectral_measures(cfg: ExperimentConfig) -> ExperimentReport:
         )
         return mass_err, probe_err, atoms and gaps
 
-    rows = _trials(cfg, 100, trial)
+    rows = _trials(cfg, rng, 100, trial)
     checks = [
         _max_leq("max |total mass - <x,y>|", rows, 1, 1e-12),
         _max_leq("max polynomial-probe defect", rows, 2, 1e-10),
@@ -508,7 +506,7 @@ def _exp_spectral_measures(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["trial", "mass_err", "probe_err"], [r[:3] for r in rows], checks)
 
 
-def _exp_momentum_model(cfg: ExperimentConfig) -> ExperimentReport:
+def _exp_momentum_model(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     order = 8
     twist = 0.5  # dyadic, so twist + n and the unit gaps are exact in floats
     res = harmonic.momentum_model(twist, order)
@@ -527,7 +525,7 @@ def _exp_momentum_model(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.name, ["n", "eigenvalue"], rows, checks)
 
 
-_EXPERIMENTS: dict[str, tuple[str, str, Callable[[ExperimentConfig], ExperimentReport]]] = {
+_EXPERIMENTS: dict[str, tuple[str, str, Callable[[ExperimentConfig, np.random.Generator], ExperimentReport]]] = {
     "sl-dirichlet": ("integral_ops", "Sturm-Liouville q=0 Dirichlet eigenvalues vs k^2 and eigenfunction Gram", _exp_sl_dirichlet),
     "sl-shifted": ("integral_ops", "Non-injective Sturm-Liouville problem solved through the shift ladder", _exp_sl_shifted),
     "volterra": ("integral_ops", "Volterra spectrum collapse and V*V eigenvalues vs 4/((2k-1)^2 pi^2)", _exp_volterra),
@@ -596,7 +594,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.name not in _EXPERIMENTS:
         raise KeyError(cfg.name)
     _check_sizes(cfg)
-    report = _EXPERIMENTS[cfg.name][2](cfg)
+    report = _EXPERIMENTS[cfg.name][2](cfg, _rng(cfg.name, cfg.seed))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"{cfg.name}.csv", report.header, report.rows)

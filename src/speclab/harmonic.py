@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import SpectralResolution
+from .linalg_core import SpectralResolution, _uniform_grid
 
 __all__ = [
     "FourierSeries",
@@ -68,15 +68,7 @@ class SampledBoundaryFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if g.ndim != 1 or g.shape != v.shape or g.size < 2:
-            raise ValueError("grid/values must be matching 1-d arrays with >= 2 points")
-        steps = np.diff(g)
-        if np.any(steps <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + np.max(np.abs(g))):
-            raise ValueError("grid step is not constant")
+        g, v = _uniform_grid(self.grid, self.values, "SampledBoundaryFunction")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -112,7 +104,8 @@ def fourier_coefficients(f: SampledBoundaryFunction, order: int) -> FourierSerie
 
     On the periodic grid the rule is a plain step-weighted sum, exact to
     roundoff for trigonometric polynomials of degree <= grid size / 2 - 1.
-    Orders beyond that limit alias and are rejected.
+    Orders beyond that limit alias and are rejected.  On the grid t_0 + k h
+    with m h = 2pi the sum is h e^{-i n t_0} fft(f)[n mod m] (Cooley-Tukey).
     """
     if not f.covers_period():
         raise ValueError("samples must cover one full period of length 2*pi")
@@ -122,8 +115,7 @@ def fourier_coefficients(f: SampledBoundaryFunction, order: int) -> FourierSerie
     if order < 0:
         raise ValueError("order must be >= 0")
     n = np.arange(-order, order + 1)
-    phases = np.exp(-1j * np.outer(n, f.grid))
-    coeffs = f.step * (phases @ f.values)
+    coeffs = f.step * np.exp(-1j * n * f.grid[0]) * np.fft.fft(f.values)[n % m]
     return FourierSeries(order, coeffs)
 
 

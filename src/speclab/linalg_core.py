@@ -82,6 +82,22 @@ def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
     return values
 
 
+def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
+    """The grid as float and the values as complex, checked to be matching 1-d arrays
+    of >= 2 points on a strictly increasing grid whose steps spread by at most
+    1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`."""
+    g = np.asarray(grid, dtype=float)
+    v = np.asarray(values, dtype=complex)
+    if g.ndim != 1 or g.shape != v.shape or g.size < 2:
+        raise ValueError(f"{owner}: grid/values must be matching 1-d arrays with >= 2 points")
+    steps = np.diff(g)
+    if np.any(steps <= 0):
+        raise ValueError(f"{owner}: grid must be strictly increasing")
+    if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + np.max(np.abs(g))):
+        raise ValueError(f"{owner}: grid step is not constant")
+    return g, v
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Operator norm (largest singular value)."""
     m = require_matrix(a)

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _sample
+from .linalg_core import _sample, _uniform_grid
 
 __all__ = [
     "FiniteMeasure",
@@ -47,15 +47,7 @@ class FiniteMeasure:
         if (g is None) != (v is None):
             raise ValueError("density grid and values must be given together")
         if g is not None:
-            g = np.asarray(g, dtype=float)
-            v = np.asarray(v, dtype=complex)
-            if g.ndim != 1 or g.shape != v.shape or g.size < 2:
-                raise ValueError("density grid/values must be matching 1-d arrays")
-            steps = np.diff(g)
-            if np.any(steps <= 0):
-                raise ValueError("density grid must be strictly increasing")
-            if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + np.max(np.abs(g))):
-                raise ValueError("density grid must be uniform")
+            g, v = _uniform_grid(g, v, "FiniteMeasure density")
             if not np.all(np.isfinite(v.view(float))):
                 raise ValueError("density has non-finite values")
             object.__setattr__(self, "density_grid", g)

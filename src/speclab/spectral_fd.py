@@ -373,13 +373,14 @@ def commuting_diagonalization(
     mb = require_hermitian(b)
     if ma.shape != mb.shape:
         raise ValueError("matrices must have the same shape")
-    if tau_comm is None:  # Hermitian, so ||A|| = max |lambda|: no SVD needed
-        na, nb = (float(np.max(np.abs(np.linalg.eigvalsh(x)), initial=0.0)) for x in (ma, mb))
+    res = hermitian_eig(ma)
+    if tau_comm is None:  # Hermitian, so ||A|| = max |lambda| (A's from res): no SVD needed
+        na = float(np.max(np.abs(res.eigenvalues), initial=0.0))
+        nb = float(np.max(np.abs(np.linalg.eigvalsh(mb)), initial=0.0))
         tau_comm = 1e-10 * (1.0 + na) * (1.0 + nb)
     comm = operator_norm(ma @ mb - mb @ ma)
     if comm > tau_comm:
         return CompatibilityResult(False, comm)
-    res = hermitian_eig(ma)
     basis = np.empty_like(res.eigenvectors)
     db = np.empty(res.dim)
     for lo, hi in zip(res.offsets[:-1], res.offsets[1:]):

@@ -60,13 +60,16 @@ def test_cosine_splits_into_two_modes():
 
 
 def test_exact_up_to_aliasing_limit():
-    # 64 samples resolve trig polynomials up to degree 31 exactly
+    # 64 samples resolve trig polynomials up to degree 31 exactly, as do 65; the
+    # shifted grids start at t_0 = 0.3 instead of on_circle's -pi
     rng = np.random.default_rng(3)
     f, modes, coeffs = random_trig_poly(rng, 31)
-    sampled = SampledBoundaryFunction.on_circle(f, n=64)
-    series = fourier_coefficients(sampled, 31)
-    for n, c in zip(modes, coeffs):
-        assert abs(series.coefficient(int(n)) - TWO_PI * c) < 1e-12 * (1 + abs(c) * TWO_PI)
+    samples = [SampledBoundaryFunction.on_circle(f, n=64)]
+    samples += [SampledBoundaryFunction(t, f(t)) for t in (0.3 + TWO_PI * np.arange(m) / m for m in (64, 65))]
+    for sampled in samples:
+        series = fourier_coefficients(sampled, 31)
+        for n, c in zip(modes, coeffs):
+            assert abs(series.coefficient(int(n)) - TWO_PI * c) < 1e-12 * (1 + abs(c) * TWO_PI)
 
 
 def test_aliasing_order_rejected():
@@ -105,11 +108,10 @@ def test_boundary_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, f.values)
 
 
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        SampledBoundaryFunction(np.array([0.0, 1.0, 1.5]), np.zeros(3))
-    with pytest.raises(ValueError):
-        SampledBoundaryFunction(np.array([0.0, -1.0]), np.zeros(2))
+def test_grid_validation(bad_grids):
+    for grid, values, reason in bad_grids:
+        with pytest.raises(ValueError, match=f"^SampledBoundaryFunction: .*{reason}"):
+            SampledBoundaryFunction(grid, values)
     assert SampledBoundaryFunction.on_circle(np.cos).covers_period()
 
 

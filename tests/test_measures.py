@@ -267,11 +267,14 @@ def test_transforms_of_positive_measures_are_pd():
 
 # ---------------------------------------------------------------- plumbing
 
-def test_measure_validation_and_properties():
+def test_measure_validation_and_properties(bad_grids):
     with pytest.raises(ValueError):
         FiniteMeasure(density_grid=np.array([0.0, 1.0]), density_values=None)
-    with pytest.raises(ValueError):
-        FiniteMeasure.from_density(np.array([0.0, 1.0, 1.5]), np.zeros(3))
+    for grid, values, reason in bad_grids:
+        with pytest.raises(ValueError, match=f"^FiniteMeasure density: .*{reason}"):
+            FiniteMeasure.from_density(grid, values)
+    with pytest.raises(ValueError, match="non-finite"):
+        FiniteMeasure.from_density(np.array([0.0, 1.0]), np.array([0.0, np.nan]))
     mu = FiniteMeasure.from_atoms([(0.0, 1.0), (2.0, -0.5)])
     assert mu.total_mass() == pytest.approx(0.5)
     assert mu.total_variation() == pytest.approx(1.5)

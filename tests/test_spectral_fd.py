@@ -480,13 +480,24 @@ def test_uncertainty_requires_unit_state():
 
 # ---------------------------------------------------------------- joint diagonalization
 
-def test_commuting_polynomials_are_compatible():
+def test_commuting_polynomials_are_compatible(monkeypatch):
+    # A is diagonalized once, by hermitian_eig; eigvalsh runs at most once (for ||B||)
+    eigvalsh_calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(m, *args, **kwargs):
+        eigvalsh_calls.append(m)
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     rng = np.random.default_rng(73)
     for _ in range(20):
         seed = random_hermitian(rng, 5)
         a = seed @ seed - 2.0 * seed
         b = seed @ seed @ seed + 0.5 * np.eye(5)
+        eigvalsh_calls.clear()
         out = commuting_diagonalization(a, b)
+        assert len(eigvalsh_calls) <= 1
         assert out.compatible
         q = out.basis
         da = q.conj().T @ a @ q
