@@ -6,12 +6,14 @@ operator spectrum.  The Sturm-Liouville path is: a spectral shift ladder for
 problems where the operator is not injective, homogeneous solutions u, v by
 fixed-step RK4 shooting (with cubic-Hermite dense output) and a Wronskian
 check, all run once per solve.  The Green kernel u(max) v(min) / W is real
-and semiseparable, so its symmetrized Nystrom matrix and the off-grid
-interpolation table are assembled in float64 from u and v at the points, and
-a real symmetric eigensolve gives the spectrum.  The grid-doubling check
-compares eigenvalues only (eigvalsh at twice the nodes, same solutions), and
-each mode's residual is the defect of the integral eigen-equation
-f = (lambda - shift) G f, with G applied in O(N) by cumulative sums.
+and semiseparable, so its symmetrized Nystrom matrix S = W^{1/2} G W^{1/2}
+is never formed: S y is two cumulative sums over the nodes, O(n), and
+Lanczos with full reorthogonalization on that product gives the few
+extremal eigenpairs the solve needs, in O(n * steps) memory.  The same sums
+extend eigenfunctions off the grid.  The grid-doubling check is a second
+Lanczos at twice the nodes (same solutions), and each mode's residual is the
+defect of the integral eigen-equation f = (lambda - shift) G f, with G
+applied in O(N) by cumulative trapezoid sums.
 """
 
 from __future__ import annotations
@@ -338,9 +340,11 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
     v starts at a with data (alpha1, -alpha0), u starts at b with data
     (beta1, -beta0); both are integrated with classical fixed-step RK4
     (default step (b-a)/4096).  W = u v' - u' v is constant up to O(h^4);
-    if |W| <= 1e-6 (1 + max|u| max|v|) the operator is not injective on the
-    boundary-condition domain and NonInjectiveError directs the caller to
-    sl_shift.
+    if |W| <= 1e-6 (1 + max_x (|u v'| + |u' v|)), small against the two terms
+    that cancel in it, the operator is not injective on the boundary-condition
+    domain and NonInjectiveError directs the caller to sl_shift.  (Scaling by
+    max|u| max|v| instead would grow like W^2 for exponentially growing u and
+    v, and reject stiff injective problems such as q = 50.)
     """
     if h is None:
         h = (p.b - p.a) / ODE_STEPS
@@ -356,7 +360,7 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
     wr = u * vp - up * v
     w = float(np.mean(wr))
     drift = float(np.max(wr) - np.min(wr))
-    tau_w = 1e-6 * (1.0 + np.max(np.abs(u)) * np.max(np.abs(v)))
+    tau_w = 1e-6 * (1.0 + np.max(np.abs(u * vp) + np.abs(up * v)))
     if abs(w) <= tau_w:
         raise NonInjectiveError(
             f"homogeneous solutions are dependent (|W| = {abs(w):.3e} <= {tau_w:.3e}); "
@@ -400,27 +404,82 @@ def sl_shift(p: SturmLiouvilleProblem, depth: int = SHIFT_LADDER_DEPTH) -> float
     return _shift_ladder(p, depth)[0]
 
 
-def _green_samples(solutions: SLSolutions, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The matrix G(x_i, t_j) = u(max) v(min) / W from u and v at the points only.
-
-    O(len(x) + len(t)) Hermite evaluations in place of sl_green's two per
-    entry; the entries are bit for bit those of sl_green(...)(x[:, None], t[None, :]).
-    """
-    upper = np.outer(solutions.u_at(x), solutions.v_at(t))
-    lower = np.outer(solutions.v_at(x), solutions.u_at(t))
-    out = np.where(x[:, None] >= t[None, :], upper, lower)
-    out /= solutions.wronskian
-    return out
-
-
 def _panel_grid(a: float, b: float, n_nodes: int) -> QuadratureGrid:
     """Composite Gauss-Legendre grid on [a, b] with about n_nodes nodes, NODES_PER_PANEL per panel."""
     return gauss_legendre_grid(a, b, max(1, int(round(n_nodes / NODES_PER_PANEL))), NODES_PER_PANEL)
 
 
-def _green_symmetrized(solutions: SLSolutions, grid: QuadratureGrid) -> np.ndarray:
-    """W^{1/2} G W^{1/2} on the grid: real symmetric for real q and real boundary data."""
-    return _symmetrized(_green_samples(solutions, grid.nodes, grid.nodes), grid)
+def _green_sums(ut: np.ndarray, vt: np.ndarray, wf: np.ndarray, ux: np.ndarray, vx: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """W sum_j G(x_i, t_j) wf_j for the Green kernel G = u(max) v(min) / W on ascending nodes t.
+
+    ut, vt and ux, vx are u and v at the nodes and at the points x, shaped to
+    broadcast against wf, and k_i = #{j : t_j <= x_i}.  G(x, t_j) is
+    u(x) v(t_j) / W for t_j <= x and v(x) u(t_j) / W above, so the sum is
+    u(x_i) times a prefix sum of v wf plus v(x_i) times a suffix sum of u wf,
+    each one cumulative sum over the nodes: O(len(t) + len(x)).  The suffix
+    sums are a reversed cumulative sum, not the total minus a prefix, which
+    cancels when u wf grows by orders of magnitude across the interval.
+    """
+    lower = np.zeros((wf.shape[0] + 1,) + wf.shape[1:])
+    np.cumsum(vt * wf, axis=0, out=lower[1:])
+    upper = np.zeros_like(lower)
+    upper[:-1] = np.cumsum((ut * wf)[::-1], axis=0)[::-1]
+    return ux * lower[k] + vx * upper[k]
+
+
+def _green_matvec(solutions: SLSolutions, grid: QuadratureGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> S y for S = W^{1/2} G W^{1/2} on the grid, real symmetric, in O(n) per product."""
+    u = solutions.u_at(grid.nodes)
+    v = solutions.v_at(grid.nodes)
+    sw = np.sqrt(grid.weights)
+    k = np.arange(1, grid.size + 1)
+    return lambda y: sw * _green_sums(u, v, sw * y, u, v, k) / solutions.wronskian
+
+
+def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j w_j G(x_i, x_j) f(x_j) at the points x for each column of f_nodes sampled at the grid nodes."""
+    u = solutions.u_at(grid.nodes)[:, None]
+    v = solutions.v_at(grid.nodes)[:, None]
+    k = np.searchsorted(grid.nodes, x, side="right")
+    wf = grid.weights[:, None] * f_nodes
+    return _green_sums(u, v, wf, solutions.u_at(x)[:, None], solutions.v_at(x)[:, None], k) / solutions.wronskian
+
+
+def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_top largest-|theta| Ritz values of a real symmetric n x n operator and their Ritz vectors.
+
+    Lanczos (Parlett, The Symmetric Eigenvalue Problem; Golub & Van Loan,
+    Matrix Computations, ch. 10) from a fixed-seed Gaussian start vector, so
+    reruns repeat every bit.  Each step orthogonalizes A q_m against all
+    previous vectors, twice; alpha_m = q_m . A q_m and beta_m is the norm of
+    what is left.  After step m the Ritz pairs (theta_i, s_i) of the m x m
+    tridiagonal T_m have residual norms beta_m |s_mi|, and the iteration stops
+    once each of the n_top largest-|theta| pairs has beta_m |s_mi| <=
+    1e-14 max|theta|, or at m = n.  On breakdown (beta_m = 0, an invariant
+    Krylov space) every pair passes that test.  Returns theta ordered by
+    decreasing |theta| and the Ritz vectors as orthonormal columns.
+    """
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(n, 4 * n_top), n))  # rows q_0, q_1, ...; doubled when full
+    alpha: list[float] = []
+    beta: list[float] = []
+    while True:
+        m = len(alpha)
+        if m == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(n, 2 * m) - m, n))])
+        basis[m] = q
+        w = apply(q)
+        alpha.append(float(q @ w))
+        for _ in range(2):  # one pass loses orthogonality once beta_m << |alpha_m|
+            w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
+        b = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        top = np.argsort(-np.abs(theta))[:n_top]
+        if m + 1 == n or np.all(b * np.abs(s[-1, top]) <= 1e-14 * np.max(np.abs(theta))):
+            return theta[top], basis[: m + 1].T @ s[:, top]
+        beta.append(b)
+        q = w / b
 
 
 def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> list[tuple[float, int]]:
@@ -464,6 +523,7 @@ class SLMode:
     samples: np.ndarray = field(repr=False)
     residual: float
     refine_drift: float | None = None
+    shift: float | None = None
 
 
 def sl_eigensolve(
@@ -474,29 +534,37 @@ def sl_eigensolve(
 ) -> list[SLMode]:
     """Lowest |lambda| eigenvalues/eigenfunctions of -y'' + q y = lambda y.
 
-    The shift ladder and RK4 shooting run once.  The symmetrized Nystrom
-    matrix of the Green operator of the shifted problem is assembled, real
-    and symmetric, from u and v at the nodes (G_ij = u(x_max) v(x_min) / W),
-    and real eigh gives its eigenvalues mu; lambda = 1/mu + shift.
-    Eigenfunction node samples are orthonormal under the quadrature pairing.
-    Each mode's residual is the relative L2 defect of f = (lambda - shift) G f
-    on 2001 uniform points, where f is the Nystrom extension
-    (1/mu) sum_j w_j G(x, x_j) f(x_j) and G is applied by cumulative
-    trapezoid sums.  With check_refinement, the same solutions give the
-    eigenvalues at 2 n_nodes (eigvalsh only); each mode records its relative
-    drift as refine_drift, and a drift above 1% emits a RuntimeWarning.
+    The shift ladder and RK4 shooting run once.  The Green operator of the
+    shifted problem is discretized as S = W^{1/2} G W^{1/2} on the Nystrom
+    grid, real and symmetric, with G_ij = u(x_max) v(x_min) / W; S is never
+    formed, since G is semiseparable and S y takes two cumulative sums over
+    the nodes.  Lanczos on that product gives the 4 k_wanted largest-|mu|
+    Ritz pairs of S, stopping when each has residual <= 1e-14 max|mu|, and
+    lambda = 1/mu + shift.  One start vector suffices: with separated
+    boundary conditions every eigenvalue is simple, so no eigenvector hides
+    behind another of the same eigenvalue.  Eigenfunction node samples are
+    orthonormal under the quadrature pairing, and each mode records the
+    ladder's shift.  Each mode's residual is the relative L2 defect of
+    f = (lambda - shift) G f on 2001 uniform points, where f is the Nystrom
+    extension (1/mu) sum_j w_j G(x, x_j) f(x_j), taken by cumulative node sums,
+    and G is applied by cumulative trapezoid sums.  With check_refinement, the
+    same solutions give the eigenvalues at 2 n_nodes (a second Lanczos);
+    each mode records its relative drift as refine_drift, and a drift above
+    1% emits a RuntimeWarning.  Time is O(n_nodes * steps^2) and memory
+    O(n_nodes * steps) for the Lanczos step count, about 50 at k_wanted = 5.
     """
     mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
     grid = _panel_grid(p.a, p.b, n_nodes)
-    wb, vb = np.linalg.eigh(_green_symmetrized(sols, grid))
-    lam_cand = _sl_candidates(wb, mu_shift, k_wanted)
+    theta, ritz = _lanczos(_green_matvec(sols, grid), grid.size, 4 * k_wanted)
+    lam_cand = _sl_candidates(theta, mu_shift, k_wanted)
     lams = np.array([lam for lam, _ in lam_cand])
     idx = [i for _, i in lam_cand]
 
     drifts: list[float | None] = [None] * len(lam_cand)
     if check_refinement:
-        wf = np.linalg.eigvalsh(_green_symmetrized(sols, _panel_grid(p.a, p.b, 2 * n_nodes)))
-        finer = _sl_candidates(wf, mu_shift, k_wanted)
+        doubled = _panel_grid(p.a, p.b, 2 * n_nodes)
+        theta2, _ = _lanczos(_green_matvec(sols, doubled), doubled.size, 4 * k_wanted)
+        finer = _sl_candidates(theta2, mu_shift, k_wanted)
         for r, (lam, (lam2, _)) in enumerate(zip(lams, finer)):
             drifts[r] = float(abs(lam - lam2) / max(1.0, abs(lam)))
         for r, drift in enumerate(drifts):
@@ -508,15 +576,15 @@ def sl_eigensolve(
                 )
                 break
 
-    psi = vb[:, idx]
+    psi = ritz[:, idx]
     psi *= np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(len(idx))])
     f_nodes = psi / np.sqrt(grid.weights)[:, None]
     # extend off-grid: f(x) = (1/mu) sum_j w_j G(x, x_j) f(x_j)
     fine = np.linspace(p.a, p.b, 2001)
-    f_fine = (_green_samples(sols, fine, grid.nodes) @ (grid.weights[:, None] * f_nodes)) / wb[idx]
+    f_fine = _green_extension(sols, grid, f_nodes, fine) / theta[idx]
     residuals = _sl_residuals(sols, fine, f_fine, lams - mu_shift)
     return [
-        SLMode(r + 1, float(lams[r]), grid.nodes, f_nodes[:, r], float(residuals[r]), drifts[r])
+        SLMode(r + 1, float(lams[r]), grid.nodes, f_nodes[:, r], float(residuals[r]), drifts[r], mu_shift)
         for r in range(len(idx))
     ]
 
@@ -640,6 +708,7 @@ def sl_modes_to_json(modes: Sequence[SLMode]) -> list[dict]:
             "lambda": float(m.lam),
             "residual": float(m.residual),
             "refine_drift": m.refine_drift,
+            "shift": m.shift,
             "nodes": [float(x) for x in m.nodes],
             "samples": [float(np.real(s)) for s in m.samples],
         }

@@ -1,6 +1,7 @@
 """Nystrom operators, HS norm and trace, Volterra, Sturm-Liouville Green machinery."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,10 @@ def dirichlet_problem(a, b, q):
 
 def zero_q(x):
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def const_q(c):
+    return lambda x: c + 0.0 * np.asarray(x, dtype=float)
 
 
 # ---------------------------------------------------------------- quadrature grids
@@ -208,6 +213,18 @@ def test_backward_shot_mirrors_forward_shot():
     assert abs(sol.v[-1]) > 1.0  # the shot has grown well away from its start
 
 
+def test_solutions_and_derivatives_match_closed_forms():
+    # q = 2 with Dirichlet ends on [0, 2]: v = -sinh(r x) / r and v' = -cosh(r x)
+    # for r = sqrt(2); u is the mirror image, u(x) = -v(2 - x) and u'(x) = v'(2 - x)
+    r = np.sqrt(2.0)
+    sol = sl_homogeneous_solutions(dirichlet_problem(0.0, 2.0, const_q(2.0)))
+    assert np.all(sol.q_nodes == 2.0) and sol.q_nodes.shape == sol.xs.shape
+    x = np.linspace(0.0, 2.0, 301)  # mostly between the RK4 nodes
+    for got, want in ((sol.v_at(x), -np.sinh(r * x) / r), (sol.vp_at(x), -np.cosh(r * x)),
+                      (sol.u_at(x), np.sinh(r * (2.0 - x)) / r), (sol.up_at(x), -np.cosh(r * (2.0 - x)))):
+        assert np.all(np.abs(got - want) <= 1e-11 * (1.0 + np.abs(want)))
+
+
 def test_wronskian_drift_small():
     p = dirichlet_problem(0.0, np.pi, lambda x: np.cos(x))
     sol = sl_homogeneous_solutions(p)
@@ -257,6 +274,13 @@ def test_green_satisfies_left_boundary_condition():
 
 def test_shift_zero_for_injective_problem():
     assert sl_shift(dirichlet_problem(0.0, 1.0, zero_q)) == 0.0
+
+
+@pytest.mark.parametrize("c", [50.0, 200.0])
+def test_shift_zero_for_stiff_injective_problem(c):
+    # the spectrum is k^2 + c > 0; |W| ~ 1e9 (c = 50) or 7e17 (c = 200) is far
+    # below max|u| max|v|, but not below the terms u v' and u' v that cancel in W
+    assert sl_shift(dirichlet_problem(0.0, np.pi, const_q(c))) == 0.0
 
 
 def test_shift_finds_workable_mu():
@@ -321,6 +345,8 @@ def test_noninjective_problem_solved_through_shift():
     lams = sorted(m.lam for m in modes)
     for got, want in zip(lams, (0.0, 3.0, 8.0)):
         assert abs(got - want) <= 0.005 * (1 + want)
+    assert [m.shift for m in modes] == [1.0] * 3  # mu = 0 is rejected, +1 accepted
+    assert [blob["shift"] for blob in sl_modes_to_json(modes)] == [1.0] * 3
 
 
 def test_eigensolve_stable_under_grid_doubling():
@@ -365,6 +391,9 @@ SL_CASES = {
     "dirichlet-q0": dirichlet_problem(0.0, np.pi, zero_q),
     "dirichlet-q-1": dirichlet_problem(0.0, np.pi, neg_one_q),  # lambda = 0: through the ladder
     "dirichlet-cos": dirichlet_problem(0.0, np.pi, np.cos),
+    # stiff: u and v grow like e^{sqrt(q) x}, to ~1e9 and ~1e17 at the far end
+    "dirichlet-q50": dirichlet_problem(0.0, np.pi, const_q(50.0)),
+    "dirichlet-q200": dirichlet_problem(0.0, np.pi, const_q(200.0)),
     "robin-neumann-x2": SturmLiouvilleProblem(0.0, 1.0, lambda x: np.asarray(x, dtype=float) ** 2,
                                               (1.0, -0.5), (0.0, 1.0)),
     "robin-q0": SturmLiouvilleProblem(0.0, np.pi, zero_q, (1.0, 1.0), (1.0, 0.5)),
@@ -403,12 +432,23 @@ def test_structured_eigensolve_matches_dense_route(name):
         assert abs(m.lam - lam) <= 1e-12 * max(1.0, abs(lam))
         # argmax sign rule ties on symmetric problems (sin 2x peaks at pi/4 and 3pi/4)
         assert min(np.max(np.abs(m.samples - f)), np.max(np.abs(m.samples + f))) <= 1e-10
-    x = grid.nodes
+    # the O(n) products against the dense tables they replace, componentwise:
+    # |fast - dense| <= 1e-12 (|table| |vector|), a summation-order bound
+    # (n eps = 5e-14 at n = 240) that a product cancelling between terms much
+    # larger than the result cannot meet
+    assert not np.any(op.kernel_matrix.imag)
+    b = ((op.symmetrized + op.symmetrized.T) / 2.0).real
+    matvec = integral_ops._green_matvec(sols, grid)
+    for y in np.random.default_rng(11).standard_normal((3, grid.size)):
+        sy = matvec(y)
+        assert sy.dtype == np.float64
+        assert np.all(np.abs(sy - b @ y) <= 1e-12 * (np.abs(b) @ np.abs(y)))
     fine = np.linspace(p.a, p.b, 2001)
-    green = integral_ops._green_samples(sols, x, x)
-    assert green.dtype == np.float64
-    assert np.array_equal(green, op.kernel_matrix.real) and not np.any(op.kernel_matrix.imag)
-    assert np.array_equal(integral_ops._green_samples(sols, fine, x), g(fine[:, None], x[None, :]))
+    table = g(fine[:, None], grid.nodes[None, :]).real
+    f_nodes = np.column_stack([m.samples for m in modes])
+    wf = grid.weights[:, None] * f_nodes
+    ext = integral_ops._green_extension(sols, grid, f_nodes, fine)
+    assert np.all(np.abs(ext - table @ wf) <= 1e-12 * (np.abs(table) @ np.abs(wf)))
 
 
 @pytest.mark.parametrize("name", ["dirichlet-q0", "dirichlet-q-1", "dirichlet-cos", "robin-q0"])
@@ -432,6 +472,58 @@ def test_grid_doubling_warning_and_drift():
     assert sl_modes_to_json(modes)[0]["refine_drift"] == modes[0].refine_drift
     settled = sl_eigensolve(p, n_nodes=400, k_wanted=5)
     assert all(0.0 < m.refine_drift <= 1e-3 for m in settled)
+
+
+def test_lanczos_near_invariant_krylov_space_and_breakdown():
+    # eigenvalues 3, 2, 1 above 197 of order 1e-10: after three steps the Krylov
+    # space is nearly invariant (beta ~ 1e-10 |alpha|), where a single
+    # Gram-Schmidt pass leaves the next vector ~1e-6 out of orthogonality and
+    # copies of 3, 2, 1 return as spurious Ritz values
+    d = np.concatenate([[3.0, 2.0, 1.0], 1e-10 * np.linspace(1.0, 2.0, 197)])
+    theta, ritz = integral_ops._lanczos(lambda y: d * y, d.size, 8)
+    # each Ritz value is within its residual bound, 1e-14 max|theta|, of an eigenvalue
+    assert np.all(np.abs(theta - np.sort(d)[::-1][:8]) <= 1e-14 * 3.0)
+    assert np.max(np.abs(ritz.T @ ritz - np.eye(8))) <= 1e-13
+    # rank 3: the Krylov space is invariant after four steps (3, 2, 1 and the
+    # start vector's null-space part), and the iteration stops there
+    d[3:] = 0.0
+    theta, ritz = integral_ops._lanczos(lambda y: d * y, d.size, 8)
+    assert ritz.shape == (d.size, 4)
+    assert np.all(np.abs(theta - [3.0, 2.0, 1.0, 0.0]) <= 1e-14 * 3.0)
+
+
+def test_eigensolve_reruns_are_bitwise_equal():
+    # the Lanczos start vector is seeded, so a second call repeats every bit
+    p = SL_CASES["dirichlet-cos"]
+    first, second = (sl_eigensolve(p, n_nodes=240, k_wanted=5) for _ in range(2))
+    for a, b in zip(first, second):
+        assert (a.lam, a.residual, a.refine_drift, a.shift) == (b.lam, b.residual, b.refine_drift, b.shift)
+        assert np.array_equal(a.samples, b.samples)
+
+
+def test_eigensolve_memory_is_linear_in_nodes(monkeypatch):
+    # at n = 4000 a dense grid-doubling matrix would take 8000^2 doubles (512 MB)
+    # and the 2001 x n extension table 64 MB; the Lanczos basis takes O(n steps)
+    n = 4000
+    dense = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            if np.shape(a)[-1] >= n:
+                dense.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    tracemalloc.start()
+    try:
+        modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=n, k_wanted=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense == []
+    assert peak < 50e6
+    for m in modes:
+        assert abs(m.lam - m.k ** 2) <= 1e-5 * m.k ** 2
+        assert m.refine_drift <= 1e-5
 
 
 def test_refinement_reuses_shift_and_solutions(monkeypatch):
@@ -508,4 +600,5 @@ def test_modes_export(tmp_path):
     blob = sl_modes_to_json(modes)
     assert blob[0]["k"] == 1
     assert blob[0]["refine_drift"] is None
+    assert blob[0]["shift"] == 0.0
     assert len(blob[0]["samples"]) == len(modes[0].nodes)
