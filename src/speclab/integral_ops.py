@@ -497,7 +497,9 @@ def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: n
     """||f - scale G f|| / ||f|| for each column of f sampled on the uniform grid x.
 
     G f(x) = (u(x) int_a^x v f + v(x) int_x^b u f) / W is applied in O(len(x))
-    by cumulative trapezoid sums.
+    by cumulative trapezoid sums.  The integrals from x to b are a reversed
+    cumulative sum, not the total minus a prefix, which cancels when u f grows
+    by orders of magnitude across the interval.
     """
     u = solutions.u_at(x)[:, None]
     v = solutions.v_at(x)[:, None]
@@ -509,8 +511,7 @@ def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: n
         return out
 
     left = cumulative(v * f)
-    right = cumulative(u * f)
-    right = right[-1] - right
+    right = cumulative((u * f)[::-1])[::-1]
     defect = f - scale * (u * left + v * right) / solutions.wronskian
     return np.linalg.norm(defect, axis=0) / np.linalg.norm(f, axis=0)
 

@@ -287,8 +287,13 @@ class SpectralResolution:
         return self.combine(self.eigenvalues)
 
 
+def _cluster_tol(norm: float) -> float:
+    """Default eigenvalue-clustering tolerance for a matrix of norm ||A||: max(1e-8, 1e-12 ||A||)."""
+    return max(1e-8, 1e-12 * norm)
+
+
 def cluster_tol_default(a: np.ndarray) -> float:
-    return max(1e-8, 1e-12 * operator_norm(a))
+    return _cluster_tol(operator_norm(a))
 
 
 def cluster_offsets(w: np.ndarray, tol: float) -> np.ndarray:
@@ -312,8 +317,8 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
     m = require_hermitian(a)
     w, v = np.linalg.eigh(m)
     if cluster_tol is None:
-        # cluster_tol_default(m), with ||A|| = max |lambda| from eigh in place of an SVD
-        cluster_tol = max(1e-8, 1e-12 * float(np.max(np.abs(w), initial=0.0)))
+        # ||A|| = max |lambda| from eigh, in place of an SVD
+        cluster_tol = _cluster_tol(float(np.max(np.abs(w), initial=0.0)))
     offsets = cluster_offsets(w, cluster_tol)
     eigenvalues = np.array([float(np.mean(w[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])])
     return SpectralResolution(eigenvalues, v, offsets)

@@ -464,6 +464,14 @@ def test_residual_is_integral_equation_defect(name):
         assert f.residual <= c.residual / 3.0
 
 
+def test_residual_of_stiff_problem_has_no_suffix_cancellation():
+    # u f grows to ~1e17 across [0, pi]; a suffix integral taken as the total
+    # minus a prefix loses its digits there and read residuals of 0.10-0.26
+    modes = sl_eigensolve(SL_CASES["dirichlet-q200"], n_nodes=400, k_wanted=5, check_refinement=False)
+    assert len(modes) == 5
+    assert all(0.0 < m.residual < 5e-3 for m in modes)
+
+
 def test_grid_doubling_warning_and_drift():
     p = dirichlet_problem(0.0, np.pi, zero_q)
     with pytest.warns(RuntimeWarning, match=re.escape("eigenvalue 1 unstable under grid doubling (drift 1.94%)")):

@@ -1,10 +1,12 @@
 """Finite measures: Fourier transforms, Poisson smoothing, Herglotz recovery, Bochner tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from speclab import measures
 from speclab import (
     FiniteMeasure,
     extract_atoms,
@@ -164,6 +166,118 @@ def test_smooth_weak_star_on_gaussian_bump():
         got = np.trapezoid(bump(grid) * dens, grid).real
         errs.append(abs(got - want))
     assert errs[0] > errs[1] > errs[2]
+
+
+def direct_smooth(mu, y, x):
+    # oracle: the M x N kernel matrix summed by np.trapezoid, plus the atoms
+    out = np.zeros(x.shape, dtype=complex)
+    for a, m in mu.atoms:
+        out += m * poisson_density(x - a, y)
+    if mu.density_grid is not None:
+        u = mu.density_grid
+        out += np.trapezoid(poisson_density(x[:, None] - u[None, :], y) * mu.density_values, u, axis=1)
+    return out
+
+
+def smooth_routes(monkeypatch):
+    # records each call of the tiled direct sum, the route off the lattice
+    calls = []
+    tiled = measures._kernel_sum
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return tiled(*args)
+
+    monkeypatch.setattr(measures, "_kernel_sum", counting)
+    return calls
+
+
+def _grid(lo, h, n):
+    return lo + h * np.arange(n)
+
+
+_FFT_CASES = {
+    # density grid u, output grid x, density values, atoms
+    "equal grids, signed": (np.linspace(-7.3, 11.1, 1001), None, "real", ()),
+    "wider output, whole-step offset, complex": (
+        np.linspace(-2.0, 3.0, 501), _grid(-2.0 - 137 * 0.01, 0.01, 1400), "complex", ()),
+    "output left of density, no overlap": (_grid(1e3, 0.1, 100), _grid(1e3 - 40.0, 0.1, 300), "complex", ()),
+    "N = 2": (np.linspace(1.0, 1.5, 2), np.linspace(-1.0, 2.5, 8), "complex", ()),
+    "N = 3": (np.linspace(0.0, 1.0, 3), None, "real", ()),
+    "atoms and grid part": (np.linspace(-5.0, 5.0, 801), np.linspace(-6.0, 6.0, 961), "complex",
+                            ((-1.3, 0.5 - 0.25j), (2.0, -1.0), (4.9, 2.0j))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FFT_CASES))
+def test_smooth_lattice_grids_take_fft_route(name, monkeypatch):
+    u, x, kind, atoms = _FFT_CASES[name]
+    x = u if x is None else x
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal(u.size)
+    if kind == "complex":
+        v = v + 1j * rng.standard_normal(u.size)
+    mu = FiniteMeasure(atoms=atoms, density_grid=u, density_values=v)
+    calls = smooth_routes(monkeypatch)
+    for y in (0.03, 0.7):
+        got = poisson_smooth(mu, y, x).density_values
+        ref = direct_smooth(mu, y, x)
+        # the FFT error is absolute: eps log2(n_fft) max|k| sum |w v|, max|k| <= 1/(pi y);
+        # the atoms add their own roundoff, eps |m| max|k| each
+        n_fft = 2.0 ** math.ceil(math.log2(x.size + u.size - 1))
+        mass = np.trapezoid(np.abs(v), u) + sum(abs(m) for _, m in atoms)
+        bound = np.finfo(float).eps * math.log2(2.0 * n_fft) * mass / (np.pi * y)
+        assert np.max(np.abs(got - ref)) <= bound
+    assert calls == []
+
+
+def _perturbed(g, seed):
+    # ~1e-10 off arithmetic, inside the uniformity check; the ends stay on the
+    # lattice, so only the grid's own test can send it to the direct sum
+    g = g.copy()
+    g[1:-1] += 1e-10 * np.random.default_rng(seed).standard_normal(g.size - 2)
+    return g
+
+
+_U = np.linspace(-5.0, 5.0, 801)
+_FALLBACK_CASES = {
+    # density grid u, output grid x
+    "half-step offset": (_U, _U + 0.5 * (_U[1] - _U[0])),
+    "density grid off arithmetic": (_perturbed(_U, 22), _U),
+    "output grid off arithmetic": (_U, _perturbed(_U, 23)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACK_CASES))
+def test_smooth_off_lattice_grids_take_direct_sum(name, monkeypatch):
+    u, x = _FALLBACK_CASES[name]
+    v = np.exp(-u ** 2) * (1.0 - 0.5j) + 0.3 * np.random.default_rng(24).standard_normal(u.size)
+    mu = FiniteMeasure(atoms=((0.4, 1.5),), density_grid=u, density_values=v)
+    calls = smooth_routes(monkeypatch)
+    for y in (0.03, 0.7):
+        got = poisson_smooth(mu, y, x).density_values
+        ref = direct_smooth(mu, y, x)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert calls == [x.size, x.size]
+
+
+@pytest.mark.parametrize("offset, limit", [(0.0, 10e6), (0.5, 50e6)])
+def test_smooth_memory_is_linear_in_grid_size(offset, limit):
+    # a 4001 x 4001 kernel matrix alone takes 128 MB; the FFT route (whole-step
+    # offset) needs O(M + N) and the direct sum (half-step offset) 256-row tiles
+    u = np.linspace(-10.0, 10.0, 4001)
+    x = u + offset * (u[1] - u[0])
+    mu = FiniteMeasure.from_density(u, np.exp(-u ** 2))
+    tracemalloc.start()
+    try:
+        out = poisson_smooth(mu, 0.5, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+    rows = [0, 1234, 4000]
+    ref = direct_smooth(mu, 0.5, x[rows])
+    assert np.max(np.abs(out.density_values[rows] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------- herglotz recovery
