@@ -330,8 +330,7 @@ def _exp_cayley(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentRe
         unit = operator_norm(u.conj().T @ u - np.eye(cfg.dim))
         wu = np.linalg.eigvals(u)
         wm = np.array([spectral_fd.cayley_map(x) for x in np.linalg.eigvalsh(a)])
-        d = np.abs(wu[:, None] - wm[None, :])
-        return unit, float(np.max([d.min(axis=1).max(), d.min(axis=0).max()]))
+        return unit, spectral_fd._set_distance(wu, wm)
 
     rows = _trials(cfg, rng, 100, trial)
     checks = [

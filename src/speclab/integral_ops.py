@@ -21,12 +21,13 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg_core import _read_key_values, _sample, operator_norm, require_hermitian, require_matrix
+from .linalg_core import _read_key_values, _require_square, _sample, operator_norm, require_hermitian, require_matrix
 
 __all__ = [
     "QuadratureGrid",
@@ -98,16 +99,19 @@ def gauss_legendre_grid(
         raise ValueError("need a < b")
     if panels < 1 or per_panel < 1:
         raise ValueError("panels and per_panel must be >= 1")
-    x0, w0 = leggauss(per_panel)
+    x0, w0 = _gauss_legendre(per_panel)
     edges = np.linspace(a, b, panels + 1)
-    nodes = []
-    weights = []
-    for k in range(panels):
-        lo, hi = edges[k], edges[k + 1]
-        half = (hi - lo) / 2.0
-        nodes.append(half * x0 + (lo + hi) / 2.0)
-        weights.append(half * w0)
-    return QuadratureGrid(a, b, np.concatenate(nodes), np.concatenate(weights))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = (hi - lo) / 2.0
+    return QuadratureGrid(a, b, (half * x0 + (lo + hi) / 2.0).ravel(), (half * w0).ravel())
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """leggauss(n) on [-1, 1], built once per n and read-only because every caller shares it."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -182,10 +186,7 @@ def trace(t):
             raise ValueError("operator trace requires a Hermitian kernel")
         _positive_hermitian_part(b, scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
-    m = require_matrix(t)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("trace needs a square matrix")
-    return complex(np.trace(m))
+    return complex(np.trace(_require_square(t)))
 
 
 @dataclass(frozen=True)
@@ -554,6 +555,8 @@ def sl_eigensolve(
     1% emits a RuntimeWarning.  Time is O(n_nodes * steps^2) and memory
     O(n_nodes * steps) for the Lanczos step count, about 50 at k_wanted = 5.
     """
+    if k_wanted < 1:
+        raise ValueError(f"k_wanted must be >= 1, got {k_wanted}")
     mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
     grid = _panel_grid(p.a, p.b, n_nodes)
     theta, ritz = _lanczos(_green_matvec(sols, grid), grid.size, 4 * k_wanted)

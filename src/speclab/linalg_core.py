@@ -47,6 +47,14 @@ def require_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
+def _require_square(a: np.ndarray) -> np.ndarray:
+    """require_matrix, then ValueError unless the matrix is square."""
+    m = require_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
 def _sample(f: Callable, *args) -> np.ndarray:
     """f called once on its argument arrays, as a complex array of their broadcast shape.
 
@@ -103,7 +111,7 @@ def operator_norm(a: np.ndarray) -> float:
     m = require_matrix(a)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _norm_certainly_within(a: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[bool, np.ndarray]:
@@ -134,9 +142,7 @@ def hermiticity_tol(a: np.ndarray) -> float:
 
 def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Validate max_ij |A_ij - conj(A_ji)| <= tol and return the matrix."""
-    m = require_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = _require_square(a)
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if tol is None:
         # hermiticity_tol is never below 1e-10, so a smaller defect needs no SVD

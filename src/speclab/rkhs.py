@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .linalg_core import _sample
+from .integral_ops import gauss_legendre_grid
+from .linalg_core import _sample, operator_norm
 
 __all__ = [
     "Kernel",
@@ -282,7 +282,7 @@ def multiplier_adjoint_check(
         pts,
         residuals,
         float(np.max(residuals, initial=0.0)),
-        float(np.linalg.norm(mb, 2)),
+        operator_norm(mb),
         max_abs_b,
     )
 
@@ -315,12 +315,11 @@ def dirichlet_seminorm(coeffs: Sequence[complex]) -> float:
 def disc_quadrature(n_radial: int = 64, n_angular: int = 256):
     """Tensor polar rule for integrals over the unit disc.
 
-    Returns (points, weights) with sum_k w_k f(z_k) ~ integral_D f dA:
-    Gauss-Legendre in radius (weighted by r) times a uniform angular grid.
+    Returns (points, weights) with sum_k w_k f(z_k) ~ integral_D f dA: the radial
+    rule gauss_legendre_grid(0, 1, 1, n_radial), weighted by r, times a uniform angular grid.
     """
-    r0, wr = leggauss(n_radial)
-    r = (r0 + 1.0) / 2.0
-    wr = wr / 2.0
+    radial = gauss_legendre_grid(0.0, 1.0, 1, n_radial)
+    r, wr = radial.nodes, radial.weights
     t = 2.0 * np.pi * np.arange(n_angular) / n_angular
     dt = 2.0 * np.pi / n_angular
     z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()

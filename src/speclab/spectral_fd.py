@@ -22,12 +22,12 @@ import numpy as np
 from .linalg_core import (
     SpectralResolution,
     _norm_certainly_within,
+    _require_square,
     hermitian_eig,
     inner_product,
     matrix_to_json,
     operator_norm,
     require_hermitian,
-    require_matrix,
 )
 
 __all__ = [
@@ -206,6 +206,11 @@ class NeumannResult:
     tail: float
 
 
+def _require_kmax(kmax: int) -> None:
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+
+
 def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1e-12) -> NeumannResult:
     """Partial sums of sum_{n>=0} A^n / z^(n+1), converging to (zI - A)^-1.
 
@@ -221,9 +226,8 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     bracket straddles tau or 1e120 (within a 1e-8 relative margin), and on
     the last term, so `tail` is always the exact norm of the last term.
     """
-    m = require_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    m = _require_square(a)
+    _require_kmax(kmax)
     n = m.shape[0]
     if z == 0:
         return NeumannResult(np.full((n, n), np.nan, dtype=complex), False, 0, np.inf)
@@ -254,9 +258,8 @@ def spectral_radius_gelfand(a: np.ndarray, kmax: int = 20) -> np.ndarray:
     sequence is overflow/underflow safe; a nilpotent matrix yields exact
     zeros once the power vanishes.
     """
-    m = require_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
+    m = _require_square(a)
+    _require_kmax(kmax)
     seq = np.zeros(kmax + 1)
     nrm = operator_norm(m)
     if nrm == 0.0:
@@ -279,8 +282,13 @@ def hausdorff_distance_spectra(a: np.ndarray, b: np.ndarray) -> float:
     """Exact Hausdorff distance between the eigenvalue sets of two Hermitian matrices."""
     wa = np.linalg.eigvalsh(require_hermitian(a))
     wb = np.linalg.eigvalsh(require_hermitian(b))
-    d = np.abs(wa[:, None] - wb[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return _set_distance(wa, wb)
+
+
+def _set_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """Hausdorff distance of two finite sets in the complex plane; np.max lets a NaN propagate."""
+    d = np.abs(x[:, None] - y[None, :])
+    return float(np.max([d.min(axis=1).max(), d.min(axis=0).max()]))
 
 
 def cayley_map(x) -> complex:

@@ -53,6 +53,36 @@ def test_grid_weights_sum_to_length():
         assert np.all(np.diff(g.nodes) > 0)
 
 
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = integral_ops._gauss_legendre(6)
+    again = integral_ops._gauss_legendre(6)
+    assert again[0] is x and again[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def per_panel_loop_grid(a, b, panels, per_panel):
+    """The composite rule built one panel at a time, from a fresh leggauss."""
+    x0, w0 = np.polynomial.legendre.leggauss(per_panel)
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = [], []
+    for k in range(panels):
+        lo, hi = edges[k], edges[k + 1]
+        half = (hi - lo) / 2.0
+        nodes.append(half * x0 + (lo + hi) / 2.0)
+        weights.append(half * w0)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 3.5), (0.0, np.pi), (1e-3, 7.0 / 3.0)])
+@pytest.mark.parametrize("panels, per_panel", [(1, 1), (1, 64), (3, 4), (7, 5), (50, 8)])
+def test_grid_equals_per_panel_loop_bit_for_bit(a, b, panels, per_panel):
+    g = gauss_legendre_grid(a, b, panels=panels, per_panel=per_panel)
+    nodes, weights = per_panel_loop_grid(a, b, panels, per_panel)
+    assert np.array_equal(g.nodes, nodes) and np.array_equal(g.weights, weights)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         QuadratureGrid(0.0, 1.0, np.array([0.0, 0.5]), np.array([0.5, 0.5]))  # node at edge
@@ -470,6 +500,12 @@ def test_residual_of_stiff_problem_has_no_suffix_cancellation():
     modes = sl_eigensolve(SL_CASES["dirichlet-q200"], n_nodes=400, k_wanted=5, check_refinement=False)
     assert len(modes) == 5
     assert all(0.0 < m.residual < 5e-3 for m in modes)
+
+
+@pytest.mark.parametrize("k_wanted", [0, -1])
+def test_eigensolve_rejects_k_wanted_below_one(k_wanted):
+    with pytest.raises(ValueError, match="k_wanted"):
+        sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=80, k_wanted=k_wanted)
 
 
 def test_grid_doubling_warning_and_drift():

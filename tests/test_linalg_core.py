@@ -14,8 +14,11 @@ from speclab import (
     inner_product,
     matrix_from_json,
     matrix_to_json,
+    neumann_resolvent,
     operator_norm,
     require_hermitian,
+    spectral_radius_gelfand,
+    trace,
 )
 
 
@@ -206,6 +209,14 @@ def test_operator_norm_power_iteration_oracle():
     assert operator_norm(a) == pytest.approx(power_iteration_norm(a), abs=1e-8)
 
 
+def test_operator_norm_is_the_two_norm_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 8, 33):
+        real = rng.standard_normal((n, n))
+        for a in (real, real + 1j * rng.standard_normal((n, n))):
+            assert operator_norm(a) == np.linalg.norm(a.astype(complex), 2)
+
+
 def test_cstar_identity():
     # ||A*A|| = ||A||^2
     rng = np.random.default_rng(29)
@@ -321,6 +332,16 @@ def test_require_hermitian_tolerates_roundoff():
 def test_require_hermitian_rejects_visible_defect():
     with pytest.raises(ValueError):
         require_hermitian(np.array([[1.0, 1e-3], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [require_hermitian, trace, spectral_radius_gelfand, lambda a: neumann_resolvent(a, 2.0)],
+    ids=["require_hermitian", "trace", "spectral_radius_gelfand", "neumann_resolvent"],
+)
+def test_non_square_matrix_gets_the_one_shared_message(call):
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        call(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------- serialization

@@ -1,7 +1,10 @@
-"""The package namespace: the union of the library modules' __all__ lists."""
+"""The package namespace, and one site in the source for each shared rule."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import speclab
 
@@ -16,3 +19,36 @@ def test_namespace_is_the_union_of_module_all_lists():
             assert name not in owner, f"{name} is in both {owner[name]}.__all__ and {module_name}.__all__"
             owner[name] = module_name
             assert getattr(speclab, name) is getattr(module, name), f"speclab.{name} is not {module_name}.{name}"
+
+
+def _source_nodes():
+    """(file name, innermost enclosing function or None, node) for every AST node in src/speclab."""
+    for path in sorted(Path(speclab.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), None)]
+        while stack:
+            node, owner = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            yield path.name, owner, node
+            stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def test_each_shared_rule_has_one_site():
+    leggauss, two_norm, square, set_distance = [], [], [], []
+    for module, owner, node in _source_nodes():
+        if isinstance(node, ast.Compare) and re.search(r"shape\[0\] != \S*shape\[1\]", ast.unparse(node)):
+            square.append((module, owner))
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func.split(".")[-1] == "leggauss":
+            leggauss.append((module, owner))
+        order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if func.endswith("linalg.norm") and any(isinstance(o, ast.Constant) and o.value == 2 for o in order):
+            two_norm.append((module, owner))
+        if re.fullmatch(r".*\.min\(axis=\d\)\.max", func):  # a directed set distance
+            set_distance.append((module, owner))
+    assert leggauss == [("integral_ops.py", "_gauss_legendre")]
+    assert two_norm == [], "operator_norm owns the 2-norm"
+    assert square == [("linalg_core.py", "_require_square")]
+    assert sorted(set_distance) == [("spectral_fd.py", "_set_distance")] * 2

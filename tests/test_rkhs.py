@@ -329,6 +329,15 @@ def test_disc_quadrature_total_mass():
     assert np.max(np.abs(nodes)) < 1.0
 
 
+@pytest.mark.parametrize("n_radial", [1, 2, 7, 64, 199])
+def test_disc_quadrature_radial_rule_is_gauss_legendre_on_unit_interval(n_radial):
+    x, w = np.polynomial.legendre.leggauss(n_radial)
+    r, wr = (x + 1.0) / 2.0, w / 2.0
+    nodes, weights = disc_quadrature(n_radial, 3)
+    assert np.array_equal(np.abs(nodes[::3]), r)
+    assert np.array_equal(weights[::3], wr * r * (2.0 * np.pi / 3))
+
+
 def test_composed_function_chain_rule():
     a = np.array([0.5, -1.0, 2.0])  # f(z) = 0.5 - z + 2 z^2
     composed = compose_mobius(a, 0.3, 1.0)

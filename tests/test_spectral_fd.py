@@ -364,6 +364,15 @@ def test_neumann_takes_few_exact_norms(monkeypatch):
 
 # ---------------------------------------------------------------- gelfand radius
 
+@pytest.mark.parametrize(
+    "call", [lambda a, k: spectral_radius_gelfand(a, kmax=k), lambda a, k: neumann_resolvent(a, 2.0, kmax=k)],
+    ids=["spectral_radius_gelfand", "neumann_resolvent"],
+)
+def test_negative_kmax_is_rejected(call):
+    with pytest.raises(ValueError, match="kmax"):
+        call(np.eye(2), -1)
+
+
 def test_gelfand_nilpotent_hits_zero():
     seq = spectral_radius_gelfand(np.array([[0.0, 1.0], [0.0, 0.0]]), kmax=4)
     assert seq[0] == pytest.approx(1.0)
@@ -394,6 +403,18 @@ def test_hausdorff_shift_by_identity():
     c = 0.7
     assert hausdorff_distance_spectra(a, a + c * np.eye(5)) == pytest.approx(c, abs=1e-10)
     assert hausdorff_distance_spectra(a, a) == 0.0
+
+
+def test_set_distance_matches_double_loop():
+    rng = np.random.default_rng(45)
+    for m, n in ((1, 1), (1, 5), (4, 7), (9, 3)):
+        x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        from_x = max(min(abs(p - q) for q in y) for p in x)
+        from_y = max(min(abs(p - q) for p in x) for q in y)
+        # scalar and vectorized complex abs may differ in the last bit
+        assert spectral_fd._set_distance(x, y) == pytest.approx(max(from_x, from_y), rel=1e-15)
+    assert np.isnan(spectral_fd._set_distance(np.array([0.0, np.nan]), np.array([1.0j])))
 
 
 def test_hausdorff_bounded_by_operator_distance():
