@@ -139,7 +139,7 @@ def inverse_dft(x: np.ndarray) -> np.ndarray:
 
 def halfplane_window(y: float, tau_tail: float = TAU_TAIL) -> float:
     """Half-width T with Poisson tail mass (2/pi) arctan(y/T) < tau_tail."""
-    if y <= 0:
+    if not y > 0:
         raise ValueError("y must be positive")
     if not 0 < tau_tail < 1:
         raise ValueError("tau_tail must lie in (0, 1)")
@@ -162,8 +162,6 @@ def poisson_halfplane(
 
     Raises ValueError for y <= 0 or a window too narrow for tau_tail.
     """
-    if y <= 0:
-        raise ValueError("y must be positive")
     t, v, h = f.grid, f.values, f.step
     need = halfplane_window(y, tau_tail)
     if x - t[0] < need or t[-1] - x < need:

@@ -9,11 +9,12 @@ check, all run once per solve.  The Green kernel u(max) v(min) / W is real
 and semiseparable, so its symmetrized Nystrom matrix S = W^{1/2} G W^{1/2}
 is never formed: S y is two cumulative sums over the nodes, O(n), and
 Lanczos with full reorthogonalization on that product gives the few
-extremal eigenpairs the solve needs, in O(n * steps) memory.  The same sums
-extend eigenfunctions off the grid.  The grid-doubling check is a second
-Lanczos at twice the nodes (same solutions), and each mode's residual is the
-defect of the integral eigen-equation f = (lambda - shift) G f, with G
-applied in O(N) by cumulative trapezoid sums.
+extremal eigenpairs the solve needs, in O(n * steps) memory.  One routine,
+_green_sums, applies G by those prefix and suffix sums: for the product, for
+the extension of eigenfunctions off the grid, and for each mode's residual,
+the defect of the integral eigen-equation f = (lambda - shift) G f on
+trapezoid cells.  The grid-doubling check is the same solve at twice the
+nodes (same solutions).
 """
 
 from __future__ import annotations
@@ -349,6 +350,8 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
     """
     if h is None:
         h = (p.b - p.a) / ODE_STEPS
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be a finite positive step, got {h}")
     n = max(16, int(round((p.b - p.a) / h)))
     h = (p.b - p.a) / n
     xs_half = p.a + (h / 2.0) * np.arange(2 * n + 1)
@@ -410,22 +413,23 @@ def _panel_grid(a: float, b: float, n_nodes: int) -> QuadratureGrid:
     return gauss_legendre_grid(a, b, max(1, int(round(n_nodes / NODES_PER_PANEL))), NODES_PER_PANEL)
 
 
-def _green_sums(ut: np.ndarray, vt: np.ndarray, wf: np.ndarray, ux: np.ndarray, vx: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """W sum_j G(x_i, t_j) wf_j for the Green kernel G = u(max) v(min) / W on ascending nodes t.
+def _green_sums(lower: np.ndarray, upper: np.ndarray, ux: np.ndarray, vx: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """u(x_i) sum_{j < k_i} lower_j + v(x_i) sum_{j >= k_i} upper_j: W G f at the points x.
 
-    ut, vt and ux, vx are u and v at the nodes and at the points x, shaped to
-    broadcast against wf, and k_i = #{j : t_j <= x_i}.  G(x, t_j) is
-    u(x) v(t_j) / W for t_j <= x and v(x) u(t_j) / W above, so the sum is
-    u(x_i) times a prefix sum of v wf plus v(x_i) times a suffix sum of u wf,
-    each one cumulative sum over the nodes: O(len(t) + len(x)).  The suffix
-    sums are a reversed cumulative sum, not the total minus a prefix, which
-    cancels when u wf grows by orders of magnitude across the interval.
+    The one routine that applies the Green kernel G = u(max) v(min) / W, for
+    the Lanczos product, the off-grid extension and the residual defect.
+    lower and upper are the terms v f and u f of an integral over [a, b],
+    quadrature-weighted nodes or trapezoid cells, with k_i the number of terms
+    left of x_i; ux, vx are u and v at x, shaped to broadcast against the sums.
+    Each sum is one cumulative sum: O(len(lower) + len(x)).  The suffix sums
+    are a reversed cumulative sum, not the total minus a prefix, which cancels
+    when u f grows by orders of magnitude across the interval.
     """
-    lower = np.zeros((wf.shape[0] + 1,) + wf.shape[1:])
-    np.cumsum(vt * wf, axis=0, out=lower[1:])
-    upper = np.zeros_like(lower)
-    upper[:-1] = np.cumsum((ut * wf)[::-1], axis=0)[::-1]
-    return ux * lower[k] + vx * upper[k]
+    prefix = np.zeros((lower.shape[0] + 1,) + lower.shape[1:])
+    np.cumsum(lower, axis=0, out=prefix[1:])
+    suffix = np.zeros_like(prefix)
+    suffix[:-1] = np.cumsum(upper[::-1], axis=0)[::-1]
+    return ux * prefix[k] + vx * suffix[k]
 
 
 def _green_matvec(solutions: SLSolutions, grid: QuadratureGrid) -> Callable[[np.ndarray], np.ndarray]:
@@ -434,7 +438,7 @@ def _green_matvec(solutions: SLSolutions, grid: QuadratureGrid) -> Callable[[np.
     v = solutions.v_at(grid.nodes)
     sw = np.sqrt(grid.weights)
     k = np.arange(1, grid.size + 1)
-    return lambda y: sw * _green_sums(u, v, sw * y, u, v, k) / solutions.wronskian
+    return lambda y: sw * _green_sums(v * (sw * y), u * (sw * y), u, v, k) / solutions.wronskian
 
 
 def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -443,7 +447,7 @@ def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.n
     v = solutions.v_at(grid.nodes)[:, None]
     k = np.searchsorted(grid.nodes, x, side="right")
     wf = grid.weights[:, None] * f_nodes
-    return _green_sums(u, v, wf, solutions.u_at(x)[:, None], solutions.v_at(x)[:, None], k) / solutions.wronskian
+    return _green_sums(v * wf, u * wf, solutions.u_at(x)[:, None], solutions.v_at(x)[:, None], k) / solutions.wronskian
 
 
 def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -483,37 +487,28 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> t
         q = w / b
 
 
-def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> list[tuple[float, int]]:
-    """(lambda, index) for the k_wanted smallest |lambda| = |1/mu + shift| among the
+def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> tuple[np.ndarray, list[int]]:
+    """(lambdas, indices) of the k_wanted smallest |lambda| = |1/mu + shift| among the
     4 k_wanted largest |mu| Green eigenvalues above 1e-13 max|mu|."""
     order = np.argsort(-np.abs(mu_green))
     floor = 1e-13 * float(np.max(np.abs(mu_green)))
     cand = [int(i) for i in order[: 4 * k_wanted] if abs(mu_green[i]) > floor]
     lam_cand = [(float(1.0 / mu_green[i] + mu_shift), i) for i in cand]
     lam_cand.sort(key=lambda t: abs(t[0]))
-    return lam_cand[:k_wanted]
+    return np.array([lam for lam, _ in lam_cand[:k_wanted]]), [i for _, i in lam_cand[:k_wanted]]
 
 
 def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """||f - scale G f|| / ||f|| for each column of f sampled on the uniform grid x.
 
-    G f(x) = (u(x) int_a^x v f + v(x) int_x^b u f) / W is applied in O(len(x))
-    by cumulative trapezoid sums.  The integrals from x to b are a reversed
-    cumulative sum, not the total minus a prefix, which cancels when u f grows
-    by orders of magnitude across the interval.
+    G f(x) = (u(x) int_a^x v f + v(x) int_x^b u f) / W is applied by
+    _green_sums on the trapezoid cells of v f and u f, O(len(x)).
     """
     u = solutions.u_at(x)[:, None]
     v = solutions.v_at(x)[:, None]
     half = (x[1] - x[0]) / 2.0
-
-    def cumulative(y):
-        out = np.zeros_like(y)
-        np.cumsum(half * (y[1:] + y[:-1]), axis=0, out=out[1:])
-        return out
-
-    left = cumulative(v * f)
-    right = cumulative((u * f)[::-1])[::-1]
-    defect = f - scale * (u * left + v * right) / solutions.wronskian
+    cells = lambda y: half * (y[1:] + y[:-1])
+    defect = f - scale * _green_sums(cells(v * f), cells(u * f), u, v, np.arange(x.size)) / solutions.wronskian
     return np.linalg.norm(defect, axis=0) / np.linalg.norm(f, axis=0)
 
 
@@ -548,28 +543,32 @@ def sl_eigensolve(
     orthonormal under the quadrature pairing, and each mode records the
     ladder's shift.  Each mode's residual is the relative L2 defect of
     f = (lambda - shift) G f on 2001 uniform points, where f is the Nystrom
-    extension (1/mu) sum_j w_j G(x, x_j) f(x_j), taken by cumulative node sums,
-    and G is applied by cumulative trapezoid sums.  With check_refinement, the
-    same solutions give the eigenvalues at 2 n_nodes (a second Lanczos);
-    each mode records its relative drift as refine_drift, and a drift above
-    1% emits a RuntimeWarning.  Time is O(n_nodes * steps^2) and memory
+    extension (1/mu) sum_j w_j G(x, x_j) f(x_j).  One routine applies G for
+    the product, the extension and the residual: prefix and suffix sums over
+    the weighted nodes, or over trapezoid cells for the residual.  With
+    check_refinement, the same solutions and the same solve give the
+    eigenvalues at 2 n_nodes (a second Lanczos); each mode records its
+    relative drift as refine_drift, and a drift above 1% emits a
+    RuntimeWarning.  Time is O(n_nodes * steps^2) and memory
     O(n_nodes * steps) for the Lanczos step count, about 50 at k_wanted = 5.
     """
     if k_wanted < 1:
         raise ValueError(f"k_wanted must be >= 1, got {k_wanted}")
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
-    grid = _panel_grid(p.a, p.b, n_nodes)
-    theta, ritz = _lanczos(_green_matvec(sols, grid), grid.size, 4 * k_wanted)
-    lam_cand = _sl_candidates(theta, mu_shift, k_wanted)
-    lams = np.array([lam for lam, _ in lam_cand])
-    idx = [i for _, i in lam_cand]
 
-    drifts: list[float | None] = [None] * len(lam_cand)
+    def solve(n: int):
+        grid = _panel_grid(p.a, p.b, n)
+        theta, ritz = _lanczos(_green_matvec(sols, grid), grid.size, 4 * k_wanted)
+        lams, idx = _sl_candidates(theta, mu_shift, k_wanted)
+        return grid, theta, ritz, lams, idx
+
+    grid, theta, ritz, lams, idx = solve(n_nodes)
+    drifts: list[float | None] = [None] * len(idx)
     if check_refinement:
-        doubled = _panel_grid(p.a, p.b, 2 * n_nodes)
-        theta2, _ = _lanczos(_green_matvec(sols, doubled), doubled.size, 4 * k_wanted)
-        finer = _sl_candidates(theta2, mu_shift, k_wanted)
-        for r, (lam, (lam2, _)) in enumerate(zip(lams, finer)):
+        finer = solve(2 * n_nodes)[3]
+        for r, (lam, lam2) in enumerate(zip(lams, finer)):
             drifts[r] = float(abs(lam - lam2) / max(1.0, abs(lam)))
         for r, drift in enumerate(drifts):
             if drift is not None and drift > 0.01:

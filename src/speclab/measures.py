@@ -179,7 +179,7 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
     other grid pair takes the direct sum over tiles of at most 256 x 16384
     points.  Neither route forms an M x N array.
     """
-    if y <= 0:
+    if not y > 0:
         raise ValueError("y must be positive")
     x = np.asarray(grid, dtype=float)
     dens = np.zeros(x.shape, dtype=complex)
@@ -213,7 +213,7 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
     sample is negative beyond -1e-9 (the function is then not positive
     harmonic on the probed region).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:

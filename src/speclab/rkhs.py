@@ -318,6 +318,9 @@ def disc_quadrature(n_radial: int = 64, n_angular: int = 256):
     Returns (points, weights) with sum_k w_k f(z_k) ~ integral_D f dA: the radial
     rule gauss_legendre_grid(0, 1, 1, n_radial), weighted by r, times a uniform angular grid.
     """
+    for name, n in (("n_radial", n_radial), ("n_angular", n_angular)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     radial = gauss_legendre_grid(0.0, 1.0, 1, n_radial)
     r, wr = radial.nodes, radial.weights
     t = 2.0 * np.pi * np.arange(n_angular) / n_angular

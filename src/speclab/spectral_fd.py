@@ -188,7 +188,7 @@ def resolvent(a: np.ndarray, z: complex) -> np.ndarray:
     """
     m = require_hermitian(a)
     w = np.linalg.eigvalsh(m)
-    dist = float(np.min(np.abs(w - z)))
+    dist = float(np.min(np.abs(w - z), initial=np.inf))
     tau_sing = 1e-12 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
     if dist <= tau_sing:
         raise ValueError(f"z={z} is within {tau_sing:.3e} of the spectrum (near-singular)")
@@ -286,7 +286,13 @@ def hausdorff_distance_spectra(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _set_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Hausdorff distance of two finite sets in the complex plane; np.max lets a NaN propagate."""
+    """Hausdorff distance of two finite sets in the complex plane; np.max lets a NaN propagate.
+
+    Two empty sets are 0 apart and an empty set is inf from a nonempty one,
+    the sup/inf convention for max(sup_x inf_y |x - y|, sup_y inf_x |x - y|).
+    """
+    if x.size == 0 or y.size == 0:
+        return 0.0 if x.size == y.size == 0 else np.inf
     d = np.abs(x[:, None] - y[None, :])
     return float(np.max([d.min(axis=1).max(), d.min(axis=0).max()]))
 

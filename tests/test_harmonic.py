@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from speclab import (
+    FiniteMeasure,
     SampledBoundaryFunction,
     boundary_from_csv,
     boundary_to_csv,
     dft,
     fourier_coefficients,
     halfplane_window,
+    herglotz_recover,
     inverse_dft,
     momentum_model,
     poisson_disc,
     poisson_halfplane,
+    poisson_smooth,
     series_from_json,
     series_to_json,
 )
@@ -182,6 +185,24 @@ def test_halfplane_rejects_bad_y_and_narrow_window():
         poisson_halfplane(f, 0.0, -1.0)
     with pytest.raises(ValueError, match="narrow"):
         poisson_halfplane(f, 0.0, 1.0)  # needs ~6.4e5 half-width at tau = 1e-6
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.0])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (halfplane_window, "y"),
+        (lambda y: poisson_halfplane(SampledBoundaryFunction.on_window(np.cos, -10.0, 10.0, 101), 0.0, y), "y"),
+        (lambda y: poisson_smooth(FiniteMeasure.from_atoms([(0.0, 1.0)]), y, np.linspace(-1.0, 1.0, 11)), "y"),
+        (lambda eps: herglotz_recover(lambda z: np.ones_like(z), eps, (-1.0, 1.0), 11), "eps"),
+    ],
+    ids=["halfplane_window", "poisson_halfplane", "poisson_smooth", "herglotz_recover"],
+)
+def test_height_must_be_positive_and_not_nan(call, name, value):
+    # a NaN height fails "y <= 0" and ran on: halfplane_window returned nan and
+    # poisson_smooth failed later on "density has non-finite values"
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        call(value)
 
 
 def test_halfplane_harmonicity_order():

@@ -494,6 +494,40 @@ def test_residual_is_integral_equation_defect(name):
         assert f.residual <= c.residual / 3.0
 
 
+def cumulative_trapezoid_residuals(solutions, x, f, scale):
+    """The residual as it was written before _green_sums owned the prefix/suffix
+    rule: its own cumulative trapezoid helper, suffixes by a reversed cumsum."""
+    u = solutions.u_at(x)[:, None]
+    v = solutions.v_at(x)[:, None]
+    half = (x[1] - x[0]) / 2.0
+
+    def cumulative(y):
+        out = np.zeros_like(y)
+        np.cumsum(half * (y[1:] + y[:-1]), axis=0, out=out[1:])
+        return out
+
+    left = cumulative(v * f)
+    right = cumulative((u * f)[::-1])[::-1]
+    defect = f - scale * (u * left + v * right) / solutions.wronskian
+    return np.linalg.norm(defect, axis=0) / np.linalg.norm(f, axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(SL_CASES))
+def test_residual_through_green_sums_equals_cumulative_trapezoid(name):
+    p = SL_CASES[name]
+    mu, sols = integral_ops._shift_ladder(p, integral_ops.SHIFT_LADDER_DEPTH)
+    modes = sl_eigensolve(p, n_nodes=400, k_wanted=5, check_refinement=False)
+    grid = integral_ops._panel_grid(p.a, p.b, 400)
+    assert np.array_equal(grid.nodes, modes[0].nodes)
+    fine = np.linspace(p.a, p.b, 2001)
+    ext = integral_ops._green_extension(sols, grid, np.column_stack([m.samples for m in modes]), fine)
+    scale = np.array([m.lam for m in modes]) - mu
+    rough = np.random.default_rng(13).standard_normal((fine.size, 3))  # not eigenfunctions: large defects
+    for f, s in ((ext, scale), (rough, scale[:3])):
+        got = integral_ops._sl_residuals(sols, fine, f, s)
+        assert np.array_equal(got, cumulative_trapezoid_residuals(sols, fine, f, s))
+
+
 def test_residual_of_stiff_problem_has_no_suffix_cancellation():
     # u f grows to ~1e17 across [0, pi]; a suffix integral taken as the total
     # minus a prefix loses its digits there and read residuals of 0.10-0.26
@@ -506,6 +540,20 @@ def test_residual_of_stiff_problem_has_no_suffix_cancellation():
 def test_eigensolve_rejects_k_wanted_below_one(k_wanted):
     with pytest.raises(ValueError, match="k_wanted"):
         sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=80, k_wanted=k_wanted)
+
+
+@pytest.mark.parametrize("n_nodes", [0, -8])
+def test_eigensolve_rejects_n_nodes_below_one(n_nodes):
+    # n_nodes = 0 used to solve quietly on one 8-node panel
+    with pytest.raises(ValueError, match="^n_nodes must be >= 1"):
+        sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+def test_homogeneous_solutions_reject_bad_step(h):
+    # h = 0 raised ZeroDivisionError and h = -0.1 quietly took 16 steps
+    with pytest.raises(ValueError, match="^h must be a finite positive step"):
+        sl_homogeneous_solutions(dirichlet_problem(0.0, np.pi, const_q(1.0)), h=h)
 
 
 def test_grid_doubling_warning_and_drift():

@@ -34,7 +34,7 @@ def _source_nodes():
 
 
 def test_each_shared_rule_has_one_site():
-    leggauss, two_norm, square, set_distance = [], [], [], []
+    leggauss, two_norm, square, set_distance, cumsum = [], [], [], [], []
     for module, owner, node in _source_nodes():
         if isinstance(node, ast.Compare) and re.search(r"shape\[0\] != \S*shape\[1\]", ast.unparse(node)):
             square.append((module, owner))
@@ -43,6 +43,8 @@ def test_each_shared_rule_has_one_site():
         func = ast.unparse(node.func)
         if func.split(".")[-1] == "leggauss":
             leggauss.append((module, owner))
+        if func.split(".")[-1] == "cumsum":
+            cumsum.append((module, owner))
         order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
         if func.endswith("linalg.norm") and any(isinstance(o, ast.Constant) and o.value == 2 for o in order):
             two_norm.append((module, owner))
@@ -52,3 +54,5 @@ def test_each_shared_rule_has_one_site():
     assert two_norm == [], "operator_norm owns the 2-norm"
     assert square == [("linalg_core.py", "_require_square")]
     assert sorted(set_distance) == [("spectral_fd.py", "_set_distance")] * 2
+    # the Green kernel's prefix and suffix sums, for the product, the extension and the residual
+    assert cumsum == [("integral_ops.py", "_green_sums")] * 2

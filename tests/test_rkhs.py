@@ -338,6 +338,16 @@ def test_disc_quadrature_radial_rule_is_gauss_legendre_on_unit_interval(n_radial
     assert np.array_equal(weights[::3], wr * r * (2.0 * np.pi / 3))
 
 
+@pytest.mark.parametrize("sizes, name", [((4, 0), "n_angular"), ((4, -3), "n_angular"), ((0, 8), "n_radial")])
+def test_disc_quadrature_rejects_sizes_below_one(sizes, name):
+    # before: ZeroDivisionError, "negative dimensions are not allowed", and a
+    # message about gauss_legendre_grid's panels and per_panel
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        disc_quadrature(*sizes)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        dirichlet_seminorm_quad(lambda z: np.ones_like(z), *sizes)
+
+
 def test_composed_function_chain_rule():
     a = np.array([0.5, -1.0, 2.0])  # f(z) = 0.5 - z + 2 z^2
     composed = compose_mobius(a, 0.3, 1.0)

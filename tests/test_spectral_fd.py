@@ -227,6 +227,11 @@ def test_resolvent_diagonal():
     np.testing.assert_allclose(r, np.diag([1.0 / (1.0 - 2j), 1.0 / (-1.0 - 2j)]), atol=1e-14)
 
 
+def test_resolvent_of_empty_matrix_is_empty():
+    r = resolvent(np.zeros((0, 0)), 1j)
+    assert r.shape == (0, 0) and r.dtype == complex
+
+
 def test_resolvent_rejects_spectrum_point():
     with pytest.raises(ValueError):
         resolvent(np.diag([1.0, 2.0]), 2.0)
@@ -415,6 +420,17 @@ def test_set_distance_matches_double_loop():
         # scalar and vectorized complex abs may differ in the last bit
         assert spectral_fd._set_distance(x, y) == pytest.approx(max(from_x, from_y), rel=1e-15)
     assert np.isnan(spectral_fd._set_distance(np.array([0.0, np.nan]), np.array([1.0j])))
+
+
+def test_spectra_distance_of_empty_matrices():
+    # sup over an empty set is 0 and inf over one is inf: two empty spectra are
+    # 0 apart, an empty and a nonempty spectrum inf apart
+    empty = np.zeros((0, 0))
+    assert hausdorff_distance_spectra(empty, empty) == 0.0
+    assert hausdorff_distance_spectra(empty, np.eye(2)) == np.inf
+    assert hausdorff_distance_spectra(np.eye(2), empty) == np.inf
+    # the empty-set branch leaves a NaN point to np.max
+    assert np.isnan(spectral_fd._set_distance(np.array([np.nan]), np.array([1.0])))
 
 
 def test_hausdorff_bounded_by_operator_distance():
