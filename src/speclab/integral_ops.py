@@ -5,16 +5,19 @@ matrix B = W^{1/2} K W^{1/2} whose Hermitian eigensolve approximates the
 operator spectrum.  The Sturm-Liouville path is: a spectral shift ladder for
 problems where the operator is not injective, homogeneous solutions u, v by
 fixed-step RK4 shooting (with cubic-Hermite dense output) and a Wronskian
-check, all run once per solve.  The Green kernel u(max) v(min) / W is real
-and semiseparable, so its symmetrized Nystrom matrix S = W^{1/2} G W^{1/2}
-is never formed: S y is two cumulative sums over the nodes, O(n), and
-Lanczos with full reorthogonalization on that product gives the few
-extremal eigenpairs the solve needs, in O(n * steps) memory.  One routine,
-_green_sums, applies G by those prefix and suffix sums: for the product, for
-the extension of eigenfunctions off the grid, and for each mode's residual,
-the defect of the integral eigen-equation f = (lambda - shift) G f on
-trapezoid cells.  The grid-doubling check is the same solve at twice the
-nodes (same solutions).
+check, all run once per solve.  Each shot multiplies the 2 x 2 transfer
+matrices of its RK4 steps in blocks of 64, vectorized: 64 + n/64
+Python-level steps for n RK4 steps, 128 at the default n = 4096.  The Green
+kernel u(max) v(min) / W is real and semiseparable, so its symmetrized
+Nystrom matrix S = W^{1/2} G W^{1/2} is never formed: S y is two cumulative
+sums over the nodes, O(n), and Lanczos with full reorthogonalization on that
+product gives the few extremal eigenpairs the solve needs, in O(n * steps)
+memory; it diagonalizes its tridiagonal matrix only at the steps where it
+can stop.  One routine, _green_sums, applies G by those prefix and suffix
+sums: for the product, for the extension of eigenfunctions off the grid, and
+for each mode's residual, the defect of the integral eigen-equation
+f = (lambda - shift) G f on trapezoid cells.  The grid-doubling check is the
+same solve at twice the nodes (same solutions).
 """
 
 from __future__ import annotations
@@ -256,37 +259,65 @@ def _eval_potential(q: Callable, xs: np.ndarray) -> np.ndarray:
     return vals.real
 
 
+def _rk4_step(q0, qm, q1, hh: float, cy, cp):
+    """One classical RK4 step of (y, y')' = (y', q y) from x to x + hh, elementwise.
+
+    q0, qm, q1 are the potential at the start, the midpoint and the end of the step.
+    """
+    k1y = cp
+    k1p = q0 * cy
+    y2 = cy + 0.5 * hh * k1y
+    p2 = cp + 0.5 * hh * k1p
+    k2y = p2
+    k2p = qm * y2
+    y3 = cy + 0.5 * hh * k2y
+    p3 = cp + 0.5 * hh * k2p
+    k3y = p3
+    k3p = qm * y3
+    y4 = cy + hh * k3y
+    p4 = cp + hh * k3p
+    k4y = p4
+    k4p = q1 * y4
+    return (cy + hh / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            cp + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
+
+
+_RK4_BLOCK = 64
+
+
 def _rk4_linear(qs: np.ndarray, hh: float, y0: float, p0: float):
     """Integrate y'' = q(x) y with classical RK4 at fixed step hh from the first node.
 
     qs holds the potential at half-step resolution (node k at index 2k, the
     midpoint of step k at 2k+1).  Returns (y, y') over all nodes in integration
     order; shooting from the last node is the same call on qs[::-1] with step -h.
+
+    An RK4 step of this linear system is linear, (y, y')_{k+1} = M_k (y, y')_k,
+    so the n step matrices come from one vectorized step applied to the start
+    vectors (1, 0) and (0, 1).  They are propagated in blocks of _RK4_BLOCK
+    steps, the last padded with identity steps: one loop over the positions in
+    a block forms the prefix products of every block at once, a second carries
+    the start vector from block to block, and one broadcast product gives every
+    node.  That is _RK4_BLOCK + n / _RK4_BLOCK Python-level steps in place
+    of n, 2 sqrt(n) at n = 4096.
     """
     n = (qs.size - 1) // 2
-    y = np.empty(n + 1)
-    p = np.empty(n + 1)
-    y[0], p[0] = y0, p0
-    cy, cp = y0, p0
-    for k in range(n):
-        q0, qm, q1 = qs[2 * k], qs[2 * k + 1], qs[2 * k + 2]
-        k1y = cp
-        k1p = q0 * cy
-        y2 = cy + 0.5 * hh * k1y
-        p2 = cp + 0.5 * hh * k1p
-        k2y = p2
-        k2p = qm * y2
-        y3 = cy + 0.5 * hh * k2y
-        p3 = cp + 0.5 * hh * k2p
-        k3y = p3
-        k3p = qm * y3
-        y4 = cy + hh * k3y
-        p4 = cp + hh * k3p
-        k4y = p4
-        k4p = q1 * y4
-        cy = cy + hh / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        cp = cp + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        y[k + 1], p[k + 1] = cy, cp
+    q0, qm, q1 = qs[0:-1:2], qs[1::2], qs[2::2]
+    blocks = -(-n // _RK4_BLOCK)
+    prefix = np.empty((blocks * _RK4_BLOCK, 2, 2))
+    prefix[:n, 0, 0], prefix[:n, 1, 0] = _rk4_step(q0, qm, q1, hh, 1.0, 0.0)
+    prefix[:n, 0, 1], prefix[:n, 1, 1] = _rk4_step(q0, qm, q1, hh, 0.0, 1.0)
+    prefix[n:] = np.eye(2)
+    prefix = prefix.reshape(blocks, _RK4_BLOCK, 2, 2)  # prefix[b, j] = M_{bB+j} ... M_{bB}, B = _RK4_BLOCK
+    for j in range(1, _RK4_BLOCK):
+        prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+    starts = np.empty((blocks, 2))  # (y, y') at the first node of each block
+    starts[0] = y0, p0
+    for b in range(1, blocks):
+        starts[b] = prefix[b - 1, -1] @ starts[b - 1]
+    nodes = (prefix @ starts[:, None, :, None]).reshape(-1, 2)[:n]
+    y = np.concatenate([[y0], nodes[:, 0]])
+    p = np.concatenate([[p0], nodes[:, 1]])
     return y, p
 
 
@@ -341,12 +372,15 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
 
     v starts at a with data (alpha1, -alpha0), u starts at b with data
     (beta1, -beta0); both are integrated with classical fixed-step RK4
-    (default step (b-a)/4096).  W = u v' - u' v is constant up to O(h^4);
-    if |W| <= 1e-6 (1 + max_x (|u v'| + |u' v|)), small against the two terms
-    that cancel in it, the operator is not injective on the boundary-condition
-    domain and NonInjectiveError directs the caller to sl_shift.  (Scaling by
-    max|u| max|v| instead would grow like W^2 for exponentially growing u and
-    v, and reject stiff injective problems such as q = 50.)
+    (default step (b-a)/4096, at least 16 steps), each shot as blocked
+    products of the steps' transfer matrices (_rk4_linear): 128 vectorized
+    Python-level steps at the default step.  W = u v' - u' v is constant up
+    to O(h^4); if |W| <= 1e-6 (1 + max_x (|u v'| + |u' v|)), small against the
+    two terms that cancel in it, the operator is not injective on the
+    boundary-condition domain and NonInjectiveError directs the caller to
+    sl_shift.  (Scaling by max|u| max|v| instead would grow like W^2 for
+    exponentially growing u and v, and reject stiff injective problems such
+    as q = 50.)
     """
     if h is None:
         h = (p.b - p.a) / ODE_STEPS
@@ -460,9 +494,13 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> t
     what is left.  After step m the Ritz pairs (theta_i, s_i) of the m x m
     tridiagonal T_m have residual norms beta_m |s_mi|, and the iteration stops
     once each of the n_top largest-|theta| pairs has beta_m |s_mi| <=
-    1e-14 max|theta|, or at m = n.  On breakdown (beta_m = 0, an invariant
-    Krylov space) every pair passes that test.  Returns theta ordered by
-    decreasing |theta| and the Ritz vectors as orthonormal columns.
+    1e-14 max|theta|, or at m = n.  T_m is diagonalized and that test made
+    only where it can stop: at m = n; where beta_m <= 1e-14 max|alpha|, since
+    |s_mi| <= 1 and max|theta| >= max|alpha| make every pair pass there, so
+    breakdown (beta_m = 0, an invariant Krylov space) and nearly invariant
+    spaces stop at once; and from m = 2 n_top on, every 4th step.  A later
+    stop only lowers the residuals.  Returns theta ordered by decreasing
+    |theta| and the Ritz vectors as orthonormal columns.
     """
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
@@ -479,10 +517,12 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> t
         for _ in range(2):  # one pass loses orthogonality once beta_m << |alpha_m|
             w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
         b = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-        top = np.argsort(-np.abs(theta))[:n_top]
-        if m + 1 == n or np.all(b * np.abs(s[-1, top]) <= 1e-14 * np.max(np.abs(theta))):
-            return theta[top], basis[: m + 1].T @ s[:, top]
+        last = m + 1 == n
+        if last or b <= 1e-14 * max(map(abs, alpha)) or (m + 1 >= 2 * n_top and (m + 1 - 2 * n_top) % 4 == 0):
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            top = np.argsort(-np.abs(theta))[:n_top]
+            if last or np.all(b * np.abs(s[-1, top]) <= 1e-14 * np.max(np.abs(theta))):
+                return theta[top], basis[: m + 1].T @ s[:, top]
         beta.append(b)
         q = w / b
 
@@ -550,7 +590,9 @@ def sl_eigensolve(
     eigenvalues at 2 n_nodes (a second Lanczos); each mode records its
     relative drift as refine_drift, and a drift above 1% emits a
     RuntimeWarning.  Time is O(n_nodes * steps^2) and memory
-    O(n_nodes * steps) for the Lanczos step count, about 50 at k_wanted = 5.
+    O(n_nodes * steps) for the Lanczos step count, about 50 at k_wanted = 5;
+    the steps x steps tridiagonal eigensolve runs from step 8 k_wanted on,
+    every 4th step, about 4 times per Lanczos at k_wanted = 5.
     """
     if k_wanted < 1:
         raise ValueError(f"k_wanted must be >= 1, got {k_wanted}")

@@ -211,7 +211,8 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
     Returns the slice as a density measure on the window.  Atom locations and
     masses are read off afterwards with extract_atoms.  Raises ValueError if a
     sample is negative beyond -1e-9 (the function is then not positive
-    harmonic on the probed region).
+    harmonic on the probed region), and if the sample count n is given
+    but is not an integer >= 2.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -222,6 +223,8 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
         # resolve the Lorentzian scale eps well: window integrals of the slice
         # are trapezoid sums, and coarse peaks bleed mass
         n = max(1001, int(np.ceil((hi - lo) / (eps / 24.0))) + 1)
+    elif not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     x = np.linspace(lo, hi, n)
     vals = np.asarray(U(x + 1j * eps), dtype=complex)
     if np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(vals.real))):

@@ -243,6 +243,51 @@ def test_backward_shot_mirrors_forward_shot():
     assert abs(sol.v[-1]) > 1.0  # the shot has grown well away from its start
 
 
+def sequential_rk4_shot(qs, hh, y0, p0):
+    """The shot one RK4 step at a time: the sequential route that _rk4_linear's block products reproduce."""
+    n = (qs.size - 1) // 2
+    y = np.empty(n + 1)
+    p = np.empty(n + 1)
+    y[0], p[0] = y0, p0
+    cy, cp = y0, p0
+    for k in range(n):
+        q0, qm, q1 = qs[2 * k], qs[2 * k + 1], qs[2 * k + 2]
+        k1y = cp
+        k1p = q0 * cy
+        y2 = cy + 0.5 * hh * k1y
+        p2 = cp + 0.5 * hh * k1p
+        k2y = p2
+        k2p = qm * y2
+        y3 = cy + 0.5 * hh * k2y
+        p3 = cp + 0.5 * hh * k2p
+        k3y = p3
+        k3p = qm * y3
+        y4 = cy + hh * k3y
+        p4 = cp + hh * k3p
+        k4y = p4
+        k4p = q1 * y4
+        cy = cy + hh / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        cp = cp + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        y[k + 1], p[k + 1] = cy, cp
+    return y, p
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, 50.0, 200.0])
+@pytest.mark.parametrize("steps", [16, 100, 4096, 4097])
+def test_transfer_matrix_shot_matches_sequential_steps(c, steps):
+    # 16, 100 and 4097 are not multiples of the 64-step block, so the last
+    # block is padded with identity steps; q = 200 grows the shot to ~1e19
+    h = np.pi / steps
+    qs = c + 0.3 * np.cos((h / 2.0) * np.arange(2 * steps + 1))
+    for q_dir, hh in ((qs, h), (qs[::-1], -h)):
+        for y0, p0 in ((1.0, 0.0), (0.0, 1.0)):
+            y, p = integral_ops._rk4_linear(q_dir, hh, y0, p0)
+            y_ref, p_ref = sequential_rk4_shot(q_dir, hh, y0, p0)
+            assert y.shape == p.shape == (steps + 1,)
+            assert np.max(np.abs(y - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
+            assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
+
+
 def test_solutions_and_derivatives_match_closed_forms():
     # q = 2 with Dirichlet ends on [0, 2]: v = -sinh(r x) / r and v' = -cosh(r x)
     # for r = sqrt(2); u is the mirror image, u(x) = -v(2 - x) and u'(x) = v'(2 - x)
@@ -591,6 +636,24 @@ def test_eigensolve_reruns_are_bitwise_equal():
     for a, b in zip(first, second):
         assert (a.lam, a.residual, a.refine_drift, a.shift) == (b.lam, b.residual, b.refine_drift, b.shift)
         assert np.array_equal(a.samples, b.samples)
+
+
+def test_lanczos_diagonalizes_the_tridiagonal_only_where_it_can_stop(monkeypatch):
+    # the m x m eigh and the stop test run from step 2 n_top = 40 on, every 4th
+    # step; testing at each step takes 99 calls over the two solves
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=400, k_wanted=5, check_refinement=True)
+    assert len(calls) <= 12
+    assert all(m.refine_drift is not None for m in modes)
+    for m in modes:
+        assert abs(m.lam - m.k ** 2) <= 1e-3 * m.k ** 2  # the 400-node discretization error
 
 
 def test_eigensolve_memory_is_linear_in_nodes(monkeypatch):

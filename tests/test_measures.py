@@ -329,6 +329,14 @@ def test_herglotz_rejects_negative_and_complex_samples():
         herglotz_recover(lambda z: base(z) + 1e-6j, 1e-3, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [0, 1, -3, 2.5])
+def test_herglotz_rejects_sample_counts_below_two(n):
+    # n = 0 raised numpy's empty-reduction error and n = 1 FiniteMeasure's
+    # ">= 2 points"; neither named n
+    with pytest.raises(ValueError, match="^n must be an integer >= 2"):
+        herglotz_recover(lambda z: np.ones_like(z).real, 0.1, (-1.0, 1.0), n)
+
+
 def test_herglotz_mass_bound():
     # pi * y * U(x + iy) never exceeds the recovered total mass (plus slack)
     u = two_atom_extension([(-1.0, 2.0), (1.0, 3.0)])
