@@ -6,8 +6,9 @@ from one splittable generator whose per-experiment substream is keyed by the
 experiment name, so reruns with identical configuration produce byte-identical
 CSV output.
 
-Trials draw in order from that substream, one CSV row each; a worst-case check
-is np.max over a column of rows, so a NaN in any trial fails it.
+Trials draw in order from that substream, one CSV row each, trial by trial or
+in blocks of up to 128 drawn at once (same bits) and computed as one stack; a
+worst-case check is np.max over a column of rows, so a NaN in any trial fails it.
 
 Usage:
     speclab run <name> [--seed N] [--nodes N] [--dim N] [--trials N] [--trunc N]
@@ -57,6 +58,7 @@ __all__ = ["main", "run_experiment", "experiment_names", "ExperimentConfig"]
 
 _CONFIG_KEYS = ("seed", "nodes", "dim", "trials", "trunc", "out")
 _MIN_SIZES = {"nodes": 1, "dim": 1, "trials": 1, "trunc": 2}
+_TRIAL_BLOCK = 128  # trials per stacked library call: bounds the stacks' memory
 
 
 @dataclass
@@ -124,16 +126,22 @@ def _rng(name: str, seed: int) -> np.random.Generator:
     return default_rng(SeedSequence(seed, spawn_key=(key,)))
 
 
-def _trials(
-    cfg: ExperimentConfig, rng: np.random.Generator, default: int, trial: Callable[[np.random.Generator, int], tuple]
-) -> list[tuple]:
+def _trials(cfg: ExperimentConfig, rng: np.random.Generator, default: int, trial: Callable) -> list[tuple]:
     """One row (t, *trial(rng, t)) per trial t, all drawn in order from the experiment's stream."""
     return [(t, *trial(rng, t)) for t in range(cfg.resolved_trials(default))]
 
 
-def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (m + m.conj().T) / 2.0
+def _trial_blocks(cfg: ExperimentConfig, rng: np.random.Generator, default: int, block: Callable) -> list[tuple]:
+    """As _trials, for block(rng, count): the result columns of `count` trials drawn at once, _TRIAL_BLOCK at a time."""
+    trials = cfg.resolved_trials(default)
+    blocks = [block(rng, min(_TRIAL_BLOCK, trials - start)) for start in range(0, trials, _TRIAL_BLOCK)]
+    return list(zip(range(trials), *(np.concatenate(c).tolist() for c in zip(*blocks))))
+
+
+def _hermitians(z: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 for m = z[..., 0, :, :] + i z[..., 1, :, :]: a random Hermitian matrix from standard draws."""
+    m = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return (m + m.conj().swapaxes(-2, -1)) / 2.0
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -149,9 +157,11 @@ def _hermitian_with_spectrum(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
-    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return h / np.linalg.norm(h)
+def _states(z: np.ndarray) -> np.ndarray:
+    """Unit vectors h / ||h|| for h = z[..., 0, :] + i z[..., 1, :]: random states from standard draws."""
+    h = z[..., 0, :] + 1j * z[..., 1, :]
+    # ||h|| as np.linalg.norm forms it for a single vector (one dot product per part), so a stack keeps its bits
+    return h / np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -299,40 +309,37 @@ def _exp_dft_unitarity(cfg: ExperimentConfig, rng: np.random.Generator) -> Exper
 
 
 def _exp_gelfand(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    def trial(rng, t):
-        a = _random_hermitian(rng, cfg.dim)
-        estimate = float(spectral_fd.spectral_radius_gelfand(a, kmax=20)[-1])
-        r = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-        return estimate, r, abs(estimate - r)
+    def block(rng, count):
+        a = _hermitians(rng.standard_normal((count, 2, cfg.dim, cfg.dim)))
+        estimate = spectral_fd.spectral_radius_gelfand(a, kmax=20)[:, -1]
+        r = np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+        return estimate, r, np.abs(estimate - r)
 
-    rows = _trials(cfg, rng, 100, trial)
+    rows = _trial_blocks(cfg, rng, 100, block)
     checks = [_max_leq("max |gelfand_20 - spectral radius|", rows, 3, 1e-6)]
     return ExperimentReport(cfg.name, ["trial", "estimate", "spectral_radius", "err"], rows, checks)
 
 
 def _exp_hausdorff(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    def trial(rng, t):
-        a = _random_hermitian(rng, cfg.dim)
-        b = _random_hermitian(rng, cfg.dim)
+    def block(rng, count):
+        a, b = _hermitians(rng.standard_normal((count, 2, 2, cfg.dim, cfg.dim))).swapaxes(0, 1)
         dh = spectral_fd.hausdorff_distance_spectra(a, b)
         nd = operator_norm(a - b)
         return dh, nd, dh - nd
 
-    rows = _trials(cfg, rng, 1000, trial)
+    rows = _trial_blocks(cfg, rng, 1000, block)
     checks = [_max_leq("max (d_H - ||A-B||)", rows, 3, 1e-10)]
     return ExperimentReport(cfg.name, ["trial", "hausdorff", "norm_diff", "margin"], rows, checks)
 
 
 def _exp_cayley(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    def trial(rng, t):
-        a = _random_hermitian(rng, cfg.dim)
+    def block(rng, count):
+        a = _hermitians(rng.standard_normal((count, 2, cfg.dim, cfg.dim)))
         u = spectral_fd.cayley(a)
-        unit = operator_norm(u.conj().T @ u - np.eye(cfg.dim))
-        wu = np.linalg.eigvals(u)
-        wm = np.array([spectral_fd.cayley_map(x) for x in np.linalg.eigvalsh(a)])
-        return unit, spectral_fd._set_distance(wu, wm)
+        unit = operator_norm(u.conj().swapaxes(-2, -1) @ u - np.eye(cfg.dim))
+        return unit, spectral_fd._set_distance(np.linalg.eigvals(u), spectral_fd.cayley_map(np.linalg.eigvalsh(a)))
 
-    rows = _trials(cfg, rng, 100, trial)
+    rows = _trial_blocks(cfg, rng, 100, block)
     checks = [
         _max_leq("max unitarity defect", rows, 1, 1e-10),
         _max_leq("max spectral mapping defect", rows, 2, 1e-10),
@@ -343,14 +350,17 @@ def _exp_cayley(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentRe
 def _exp_evolve(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     h = 1e-4
 
-    def trial(rng, k):
-        a = _random_hermitian(rng, cfg.dim)
-        s, t = rng.uniform(-2.0, 2.0, 2)
-        group = operator_norm(spectral_fd.evolve(a, s + t) - spectral_fd.evolve(a, s) @ spectral_fd.evolve(a, t))
-        gen = operator_norm((spectral_fd.evolve(a, h) - np.eye(cfg.dim)) / h - 1j * a)
-        return group, gen, operator_norm(a) ** 2 * h
+    def block(rng, count):
+        # a trial draws two uniforms after its matrix, so the trials are drawn one by one
+        draws = [(rng.standard_normal((2, cfg.dim, cfg.dim)), *rng.uniform(-2.0, 2.0, 2)) for _ in range(count)]
+        z, s, t = (np.stack(c) for c in zip(*draws))
+        a = _hermitians(z)
+        u = spectral_fd.evolve(a, np.stack([s + t, s, t, np.full(count, h)]))
+        group = operator_norm(u[0] - u[1] @ u[2])
+        gen = operator_norm((u[3] - np.eye(cfg.dim)) / h - 1j * a)
+        return group, gen, [nrm ** 2 * h for nrm in operator_norm(a).tolist()]
 
-    rows = _trials(cfg, rng, 100, trial)
+    rows = _trial_blocks(cfg, rng, 100, block)
     checks = [
         _max_leq("max group-law defect", rows, 1, 1e-10),
         _leq("max generator defect / (||A||^2 h)", np.max([gen / bound for _, _, gen, bound in rows]), 1.0),
@@ -359,13 +369,13 @@ def _exp_evolve(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentRe
 
 
 def _exp_uncertainty(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    def trial(rng, t):
-        a = _random_hermitian(rng, cfg.dim)
-        b = _random_hermitian(rng, cfg.dim)
-        rec = spectral_fd.uncertainty(a, b, _random_state(rng, cfg.dim))
+    def block(rng, count):
+        z = rng.standard_normal((count, 4 * cfg.dim + 2, cfg.dim))  # per trial: A, B and h, in rows of dim draws
+        a, b = _hermitians(z[:, :-2].reshape(count, 2, 2, cfg.dim, cfg.dim)).swapaxes(0, 1)
+        rec = spectral_fd.uncertainty(a, b, _states(z[:, -2:]))
         return rec.lhs, rec.robertson_lhs, rec.rhs
 
-    rows = _trials(cfg, rng, 1000, trial)
+    rows = _trial_blocks(cfg, rng, 1000, block)
     pauli = spectral_fd.uncertainty(_SIGMA_X, _SIGMA_Y, np.array([1.0, 0.0], dtype=complex))
     checks = [
         _leq("max normalized Heisenberg violation", np.max([(h - r) / (1.0 + r) for _, h, _, r in rows]), 1e-12),
@@ -476,10 +486,9 @@ def _exp_spectral_measures(cfg: ExperimentConfig, rng: np.random.Generator) -> E
             q = _random_unitary(rng, cfg.dim)
             a = _hermitian_with_spectrum(q, np.sort(rng.integers(-2, 3, cfg.dim).astype(float)))
         else:
-            a = _random_hermitian(rng, cfg.dim)
+            a = _hermitians(rng.standard_normal((2, cfg.dim, cfg.dim)))
         res = hermitian_eig(a)
-        x = _random_state(rng, cfg.dim)
-        y = _random_state(rng, cfg.dim)
+        x, y = _states(rng.standard_normal((2, 2, cfg.dim)))
         sm = spectral_fd.spectral_measure(res, x, y)
         mass_err = abs(sm.total_mass() - inner_product(x, y))
         ma = spectral_fd.measurable_calculus(res, probe)

@@ -31,7 +31,15 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .linalg_core import _read_key_values, _require_square, _sample, operator_norm, require_hermitian, require_matrix
+from .linalg_core import (
+    _read_key_values,
+    _require_2d,
+    _require_square,
+    _sample,
+    operator_norm,
+    require_hermitian,
+    require_matrix,
+)
 
 __all__ = [
     "QuadratureGrid",
@@ -190,7 +198,7 @@ def trace(t):
             raise ValueError("operator trace requires a Hermitian kernel")
         _positive_hermitian_part(b, scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
-    return complex(np.trace(_require_square(t)))
+    return complex(np.trace(_require_square(require_matrix(t))))
 
 
 @dataclass(frozen=True)
@@ -643,7 +651,7 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     columns); monotonicity is enforced exactly.  Raises ValueError when B is
     not positive within tolerance.
     """
-    m = require_hermitian(b)
+    m = require_hermitian(_require_2d(b))
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")

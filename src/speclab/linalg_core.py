@@ -37,22 +37,52 @@ __all__ = [
 ]
 
 
-def require_matrix(a: np.ndarray) -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array, raising ValueError otherwise."""
+def _require_2d(a: np.ndarray) -> np.ndarray:
+    """Coerce to a complex128 array, raising ValueError unless it is 2-d."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix has non-finite entries")
     return m
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    """require_matrix, then ValueError unless the matrix is square."""
-    m = require_matrix(a)
-    if m.shape[0] != m.shape[1]:
+def require_matrix(a: np.ndarray) -> np.ndarray:
+    """Coerce to a finite 2-d complex128 array, raising ValueError otherwise."""
+    return _require_stack(_require_2d(a))
+
+
+def _require_stack(a: np.ndarray) -> np.ndarray:
+    """Coerce to a finite complex128 array of ndim >= 2: a matrix, or a stack (..., rows, cols) of them.
+
+    A non-finite entry raises ValueError naming the first matrix of the stack that holds one.
+    """
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2:
+        raise ValueError(f"expected a 2-d matrix or a stack of them, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        raise ValueError(f"matrix{_first_failure(~finite)[1]} has non-finite entries")
+    return m
+
+
+def _first_failure(failed: np.ndarray) -> tuple[tuple, str]:
+    """The first True of a mask over a stack's leading axes: its index, and ' at index i' naming it.
+
+    A single matrix has a 0-d mask, the index () and the empty name.
+    """
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(failed), failed.shape))
+    return index, f" at index {index[0] if len(index) == 1 else index}" if index else ""
+
+
+def _require_square(m: np.ndarray) -> np.ndarray:
+    """ValueError unless the validated matrix, or each matrix of the validated stack, is square."""
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _unstack(x: np.ndarray):
+    """A single matrix's result (0-d) as a Python float; a stack's results as the array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _sample(f: Callable, *args) -> np.ndarray:
@@ -106,12 +136,15 @@ def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
     return g, v
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Operator norm (largest singular value)."""
-    m = require_matrix(a)
+def operator_norm(a: np.ndarray) -> float | np.ndarray:
+    """Operator norm (largest singular value).
+
+    A stack (..., rows, cols) gives the array of its matrices' norms, each bitwise as for the matrix alone.
+    """
+    m = _require_stack(a)
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+        return _unstack(np.zeros(m.shape[:-2]))
+    return _unstack(np.linalg.svd(m, compute_uv=False)[..., 0])
 
 
 def _norm_certainly_within(a: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[bool, np.ndarray]:
@@ -141,14 +174,22 @@ def hermiticity_tol(a: np.ndarray) -> float:
 
 
 def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Validate max_ij |A_ij - conj(A_ji)| <= tol and return the matrix."""
-    m = _require_square(a)
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if tol is None:
-        # hermiticity_tol is never below 1e-10, so a smaller defect needs no SVD
-        tol = hermiticity_tol(m) if defect > 1e-10 else 1e-10
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
+    """Validate max_ij |A_ij - conj(A_ji)| <= tol and return the matrix.
+
+    A stack (..., n, n) is validated matrix by matrix, and the error names the
+    first matrix that fails.
+    """
+    m = _require_square(_require_stack(a))
+    deviation = np.abs(m - m.conj().swapaxes(-2, -1))
+    # hermiticity_tol is never below 1e-10, so defects all that small need no SVD
+    if deviation.max(initial=0.0) <= (1e-10 if tol is None else tol):
+        return m
+    defect = deviation.max(axis=(-2, -1), initial=0.0)
+    tol = np.broadcast_to(hermiticity_tol(m) if tol is None else tol, defect.shape)
+    failed = defect > tol
+    if failed.any():
+        index, at = _first_failure(failed)
+        raise ValueError(f"matrix{at} is not Hermitian: defect {defect[index]:.3e} > tol {tol[index]:.3e}")
     return m
 
 
@@ -320,7 +361,7 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
     the projection onto the merged eigenspace.  Default cluster_tol is
     max(1e-8, 1e-12 * ||A||).
     """
-    m = require_hermitian(a)
+    m = require_hermitian(_require_2d(a))
     w, v = np.linalg.eigh(m)
     if cluster_tol is None:
         # ||A|| = max |lambda| from eigh, in place of an SVD

@@ -21,13 +21,17 @@ import numpy as np
 
 from .linalg_core import (
     SpectralResolution,
+    _first_failure,
     _norm_certainly_within,
+    _require_2d,
     _require_square,
+    _require_stack,
+    _unstack,
     hermitian_eig,
-    inner_product,
     matrix_to_json,
     operator_norm,
     require_hermitian,
+    require_matrix,
 )
 
 __all__ = [
@@ -186,7 +190,7 @@ def resolvent(a: np.ndarray, z: complex) -> np.ndarray:
     Diagonalized form: eigenvalue lambda contributes 1/(lambda - z).  Raises
     ValueError when z is within 1e-12*(1+||A||-scale) of an eigenvalue.
     """
-    m = require_hermitian(a)
+    m = require_hermitian(_require_2d(a))
     w = np.linalg.eigvalsh(m)
     dist = float(np.min(np.abs(w - z), initial=np.inf))
     tau_sing = 1e-12 * (1.0 + float(np.max(np.abs(w), initial=0.0)))
@@ -207,8 +211,8 @@ class NeumannResult:
 
 
 def _require_kmax(kmax: int) -> None:
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    if not isinstance(kmax, (int, np.integer)) or kmax < 0:
+        raise ValueError(f"kmax must be an integer >= 0, got {kmax!r}")
 
 
 def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1e-12) -> NeumannResult:
@@ -226,7 +230,7 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     bracket straddles tau or 1e120 (within a 1e-8 relative margin), and on
     the last term, so `tail` is always the exact norm of the last term.
     """
-    m = _require_square(a)
+    m = _require_square(require_matrix(a))
     _require_kmax(kmax)
     n = m.shape[0]
     if z == 0:
@@ -256,71 +260,91 @@ def spectral_radius_gelfand(a: np.ndarray, kmax: int = 20) -> np.ndarray:
 
     Powers are renormalized at every squaring (log accumulation) so the
     sequence is overflow/underflow safe; a nilpotent matrix yields exact
-    zeros once the power vanishes.
+    zeros once the power vanishes.  A stack (..., n, n) gives one sequence
+    per matrix, shape (..., kmax + 1).
     """
-    m = _require_square(a)
+    m = _require_square(_require_stack(a))
     _require_kmax(kmax)
-    seq = np.zeros(kmax + 1)
-    nrm = operator_norm(m)
-    if nrm == 0.0:
-        return seq
-    c = m / nrm
-    t = float(np.log(nrm))  # log ||A^(2^k)|| maintained exactly in t
-    seq[0] = nrm
+    seq = np.zeros(m.shape[:-2] + (kmax + 1,))
+    seq[..., 0] = nrm = np.asarray(operator_norm(m))
+    live = nrm != 0.0  # False from a matrix's first vanishing power on: its remaining entries stay 0
+    scale = np.where(live, nrm, 1.0)
+    c = m / scale[..., None, None]
+    t = np.log(scale)  # log ||A^(2^k)|| maintained exactly in t
     for k in range(1, kmax + 1):
         c = c @ c
-        cn = operator_norm(c)
-        if cn == 0.0:
-            return seq  # nilpotent: remaining entries stay 0
-        c = c / cn
-        t = 2.0 * t + float(np.log(cn))
-        seq[k] = float(np.exp(t / 2.0 ** k))
+        cn = np.asarray(operator_norm(c))
+        live &= cn != 0.0
+        if not live.any():
+            break
+        cn = np.where(live, cn, 1.0)  # a vanished power stays 0; its entries are masked to 0 below
+        c = c / cn[..., None, None]
+        t = 2.0 * t + np.log(cn)
+        seq[..., k] = np.where(live, np.exp(t / 2.0 ** k), 0.0)
     return seq
 
 
-def hausdorff_distance_spectra(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact Hausdorff distance between the eigenvalue sets of two Hermitian matrices."""
+def hausdorff_distance_spectra(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Exact Hausdorff distance between the eigenvalue sets of two Hermitian matrices.
+
+    Stacks (..., n, n) and (..., m, m) give the array of distances, pair by pair.
+    """
     wa = np.linalg.eigvalsh(require_hermitian(a))
     wb = np.linalg.eigvalsh(require_hermitian(b))
     return _set_distance(wa, wb)
 
 
-def _set_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Hausdorff distance of two finite sets in the complex plane; np.max lets a NaN propagate.
+def _set_distance(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Hausdorff distance of two finite sets in the complex plane; np.maximum lets a NaN propagate.
 
     Two empty sets are 0 apart and an empty set is inf from a nonempty one,
     the sup/inf convention for max(sup_x inf_y |x - y|, sup_y inf_x |x - y|).
+    Stacks of sets (..., m) and (..., n) give the array of distances.
     """
-    if x.size == 0 or y.size == 0:
-        return 0.0 if x.size == y.size == 0 else np.inf
-    d = np.abs(x[:, None] - y[None, :])
-    return float(np.max([d.min(axis=1).max(), d.min(axis=0).max()]))
+    if x.shape[-1] == 0 or y.shape[-1] == 0:
+        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        return _unstack(np.full(lead, 0.0 if x.shape[-1] == y.shape[-1] == 0 else np.inf))
+    d = np.abs(x[..., :, None] - y[..., None, :])
+    return _unstack(np.maximum(d.min(axis=-1).max(axis=-1), d.min(axis=-2).max(axis=-1)))
 
 
 def cayley_map(x) -> complex:
-    """Scalar Cayley map (x - i) / (x + i), real line onto the unit circle minus 1."""
+    """Cayley map (x - i) / (x + i), real line onto the unit circle minus 1; elementwise on an array."""
     return (x - 1j) / (x + 1j)
 
 
 def cayley(a: np.ndarray) -> np.ndarray:
-    """U = (A - iI)(A + iI)^-1, unitary for Hermitian A, eigenvalues (lambda-i)/(lambda+i)."""
+    """U = (A - iI)(A + iI)^-1, unitary for Hermitian A, eigenvalues (lambda-i)/(lambda+i).
+
+    A stack (..., n, n) is transformed matrix by matrix.
+    """
     m = require_hermitian(a)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(m.shape[-1], dtype=complex)
     x = np.linalg.solve(m + 1j * eye, eye)
     return (m - 1j * eye) @ x
 
 
 def evolve(a: np.ndarray, t: float) -> np.ndarray:
-    """e^{itA} = sum_i e^{i lambda_i t} P_i, computed through the eigensystem."""
+    """e^{itA} = sum_i e^{i lambda_i t} P_i, computed through the eigensystem.
+
+    A stack (..., n, n) is evolved matrix by matrix, and t may be an array
+    broadcast against the stack's leading axes: evolve(A, [s, t]) for a single
+    A gives the pair e^{isA}, e^{itA} from one eigendecomposition.
+    """
     m = require_hermitian(a)
+    t = np.asarray(t)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got {t}")
     w, v = np.linalg.eigh(m)
-    return (v * np.exp(1j * w * t)) @ v.conj().T
+    return (v * np.exp(1j * w * t[..., None])[..., None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 @dataclass(frozen=True)
 class UncertaintyRecord:
-    """lhs = (1/4)|<[A,B]>|^2, rhs = Var(A) Var(B), robertson_lhs adds the anticommutator term."""
+    """lhs = (1/4)|<[A,B]>|^2, rhs = Var(A) Var(B), robertson_lhs adds the anticommutator term.
+
+    Each field is a float, or for stacked inputs an array over the stack's leading axes.
+    """
 
     lhs: float
     rhs: float
@@ -337,27 +361,35 @@ def uncertainty(a: np.ndarray, b: np.ndarray, h: np.ndarray) -> UncertaintyRecor
     Both (1/4)|<h,[A,B]h>|^2 <= Var Var and the sharper version with the
     centered anticommutator term added on the left hold for every valid input;
     the record reports the three numbers so callers can assert either form.
+    Stacks A, B of shape (..., n, n) with states h of shape (..., n) give one
+    record of arrays, entry by entry.
     """
     ma = require_hermitian(a)
     mb = require_hermitian(b)
-    hv = np.asarray(h, dtype=complex).ravel()
-    nrm = float(np.linalg.norm(hv))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"state must be a unit vector, got norm {nrm}")
-    mean_a = inner_product(hv, ma @ hv).real
-    mean_b = inner_product(hv, mb @ hv).real
-    n = hv.size
-    a0 = ma - mean_a * np.eye(n)
-    b0 = mb - mean_b * np.eye(n)
-    a0h = a0 @ hv
-    b0h = b0 @ hv
-    var_a = float(np.vdot(a0h, a0h).real)
-    var_b = float(np.vdot(b0h, b0h).real)
-    cross = complex(np.vdot(a0h, b0h))  # <A0 h, B0 h>
+    hv = np.asarray(h, dtype=complex)
+    if mb.shape != ma.shape or hv.shape != ma.shape[:-1]:
+        raise ValueError(
+            f"A, B and h must be shaped (..., n, n), (..., n, n) and (..., n); got {ma.shape}, {mb.shape}, {hv.shape}"
+        )
+    nrm = np.linalg.norm(hv, axis=-1)
+    failed = ~(np.abs(nrm - 1.0) <= 1e-10)  # also a NaN norm
+    if np.any(failed):
+        index, at = _first_failure(failed)
+        raise ValueError(f"state{at} must be a unit vector, got norm {nrm[index]}")
+    col = hv[..., None]
+    mean_a = np.vecdot(hv, (ma @ col)[..., 0]).real
+    mean_b = np.vecdot(hv, (mb @ col)[..., 0]).real
+    eye = np.eye(hv.shape[-1])
+    a0h = ((ma - mean_a[..., None, None] * eye) @ col)[..., 0]
+    b0h = ((mb - mean_b[..., None, None] * eye) @ col)[..., 0]
+    var_a = np.vecdot(a0h, a0h).real
+    var_b = np.vecdot(b0h, b0h).real
+    cross = np.vecdot(a0h, b0h)  # <A0 h, B0 h>
     # commutator mean is 2i Im(cross); anticommutator mean is 2 Re(cross)
-    lhs = abs(cross.imag) ** 2
-    robertson_lhs = lhs + abs(cross.real) ** 2
-    return UncertaintyRecord(lhs, var_a * var_b, robertson_lhs, mean_a, mean_b, var_a, var_b)
+    lhs = cross.imag * cross.imag
+    robertson_lhs = lhs + cross.real * cross.real
+    fields = (lhs, var_a * var_b, robertson_lhs, mean_a, mean_b, var_a, var_b)
+    return UncertaintyRecord(*(_unstack(f) for f in fields))
 
 
 @dataclass(frozen=True)
@@ -383,8 +415,8 @@ def commuting_diagonalization(
     unitary basis diagonalizing both.  Otherwise the result just reports the
     commutator norm as the incompatibility witness.
     """
-    ma = require_hermitian(a)
-    mb = require_hermitian(b)
+    ma = require_hermitian(_require_2d(a))
+    mb = require_hermitian(_require_2d(b))
     if ma.shape != mb.shape:
         raise ValueError("matrices must have the same shape")
     res = hermitian_eig(ma)

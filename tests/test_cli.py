@@ -3,8 +3,10 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from speclab import cli, measures, spectral_fd
@@ -60,14 +62,16 @@ def test_reruns_are_byte_identical(tmp_path, name):
 
 def test_nan_in_a_later_trial_fails_its_check(tmp_path, monkeypatch):
     real = spectral_fd.hausdorff_distance_spectra
-    calls = []
 
-    def nan_on_second_call(a, b):
-        calls.append(1)
-        return float("nan") if len(calls) == 2 else real(a, b)
+    def nan_at_index_one(a, b):
+        out = real(a, b)
+        out[1] = np.nan
+        return out
 
-    monkeypatch.setattr(spectral_fd, "hausdorff_distance_spectra", nan_on_second_call)
+    # the stacked call returns trial 1's distance as NaN: a builtin max would skip it, np.max does not
+    monkeypatch.setattr(spectral_fd, "hausdorff_distance_spectra", nan_at_index_one)
     report = run_experiment(ExperimentConfig(name="hausdorff", trials=5, out=str(tmp_path)))
+    assert [math.isnan(r[1]) for r in report.rows] == [False, True, False, False, False]
     assert not report.passed
     (check,) = report.checks
     assert math.isnan(check.measured) and not check.passed
@@ -150,3 +154,81 @@ def test_readme_and_usage_list_the_run_flags(capsys):
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"--[a-z]+", section)) == flags
     assert set(re.findall(r"--[a-z]+", cli.__doc__)) == flags
+
+
+# ---------------------------------------------------------------- stacked experiments
+
+def sequential_hermitian(rng, n):
+    """A random Hermitian matrix drawn as the trial-by-trial experiments drew it: the reference."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (m + m.conj().T) / 2.0
+
+
+def sequential_state(rng, n):
+    """A random unit vector drawn and normalized as the trial-by-trial experiments did it: the reference."""
+    h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return h / np.linalg.norm(h)
+
+
+# per experiment: its stacked library call, its default trial count, and one trial's sequential draws
+SEQUENTIAL_DRAWS = {
+    "gelfand": ("spectral_radius_gelfand", 100, lambda rng, n: [sequential_hermitian(rng, n)]),
+    "hausdorff": ("hausdorff_distance_spectra", 1000, lambda rng, n: [sequential_hermitian(rng, n) for _ in "ab"]),
+    "cayley": ("cayley", 100, lambda rng, n: [sequential_hermitian(rng, n)]),
+    "evolve": ("evolve", 100, lambda rng, n: [sequential_hermitian(rng, n), *rng.uniform(-2.0, 2.0, 2)]),
+    "uncertainty": (
+        "uncertainty", 1000, lambda rng, n: [sequential_hermitian(rng, n), sequential_hermitian(rng, n), sequential_state(rng, n)]
+    ),
+}
+
+
+@pytest.mark.parametrize("trials", [5, 128, 129, None])
+@pytest.mark.parametrize("name", sorted(SEQUENTIAL_DRAWS))
+def test_block_draws_equal_sequential_draws(tmp_path, monkeypatch, name, trials):
+    library, default, draw = SEQUENTIAL_DRAWS[name]
+    real = getattr(spectral_fd, library)
+    calls = []
+
+    def spy(*args, **kwargs):
+        if np.ndim(args[0]) == 3:  # a stack of trials, not uncertainty's single Pauli check
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_fd, library, spy)
+    report = run_experiment(ExperimentConfig(name=name, trials=trials, out=str(tmp_path)))
+    count = trials or default
+    assert report.passed and [r[0] for r in report.rows] == list(range(count))
+    sizes = [len(args[0]) for args in calls]
+    assert sizes == [cli._TRIAL_BLOCK] * (count // cli._TRIAL_BLOCK) + [count % cli._TRIAL_BLOCK] * (count % cli._TRIAL_BLOCK > 0)
+
+    rng = cli._rng(name, 0)
+    want = [np.stack(column) for column in zip(*(draw(rng, 8) for _ in range(count)))]
+    if name == "evolve":  # the library call takes A and the times [s + t, s, t, h]
+        got = [np.concatenate([args[0] for args in calls])] + [np.concatenate([args[1][i] for args in calls]) for i in (1, 2)]
+    else:
+        got = [np.concatenate([args[i] for args in calls]) for i in range(len(want))]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_block_states_keep_the_per_vector_bits():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 8, 33, 100):
+        z = rng.standard_normal((50, 2, n))
+        want = np.stack([z_t[0] + 1j * z_t[1] for z_t in z])
+        want = np.stack([h / np.linalg.norm(h) for h in want])
+        np.testing.assert_array_equal(cli._states(z), want)
+
+
+@pytest.mark.parametrize("name", ["hausdorff", "uncertainty"])
+def test_stacked_experiments_bound_their_memory(tmp_path, name):
+    # the stacks are drawn _TRIAL_BLOCK trials at a time: one stack of all 1000 trials peaks above 8 MB
+    cfg = ExperimentConfig(name=name, out=str(tmp_path))
+    run_experiment(cfg)  # first run: imports and lazy set-up
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6

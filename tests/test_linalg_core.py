@@ -217,6 +217,16 @@ def test_operator_norm_is_the_two_norm_bit_for_bit():
             assert operator_norm(a) == np.linalg.norm(a.astype(complex), 2)
 
 
+def test_operator_norm_takes_strided_views():
+    # a transposed or sliced complex matrix has no contiguous last axis; it is validated all the same
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    for view in (a[0].T, a[0][:, ::2], a.swapaxes(-2, -1)):
+        np.testing.assert_array_equal(operator_norm(view), operator_norm(view.copy()))
+    with pytest.raises(ValueError, match="^matrix at index 1 has non-finite entries$"):
+        operator_norm(np.where(np.arange(3)[:, None, None] == 1, np.inf, a).swapaxes(-2, -1))
+
+
 def test_cstar_identity():
     # ||A*A|| = ||A||^2
     rng = np.random.default_rng(29)

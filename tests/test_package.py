@@ -36,7 +36,7 @@ def _source_nodes():
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum = [], [], [], [], []
     for module, owner, node in _source_nodes():
-        if isinstance(node, ast.Compare) and re.search(r"shape\[0\] != \S*shape\[1\]", ast.unparse(node)):
+        if isinstance(node, ast.Compare) and re.search(r"shape\[-?[02]\] != \S*shape\[-?1\]", ast.unparse(node)):
             square.append((module, owner))
         if not isinstance(node, ast.Call):
             continue
@@ -48,7 +48,7 @@ def test_each_shared_rule_has_one_site():
         order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
         if func.endswith("linalg.norm") and any(isinstance(o, ast.Constant) and o.value == 2 for o in order):
             two_norm.append((module, owner))
-        if re.fullmatch(r".*\.min\(axis=\d\)\.max", func):  # a directed set distance
+        if re.fullmatch(r".*\.min\(axis=-?\d\)\.max", func):  # a directed set distance
             set_distance.append((module, owner))
     assert leggauss == [("integral_ops.py", "_gauss_legendre")]
     assert two_norm == [], "operator_norm owns the 2-norm"

@@ -1,6 +1,8 @@
-"""Borel sets, projection-valued measures, resolvents, Cayley/evolution, uncertainty."""
+"""Borel sets, projection-valued measures, resolvents, Cayley/evolution, uncertainty, stacked inputs."""
 
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from speclab import (
     neumann_resolvent,
     operator_norm,
     pvm,
+    require_hermitian,
     resolution_to_json,
     resolvent,
     spectral_fd,
@@ -378,6 +381,16 @@ def test_negative_kmax_is_rejected(call):
         call(np.eye(2), -1)
 
 
+@pytest.mark.parametrize(
+    "call", [lambda a, k: spectral_radius_gelfand(a, kmax=k), lambda a, k: neumann_resolvent(a, 2.0, kmax=k)],
+    ids=["spectral_radius_gelfand", "neumann_resolvent"],
+)
+@pytest.mark.parametrize("kmax", [2.5, "3", None])
+def test_non_integer_kmax_is_rejected(call, kmax):
+    with pytest.raises(ValueError, match=re.escape(f"kmax must be an integer >= 0, got {kmax!r}")):
+        call(np.eye(2), kmax)
+
+
 def test_gelfand_nilpotent_hits_zero():
     seq = spectral_radius_gelfand(np.array([[0.0, 1.0], [0.0, 0.0]]), kmax=4)
     assert seq[0] == pytest.approx(1.0)
@@ -513,6 +526,31 @@ def test_uncertainty_never_violated():
 def test_uncertainty_requires_unit_state():
     with pytest.raises(ValueError):
         uncertainty(SIGMA_X, SIGMA_Y, np.array([2.0, 0.0]))
+    # a NaN norm fails the unit check too, rather than giving an all-NaN record
+    with pytest.raises(ValueError, match="unit vector, got norm nan"):
+        uncertainty(SIGMA_X, SIGMA_Y, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "a, b, h",
+    [
+        (SIGMA_X, SIGMA_Y, np.ones(3) / np.sqrt(3.0)),
+        (SIGMA_X, np.eye(3), np.array([1.0, 0.0])),
+        (np.stack([SIGMA_X] * 2), np.stack([SIGMA_Y] * 3), np.array([[1.0, 0.0]] * 2)),
+        (np.stack([SIGMA_X] * 2), np.stack([SIGMA_Y] * 2), np.array([1.0, 0.0])),
+    ],
+    ids=["state-size", "b-size", "stack-sizes", "unstacked-state"],
+)
+def test_uncertainty_names_mismatched_shapes(a, b, h):
+    shapes = f"got {np.shape(a)}, {np.shape(b)}, {np.shape(h)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        uncertainty(a, b, h)
+
+
+def test_evolve_rejects_non_finite_times():
+    for t in (np.nan, np.inf, [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="t must be finite"):
+            evolve(np.eye(2), t)
 
 
 # ---------------------------------------------------------------- joint diagonalization
@@ -622,3 +660,103 @@ def test_resolution_and_measure_json_shapes():
     obj2 = spectral_measure_to_json(pair)
     json.dumps(obj2)
     assert len(obj2["atoms"]) == 2
+
+
+# ---------------------------------------------------------------- stacked inputs
+
+def random_hermitian_stack(rng, lead, n):
+    m = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2
+
+
+def random_unit(rng, shape):
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return h / np.linalg.norm(h, axis=-1, keepdims=True)
+
+
+def gelfand_inputs(rng, lead):
+    a = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+    if len(lead) == 2 and lead[1] > 2:  # a nilpotent and a zero matrix among general ones
+        a[0, 1] = np.triu(a[0, 1], 1)
+        a[1, 2] = 0.0
+    return (a,)
+
+
+def record(rec):
+    """An UncertaintyRecord as one array, its fields along the last axis."""
+    return np.stack(np.broadcast_arrays(*dataclasses.astuple(rec)), axis=-1)
+
+
+# name: (call, its inputs for a given leading shape, the error a bad matrix in the stack raises)
+STACKED = {
+    "operator_norm": (
+        operator_norm,
+        lambda rng, lead: (rng.standard_normal(lead + (4, 5)) + 1j * rng.standard_normal(lead + (4, 5)),),
+        "non-finite",
+    ),
+    "require_hermitian": (
+        require_hermitian, lambda rng, lead: (random_hermitian_stack(rng, lead, 4),), "not Hermitian",
+    ),
+    "_set_distance": (
+        spectral_fd._set_distance,
+        lambda rng, lead: (rng.standard_normal(lead + (4,)) + 1j * rng.standard_normal(lead + (4,)), rng.standard_normal(lead + (5,))),
+        None,
+    ),
+    "hausdorff_distance_spectra": (
+        hausdorff_distance_spectra,
+        lambda rng, lead: (random_hermitian_stack(rng, lead, 4), random_hermitian_stack(rng, lead, 5)),
+        "not Hermitian",
+    ),
+    "spectral_radius_gelfand": (lambda a: spectral_radius_gelfand(a, kmax=6), gelfand_inputs, "non-finite"),
+    "uncertainty": (
+        lambda a, b, h: record(uncertainty(a, b, h)),
+        lambda rng, lead: (random_hermitian_stack(rng, lead, 4), random_hermitian_stack(rng, lead, 4), random_unit(rng, lead + (4,))),
+        "not Hermitian",
+    ),
+    "evolve": (
+        evolve, lambda rng, lead: (random_hermitian_stack(rng, lead, 4), rng.uniform(-2.0, 2.0, lead)), "not Hermitian",
+    ),
+    "cayley": (cayley, lambda rng, lead: (random_hermitian_stack(rng, lead, 4),), "not Hermitian"),
+}
+
+
+@pytest.mark.parametrize("lead", [(2, 3), (0,)], ids=["2x3", "empty"])
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_call_equals_the_per_matrix_loop(name, lead):
+    call, inputs, _ = STACKED[name]
+    rng = np.random.default_rng(97)
+    args = inputs(rng, lead)
+    single = call(*inputs(rng, ()))
+    got = call(*args)
+    want = [call(*(x[i] for x in args)) for i in np.ndindex(lead)]
+    assert np.shape(got) == lead + np.shape(single)
+    np.testing.assert_array_equal(got, np.reshape(want, lead + np.shape(single)))
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stack_error_names_the_failing_index(name):
+    call, inputs, error = STACKED[name]
+    args = list(inputs(np.random.default_rng(101), (4,)))
+    if error is None:  # the private set distance does not validate: a NaN point stays in its own entry
+        args[0][2, 1] = np.nan
+        assert np.isnan(call(*args)).tolist() == [False, False, True, False]
+        return
+    args[0][2, 0, 1] += np.nan if error == "non-finite" else 1e-3
+    with pytest.raises(ValueError, match=f"^matrix at index 2 (is|has) {error}"):
+        call(*args)
+
+
+def test_single_matrix_results_stay_python_floats():
+    a = np.diag([1.0, -3.0])
+    assert type(operator_norm(a)) is float
+    assert type(hausdorff_distance_spectra(a, 2 * a)) is float
+    assert type(spectral_fd._set_distance(np.array([1.0]), np.array([2.0]))) is float
+    assert {type(v) for v in dataclasses.astuple(uncertainty(SIGMA_X, SIGMA_Y, np.array([1.0, 0.0])))} == {float}
+
+
+def test_uncertainty_state_error_names_the_failing_index():
+    a = np.stack([SIGMA_X] * 4)
+    h = np.array([[1.0, 0.0]] * 4)
+    h[2] = [1.0, 1.0]
+    with pytest.raises(ValueError, match="^state at index 2 must be a unit vector"):
+        uncertainty(a, a, h)
