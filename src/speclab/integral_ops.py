@@ -17,7 +17,9 @@ can stop.  One routine, _green_sums, applies G by those prefix and suffix
 sums: for the product, for the extension of eigenfunctions off the grid, and
 for each mode's residual, the defect of the integral eigen-equation
 f = (lambda - shift) G f on trapezoid cells.  The grid-doubling check is the
-same solve at twice the nodes (same solutions).
+same solve at twice the nodes (same solutions).  The Volterra square V*V has
+the same form, kernel 1 - max(x, y) with u = 1 - x, v = 1 and W = 1, so the
+O(n) product serves its spectrum too.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ SHIFT_LADDER_DEPTH = 64
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes strictly inside [a, b] with positive weights summing to b - a."""
+    """Nodes strictly inside [a, b] with positive weights summing to b - a, all finite."""
 
     a: float
     b: float
@@ -84,13 +86,15 @@ class QuadratureGrid:
         w = np.asarray(self.weights, dtype=float)
         if x.ndim != 1 or x.shape != w.shape or x.size == 0:
             raise ValueError("nodes/weights must be matching nonempty 1-d arrays")
-        if np.any(np.diff(x) <= 0):
+        _require_finite(a=self.a, b=self.b, nodes=x, weights=w)
+        # each test below passes only on a True comparison, so NaN fails it too
+        if not (np.diff(x) > 0).all():
             raise ValueError("nodes must be strictly ascending")
-        if x[0] <= self.a or x[-1] >= self.b:
+        if not (self.a < x[0] and x[-1] < self.b):
             raise ValueError("nodes must lie strictly inside (a, b)")
-        if np.any(w <= 0):
+        if not (w > 0).all():
             raise ValueError("weights must be positive")
-        if abs(np.sum(w) - (self.b - self.a)) > 1e-12 * max(1.0, self.b - self.a):
+        if not abs(np.sum(w) - (self.b - self.a)) <= 1e-12 * max(1.0, self.b - self.a):
             raise ValueError("weights must sum to b - a within 1e-12")
         object.__setattr__(self, "nodes", x)
         object.__setattr__(self, "weights", w)
@@ -107,15 +111,24 @@ def gauss_legendre_grid(
     per_panel: int = NODES_PER_PANEL,
 ) -> QuadratureGrid:
     """Composite Gauss-Legendre rule: `panels` panels of `per_panel` nodes each."""
+    _require_finite(a=a, b=b)
     if not b > a:
         raise ValueError("need a < b")
-    if panels < 1 or per_panel < 1:
-        raise ValueError("panels and per_panel must be >= 1")
+    for name, count in (("panels", panels), ("per_panel", per_panel)):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     x0, w0 = _gauss_legendre(per_panel)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = (hi - lo) / 2.0
     return QuadratureGrid(a, b, (half * x0 + (lo + hi) / 2.0).ravel(), (half * w0).ravel())
+
+
+def _require_finite(**fields) -> None:
+    """ValueError naming the first field with a NaN or infinite entry."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
 
 
 @lru_cache(maxsize=None)
@@ -212,14 +225,15 @@ def volterra(grid: QuadratureGrid) -> VolterraPair:
 
     V's kernel is the step chi(y <= x) with value 1/2 on the diagonal (average
     of the one-sided limits); V*V has the continuous kernel 1 - max(x, y).
+    Both kernels are real, stored as float64.
     """
     if abs(grid.a) > 1e-12 or abs(grid.b - 1.0) > 1e-12:
         raise ValueError("Volterra operators are built on [0, 1]")
     x = grid.nodes
     xi = x[:, None]
     yj = x[None, :]
-    kv = (yj < xi).astype(complex) + 0.5 * (yj == xi)
-    kvv = (1.0 - np.maximum(xi, yj)).astype(complex)
+    kv = (yj < xi) + 0.5 * (yj == xi)
+    kvv = 1.0 - np.maximum(xi, yj)
     make = lambda km: IntegralOperator(grid, km, _symmetrized(km, grid))
     return VolterraPair(make(kv), make(kvv))
 
@@ -474,13 +488,18 @@ def _green_sums(lower: np.ndarray, upper: np.ndarray, ux: np.ndarray, vx: np.nda
     return ux * prefix[k] + vx * suffix[k]
 
 
-def _green_matvec(solutions: SLSolutions, grid: QuadratureGrid) -> Callable[[np.ndarray], np.ndarray]:
-    """y -> S y for S = W^{1/2} G W^{1/2} on the grid, real symmetric, in O(n) per product."""
-    u = solutions.u_at(grid.nodes)
-    v = solutions.v_at(grid.nodes)
+def _green_matvec(
+    u: np.ndarray | float, v: np.ndarray | float, wronskian: float, grid: QuadratureGrid
+) -> Callable[[np.ndarray], np.ndarray]:
+    """y -> S y for S = W^{1/2} G W^{1/2} on the grid, real symmetric, in O(n) per product.
+
+    G = u(max) v(min) / wronskian with u and v given at the grid nodes (arrays,
+    or numbers broadcast over them): the Sturm-Liouville Green kernel, or the
+    Volterra product V*V, whose kernel 1 - max(x, y) has u = 1 - x, v = 1.
+    """
     sw = np.sqrt(grid.weights)
     k = np.arange(1, grid.size + 1)
-    return lambda y: sw * _green_sums(v * (sw * y), u * (sw * y), u, v, k) / solutions.wronskian
+    return lambda y: sw * _green_sums(v * (sw * y), u * (sw * y), u, v, k) / wronskian
 
 
 def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -610,7 +629,8 @@ def sl_eigensolve(
 
     def solve(n: int):
         grid = _panel_grid(p.a, p.b, n)
-        theta, ritz = _lanczos(_green_matvec(sols, grid), grid.size, 4 * k_wanted)
+        matvec = _green_matvec(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid)
+        theta, ritz = _lanczos(matvec, grid.size, 4 * k_wanted)
         lams, idx = _sl_candidates(theta, mu_shift, k_wanted)
         return grid, theta, ritz, lams, idx
 

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,29 @@ def test_grid_validation():
         QuadratureGrid(0.0, 1.0, np.array([0.0, 0.5]), np.array([0.5, 0.5]))  # node at edge
     with pytest.raises(ValueError):
         QuadratureGrid(0.0, 1.0, np.array([0.2, 0.8]), np.array([0.4, 0.4]))  # bad mass
+
+
+GRID_RULE_VIOLATIONS = {
+    "nan node": (lambda: QuadratureGrid(0.0, 1.0, np.array([0.2, np.nan, 0.8]), np.array([0.3, 0.4, 0.3])), "nodes"),
+    "nan weight": (lambda: QuadratureGrid(0.0, 1.0, np.array([0.2, 0.5, 0.8]), np.array([0.3, np.nan, 0.3])), "weights"),
+    "nan a": (lambda: QuadratureGrid(np.nan, 1.0, np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.4, 0.3])), "a"),
+    "infinite b": (lambda: QuadratureGrid(0.0, np.inf, np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.4, 0.3])), "b"),
+    "rule to infinity": (lambda: gauss_legendre_grid(0.0, np.inf, 4, 4), "b"),
+    "rule from nan": (lambda: gauss_legendre_grid(np.nan, 1.0, 4, 4), "a"),
+    "fractional panels": (lambda: gauss_legendre_grid(0.0, 1.0, 2.5, 4), "panels"),
+    "fractional per_panel": (lambda: gauss_legendre_grid(0.0, 1.0, 4, 2.5), "per_panel"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_RULE_VIOLATIONS))
+def test_grid_rejects_non_finite_and_fractional_input(case):
+    # a NaN compares False, so each of these once passed every check (or
+    # raised numpy's TypeError), and a NaN weight made trace(V*V) NaN
+    build, field_name = GRID_RULE_VIOLATIONS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        with pytest.raises(ValueError, match=rf"^{field_name} must be"):
+            build()
 
 
 # ---------------------------------------------------------------- nystrom
@@ -181,6 +205,23 @@ def test_volterra_integrates_ones_to_x():
     g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
     out = volterra(g).v.apply(np.ones(g.size))
     assert np.max(np.abs(out - g.nodes)) < 5e-4
+
+
+def complex_volterra_kernels(x):
+    """The complex construction the float64 kernels replaced, kept as their oracle."""
+    xi, yj = x[:, None], x[None, :]
+    return (yj < xi).astype(complex) + 0.5 * (yj == xi), (1.0 - np.maximum(xi, yj)).astype(complex)
+
+
+@pytest.mark.parametrize("panels", [1, 7, 50])
+def test_volterra_kernels_are_real_and_equal_the_complex_construction(panels):
+    g = gauss_legendre_grid(0.0, 1.0, panels=panels, per_panel=8)
+    pair = volterra(g)
+    for op, want in zip((pair.v, pair.vstar_v), complex_volterra_kernels(g.nodes)):
+        assert op.kernel_matrix.dtype == op.symmetrized.dtype == np.float64
+        assert not np.any(want.imag)
+        np.testing.assert_array_equal(op.kernel_matrix, want.real)
+        np.testing.assert_array_equal(op.symmetrized, integral_ops._symmetrized(want, g).real)
 
 
 def test_volterra_wrong_interval_rejected():
@@ -513,7 +554,7 @@ def test_structured_eigensolve_matches_dense_route(name):
     # larger than the result cannot meet
     assert not np.any(op.kernel_matrix.imag)
     b = ((op.symmetrized + op.symmetrized.T) / 2.0).real
-    matvec = integral_ops._green_matvec(sols, grid)
+    matvec = integral_ops._green_matvec(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid)
     for y in np.random.default_rng(11).standard_normal((3, grid.size)):
         sy = matvec(y)
         assert sy.dtype == np.float64
