@@ -36,6 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from .linalg_core import (
     _read_key_values,
     _require_2d,
+    _require_finite,
     _require_square,
     _sample,
     operator_norm,
@@ -124,13 +125,6 @@ def gauss_legendre_grid(
     return QuadratureGrid(a, b, (half * x0 + (lo + hi) / 2.0).ravel(), (half * w0).ravel())
 
 
-def _require_finite(**fields) -> None:
-    """ValueError naming the first field with a NaN or infinite entry."""
-    for name, value in fields.items():
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """leggauss(n) on [-1, 1], built once per n and read-only because every caller shares it."""
@@ -148,8 +142,8 @@ class IntegralOperator:
     symmetrized: np.ndarray = field(repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """(T f)(x_i) = sum_j w_j K_ij f(x_j)."""
-        fv = np.asarray(f, dtype=complex).ravel()
+        """(T f)(x_i) = sum_j w_j K_ij f(x_j): float64 for a real kernel and a real f, else complex128."""
+        fv = np.asarray(f).ravel()
         if fv.size != self.grid.size:
             raise ValueError("sample vector does not match the grid")
         return self.kernel_matrix @ (self.grid.weights * fv)
@@ -163,12 +157,12 @@ def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     """Sample a kernel on grid x grid and store K with B = W^{1/2} K W^{1/2}.
 
     k is called once as k(x[:, None], x[None, :]); a kernel that does not
-    broadcast is sampled entry by entry instead.  A non-finite sample raises
-    ValueError naming the indices.
+    broadcast is sampled entry by entry instead.  A real kernel is stored as
+    float64.  A non-finite sample raises ValueError naming the indices.
     """
     x = grid.nodes
     km = _sample(k, x[:, None], x[None, :])
-    bad = ~np.isfinite(km.view(float)).reshape(km.shape + (2,)).all(axis=-1)
+    bad = ~np.isfinite(km)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"kernel sample not finite at nodes ({i}, {j})")
@@ -225,17 +219,11 @@ def volterra(grid: QuadratureGrid) -> VolterraPair:
 
     V's kernel is the step chi(y <= x) with value 1/2 on the diagonal (average
     of the one-sided limits); V*V has the continuous kernel 1 - max(x, y).
-    Both kernels are real, stored as float64.
+    Both are built by nystrom, and being real they are stored as float64.
     """
     if abs(grid.a) > 1e-12 or abs(grid.b - 1.0) > 1e-12:
         raise ValueError("Volterra operators are built on [0, 1]")
-    x = grid.nodes
-    xi = x[:, None]
-    yj = x[None, :]
-    kv = (yj < xi) + 0.5 * (yj == xi)
-    kvv = 1.0 - np.maximum(xi, yj)
-    make = lambda km: IntegralOperator(grid, km, _symmetrized(km, grid))
-    return VolterraPair(make(kv), make(kvv))
+    return VolterraPair(nystrom(lambda x, y: (y < x) + 0.5 * (y == x), grid), nystrom(lambda x, y: 1.0 - np.maximum(x, y), grid))
 
 
 class NonInjectiveError(ValueError):
@@ -274,7 +262,7 @@ class SturmLiouvilleProblem:
 
 def _eval_potential(q: Callable, xs: np.ndarray) -> np.ndarray:
     vals = _sample(q, xs)
-    if not np.all(np.isfinite(vals.view(float))):
+    if not np.isfinite(vals).all():
         raise ValueError("potential not finite on the integration grid")
     if np.max(np.abs(vals.imag)) > 1e-12 * (1.0 + np.max(np.abs(vals.real))):
         raise ValueError("complex potentials are not supported")

@@ -5,6 +5,8 @@ Conventions used throughout the package:
 * inner products are conjugate-linear in the FIRST slot,
   <x, a*y + b*z> = a<x, y> + b<x, z>;
 * matrices are dense complex128 numpy arrays, row-major in serialized form;
+* validated matrices are complex128, but a sampled evaluator's values (a
+  kernel, a potential) stay float64 when they are real;
 * a Hermitian matrix is resolved as A = sum_i lambda_i P_i with strictly
   ascending distinct eigenvalues and orthogonal projections P_i, stored as
   the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
@@ -86,20 +88,29 @@ def _unstack(x: np.ndarray):
 
 
 def _sample(f: Callable, *args) -> np.ndarray:
-    """f called once on its argument arrays, as a complex array of their broadcast shape.
+    """f called once on its argument arrays, as an array of their broadcast shape:
+    float64 for bool, integer or floating values, complex128 for any others.
 
     An evaluator that raises on arrays, or returns the wrong shape, is called entry by entry.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a) for a in args))
     shape = arrays[0].shape
+    real_or_complex = lambda v: np.asarray(v, dtype=float if v.dtype.kind in "biuf" else complex)
     try:
-        out = np.asarray(f(*args), dtype=complex)
+        out = real_or_complex(np.asarray(f(*args)))
         if out.shape == shape:
             return out
     except Exception:  # whatever a user evaluator raises on arrays, it may still take scalars
         pass
     entries = zip(*(a.ravel().tolist() for a in arrays))
-    return np.array([complex(f(*e)) for e in entries], dtype=complex).reshape(shape)
+    return real_or_complex(np.array([f(*e) for e in entries])).reshape(shape)
+
+
+def _require_finite(**fields) -> None:
+    """ValueError naming the first field with a NaN or infinite entry."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
 
 
 def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
@@ -359,9 +370,13 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
     Eigenvalues within cluster_tol of each other (chained over adjacent gaps)
     are merged into a single eigenvalue, reported as the cluster mean, with
     the projection onto the merged eigenspace.  Default cluster_tol is
-    max(1e-8, 1e-12 * ||A||).
+    max(1e-8, 1e-12 * ||A||); a given cluster_tol must be finite and >= 0.
     """
     m = require_hermitian(_require_2d(a))
+    if cluster_tol is not None:
+        _require_finite(cluster_tol=cluster_tol)
+        if cluster_tol < 0:
+            raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
     w, v = np.linalg.eigh(m)
     if cluster_tol is None:
         # ||A|| = max |lambda| from eigh, in place of an SVD

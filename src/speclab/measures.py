@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _sample, _uniform_grid
+from .linalg_core import _require_finite, _sample, _uniform_grid
 
 __all__ = [
     "FiniteMeasure",
@@ -48,7 +48,7 @@ class FiniteMeasure:
             raise ValueError("density grid and values must be given together")
         if g is not None:
             g, v = _uniform_grid(g, v, "FiniteMeasure density")
-            if not np.all(np.isfinite(v.view(float))):
+            if not np.isfinite(v).all():
                 raise ValueError("density has non-finite values")
             object.__setattr__(self, "density_grid", g)
             object.__setattr__(self, "density_values", v)
@@ -81,6 +81,8 @@ class FiniteMeasure:
         return out
 
     def is_positive(self, tau: float = TAU_NEG) -> bool:
+        """Every atom mass and density value is real and >= 0 up to the finite tolerance tau."""
+        _require_finite(tau=tau)
         for _, m in self.atoms:
             if abs(m.imag) > tau or m.real < -tau:
                 return False
@@ -286,8 +288,10 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
     differences; a function that does not broadcast is sampled entry by entry
     instead.  The Hermitian-symmetry precondition f(-x) = conj(f(x)) is
     checked on the probed differences first and its violation raises
-    ValueError (a structural failure, not a not-PD verdict).
+    ValueError (a structural failure, not a not-PD verdict), as does a
+    non-finite tau.
     """
+    _require_finite(tau=tau)
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("points must be a nonempty 1-d list")

@@ -24,6 +24,7 @@ from .linalg_core import (
     _first_failure,
     _norm_certainly_within,
     _require_2d,
+    _require_finite,
     _require_square,
     _require_stack,
     _unstack,
@@ -229,9 +230,11 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     and the Frobenius norm above.  The exact SVD norm runs only when the
     bracket straddles tau or 1e120 (within a 1e-8 relative margin), and on
     the last term, so `tail` is always the exact norm of the last term.
+    tau must be finite.
     """
     m = _require_square(require_matrix(a))
     _require_kmax(kmax)
+    _require_finite(tau=tau)
     n = m.shape[0]
     if z == 0:
         return NeumannResult(np.full((n, n), np.nan, dtype=complex), False, 0, np.inf)
@@ -413,12 +416,17 @@ def commuting_diagonalization(
     If ||AB - BA|| <= tau_comm (default 1e-10 (1+||A||)(1+||B||)) each
     eigenspace of A is refined by diagonalizing B compressed to it, giving a
     unitary basis diagonalizing both.  Otherwise the result just reports the
-    commutator norm as the incompatibility witness.
+    commutator norm as the incompatibility witness.  A given tau_comm must be
+    finite and >= 0.
     """
     ma = require_hermitian(_require_2d(a))
     mb = require_hermitian(_require_2d(b))
     if ma.shape != mb.shape:
         raise ValueError("matrices must have the same shape")
+    if tau_comm is not None:
+        _require_finite(tau_comm=tau_comm)
+        if tau_comm < 0:
+            raise ValueError(f"tau_comm must be >= 0, got {tau_comm!r}")
     res = hermitian_eig(ma)
     if tau_comm is None:  # Hermitian, so ||A|| = max |lambda| (A's from res): no SVD needed
         na = float(np.max(np.abs(res.eigenvalues), initial=0.0))

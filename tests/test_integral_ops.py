@@ -144,6 +144,45 @@ def test_nystrom_rejects_non_finite_sample():
         nystrom(poisoned, g)
 
 
+def imag_nan_at_2_0(x, y):
+    km = (x * y).astype(complex)
+    km.imag[2, 0] = np.nan  # the real part stays finite
+    return km
+
+
+@pytest.mark.parametrize(
+    "kernel, where",
+    [
+        (lambda x, y: np.where((x == x.max()) & (y == y.min()), np.inf, x * y), "(5, 0)"),
+        (imag_nan_at_2_0, "(2, 0)"),
+    ],
+    ids=["real-inf", "complex-nan-imag"],
+)
+def test_nystrom_names_the_index_of_a_non_finite_sample(kernel, where):
+    g = gauss_legendre_grid(0.0, 1.0, panels=2, per_panel=3)
+    with pytest.raises(ValueError, match=rf"^kernel sample not finite at nodes {re.escape(where)}$"):
+        nystrom(kernel, g)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [VSTAR_KERNEL, lambda x, y: (y < x) + 0.5 * (y == x), lambda x, y: np.exp(-((x - y) ** 2))],
+    ids=["vstar_v", "v", "gaussian"],
+)
+def test_apply_keeps_real_input_real_and_matches_the_complex_product(kernel):
+    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    op = nystrom(kernel, g)
+    assert op.kernel_matrix.dtype == np.float64
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(g.size)
+    h = f + 1j * rng.standard_normal(g.size)
+    for vec, dtype in ((f, np.float64), (h, np.complex128)):
+        out = op.apply(vec)
+        want = op.kernel_matrix.astype(complex) @ (g.weights * vec.astype(complex))  # the old complex route
+        assert out.dtype == dtype
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_refinement_study_order_two():
     # diagonal-kink kernel: eigenvalue error halves twice per panel doubling
     exact = 4.0 / np.pi ** 2
@@ -358,6 +397,21 @@ def test_complex_potential_rejected():
     p = dirichlet_problem(0.0, 1.0, lambda x: 1j * np.ones_like(np.asarray(x, dtype=float)))
     with pytest.raises(ValueError):
         sl_homogeneous_solutions(p)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (lambda x: 1j * x, "complex potentials are not supported"),
+        (lambda x: np.where(x > 0.5, np.nan, x), "potential not finite on the integration grid"),
+        (lambda x: np.where(x > 0.5, np.nan, 1j * x), "potential not finite on the integration grid"),
+    ],
+    ids=["complex", "nan", "complex-nan"],
+)
+def test_potential_evaluation_rejects_complex_and_non_finite_values(q, message):
+    xs = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        integral_ops._eval_potential(q, xs)
 
 
 # ---------------------------------------------------------------- green's functions

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from speclab import linalg_core
 from speclab import (
+    FiniteMeasure,
     InnerProductSpace,
     SpectralResolution,
+    commuting_diagonalization,
     gram_schmidt,
     hadamard,
     hermitian_eig,
@@ -16,6 +19,7 @@ from speclab import (
     matrix_to_json,
     neumann_resolvent,
     operator_norm,
+    positive_definite_test,
     require_hermitian,
     spectral_radius_gelfand,
     trace,
@@ -352,6 +356,61 @@ def test_require_hermitian_rejects_visible_defect():
 def test_non_square_matrix_gets_the_one_shared_message(call):
     with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         call(np.ones((2, 3)))
+
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
+TOLERANCE_CALLS = {
+    "hermitian_eig": (lambda t: hermitian_eig(np.diag([1.0, 1.0, 2.0]), cluster_tol=t), "cluster_tol"),
+    "commuting_diagonalization": (lambda t: commuting_diagonalization(PAULI_X, PAULI_Y, tau_comm=t), "tau_comm"),
+    "positive_definite_test": (lambda t: positive_definite_test(np.cos, [0.0, 1.0, 2.0], tau=t), "tau"),
+    "is_positive": (lambda t: FiniteMeasure.from_atoms([(0.0, -5.0)]).is_positive(t), "tau"),
+    "neumann_resolvent": (lambda t: neumann_resolvent(0.1 * np.eye(2), 1.0, tau=t), "tau"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, tol",
+    [(case, tol) for case in TOLERANCE_CALLS for tol in (np.nan, np.inf, -np.inf)]
+    + [("hermitian_eig", -1.0), ("commuting_diagonalization", -1.0)],
+)
+def test_bad_tolerance_is_rejected_by_name(case, tol):
+    # every comparison with NaN is False, so each call once returned a wrong
+    # answer (a PD verdict flipped, a pair called compatible, a series
+    # "converged" at its first term) instead of raising; cluster_tol = -1
+    # once split the double eigenvalue 1 into [1, 1, 2], not strictly ascending
+    call, name = TOLERANCE_CALLS[case]
+    message = f"{name} must be finite" if not np.isfinite(tol) else f"{name} must be >= 0, got -1.0"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call(tol)
+
+
+# ---------------------------------------------------------------- sampled evaluators
+
+SAMPLE_DTYPES = {
+    "bool": (np.bool_, np.float64),
+    "int": (np.int64, np.float64),
+    "float32": (np.float32, np.float64),
+    "float64": (np.float64, np.float64),
+    "complex64": (np.complex64, np.complex128),
+    "complex128": (np.complex128, np.complex128),
+    "object": (object, np.complex128),
+}
+
+
+@pytest.mark.parametrize("values, want", SAMPLE_DTYPES.values(), ids=SAMPLE_DTYPES.keys())
+@pytest.mark.parametrize("scalars_only", [False, True], ids=["broadcast", "entrywise"])
+def test_sample_keeps_real_values_real(values, want, scalars_only):
+    x, y = np.linspace(0.0, 1.0, 4)[:, None], np.linspace(0.0, 1.0, 3)[None, :]
+
+    def f(x, y):
+        if scalars_only and np.ndim(x):
+            raise TypeError("scalars only")
+        return np.asarray(10.0 * x + y, dtype=values)
+
+    out = linalg_core._sample(f, x, y)
+    assert out.dtype == want and out.shape == (4, 3)
+    np.testing.assert_array_equal(out, np.asarray(10.0 * x + y, dtype=values).astype(want))
 
 
 # ---------------------------------------------------------------- serialization

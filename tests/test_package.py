@@ -34,7 +34,7 @@ def _source_nodes():
 
 
 def test_each_shared_rule_has_one_site():
-    leggauss, two_norm, square, set_distance, cumsum = [], [], [], [], []
+    leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
     for module, owner, node in _source_nodes():
         if isinstance(node, ast.Compare) and re.search(r"shape\[-?[02]\] != \S*shape\[-?1\]", ast.unparse(node)):
             square.append((module, owner))
@@ -45,6 +45,10 @@ def test_each_shared_rule_has_one_site():
             leggauss.append((module, owner))
         if func.split(".")[-1] == "cumsum":
             cumsum.append((module, owner))
+        if func.split(".")[-1] == "IntegralOperator":
+            integral_op.append((module, owner))
+        if func.endswith(".view") and [ast.unparse(a) for a in node.args] == ["float"]:
+            float_view.append((module, owner))
         order = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
         if func.endswith("linalg.norm") and any(isinstance(o, ast.Constant) and o.value == 2 for o in order):
             two_norm.append((module, owner))
@@ -56,3 +60,6 @@ def test_each_shared_rule_has_one_site():
     assert sorted(set_distance) == [("spectral_fd.py", "_set_distance")] * 2
     # the Green kernel's prefix and suffix sums, for the product, the extension and the residual
     assert cumsum == [("integral_ops.py", "_green_sums")] * 2
+    # every operator is sampled, checked and symmetrized in one place
+    assert integral_op == [("integral_ops.py", "nystrom")]
+    assert float_view == [], "np.isfinite reads both parts of complex data"
