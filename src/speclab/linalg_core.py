@@ -113,6 +113,14 @@ def _require_finite(**fields) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _require_tolerance(**fields) -> None:
+    """ValueError naming the first tolerance that is not finite or is below 0."""
+    for name, value in fields.items():
+        _require_finite(**{name: value})
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
     """The key = value lines of a flat config file as strings; '#' starts a comment
     anywhere on a line.  A line without '=' or with a key not in `known` raises
@@ -358,8 +366,10 @@ def cluster_offsets(w: np.ndarray, tol: float) -> np.ndarray:
     """Offsets of the chain clusters of an ascending list.
 
     Neighbours at most tol apart share a cluster, so cluster i is
-    w[offsets[i]:offsets[i+1]]; an empty list gives offsets [0].
+    w[offsets[i]:offsets[i+1]]; an empty list gives offsets [0].  tol must be
+    finite and >= 0.
     """
+    _require_tolerance(tol=tol)
     starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)
     return np.append(starts, len(w))
 
@@ -374,9 +384,7 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
     """
     m = require_hermitian(_require_2d(a))
     if cluster_tol is not None:
-        _require_finite(cluster_tol=cluster_tol)
-        if cluster_tol < 0:
-            raise ValueError(f"cluster_tol must be >= 0, got {cluster_tol!r}")
+        _require_tolerance(cluster_tol=cluster_tol)
     w, v = np.linalg.eigh(m)
     if cluster_tol is None:
         # ||A|| = max |lambda| from eigh, in place of an SVD

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _require_finite, _sample, _uniform_grid
+from .linalg_core import _require_tolerance, _sample, _uniform_grid
 
 __all__ = [
     "FiniteMeasure",
@@ -81,8 +81,8 @@ class FiniteMeasure:
         return out
 
     def is_positive(self, tau: float = TAU_NEG) -> bool:
-        """Every atom mass and density value is real and >= 0 up to the finite tolerance tau."""
-        _require_finite(tau=tau)
+        """Every atom mass and density value is real and >= 0 up to the tolerance tau (finite, >= 0)."""
+        _require_tolerance(tau=tau)
         for _, m in self.atoms:
             if abs(m.imag) > tau or m.real < -tau:
                 return False
@@ -288,10 +288,10 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
     differences; a function that does not broadcast is sampled entry by entry
     instead.  The Hermitian-symmetry precondition f(-x) = conj(f(x)) is
     checked on the probed differences first and its violation raises
-    ValueError (a structural failure, not a not-PD verdict), as does a
-    non-finite tau.
+    ValueError (a structural failure, not a not-PD verdict), as does a tau
+    that is not finite or is below 0.
     """
-    _require_finite(tau=tau)
+    _require_tolerance(tau=tau)
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("points must be a nonempty 1-d list")

@@ -24,9 +24,9 @@ from .linalg_core import (
     _first_failure,
     _norm_certainly_within,
     _require_2d,
-    _require_finite,
     _require_square,
     _require_stack,
+    _require_tolerance,
     _unstack,
     hermitian_eig,
     matrix_to_json,
@@ -216,6 +216,59 @@ def _require_kmax(kmax: int) -> None:
         raise ValueError(f"kmax must be an integer >= 0, got {kmax!r}")
 
 
+def _neumann_skip(m: np.ndarray, z: complex, x: np.ndarray, tau: float, kmax: int) -> int:
+    """The largest K < kmax such that no term T_k = A^k / z^(k+1), 1 <= k <= K, can stop the series.
+
+    The unit probe x, refined by 20 power steps of B*B (B = A/z), is walked
+    forward as x_k = A x_(k-1) / z.  ||x_k|| / |z| bounds ||T_k|| below and
+    (||A||_F / |z|)^k / |z| bounds it above; term k is passed over only when
+    the lower bound clears tau and the upper bound stays under 1e120, each by
+    the relative margin 1e-8 of `_norm_certainly_within`.
+    """
+    margin = 1.0 + 1e-8
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: no skip
+        for _ in range(20):
+            y = ((m @ x).conj() @ m).conj()  # A* A x, without forming A*
+            ny = float(np.linalg.norm(y))
+            if not 0.0 < ny < np.inf:
+                break
+            x = y / ny
+        ratio = float(np.linalg.norm(m)) / abs(z)
+        upper = 1.0 / abs(z)
+        for k in range(1, kmax):
+            x = m @ x / z
+            upper *= ratio
+            if not (np.linalg.norm(x) / abs(z) >= tau * margin and upper * margin <= 1e120):
+                return k - 1
+    return max(kmax - 1, 0)
+
+
+def _neumann_head(m: np.ndarray, z: complex, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T_0 + ... + T_(r-1), T_r) for T_k = A^k / z^(k+1) and r >= 1, by binary powering.
+
+    (S, P) = (sum_{j<r} B^j, B^r) with B = A/z is built over the binary digits
+    of r, from S = 0, P = I: a doubling step is S += P S, then P = P P; a unit
+    step is S += P, then P = P A / z.  The leading digit's unit step gives
+    (I, A/z).  Three n x n buffers, so memory is that of the term loop.
+    """
+    s = np.eye(m.shape[0], dtype=complex)
+    p = m / z
+    w = np.empty_like(s)
+    for digit in bin(r)[3:]:
+        np.matmul(p, s, out=w)
+        s += w
+        np.matmul(p, p, out=w)
+        p, w = w, p
+        if digit == "1":
+            s += p
+            np.matmul(p, m, out=w)
+            w /= z
+            p, w = w, p
+    s /= z
+    p /= z
+    return s, p
+
+
 def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1e-12) -> NeumannResult:
     """Partial sums of sum_{n>=0} A^n / z^(n+1), converging to (zI - A)^-1.
 
@@ -225,26 +278,35 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     stops the series unconverged.  Note the sign: the limit is the inverse of
     (zI - A), which is minus `resolvent(a, z)`.
 
-    Each stopping decision is certified by a cheap bracket of the term's norm:
-    ||T x|| below, with x carried forward as one power step of T*T per term,
-    and the Frobenius norm above.  The exact SVD norm runs only when the
-    bracket straddles tau or 1e120 (within a 1e-8 relative margin), and on
-    the last term, so `tail` is always the exact norm of the last term.
-    tau must be finite.
+    The series first skips ahead: `_neumann_skip` certifies an index K before
+    which no term can stop the series, and `_neumann_head` sums the terms up
+    to K by binary powering, in about 2 log2(K) products rather than K.  The
+    term loop then takes over at term K + 1.  Each of its stopping decisions
+    is certified by a cheap bracket of the term's norm: ||T x|| below, with x
+    carried forward as one power step of T*T per term, and the Frobenius norm
+    above.  The exact SVD norm runs only when the bracket straddles tau or
+    1e120 (within a 1e-8 relative margin), and on the last term, so `tail` is
+    always the exact norm of the last term.  With K = 0 the loop alone sums
+    the series, from the first term.  tau must be finite and >= 0.
     """
     m = _require_square(require_matrix(a))
     _require_kmax(kmax)
-    _require_finite(tau=tau)
+    _require_tolerance(tau=tau)
     n = m.shape[0]
     if z == 0:
         return NeumannResult(np.full((n, n), np.nan, dtype=complex), False, 0, np.inf)
-    term = np.eye(n, dtype=complex) / z
-    acc = term.copy()
     tail = 1.0 / abs(z) if n else 0.0  # ||I / z||, exactly
     probe = np.random.default_rng(0).standard_normal(n)  # fixed start: reruns make the same calls
     probe /= np.linalg.norm(probe)
-    for k in range(1, kmax + 1):
-        term = m @ term / z
+    skip = _neumann_skip(m, z, probe, tau, kmax)
+    if skip:
+        acc, term = _neumann_head(m, z, skip + 1)
+    else:  # the loop's own first product, so a call with no skip keeps the loop's bits
+        acc = np.eye(n, dtype=complex) / z
+        term = m @ acc / z
+    for k in range(skip + 1, kmax + 1):
+        if k > skip + 1:
+            term = m @ term / z
         certain, probe = _norm_certainly_within(term, probe, tau, 1e120)
         if certain and k < kmax:
             acc += term
@@ -417,22 +479,22 @@ def commuting_diagonalization(
     eigenspace of A is refined by diagonalizing B compressed to it, giving a
     unitary basis diagonalizing both.  Otherwise the result just reports the
     commutator norm as the incompatibility witness.  A given tau_comm must be
-    finite and >= 0.
+    finite and >= 0.  Under the default, ||B|| (one eigvalsh of B) is taken
+    only when the commutator norm exceeds 1e-10 (1+||A||): at or below that
+    floor it is under the default whatever ||B|| is.
     """
     ma = require_hermitian(_require_2d(a))
     mb = require_hermitian(_require_2d(b))
     if ma.shape != mb.shape:
         raise ValueError("matrices must have the same shape")
     if tau_comm is not None:
-        _require_finite(tau_comm=tau_comm)
-        if tau_comm < 0:
-            raise ValueError(f"tau_comm must be >= 0, got {tau_comm!r}")
+        _require_tolerance(tau_comm=tau_comm)
     res = hermitian_eig(ma)
-    if tau_comm is None:  # Hermitian, so ||A|| = max |lambda| (A's from res): no SVD needed
-        na = float(np.max(np.abs(res.eigenvalues), initial=0.0))
-        nb = float(np.max(np.abs(np.linalg.eigvalsh(mb)), initial=0.0))
-        tau_comm = 1e-10 * (1.0 + na) * (1.0 + nb)
     comm = operator_norm(ma @ mb - mb @ ma)
+    if tau_comm is None:  # Hermitian, so ||A|| = max |lambda| (A's from res): no SVD needed
+        tau_comm = 1e-10 * (1.0 + float(np.max(np.abs(res.eigenvalues), initial=0.0)))
+        if comm > tau_comm:  # at or below this floor comm clears the default for every ||B||
+            tau_comm *= 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(mb)), initial=0.0))
     if comm > tau_comm:
         return CompatibilityResult(False, comm)
     basis = np.empty_like(res.eigenvectors)

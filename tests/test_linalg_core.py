@@ -10,6 +10,7 @@ from speclab import (
     FiniteMeasure,
     InnerProductSpace,
     SpectralResolution,
+    cluster_offsets,
     commuting_diagonalization,
     gram_schmidt,
     hadamard,
@@ -366,19 +367,20 @@ TOLERANCE_CALLS = {
     "positive_definite_test": (lambda t: positive_definite_test(np.cos, [0.0, 1.0, 2.0], tau=t), "tau"),
     "is_positive": (lambda t: FiniteMeasure.from_atoms([(0.0, -5.0)]).is_positive(t), "tau"),
     "neumann_resolvent": (lambda t: neumann_resolvent(0.1 * np.eye(2), 1.0, tau=t), "tau"),
+    "cluster_offsets": (lambda t: cluster_offsets(np.array([1.0, 1.0, 2.0]), t), "tol"),
 }
 
 
 @pytest.mark.parametrize(
-    "case, tol",
-    [(case, tol) for case in TOLERANCE_CALLS for tol in (np.nan, np.inf, -np.inf)]
-    + [("hermitian_eig", -1.0), ("commuting_diagonalization", -1.0)],
+    "case, tol", [(case, tol) for case in TOLERANCE_CALLS for tol in (np.nan, np.inf, -np.inf, -1.0)]
 )
 def test_bad_tolerance_is_rejected_by_name(case, tol):
     # every comparison with NaN is False, so each call once returned a wrong
     # answer (a PD verdict flipped, a pair called compatible, a series
-    # "converged" at its first term) instead of raising; cluster_tol = -1
-    # once split the double eigenvalue 1 into [1, 1, 2], not strictly ascending
+    # "converged" at its first term, offsets [3] without their leading 0)
+    # instead of raising.  A tolerance of -1 once split the double eigenvalue
+    # 1 into [1, 1, 2], blamed the symmetric cos for asymmetry, called a
+    # positive measure not positive and ran a series through all kmax terms
     call, name = TOLERANCE_CALLS[case]
     message = f"{name} must be finite" if not np.isfinite(tol) else f"{name} must be >= 0, got -1.0"
     with pytest.raises(ValueError, match=rf"^{message}$"):

@@ -35,7 +35,10 @@ def _source_nodes():
 
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
+    negative_tolerance = []
     for module, owner, node in _source_nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be >= 0, got" in node.value:
+            negative_tolerance.append((module, owner))
         if isinstance(node, ast.Compare) and re.search(r"shape\[-?[02]\] != \S*shape\[-?1\]", ast.unparse(node)):
             square.append((module, owner))
         if not isinstance(node, ast.Call):
@@ -63,3 +66,5 @@ def test_each_shared_rule_has_one_site():
     # every operator is sampled, checked and symmetrized in one place
     assert integral_op == [("integral_ops.py", "nystrom")]
     assert float_view == [], "np.isfinite reads both parts of complex data"
+    # every tolerance is checked finite and >= 0 by one helper, with one message
+    assert negative_tolerance == [("linalg_core.py", "_require_tolerance")]

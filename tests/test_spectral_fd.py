@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import re
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,7 +324,27 @@ def _unit_hermitian(seed, n):
     return a / operator_norm(a)
 
 
+def _semicircle(seed, n):
+    m = random_hermitian(np.random.default_rng(seed), n)
+    return m / np.sqrt(n)  # spectrum on about [-2, 2]
+
+
+def _radius(a):
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+def _skip(a, z, tau=1e-12, kmax=256):
+    """The index K up to which neumann_resolvent sums by doubling, from the call's own fixed probe."""
+    probe = np.random.default_rng(0).standard_normal(len(a))
+    probe /= np.linalg.norm(probe)
+    return spectral_fd._neumann_skip(np.asarray(a, dtype=complex), z, probe, tau, kmax)
+
+
 _DIVERGENT = random_hermitian(np.random.default_rng(37), 4)  # test_neumann_divergence_is_flagged's input
+_SEMICIRCLE = _semicircle(61, 96)
+# upper triangular, diagonal in [-0.7, 0.7]: ||A^k|| grows to about 4 before it decays
+_GROWTH = np.diag(np.linspace(-0.7, 0.7, 96)) + 1.5 * np.triu(np.random.default_rng(11).standard_normal((96, 96)), 1) / np.sqrt(96)
+_GINIBRE = np.random.default_rng(71).standard_normal((96, 192)).view(complex) / np.sqrt(192)
 
 # name: (A, z, keyword arguments, least number of exact norms the call must take)
 NEUMANN_CASES = {
@@ -338,24 +360,114 @@ NEUMANN_CASES = {
     # term 20 has norm 2^-20 exactly, 1e-10 relative above or below tau
     "norm-just-above-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 - 1e-10)}, 2),
     "norm-just-below-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 + 1e-10)}, 1),
+    "semicircle-0.7": (_SEMICIRCLE, 2.0 * _radius(_SEMICIRCLE) * np.exp(0.7j), {}, 1),
+    "semicircle-2.9": (_SEMICIRCLE, 2.0 * _radius(_SEMICIRCLE) * np.exp(2.9j), {}, 1),
+    "transient-growth": (_GROWTH, 1.0, {}, 1),  # the loop walks 8 terms after the skip
+    "nilpotent-shift": (0.66 * np.eye(96, k=1), 1.0, {}, 1),
+    "ginibre": (_GINIBRE, 2.0, {}, 1),
+    # |z| < spectral radius: the terms grow tenfold each, until one passes 1e120 and is left out
+    "divergent": (_SEMICIRCLE, 0.1 * _radius(_SEMICIRCLE) * np.exp(0.5j), {}, 1),
+    "real-input": (0.5 * np.random.default_rng(73).standard_normal((32, 32)) / np.sqrt(32), 1.5, {}, 1),
+    "empty": (np.zeros((0, 0)), 1.0, {}, 1),
+    "empty-tau-zero": (np.zeros((0, 0)), 1.0, {"tau": 0.0}, 1),  # 0 >= tau always: skips to kmax - 1
 }
+
+
+def _against_reference(a, z, kw, monkeypatch):
+    """neumann_resolvent beside _neumann_by_svd: (K, {term index: exact norm the call took}, reference norms).
+
+    With K = 0 the call is the term loop from the first term and must match
+    bit for bit; after a skip, the doubling changes roundoff only.
+    """
+    want, norms = _neumann_by_svd(a, z, **kw)
+    skip, bracket = spectral_fd._neumann_skip, spectral_fd._norm_certainly_within
+    skips, bracketed, exact = [0], [], {}
+    monkeypatch.setattr(spectral_fd, "_neumann_skip", lambda *args: skips.append(skip(*args)) or skips[-1])
+    monkeypatch.setattr(spectral_fd, "_norm_certainly_within", lambda *args: bracketed.append(None) or bracket(*args))
+    # the loop brackets each term once, from term K + 1 on, so an exact norm belongs to term K + len(bracketed)
+    monkeypatch.setattr(spectral_fd, "operator_norm", lambda t: exact.setdefault(skips[-1] + len(bracketed), operator_norm(t)))
+    got = neumann_resolvent(a, z, **kw)
+    if skips[-1] == 0:
+        assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
+        assert (got.terms, got.converged, got.tail) == (want.terms, want.converged, want.tail)
+    else:
+        assert (got.terms, got.converged) == (want.terms, want.converged)
+        assert abs(got.tail - want.tail) <= 1e-12 * want.tail
+        assert operator_norm(got.matrix - want.matrix) <= 1e-14 * max(1.0, operator_norm(want.matrix))
+    for k, t in exact.items():  # the index is right: the reference took the same norm of term k
+        assert np.isclose(t, norms[k - 1], rtol=1e-12, atol=0.0)
+    return skips[-1], exact, norms
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", NEUMANN_CASES)
 def test_neumann_matches_svd_per_term_reference(case, monkeypatch):
     a, z, kw, least_exact = NEUMANN_CASES[case]
-    want, norms = _neumann_by_svd(a, z, **kw)
-    exact = []
-    monkeypatch.setattr(spectral_fd, "operator_norm", lambda t: exact.append(operator_norm(t)) or exact[-1])
-    got = neumann_resolvent(a, z, **kw)
-    assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
-    assert (got.terms, got.converged, got.tail) == (want.terms, want.converged, want.tail)
+    _, exact, norms = _against_reference(a, z, kw, monkeypatch)
     assert len(exact) >= least_exact
-    # a term whose norm lies within 1e-8 of a threshold is decided by the exact norm
+    # a term whose norm lies within 1e-8 of a threshold is decided by the exact norm of that term;
+    # no norm falls below tau = 0, and the bracket's ||T x|| >= 0 is exact
     tau = kw.get("tau", 1e-12)
-    near = [t for t in norms if abs(t - tau) <= 1e-8 * tau or abs(t - 1e120) <= 1e-8 * 1e120]
-    assert set(near) <= set(exact)
+    near = {k for k, t in enumerate(norms, start=1) if 0 < tau and abs(t - tau) <= 1e-8 * tau or abs(t - 1e120) <= 1e-8 * 1e120}
+    assert near <= set(exact)
+
+
+@pytest.mark.parametrize("kmax", ["0", "1", "K-1", "K", "K+1"])
+def test_neumann_kmax_around_the_skip(kmax, monkeypatch):
+    a, z, _, _ = NEUMANN_CASES["semicircle-0.7"]
+    k = _skip(a, z)
+    assert k == 37  # term 38 is the first below 1e-12
+    kmax = {"0": 0, "1": 1, "K-1": k - 1, "K": k, "K+1": k + 1}[kmax]
+    skip, _, _ = _against_reference(a, z, {"kmax": kmax}, monkeypatch)
+    assert skip == max(0, min(k, kmax - 1))  # the last term is always the loop's, for its exact tail
+
+
+def test_neumann_skip_clears_both_bounds_by_the_margin():
+    # n = 1 makes every bound exact: the probe is +-1, ||x_k|| = |a|^k, and ||A||_F = |a|
+    half = np.array([[0.5]])
+    assert _skip(half, 1.0, tau=0.5 ** 20) == 19  # term 20's lower bound meets tau but does not clear it
+    assert _skip(half, 1.0, tau=0.5 ** 20 / (1 + 2e-8)) == 20
+    assert _skip(np.array([[1e120 * (1 - 1e-9)]]), 1.0) == 0  # term 1's upper bound is within 1e-8 of 1e120
+    assert _skip(np.array([[1e120 * (1 - 2e-8)]]), 1.0) == 1
+    assert _skip(half, 1.0, kmax=0) == _skip(half, 1.0, kmax=1) == 0
+
+
+def test_neumann_doubling_against_exact_partial_sums():
+    # every power of J = _jordan(6, 1/2) is dyadic, so its partial sums are exact as Fractions
+    j = _jordan(6, 0.5)
+    assert _skip(j, 1.0) > 0
+    got = neumann_resolvent(j, 1.0)
+    loop, _ = _neumann_by_svd(j, 1.0)
+    assert (got.terms, got.converged) == (loop.terms, True)
+    one = np.array([[Fraction(x) for x in row] for row in j], dtype=object)
+    power = np.array([[Fraction(int(r == c)) for c in range(6)] for r in range(6)], dtype=object)
+    exact = power.copy()
+    for _ in range(got.terms):
+        power = power.dot(one)
+        exact = exact + power
+
+    def error(m):
+        return operator_norm(np.array([[complex(float(Fraction(v.real) - e), v.imag) for v, e in zip(r, x)] for r, x in zip(m, exact)]))
+
+    scale = operator_norm(exact.astype(float))
+    assert error(got.matrix) <= max(4.0 * error(loop.matrix), 1e-15 * scale)
+
+
+def test_neumann_memory_is_three_matrices():
+    n = 256
+    a = _semicircle(67, n)
+    z = 2.0 * _radius(a) * np.exp(0.4j)
+    assert _skip(a, z) > 0
+    neumann_resolvent(a, z)  # warm caches
+    tracemalloc.start()
+    try:
+        out = neumann_resolvent(a, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.converged
+    # the doubling's S, P and product buffer, as the loop's sum, term and product
+    assert peak <= 3 * 16 * n * n + 64 * 1024
 
 
 def test_neumann_takes_few_exact_norms(monkeypatch):
@@ -556,7 +668,7 @@ def test_evolve_rejects_non_finite_times():
 # ---------------------------------------------------------------- joint diagonalization
 
 def test_commuting_polynomials_are_compatible(monkeypatch):
-    # A is diagonalized once, by hermitian_eig; eigvalsh runs at most once (for ||B||)
+    # A is diagonalized once, by hermitian_eig; the commutator clears 1e-10 (1 + ||A||), so ||B|| is never needed
     eigvalsh_calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -572,7 +684,7 @@ def test_commuting_polynomials_are_compatible(monkeypatch):
         b = seed @ seed @ seed + 0.5 * np.eye(5)
         eigvalsh_calls.clear()
         out = commuting_diagonalization(a, b)
-        assert len(eigvalsh_calls) <= 1
+        assert len(eigvalsh_calls) == 0
         assert out.compatible
         q = out.basis
         da = q.conj().T @ a @ q
@@ -593,6 +705,24 @@ def test_degenerate_pair_compatible():
     empty = commuting_diagonalization(np.zeros((0, 0)), np.zeros((0, 0)))
     assert empty.compatible
     assert empty.basis.shape == (0, 0) and empty.diag_a.size == 0 and empty.diag_b.size == 0
+
+
+@pytest.mark.parametrize("delta, compatible", [(5e-12, True), (1e-9, False)])
+def test_commutator_above_the_floor_takes_the_norm_of_b(delta, compatible, monkeypatch):
+    # [A, B] = 200 delta [[0, 1], [-1, 0]]: 1e-9 lies between the floor 1e-10 (1 + ||A||) = 2e-10 and
+    # the default tau_comm = 2e-10 (1 + ||B||), about 2.02e-8; 2e-7 lies above the default
+    a = np.diag([1.0, -1.0])
+    b = 100.0 * np.array([[1.0, delta], [delta, 0.0]])
+    comm = operator_norm(a @ b - b @ a)
+    na = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    nb = float(np.max(np.abs(np.linalg.eigvalsh(b))))
+    assert 1e-10 * (1.0 + na) < comm and (comm <= 1e-10 * (1.0 + na) * (1.0 + nb)) == compatible
+    eigvalsh_calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *args, **kwargs: eigvalsh_calls.append(m) or eigvalsh(m, *args, **kwargs))
+    out = commuting_diagonalization(a, b)
+    assert (out.compatible, out.commutator_norm) == (compatible, comm)
+    assert len(eigvalsh_calls) == 1
 
 
 def test_pauli_pair_incompatible():
