@@ -166,15 +166,26 @@ def operator_norm(a: np.ndarray) -> float | np.ndarray:
     return _unstack(np.linalg.svd(m, compute_uv=False)[..., 0])
 
 
+def _bounds_clear(lower: float, upper: float, lo: float, hi: float) -> bool:
+    """Whether lower >= lo and upper <= hi, each by the relative margin 1e-8.
+
+    The margin is far above the roundoff of a norm bound, so bounds that
+    clear it prove lo <= ||A||_2 <= hi.  An overflowed bound (inf or nan)
+    never clears.
+    """
+    margin = 1.0 + 1e-8
+    return lower >= lo * margin and upper * margin <= hi
+
+
 def _norm_certainly_within(a: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[bool, np.ndarray]:
     """Whether cheap bounds prove lo <= ||A||_2 <= hi, and the probe for the next call.
 
     ||A x|| for the unit vector x bounds the norm below and ||A||_F bounds it
-    above (Golub & Van Loan, Matrix Computations, 2.3).  Each bound must clear
-    its threshold by a relative margin of 1e-8, far above their roundoff, so a
-    True never contradicts operator_norm; False means undecided, not outside.
-    The returned probe is A*(A x) normalized, one power step of A*A, so a
-    caller bracketing a sequence of related matrices tightens the lower bound.
+    above (Golub & Van Loan, Matrix Computations, 2.3), and `_bounds_clear`
+    compares them with the thresholds, so a True never contradicts
+    operator_norm; False means undecided, not outside.  The returned probe is
+    A*(A x) normalized, one power step of A*A, so a caller bracketing a
+    sequence of related matrices tightens the lower bound.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: undecided
         ax = a @ x
@@ -183,8 +194,7 @@ def _norm_certainly_within(a: np.ndarray, x: np.ndarray, lo: float, hi: float) -
         if 0.0 < lo_a < np.inf:
             y = ((ax / lo_a).conj() @ a).conj()  # A* (A x) / ||A x||, without forming A*
             x = y / np.linalg.norm(y)
-    margin = 1.0 + 1e-8
-    return lo_a >= lo * margin and hi_a * margin <= hi, x
+    return _bounds_clear(lo_a, hi_a, lo, hi), x
 
 
 def hermiticity_tol(a: np.ndarray) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .linalg_core import (
     SpectralResolution,
+    _bounds_clear,
     _first_failure,
     _norm_certainly_within,
     _require_2d,
@@ -216,29 +217,41 @@ def _require_kmax(kmax: int) -> None:
         raise ValueError(f"kmax must be an integer >= 0, got {kmax!r}")
 
 
-def _neumann_skip(m: np.ndarray, z: complex, x: np.ndarray, tau: float, kmax: int) -> int:
-    """The largest K < kmax such that no term T_k = A^k / z^(k+1), 1 <= k <= K, can stop the series.
+def _refine_probe(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The unit vector x after 20 power steps of M*M, toward M's top right singular vector.
 
-    The unit probe x, refined by 20 power steps of B*B (B = A/z), is walked
-    forward as x_k = A x_(k-1) / z.  ||x_k|| / |z| bounds ||T_k|| below and
-    (||A||_F / |z|)^k / |z| bounds it above; term k is passed over only when
-    the lower bound clears tau and the upper bound stays under 1e120, each by
-    the relative margin 1e-8 of `_norm_certainly_within`.
+    M*M x is formed as ((M x)* M)*, without a copy of M*.  A step whose
+    vector vanishes or overflows is not taken.
     """
-    margin = 1.0 + 1e-8
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: no skip
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(20):
-            y = ((m @ x).conj() @ m).conj()  # A* A x, without forming A*
+            y = ((m @ x).conj() @ m).conj()
             ny = float(np.linalg.norm(y))
             if not 0.0 < ny < np.inf:
                 break
             x = y / ny
+    return x
+
+
+def _neumann_skip(m: np.ndarray, z: complex, x: np.ndarray, tau: float, kmax: int) -> int:
+    """The largest K < kmax such that no term T_k = A^k / z^(k+1), 1 <= k <= K, can stop the series.
+
+    The unit probe x, refined by `_refine_probe` on A, is walked forward as
+    x_k = A x_(k-1) / z.  ||x_k|| / |z| bounds ||T_k|| below and
+    (||A||_F / |z|)^k / |z| bounds it above; term k is passed over only when
+    `_bounds_clear` finds the lower bound above tau and the upper bound under
+    1e120.  The certificate is one of exact arithmetic: the computed terms
+    carry their products' roundoff, so a term within roundoff of tau may be
+    passed over where the term loop would stop at it.
+    """
+    x = _refine_probe(m, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: no skip
         ratio = float(np.linalg.norm(m)) / abs(z)
         upper = 1.0 / abs(z)
         for k in range(1, kmax):
             x = m @ x / z
             upper *= ratio
-            if not (np.linalg.norm(x) / abs(z) >= tau * margin and upper * margin <= 1e120):
+            if not _bounds_clear(float(np.linalg.norm(x)) / abs(z), upper, tau, 1e120):
                 return k - 1
     return max(kmax - 1, 0)
 
@@ -248,7 +261,8 @@ def _neumann_head(m: np.ndarray, z: complex, r: int) -> tuple[np.ndarray, np.nda
 
     (S, P) = (sum_{j<r} B^j, B^r) with B = A/z is built over the binary digits
     of r, from S = 0, P = I: a doubling step is S += P S, then P = P P; a unit
-    step is S += P, then P = P A / z.  The leading digit's unit step gives
+    step is S += P, then P = (P / z) A, dividing first so that the product is
+    no larger than the term loop's A T_j.  The leading digit's unit step gives
     (I, A/z).  Three n x n buffers, so memory is that of the term loop.
     """
     s = np.eye(m.shape[0], dtype=complex)
@@ -261,8 +275,8 @@ def _neumann_head(m: np.ndarray, z: complex, r: int) -> tuple[np.ndarray, np.nda
         p, w = w, p
         if digit == "1":
             s += p
+            p /= z
             np.matmul(p, m, out=w)
-            w /= z
             p, w = w, p
     s /= z
     p /= z
@@ -281,7 +295,8 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     The series first skips ahead: `_neumann_skip` certifies an index K before
     which no term can stop the series, and `_neumann_head` sums the terms up
     to K by binary powering, in about 2 log2(K) products rather than K.  The
-    term loop then takes over at term K + 1.  Each of its stopping decisions
+    term loop then takes over at term K + 1, its probe first refined by
+    `_refine_probe` on that term.  Each of its stopping decisions
     is certified by a cheap bracket of the term's norm: ||T x|| below, with x
     carried forward as one power step of T*T per term, and the Frobenius norm
     above.  The exact SVD norm runs only when the bracket straddles tau or
@@ -301,6 +316,7 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     skip = _neumann_skip(m, z, probe, tau, kmax)
     if skip:
         acc, term = _neumann_head(m, z, skip + 1)
+        probe = _refine_probe(term, probe)  # the loop's bracket would have refined it over K terms
     else:  # the loop's own first product, so a call with no skip keeps the loop's bits
         acc = np.eye(n, dtype=complex) / z
         term = m @ acc / z

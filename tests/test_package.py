@@ -35,8 +35,10 @@ def _source_nodes():
 
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
-    negative_tolerance = []
+    negative_tolerance, margin = [], []
     for module, owner, node in _source_nodes():
+        if isinstance(node, ast.BinOp) and ast.unparse(node) == "1.0 + 1e-08":
+            margin.append((module, owner))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be >= 0, got" in node.value:
             negative_tolerance.append((module, owner))
         if isinstance(node, ast.Compare) and re.search(r"shape\[-?[02]\] != \S*shape\[-?1\]", ast.unparse(node)):
@@ -68,3 +70,5 @@ def test_each_shared_rule_has_one_site():
     assert float_view == [], "np.isfinite reads both parts of complex data"
     # every tolerance is checked finite and >= 0 by one helper, with one message
     assert negative_tolerance == [("linalg_core.py", "_require_tolerance")]
+    # every certified norm bound clears its threshold by the same relative margin
+    assert margin == [("linalg_core.py", "_bounds_clear")]

@@ -346,7 +346,7 @@ _SEMICIRCLE = _semicircle(61, 96)
 _GROWTH = np.diag(np.linspace(-0.7, 0.7, 96)) + 1.5 * np.triu(np.random.default_rng(11).standard_normal((96, 96)), 1) / np.sqrt(96)
 _GINIBRE = np.random.default_rng(71).standard_normal((96, 192)).view(complex) / np.sqrt(192)
 
-# name: (A, z, keyword arguments, least number of exact norms the call must take)
+# name: (A, z, keyword arguments, least number of exact norms the term loop alone must take)
 NEUMANN_CASES = {
     # ||T x|| / ||T|| stays near 0.8 while the norms cross tau = 0.15 at term 7
     "jordan-loose-bound": (_jordan(12, 0.7), 2.0, {"tau": 0.15}, 2),
@@ -367,26 +367,30 @@ NEUMANN_CASES = {
     "ginibre": (_GINIBRE, 2.0, {}, 1),
     # |z| < spectral radius: the terms grow tenfold each, until one passes 1e120 and is left out
     "divergent": (_SEMICIRCLE, 0.1 * _radius(_SEMICIRCLE) * np.exp(0.5j), {}, 1),
+    # K = 2 and r = 3: the unit step's P A would be 1e320 before the division by z, where the loop's A T_2 is 1e255
+    "large-z": (np.array([[1e150]]), 1e65, {}, 1),
     "real-input": (0.5 * np.random.default_rng(73).standard_normal((32, 32)) / np.sqrt(32), 1.5, {}, 1),
     "empty": (np.zeros((0, 0)), 1.0, {}, 1),
     "empty-tau-zero": (np.zeros((0, 0)), 1.0, {"tau": 0.0}, 1),  # 0 >= tau always: skips to kmax - 1
 }
 
 
-def _against_reference(a, z, kw, monkeypatch):
+def _against_reference(a, z, kw, monkeypatch, skip_ahead=True):
     """neumann_resolvent beside _neumann_by_svd: (K, {term index: exact norm the call took}, reference norms).
 
     With K = 0 the call is the term loop from the first term and must match
     bit for bit; after a skip, the doubling changes roundoff only.
+    skip_ahead=False forces K = 0, the term loop alone.
     """
     want, norms = _neumann_by_svd(a, z, **kw)
     skip, bracket = spectral_fd._neumann_skip, spectral_fd._norm_certainly_within
     skips, bracketed, exact = [0], [], {}
-    monkeypatch.setattr(spectral_fd, "_neumann_skip", lambda *args: skips.append(skip(*args)) or skips[-1])
-    monkeypatch.setattr(spectral_fd, "_norm_certainly_within", lambda *args: bracketed.append(None) or bracket(*args))
-    # the loop brackets each term once, from term K + 1 on, so an exact norm belongs to term K + len(bracketed)
-    monkeypatch.setattr(spectral_fd, "operator_norm", lambda t: exact.setdefault(skips[-1] + len(bracketed), operator_norm(t)))
-    got = neumann_resolvent(a, z, **kw)
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral_fd, "_neumann_skip", lambda *args: skips.append(skip(*args) if skip_ahead else 0) or skips[-1])
+        mp.setattr(spectral_fd, "_norm_certainly_within", lambda *args: bracketed.append(None) or bracket(*args))
+        # the loop brackets each term once, from term K + 1 on, so an exact norm belongs to term K + len(bracketed)
+        mp.setattr(spectral_fd, "operator_norm", lambda t: exact.setdefault(skips[-1] + len(bracketed), operator_norm(t)))
+        got = neumann_resolvent(a, z, **kw)
     if skips[-1] == 0:
         assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
         assert (got.terms, got.converged, got.tail) == (want.terms, want.converged, want.tail)
@@ -403,13 +407,16 @@ def _against_reference(a, z, kw, monkeypatch):
 @pytest.mark.parametrize("case", NEUMANN_CASES)
 def test_neumann_matches_svd_per_term_reference(case, monkeypatch):
     a, z, kw, least_exact = NEUMANN_CASES[case]
-    _, exact, norms = _against_reference(a, z, kw, monkeypatch)
-    assert len(exact) >= least_exact
+    _, loop_exact, norms = _against_reference(a, z, kw, monkeypatch, skip_ahead=False)
+    _, exact, _ = _against_reference(a, z, kw, monkeypatch)
+    assert len(loop_exact) >= least_exact
+    # the skip and the hand-over's refined probe take no more exact norms than the loop alone
+    assert len(exact) <= len(loop_exact)
     # a term whose norm lies within 1e-8 of a threshold is decided by the exact norm of that term;
     # no norm falls below tau = 0, and the bracket's ||T x|| >= 0 is exact
     tau = kw.get("tau", 1e-12)
     near = {k for k, t in enumerate(norms, start=1) if 0 < tau and abs(t - tau) <= 1e-8 * tau or abs(t - 1e120) <= 1e-8 * 1e120}
-    assert near <= set(exact)
+    assert near <= set(loop_exact) and near <= set(exact)
 
 
 @pytest.mark.parametrize("kmax", ["0", "1", "K-1", "K", "K+1"])
