@@ -144,11 +144,11 @@ def _hermitians(z: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-2, -1)) / 2.0
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(m)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def _unitaries(z: np.ndarray) -> np.ndarray:
+    """Q of m = QR with its columns phased by R's diagonal, m as in _hermitians: a random unitary from standard draws."""
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _hermitian_with_spectrum(q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -387,7 +387,7 @@ def _exp_uncertainty(cfg: ExperimentConfig, rng: np.random.Generator) -> Experim
 
 
 def _exp_compatibility(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    q = _random_unitary(rng, cfg.dim)
+    q = _unitaries(rng.standard_normal((2, cfg.dim, cfg.dim)))
     d1 = np.sort(rng.integers(0, 3, cfg.dim).astype(float))  # repeats force refinement
     d2 = rng.standard_normal(cfg.dim)
     a = _hermitian_with_spectrum(q, d1)
@@ -409,16 +409,20 @@ def _exp_compatibility(cfg: ExperimentConfig, rng: np.random.Generator) -> Exper
 
 
 def _exp_rkhs_psd(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    trials = cfg.resolved_trials(200)
+    def worst_lowest_eigenvalue(k):
+        sets = []
+        for _ in range(cfg.resolved_trials(200)):  # a trial draws its size, then its radii and angles
+            size = int(rng.integers(2, 13))
+            sets.append(rng.uniform(0.0, 0.95, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size)))
+        low = []
+        for size in set(map(len, sets)):  # one Gram and eigensolve per stack of up to _TRIAL_BLOCK sets of a size
+            group = [z for z in sets if len(z) == size]
+            for i in range(0, len(group), _TRIAL_BLOCK):
+                g = rkhs.gram(k, np.stack(group[i:i + _TRIAL_BLOCK]))
+                low.append(np.linalg.eigvalsh((g + g.conj().swapaxes(-2, -1)) / 2.0)[:, 0])
+        return np.min(np.concatenate(low))
 
-    def lowest_eigenvalue(k):
-        size = int(rng.integers(2, 13))
-        z = rng.uniform(0.0, 0.95, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
-        g = rkhs.gram(k, z)
-        return float(np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0])
-
-    kernels = {name: rkhs.kernel_by_name(name) for name in rkhs.KERNEL_NAMES}
-    rows = [(name, trials, np.min([lowest_eigenvalue(k) for _ in range(trials)])) for name, k in kernels.items()]
+    rows = [(name, cfg.resolved_trials(200), worst_lowest_eigenvalue(rkhs.kernel_by_name(name))) for name in rkhs.KERNEL_NAMES]
     checks = [_leq(f"{name} worst gram min-eigenvalue >= -1e-9", -worst, 1e-9) for name, _, worst in rows]
     return ExperimentReport(cfg.name, ["kernel", "point_sets", "worst_min_eigenvalue"], rows, checks)
 
@@ -464,14 +468,14 @@ def _exp_dirichlet_invariance(cfg: ExperimentConfig, rng: np.random.Generator) -
 
 
 def _exp_hs_invariance(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
-    def trial(rng, t):
-        a = rng.standard_normal((cfg.dim, cfg.dim)) + 1j * rng.standard_normal((cfg.dim, cfg.dim))
-        u = _random_unitary(rng, cfg.dim)
+    def block(rng, count):
+        z = rng.standard_normal((count, 4, cfg.dim, cfg.dim))  # per trial: A, then the draws of U
+        a, u = z[:, 0] + 1j * z[:, 1], _unitaries(z[:, 2:])
         hs = integral_ops.hs_norm(a)
-        inv = abs(integral_ops.hs_norm(u @ a @ u.conj().T) - hs) / (1.0 + hs)
+        inv = np.abs(integral_ops.hs_norm(u @ a @ u.conj().swapaxes(-2, -1)) - hs) / (1.0 + hs)
         return hs, inv, operator_norm(a) - hs
 
-    rows = _trials(cfg, rng, 200, trial)
+    rows = _trial_blocks(cfg, rng, 200, block)
     checks = [
         _max_leq("max normalized unitary-invariance defect", rows, 2, 1e-10),
         _max_leq("max (||A|| - ||A||_HS)", rows, 3, 0.0),
@@ -484,7 +488,7 @@ def _exp_spectral_measures(cfg: ExperimentConfig, rng: np.random.Generator) -> E
 
     def trial(rng, t):
         if t % 3 == 0:
-            q = _random_unitary(rng, cfg.dim)
+            q = _unitaries(rng.standard_normal((2, cfg.dim, cfg.dim)))
             a = _hermitian_with_spectrum(q, np.sort(rng.integers(-2, 3, cfg.dim).astype(float)))
         else:
             a = _hermitians(rng.standard_normal((2, cfg.dim, cfg.dim)))
@@ -494,17 +498,13 @@ def _exp_spectral_measures(cfg: ExperimentConfig, rng: np.random.Generator) -> E
         mass_err = abs(sm.total_mass() - inner_product(x, y))
         ma = spectral_fd.measurable_calculus(res, probe)
         probe_err = abs(sm.integrate(probe) - inner_product(x, ma @ y))
-        # eigenvalue <=> atom: each P_i carries mass for some vector, gaps carry none
+        # eigenvalue <=> atom: each P_i carries mass for some vector; P(union of gap points), a sum of projections, is 0 iff each gap's is
         ev = res.eigenvalues
-        atoms = all(
-            spectral_fd.spectral_measure(res, vec, vec).masses[i].real > 0.5
-            for i, vec in enumerate(res.eigenvectors[:, res.offsets[:-1]].T)
-        )
-        gaps = all(
-            float(np.max(np.abs(spectral_fd.pvm(res, spectral_fd.BorelSet.point(float(lam)))))) == 0.0
-            for lam in (ev[:-1] + ev[1:]) / 2.0 if np.min(np.abs(ev - lam)) > 1e-6
-        )
-        return mass_err, probe_err, atoms and gaps
+        first = res.eigenvectors[:, res.offsets[:-1]].T  # each cluster's first eigenvector
+        atoms = np.all(spectral_fd.spectral_measure(res, first, first).masses.diagonal().real > 0.5)
+        mids = (ev[:-1] + ev[1:]) / 2.0
+        gaps = spectral_fd.BorelSet(points=tuple(mids[np.min(np.abs(ev[:, None] - mids), axis=0) > 1e-6].tolist()))
+        return mass_err, probe_err, bool(atoms and not np.any(spectral_fd.pvm(res, gaps)))
 
     rows = _trials(cfg, rng, 100, trial)
     checks = [

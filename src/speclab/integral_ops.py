@@ -38,7 +38,9 @@ from .linalg_core import (
     _require_2d,
     _require_finite,
     _require_square,
+    _require_stack,
     _sample,
+    _unstack,
     operator_norm,
     require_hermitian,
     require_matrix,
@@ -185,11 +187,20 @@ def _positive_hermitian_part(m: np.ndarray, scale: float, message: str) -> np.nd
     return herm
 
 
-def hs_norm(t) -> float:
-    """Hilbert-Schmidt norm: quadrature L2 norm of a kernel, Frobenius for a matrix."""
+def hs_norm(t) -> float | np.ndarray:
+    """Hilbert-Schmidt norm: quadrature L2 norm of a kernel, Frobenius for a matrix.
+
+    A stack (..., rows, cols) gives the array of its matrices' norms, each
+    bitwise as for the matrix alone.  The sum of squares is one dot product of
+    the real parts plus one of the imaginary parts, in row-major order, as
+    np.linalg.norm(matrix, "fro") forms it for a row-major matrix: the two
+    agree bit for bit there.
+    """
     if isinstance(t, IntegralOperator):
         return float(np.linalg.norm(t.symmetrized, "fro"))
-    return float(np.linalg.norm(require_matrix(t), "fro"))
+    m = _require_stack(t)
+    flat = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
+    return _unstack(np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)))
 
 
 def trace(t):

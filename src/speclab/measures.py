@@ -243,12 +243,16 @@ def extract_atoms(slice_measure: FiniteMeasure, eps: float, window_width: float 
     Local maxima above 10x the median density are taken as atom locations;
     each mass is the window integral over width 6*eps (default), divided by
     the in-window kernel mass (2/pi) arctan(half_width/eps) so the tail the
-    window misses is accounted for analytically.
+    window misses is accounted for analytically.  An eps or window_width that
+    is not finite or is <= 0 raises ValueError.
     """
     if slice_measure.density_grid is None:
         raise ValueError("expected a density measure")
     if window_width is None:
         window_width = 6.0 * eps
+    for name, value in (("eps", eps), ("window_width", window_width)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     x = slice_measure.density_grid
     v = slice_measure.density_values.real
     med = float(np.median(v))
@@ -256,16 +260,17 @@ def extract_atoms(slice_measure: FiniteMeasure, eps: float, window_width: float 
     half = window_width / 2.0
     step = slice_measure.density_step
     reach = int(round(half / step))
+    inner = v[1:-1]  # the first and last samples are never peaks
+    peaks = np.flatnonzero((inner > threshold) & (inner >= v[:-2]) & (inner > v[2:])) + 1
     atoms = []
-    for k in range(1, len(x) - 1):
-        if v[k] > threshold and v[k] >= v[k - 1] and v[k] > v[k + 1]:
-            j0, j1 = max(0, k - reach), min(len(x) - 1, k + reach)
-            raw = float(np.trapezoid(v[j0:j1 + 1], x[j0:j1 + 1]))
-            # in-window mass of the ideal kernel over the actual edges, so the
-            # missed tails are undone without an O(step) boundary mismatch
-            captured = (np.arctan((x[j1] - x[k]) / eps)
-                        + np.arctan((x[k] - x[j0]) / eps)) / np.pi
-            atoms.append((float(x[k]), raw / captured))
+    for k in peaks.tolist():
+        j0, j1 = max(0, k - reach), min(len(x) - 1, k + reach)
+        raw = float(np.trapezoid(v[j0:j1 + 1], x[j0:j1 + 1]))
+        # in-window mass of the ideal kernel over the actual edges, so the
+        # missed tails are undone without an O(step) boundary mismatch
+        captured = (np.arctan((x[j1] - x[k]) / eps)
+                    + np.arctan((x[k] - x[j0]) / eps)) / np.pi
+        atoms.append((float(x[k]), raw / captured))
     return FiniteMeasure.from_atoms(atoms)
 
 

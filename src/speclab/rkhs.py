@@ -157,12 +157,18 @@ def kernel_from_gram(points: Sequence[complex], matrix: np.ndarray) -> Kernel:
 
 
 def gram(k: Kernel, points: Sequence[complex]) -> np.ndarray:
-    """Gram matrix G[i, j] = k(x_i, x_j) after checking every point's domain."""
-    z = np.array([complex(p) for p in points])
-    if not z.size:
+    """Gram matrix G[i, j] = k(x_i, x_j) after checking every point's domain.
+
+    A stack (..., n) of point sets gives the (..., n, n) stack of their Gram
+    matrices, each bitwise as for its point set alone.
+    """
+    z = np.asarray(points, dtype=complex)
+    if z.ndim == 0:
+        raise ValueError("points must be a 1-d sequence or a (..., n) stack of them, got a scalar")
+    if not z.shape[-1]:
         raise ValueError("need at least one point")
     k.check_point(z)
-    return _sample(k.evaluate, z[:, None], z[None, :])
+    return _sample(k.evaluate, z[..., :, None], z[..., None, :])
 
 
 @dataclass(frozen=True)

@@ -176,13 +176,23 @@ class SpectralMeasurePair:
 
 
 def spectral_measure(res: SpectralResolution, x: np.ndarray, y: np.ndarray) -> SpectralMeasurePair:
-    """Vector-pair spectral measure with mass_i = <x, P_i y>."""
-    xv = np.asarray(x, dtype=complex).ravel()
-    yv = np.asarray(y, dtype=complex).ravel()
-    if xv.size != res.dim or yv.size != res.dim:
+    """Vector-pair spectral measure with mass_i = <x, P_i y>.
+
+    Stacks (..., n) of equal shape give masses[..., i] for each pair of
+    vectors, each row bitwise as for its pair alone: every vector is
+    multiplied by V* on its own, as (V* @ x[..., None])[..., 0].  A stacked
+    result's total_mass and integrate sum over the whole stack, and
+    spectral_measure_to_json rejects it.
+    """
+    xv = np.asarray(x, dtype=complex)
+    yv = np.asarray(y, dtype=complex)
+    if xv.shape[-1:] != (res.dim,) or yv.shape[-1:] != (res.dim,):
         raise ValueError("vector dimension does not match the resolution")
+    if xv.shape != yv.shape:
+        raise ValueError(f"x and y must have the same shape, got {xv.shape} and {yv.shape}")
     vh = res.eigenvectors.conj().T
-    masses = np.add.reduceat(np.conj(vh @ xv) * (vh @ yv), res.offsets[:-1])
+    coords = lambda v: (vh @ v[..., None])[..., 0]
+    masses = np.add.reduceat(np.conj(coords(xv)) * coords(yv), res.offsets[:-1], axis=-1)
     return SpectralMeasurePair(res.eigenvalues.copy(), masses)
 
 
@@ -533,6 +543,8 @@ def resolution_to_json(res: SpectralResolution) -> dict:
 
 
 def spectral_measure_to_json(pair: SpectralMeasurePair) -> dict:
+    if np.ndim(pair.masses) != 1:
+        raise ValueError("spectral_measure_to_json takes a single pair's measure, not a stack")
     return {
         "atoms": [
             {"x": float(lam), "re": float(m.real), "im": float(m.imag)}

@@ -1,5 +1,6 @@
 """Experiment runner: catalog, determinism, config precedence, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speclab import cli, integral_ops, measures, spectral_fd
+from speclab import cli, integral_ops, measures, rkhs, spectral_fd
 from speclab.cli import ExperimentConfig, experiment_names, main, run_experiment
 
 LIBRARY_MODULES = {"linalg_core", "harmonic", "measures", "spectral_fd", "integral_ops", "rkhs"}
@@ -170,23 +171,40 @@ def sequential_state(rng, n):
     return h / np.linalg.norm(h)
 
 
+def sequential_unitary(rng, n):
+    """A random unitary drawn and phased as the trial-by-trial experiments did it: the reference."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(m)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def sequential_hs_trial(rng, n):
+    """One hs-invariance trial as it was drawn: A, then U; the HS norm is taken of A and of U A U*."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = sequential_unitary(rng, n)
+    return [a, u @ a @ u.conj().T]
+
+
 # per experiment: its stacked library call, its default trial count, and one trial's sequential draws
 SEQUENTIAL_DRAWS = {
-    "gelfand": ("spectral_radius_gelfand", 100, lambda rng, n: [sequential_hermitian(rng, n)]),
-    "hausdorff": ("hausdorff_distance_spectra", 1000, lambda rng, n: [sequential_hermitian(rng, n) for _ in "ab"]),
-    "cayley": ("cayley", 100, lambda rng, n: [sequential_hermitian(rng, n)]),
-    "evolve": ("evolve", 100, lambda rng, n: [sequential_hermitian(rng, n), *rng.uniform(-2.0, 2.0, 2)]),
+    "gelfand": (spectral_fd, "spectral_radius_gelfand", 100, lambda rng, n: [sequential_hermitian(rng, n)]),
+    "hausdorff": (spectral_fd, "hausdorff_distance_spectra", 1000, lambda rng, n: [sequential_hermitian(rng, n) for _ in "ab"]),
+    "cayley": (spectral_fd, "cayley", 100, lambda rng, n: [sequential_hermitian(rng, n)]),
+    "evolve": (spectral_fd, "evolve", 100, lambda rng, n: [sequential_hermitian(rng, n), *rng.uniform(-2.0, 2.0, 2)]),
     "uncertainty": (
-        "uncertainty", 1000, lambda rng, n: [sequential_hermitian(rng, n), sequential_hermitian(rng, n), sequential_state(rng, n)]
+        spectral_fd, "uncertainty", 1000,
+        lambda rng, n: [sequential_hermitian(rng, n), sequential_hermitian(rng, n), sequential_state(rng, n)],
     ),
+    "hs-invariance": (integral_ops, "hs_norm", 200, sequential_hs_trial),
 }
 
 
 @pytest.mark.parametrize("trials", [5, 128, 129, None])
 @pytest.mark.parametrize("name", sorted(SEQUENTIAL_DRAWS))
 def test_block_draws_equal_sequential_draws(tmp_path, monkeypatch, name, trials):
-    library, default, draw = SEQUENTIAL_DRAWS[name]
-    real = getattr(spectral_fd, library)
+    module, library, default, draw = SEQUENTIAL_DRAWS[name]
+    real = getattr(module, library)
     calls = []
 
     def spy(*args, **kwargs):
@@ -194,21 +212,67 @@ def test_block_draws_equal_sequential_draws(tmp_path, monkeypatch, name, trials)
             calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral_fd, library, spy)
+    monkeypatch.setattr(module, library, spy)
     report = run_experiment(ExperimentConfig(name=name, trials=trials, out=str(tmp_path)))
     count = trials or default
     assert report.passed and [r[0] for r in report.rows] == list(range(count))
-    sizes = [len(args[0]) for args in calls]
+    per_block = 2 if name == "hs-invariance" else 1  # hs-invariance: hs_norm(A), then hs_norm(U A U*)
+    sizes = [len(args[0]) for args in calls[::per_block]]
     assert sizes == [cli._TRIAL_BLOCK] * (count // cli._TRIAL_BLOCK) + [count % cli._TRIAL_BLOCK] * (count % cli._TRIAL_BLOCK > 0)
 
     rng = cli._rng(name, 0)
     want = [np.stack(column) for column in zip(*(draw(rng, 8) for _ in range(count)))]
     if name == "evolve":  # the library call takes A and the times [s + t, s, t, h]
         got = [np.concatenate([args[0] for args in calls])] + [np.concatenate([args[1][i] for args in calls]) for i in (1, 2)]
+    elif name == "hs-invariance":
+        got = [np.concatenate([args[0] for args in calls[i::2]]) for i in (0, 1)]
     else:
         got = [np.concatenate([args[i] for args in calls]) for i in range(len(want))]
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def sequential_point_set(rng):
+    """One rkhs-psd trial's points, drawn as the trial-by-trial experiment drew them: the reference."""
+    size = int(rng.integers(2, 13))
+    return rng.uniform(0.0, 0.95, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+
+
+@pytest.mark.parametrize("trials", [5, 129, 1500, None])
+def test_rkhs_psd_gram_stacks_hold_the_sequential_point_sets(tmp_path, monkeypatch, trials):
+    # the sets differ in size, so they are stacked by size, not in trial blocks
+    real, calls = rkhs.gram, []
+    monkeypatch.setattr(rkhs, "gram", lambda k, z: calls.append((k.name, z)) or real(k, z))
+    report = run_experiment(ExperimentConfig(name="rkhs-psd", trials=trials, out=str(tmp_path)))
+    count = trials or 200
+    assert report.passed and [r[0] for r in report.rows] == list(rkhs.KERNEL_NAMES)
+    rng = cli._rng("rkhs-psd", 0)
+    for name, point_sets, worst in report.rows:
+        sets = [sequential_point_set(rng) for _ in range(count)]
+        stacks = [z for kernel, z in calls if kernel == name]
+        assert all(z.ndim == 2 and len(z) <= cli._TRIAL_BLOCK for z in stacks)
+        assert sorted(row.tobytes() for z in stacks for row in z) == sorted(z.tobytes() for z in sets)
+        # each set solved on its own, as the trial-by-trial experiment did it
+        grams = (real(rkhs.kernel_by_name(name), z) for z in sets)
+        assert point_sets == count and worst == np.min([np.linalg.eigvalsh((g + g.conj().T) / 2.0)[0] for g in grams])
+    if trials is None:
+        assert len(calls) == 3 * 11  # one stack per kernel and size
+    if trials == 1500:
+        assert max(len(z) for _, z in calls) == cli._TRIAL_BLOCK  # a size's sets fill more than one stack
+
+
+def test_spectral_measures_fails_when_a_gap_carries_mass(tmp_path, monkeypatch):
+    # a mutation that moves the lowest eigenvalue onto the first gap point before P(union of gap points) is formed
+    real = spectral_fd.pvm
+
+    def moved(res, e):
+        ev = res.eigenvalues.copy()
+        ev[0] = e.points[0] if e.points else ev[0]
+        return real(dataclasses.replace(res, eigenvalues=ev), e)
+
+    monkeypatch.setattr(spectral_fd, "pvm", moved)
+    report = run_experiment(ExperimentConfig(name="spectral-measures", out=str(tmp_path)))
+    assert [c.label for c in report.checks if not c.passed] == ["eigenvalue <=> atom on all instances"]
 
 
 def test_block_states_keep_the_per_vector_bits():

@@ -211,6 +211,36 @@ def test_hs_norm_unitary_invariance_and_domination():
         assert operator_norm(a) <= hs_norm(a) + 1e-12
 
 
+def frobenius(m):
+    """hs_norm of a matrix as it was computed one matrix at a time: the reference for the stacked route."""
+    return float(np.linalg.norm(np.asarray(m, dtype=complex), "fro"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 17, 64])
+def test_stacked_hs_norm_equals_frobenius_norm_bitwise(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+    for m in (stack, stack.real):
+        got = hs_norm(m)
+        assert got.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert got[idx] == frobenius(m[idx]) == hs_norm(m[idx])
+    assert isinstance(hs_norm(stack[0, 0]), float)
+    # a transposed stack sums each matrix in row-major order, as for the matrix alone
+    flipped = stack.swapaxes(-2, -1)
+    assert np.array_equal(hs_norm(flipped), [[hs_norm(m) for m in row] for row in flipped])
+
+
+def test_hs_norm_rejects_non_finite_stacks():
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix at index 1 has non-finite entries"):
+        hs_norm(stack)
+    with pytest.raises(ValueError, match="expected a 2-d matrix or a stack"):
+        hs_norm(np.ones(3))
+    assert hs_norm(np.zeros((0, 0))) == 0.0 and hs_norm(np.zeros((2, 0, 3))).shape == (2,)
+
+
 def test_trace_rank_one_projection():
     v = np.array([3.0, 4.0]) / 5.0
     assert trace(np.outer(v, v)) == pytest.approx(1.0)

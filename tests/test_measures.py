@@ -329,6 +329,65 @@ def test_herglotz_rejects_negative_and_complex_samples():
         herglotz_recover(lambda z: base(z) + 1e-6j, 1e-3, (-1.0, 1.0))
 
 
+def extract_atoms_by_loop(slice_measure, eps, window_width=None):
+    """extract_atoms as it scanned for peaks with one Python step per sample: the reference."""
+    window_width = 6.0 * eps if window_width is None else window_width
+    x, v = slice_measure.density_grid, slice_measure.density_values.real
+    threshold = 10.0 * float(np.median(v))
+    reach = int(round(window_width / 2.0 / slice_measure.density_step))
+    atoms = []
+    for k in range(1, len(x) - 1):
+        if v[k] > threshold and v[k] >= v[k - 1] and v[k] > v[k + 1]:
+            j0, j1 = max(0, k - reach), min(len(x) - 1, k + reach)
+            raw = float(np.trapezoid(v[j0:j1 + 1], x[j0:j1 + 1]))
+            captured = (np.arctan((x[j1] - x[k]) / eps) + np.arctan((x[k] - x[j0]) / eps)) / np.pi
+            atoms.append((float(x[k]), raw / captured))
+    return atoms
+
+
+def _slices():
+    x = np.linspace(-1.0, 1.0, 201)
+    bump = lambda a: np.exp(-((x - a) / 0.02) ** 2)
+    plateau = np.where(np.abs(x - 0.3) < 0.051, 1.0, 0.0) + bump(-0.5)  # a flat top: only its last sample is a peak
+    ends = 1e-3 + bump(-1.0) + bump(1.0) + bump(0.0)  # maxima at index 0 and len - 1, never taken
+    ties = np.tile([0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0], 17)[:201]  # flat tops of 2 and 3 samples
+    u = lambda z: sum(m * (z.imag / np.pi) / ((z.real - a) ** 2 + z.imag ** 2) for a, m in ((-1.0, 2.0), (1.0, 3.0)))
+    return {
+        "plateau": (FiniteMeasure.from_density(x, plateau), 0.01),
+        "ends": (FiniteMeasure.from_density(x, ends), 0.01),
+        "ties": (FiniteMeasure.from_density(x, ties), 0.01),
+        "noise": (FiniteMeasure.from_density(x, np.random.default_rng(5).uniform(0.0, 1.0, 201) ** 8), 0.01),
+        "herglotz-roundtrip": (herglotz_recover(u, 1e-3, (-2.0, 2.0)), 1e-3),  # the experiment's slice
+    }
+
+
+@pytest.mark.parametrize("case", ["plateau", "ends", "ties", "noise", "herglotz-roundtrip"])
+def test_peak_scan_finds_the_atoms_of_the_per_sample_loop(case):
+    slice_measure, eps = _slices()[case]
+    want = extract_atoms_by_loop(slice_measure, eps)
+    assert extract_atoms(slice_measure, eps).atoms == tuple(want)
+    assert want or case == "ends"
+    locations = [loc for loc, _ in want]
+    if case == "ends":
+        assert locations == [0.0]  # the maxima at -1 and 1 are the first and last samples
+    if case == "plateau":
+        np.testing.assert_allclose(locations, [-0.5, 0.35], atol=1e-12)
+    if case == "ties":
+        assert len(locations) == 2 * 17 - 1  # the last 2-top is cut off at sample 200
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", -1e-3), ("eps", 0.0), ("eps", np.nan), ("eps", np.inf),
+    ("window_width", -1.0), ("window_width", 0.0), ("window_width", np.nan), ("window_width", np.inf),
+])
+def test_extract_atoms_rejects_bad_scales_by_name(field, value):
+    # a bad scale is named before any atom is read, never turned into a wrong mass or a numpy error
+    slice_measure, _ = _slices()["herglotz-roundtrip"]
+    kw = {"eps": 1e-3, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+        extract_atoms(slice_measure, **kw)
+
+
 @pytest.mark.parametrize("n", [0, 1, -3, 2.5])
 def test_herglotz_rejects_sample_counts_below_two(n):
     # n = 0 raised numpy's empty-reduction error and n = 1 FiniteMeasure's

@@ -23,6 +23,7 @@ from speclab import (
     poly_eval,
     reproduce,
 )
+from speclab.linalg_core import _sample
 
 HARDY = kernel_by_name("hardy")
 
@@ -162,6 +163,43 @@ def test_kernel_from_gram_finite_set():
     assert k.evaluate(0.5j + 1e-13, -0.25) == base[1, 2]
     with pytest.raises(ValueError, match=r"point \(0\.1\+0j\) not in the kernel's finite ground set"):
         k.check_point(np.array([0.0, 0.1, 0.2]))
+
+
+def per_set_gram(k, points):
+    """gram as it was formed for one point set at a time: the reference for the stacked route."""
+    z = np.array([complex(p) for p in points])
+    k.check_point(z)
+    return _sample(k.evaluate, z[:, None], z[None, :])
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 12])
+def test_stacked_gram_equals_per_set_gram(size):
+    rng = np.random.default_rng(size)
+    stack = random_disc_points(rng, 4 * 3 * size).reshape(4, 3, size)
+    stack[0, 0, 0] = 0.0  # s = conj(w) z exactly 0
+    stack[1] *= 0.05  # |s| < 1e-2: the Dirichlet kernel's series branch
+    ground = stack[2, 0]
+    finite = kernel_from_gram(ground, gram(HARDY, ground))
+    cases = [(kernel_by_name(name), stack) for name in KERNEL_NAMES]
+    cases.append((finite, ground[rng.integers(0, size, (4, 3, size))]))
+    for k, points in cases:
+        got = gram(k, points)
+        assert got.shape == (4, 3, size, size)
+        for idx in np.ndindex(4, 3):
+            want = per_set_gram(k, points[idx])
+            assert got.dtype == want.dtype == gram(k, list(points[idx])).dtype
+            np.testing.assert_array_equal(got[idx], want, strict=True)
+    assert gram(kernel_by_name("harmonic-hardy"), stack).dtype == np.float64  # a real kernel stays real
+
+
+def test_gram_rejects_a_scalar_and_empty_point_sets():
+    with pytest.raises(ValueError, match=r"1-d sequence or a \(\.\.\., n\) stack"):
+        gram(HARDY, 0.5)
+    for empty in ([], np.zeros((3, 0), dtype=complex)):
+        with pytest.raises(ValueError, match="need at least one point"):
+            gram(HARDY, empty)
+    with pytest.raises(ValueError, match="outside the open unit disc"):
+        gram(HARDY, np.array([[0.1, 0.2], [0.3, 1.5]]))  # a bad point anywhere in the stack
 
 
 # ---------------------------------------------------------------- span elements

@@ -208,6 +208,57 @@ def test_spectral_measure_supported_on_spectrum():
     np.testing.assert_allclose(pair.eigenvalues, [1.0, 3.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 33, 384])
+def test_stacked_spectral_measure_rows_equal_single_pair_calls(n):
+    rng = np.random.default_rng(n)
+    a = random_hermitian(rng, n)
+    if n > 8:  # three clusters in a dense eigenbasis
+        q = np.linalg.qr(a)[0]
+        a = q @ np.diag(np.tile([-1.0, 0.5, 2.0], n)[:n]) @ q.conj().T
+        a = (a + a.conj().T) / 2.0
+    res = hermitian_eig(a)
+    assert len(res.eigenvalues) == (3 if n > 8 else n)
+    x = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    y = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+    got = spectral_measure(res, x, y)
+    assert got.masses.shape == (2, 3, len(res.eigenvalues))
+    vh = res.eigenvectors.conj().T
+    for idx in np.ndindex(2, 3):
+        # the single-pair masses as they were formed, with V* applied to each 1-d vector: the reference
+        want = np.add.reduceat(np.conj(vh @ x[idx]) * (vh @ y[idx]), res.offsets[:-1])
+        np.testing.assert_array_equal(got.masses[idx], want, strict=True)
+        np.testing.assert_array_equal(spectral_measure(res, x[idx], y[idx]).masses, want, strict=True)
+    # the diagonal of one call on the clusters' first eigenvectors gives each cluster's own mass
+    first = res.eigenvectors[:, res.offsets[:-1]].T
+    own = spectral_measure(res, first, first).masses.diagonal()
+    np.testing.assert_array_equal(own, [spectral_measure(res, v, v).masses[i] for i, v in enumerate(first)])
+
+
+def test_spectral_measure_rejects_mismatched_vectors():
+    res = hermitian_eig(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="same shape"):
+        spectral_measure(res, np.ones((2, 3)), np.ones(3))
+    with pytest.raises(ValueError, match="same shape"):
+        spectral_measure(res, np.ones((2, 3)), np.ones((3, 3)))
+    for bad in (np.ones(2), np.ones((3, 2)), 1.0):
+        with pytest.raises(ValueError, match="vector dimension"):
+            spectral_measure(res, bad, bad)
+
+
+def test_gap_union_projection_is_zero_iff_each_gap_projection_is():
+    # P(union of points) is a sum of the P_i it hits: zero exactly when every point's own P is zero
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        n = 1 + trial % 7
+        res = hermitian_eig(np.diag(np.sort(rng.integers(-2, 3, n)).astype(float)) if trial % 2 else random_hermitian(rng, n))
+        ev = res.eigenvalues
+        points = list((ev[:-1] + ev[1:]) / 2.0)
+        if trial % 3 == 0:
+            points.insert(int(rng.integers(0, len(points) + 1)), float(ev[int(rng.integers(0, len(ev)))]))  # an eigenvalue in the set
+        each = all(not np.any(pvm(res, BorelSet.point(p))) for p in points)
+        assert (not np.any(pvm(res, BorelSet(points=tuple(points))))) == each == (trial % 3 != 0)
+
+
 def test_resolvent_matrix_element_is_cauchy_transform():
     # <x, R(z) x> = sum mass_i / (lambda_i - z)
     rng = np.random.default_rng(23)
@@ -475,6 +526,16 @@ def test_neumann_memory_is_three_matrices():
     assert out.converged
     # the doubling's S, P and product buffer, as the loop's sum, term and product
     assert peak <= 3 * 16 * n * n + 64 * 1024
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_neumann_tail_after_transient_growth_matches_a_long_double_power(seed):
+    # ||A^k|| grows to 15-24 before it decays; the per-term reference's own tail is off by up to 1.1e-12 here
+    a = np.diag(np.linspace(-0.7, 0.7, 96)) + 2.0 * np.triu(np.random.default_rng(seed).standard_normal((96, 96)), 1) / np.sqrt(96)
+    out = neumann_resolvent(a, 1.0)
+    assert out.converged
+    exact = operator_norm(np.linalg.matrix_power(a.astype(np.clongdouble), out.terms).astype(complex))
+    assert abs(out.tail - exact) <= 1e-13 * exact
 
 
 def test_neumann_takes_few_exact_norms(monkeypatch):
@@ -797,6 +858,8 @@ def test_resolution_and_measure_json_shapes():
     obj2 = spectral_measure_to_json(pair)
     json.dumps(obj2)
     assert len(obj2["atoms"]) == 2
+    with pytest.raises(ValueError, match="single pair"):
+        spectral_measure_to_json(spectral_measure(res, np.ones((3, 2)), np.ones((3, 2))))
 
 
 # ---------------------------------------------------------------- stacked inputs
