@@ -15,8 +15,8 @@ Usage:
                        [--out DIR] [--config FILE]
     speclab list
 
-Sizes must be positive (nodes, dim, trials >= 1; trunc >= 2): a smaller one is
-a usage error (exit status 2), and run_experiment raises ValueError.
+Sizes must be integers (nodes, dim, trials >= 1; trunc >= 2): any other value
+is a usage error (exit status 2), and run_experiment raises ValueError.
 
 Outputs <name>.csv (measurement table) and <name>.json (machine-readable
 report with verdicts) in the output directory.  The JSON is strict: a
@@ -40,6 +40,7 @@ from numpy.random import SeedSequence, default_rng  # loaded with the CLI: numpy
 
 from .linalg_core import (
     _read_key_values,
+    _require_count,
     hermitian_eig,
     inner_product,
     operator_norm,
@@ -57,7 +58,6 @@ __all__ = ["main", "run_experiment", "experiment_names", "ExperimentConfig"]
 # configuration
 
 _CONFIG_KEYS = ("seed", "nodes", "dim", "trials", "trunc", "out")
-_MIN_SIZES = {"nodes": 1, "dim": 1, "trials": 1, "trunc": 2}
 _TRIAL_BLOCK = 128  # trials per stacked library call: bounds the stacks' memory
 
 
@@ -78,11 +78,10 @@ class ExperimentConfig:
 
 
 def _check_sizes(cfg: ExperimentConfig) -> None:
-    """Raise ValueError for a size below its minimum (trials=None keeps the default)."""
-    for key, least in _MIN_SIZES.items():
-        val = getattr(cfg, key)
-        if val is not None and val < least:
-            raise ValueError(f"{key} must be at least {least}, got {val}")
+    """Raise ValueError for a size that is not an integer >= its least value (trials=None keeps the default)."""
+    trials = {} if cfg.trials is None else {"trials": cfg.trials}
+    _require_count(1, nodes=cfg.nodes, dim=cfg.dim, **trials)
+    _require_count(2, trunc=cfg.trunc)
 
 
 @dataclass(frozen=True)

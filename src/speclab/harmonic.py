@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import SpectralResolution, _uniform_grid
+from .linalg_core import SpectralResolution, _require_count, _require_interval, _require_scale, _uniform_grid
 
 __all__ = [
     "FourierSeries",
@@ -83,18 +83,15 @@ class SampledBoundaryFunction:
     @staticmethod
     def on_circle(f, n: int = DEFAULT_GRID) -> "SampledBoundaryFunction":
         """Sample f on the right-open periodic grid t_k = -pi + 2pi k / n."""
-        if n < 2:
-            raise ValueError("need at least 2 samples")
+        _require_count(2, n=n)
         t = -np.pi + 2.0 * np.pi * np.arange(n) / n
         return SampledBoundaryFunction(t, np.asarray(f(t), dtype=complex))
 
     @staticmethod
     def on_window(f, lo: float, hi: float, n: int) -> "SampledBoundaryFunction":
         """Sample f on n points of [lo, hi], endpoints included."""
-        if not hi > lo:
-            raise ValueError("window must satisfy lo < hi")
-        if n < 2:
-            raise ValueError("need at least 2 samples")
+        _require_interval("(lo, hi)", lo, hi)
+        _require_count(2, n=n)
         t = np.linspace(lo, hi, n)
         return SampledBoundaryFunction(t, np.asarray(f(t), dtype=complex))
 
@@ -109,11 +106,10 @@ def fourier_coefficients(f: SampledBoundaryFunction, order: int) -> FourierSerie
     """
     if not f.covers_period():
         raise ValueError("samples must cover one full period of length 2*pi")
+    _require_count(0, order=order)
     m = f.grid.size
     if order > m // 2 - 1:
         raise ValueError(f"order {order} exceeds the aliasing limit {m // 2 - 1} for {m} samples")
-    if order < 0:
-        raise ValueError("order must be >= 0")
     n = np.arange(-order, order + 1)
     coeffs = f.step * np.exp(-1j * n * f.grid[0]) * np.fft.fft(f.values)[n % m]
     return FourierSeries(order, coeffs)
@@ -139,8 +135,7 @@ def inverse_dft(x: np.ndarray) -> np.ndarray:
 
 def halfplane_window(y: float, tau_tail: float = TAU_TAIL) -> float:
     """Half-width T with Poisson tail mass (2/pi) arctan(y/T) < tau_tail."""
-    if not y > 0:
-        raise ValueError("y must be positive")
+    _require_scale(y=y)
     if not 0 < tau_tail < 1:
         raise ValueError("tau_tail must lie in (0, 1)")
     return y / np.tan(np.pi * tau_tail / 2.0)
@@ -201,8 +196,7 @@ def momentum_model(lambda_twist: float, order: int) -> SpectralResolution:
     where differentiation multiplies mode n by n).  Exact by construction:
     the eigenvectors are the coordinate basis in mode order.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _require_count(0, order=order)
     modes = np.arange(-order, order + 1)
     dim = modes.size
     eigenvalues = lambda_twist + modes.astype(float)

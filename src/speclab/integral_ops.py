@@ -36,7 +36,10 @@ from numpy.polynomial.legendre import leggauss
 from .linalg_core import (
     _read_key_values,
     _require_2d,
+    _require_count,
     _require_finite,
+    _require_interval,
+    _require_scale,
     _require_square,
     _require_stack,
     _sample,
@@ -114,12 +117,8 @@ def gauss_legendre_grid(
     per_panel: int = NODES_PER_PANEL,
 ) -> QuadratureGrid:
     """Composite Gauss-Legendre rule: `panels` panels of `per_panel` nodes each."""
-    _require_finite(a=a, b=b)
-    if not b > a:
-        raise ValueError("need a < b")
-    for name, count in (("panels", panels), ("per_panel", per_panel)):
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    _require_interval("(a, b)", a, b)
+    _require_count(1, panels=panels, per_panel=per_panel)
     x0, w0 = _gauss_legendre(per_panel)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
@@ -257,8 +256,7 @@ class SturmLiouvilleProblem:
     bc_right: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError("need a < b")
+        _require_interval("(a, b)", self.a, self.b)
         for name, pair in (("bc_left", self.bc_left), ("bc_right", self.bc_right)):
             if len(pair) != 2 or (pair[0] == 0.0 and pair[1] == 0.0):
                 raise ValueError(f"{name} must be a nonzero pair")
@@ -405,8 +403,7 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
     """
     if h is None:
         h = (p.b - p.a) / ODE_STEPS
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"h must be a finite positive step, got {h}")
+    _require_scale(h=h)
     n = max(16, int(round((p.b - p.a) / h)))
     h = (p.b - p.a) / n
     xs_half = p.a + (h / 2.0) * np.arange(2 * n + 1)
@@ -460,6 +457,7 @@ def sl_shift(p: SturmLiouvilleProblem, depth: int = SHIFT_LADDER_DEPTH) -> float
     mu = 0 is tried first, then the ladder +-1, +-2, ... up to `depth`;
     exhaustion raises ValueError.
     """
+    _require_count(0, depth=depth)
     return _shift_ladder(p, depth)[0]
 
 
@@ -620,10 +618,7 @@ def sl_eigensolve(
     the steps x steps tridiagonal eigensolve runs from step 8 k_wanted on,
     every 4th step, about 4 times per Lanczos at k_wanted = 5.
     """
-    if k_wanted < 1:
-        raise ValueError(f"k_wanted must be >= 1, got {k_wanted}")
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    _require_count(1, k_wanted=k_wanted, n_nodes=n_nodes)
     mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
 
     def solve(n: int):
@@ -672,7 +667,8 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     m = require_hermitian(_require_2d(b))
     n = m.shape[0]
-    if not 1 <= k <= n:
+    _require_count(1, k=k)
+    if k > n:
         raise ValueError(f"k must be in 1..{n}")
     scale = operator_norm(m)
     herm = _positive_hermitian_part(m, 1.0 + scale, "matrix is not positive within tolerance")

@@ -10,7 +10,10 @@ Conventions used throughout the package:
 * a Hermitian matrix is resolved as A = sum_i lambda_i P_i with strictly
   ascending distinct eigenvalues and orthogonal projections P_i, stored as
   the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
-  column block V_i of eigenvalue i; the projections are built only on access.
+  column block V_i of eigenvalue i; the projections are built only on access;
+* one helper owns each argument rule and names the argument in its ValueError:
+  _require_count (an integer >= least), _require_scale (finite and > 0),
+  _require_interval (finite ends, lo < hi), _require_tolerance (finite, >= 0).
 """
 
 from __future__ import annotations
@@ -121,6 +124,26 @@ def _require_tolerance(**fields) -> None:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
+def _require_count(least: int, **fields) -> None:
+    """ValueError naming the first count that is not an integer >= least."""
+    for name, value in fields.items():
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_scale(**fields) -> None:
+    """ValueError naming the first scale (a height, width or step) that is not finite and > 0."""
+    for name, value in fields.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _require_interval(name: str, lo, hi) -> None:
+    """ValueError naming the interval unless both ends are finite and lo < hi."""
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"{name} must be a finite interval with lo < hi, got ({lo!r}, {hi!r})")
+
+
 def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
     """The key = value lines of a flat config file as strings; '#' starts a comment
     anywhere on a line.  A line without '=' or with a key not in `known` raises
@@ -141,12 +164,13 @@ def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
 
 def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
     """The grid as float and the values as complex, checked to be matching 1-d arrays
-    of >= 2 points on a strictly increasing grid whose steps spread by at most
-    1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`."""
+    of >= 2 points on a finite, strictly increasing grid whose steps spread by
+    at most 1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`."""
     g = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=complex)
     if g.ndim != 1 or g.shape != v.shape or g.size < 2:
         raise ValueError(f"{owner}: grid/values must be matching 1-d arrays with >= 2 points")
+    _require_finite(**{f"{owner}: grid": g})
     steps = np.diff(g)
     if np.any(steps <= 0):
         raise ValueError(f"{owner}: grid must be strictly increasing")
@@ -246,8 +270,7 @@ class InnerProductSpace:
     @staticmethod
     def coordinate(dimension: int) -> "InnerProductSpace":
         """C^n with the standard pairing."""
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        _require_count(1, dimension=dimension)
         return InnerProductSpace(dimension, inner_product)
 
     @staticmethod
@@ -400,7 +423,9 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
         # ||A|| = max |lambda| from eigh, in place of an SVD
         cluster_tol = _cluster_tol(float(np.max(np.abs(w), initial=0.0)))
     offsets = cluster_offsets(w, cluster_tol)
-    eigenvalues = np.array([float(np.mean(w[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])])
+    eigenvalues = w[offsets[:-1]]  # a cluster of one value is its own mean
+    for i in np.flatnonzero(np.diff(offsets) > 1):
+        eigenvalues[i] = np.mean(w[offsets[i]:offsets[i + 1]])
     return SpectralResolution(eigenvalues, v, offsets)
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _require_tolerance, _sample, _uniform_grid
+from .linalg_core import _require_count, _require_interval, _require_scale, _require_tolerance, _sample, _uniform_grid
 
 __all__ = [
     "FiniteMeasure",
@@ -181,8 +181,7 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
     other grid pair takes the direct sum over tiles of at most 256 x 16384
     points.  Neither route forms an M x N array.
     """
-    if not y > 0:
-        raise ValueError("y must be positive")
+    _require_scale(y=y)
     x = np.asarray(grid, dtype=float)
     dens = np.zeros(x.shape, dtype=complex)
     for a, m in mu.atoms:
@@ -216,17 +215,14 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
     harmonic on the probed region), and if the sample count n is given
     but is not an integer >= 2.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _require_scale(eps=eps)
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must satisfy lo < hi")
+    _require_interval("window", lo, hi)
     if n is None:
         # resolve the Lorentzian scale eps well: window integrals of the slice
         # are trapezoid sums, and coarse peaks bleed mass
         n = max(1001, int(np.ceil((hi - lo) / (eps / 24.0))) + 1)
-    elif not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    _require_count(2, n=n)
     x = np.linspace(lo, hi, n)
     vals = np.asarray(U(x + 1j * eps), dtype=complex)
     if np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(vals.real))):
@@ -248,11 +244,8 @@ def extract_atoms(slice_measure: FiniteMeasure, eps: float, window_width: float 
     """
     if slice_measure.density_grid is None:
         raise ValueError("expected a density measure")
-    if window_width is None:
-        window_width = 6.0 * eps
-    for name, value in (("eps", eps), ("window_width", window_width)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    window_width = 6.0 * eps if window_width is None else window_width
+    _require_scale(eps=eps, window_width=window_width)
     x = slice_measure.density_grid
     v = slice_measure.density_values.real
     med = float(np.median(v))

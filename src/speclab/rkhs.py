@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integral_ops import gauss_legendre_grid
-from .linalg_core import _sample, operator_norm
+from .linalg_core import _require_count, _sample, operator_norm
 
 __all__ = [
     "Kernel",
@@ -245,8 +245,7 @@ def multiplier_adjoint_check(
     """
     if k.name != "hardy":
         raise ValueError("the monomial multiplier model is built on the Hardy kernel")
-    if n_trunc < 2:
-        raise ValueError("truncation must be >= 2")
+    _require_count(2, n_trunc=n_trunc)
     if callable(b):
         coeffs = _symbol_coefficients(b, n_trunc)
         top = float(np.max(np.abs(coeffs)))
@@ -324,9 +323,7 @@ def disc_quadrature(n_radial: int = 64, n_angular: int = 256):
     Returns (points, weights) with sum_k w_k f(z_k) ~ integral_D f dA: the radial
     rule gauss_legendre_grid(0, 1, 1, n_radial), weighted by r, times a uniform angular grid.
     """
-    for name, n in (("n_radial", n_radial), ("n_angular", n_angular)):
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
+    _require_count(1, n_radial=n_radial, n_angular=n_angular)
     radial = gauss_legendre_grid(0.0, 1.0, 1, n_radial)
     r, wr = radial.nodes, radial.weights
     t = 2.0 * np.pi * np.arange(n_angular) / n_angular
@@ -345,8 +342,7 @@ def dirichlet_seminorm_quad(derivative, n_radial: int = 64, n_angular: int = 256
 
 def compose_power(coeffs: Sequence[complex], n: int) -> np.ndarray:
     """Coefficients of f(z^n): a_k moves to index n*k."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
+    _require_count(1, n=n)
     c = np.asarray(coeffs, dtype=complex).ravel()
     out = np.zeros(n * (c.size - 1) + 1, dtype=complex)
     out[:: n] = c

@@ -25,6 +25,7 @@ from .linalg_core import (
     _first_failure,
     _norm_certainly_within,
     _require_2d,
+    _require_count,
     _require_square,
     _require_stack,
     _require_tolerance,
@@ -222,11 +223,6 @@ class NeumannResult:
     tail: float
 
 
-def _require_kmax(kmax: int) -> None:
-    if not isinstance(kmax, (int, np.integer)) or kmax < 0:
-        raise ValueError(f"kmax must be an integer >= 0, got {kmax!r}")
-
-
 def _refine_probe(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The unit vector x after 20 power steps of M*M, toward M's top right singular vector.
 
@@ -315,7 +311,7 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     the series, from the first term.  tau must be finite and >= 0.
     """
     m = _require_square(require_matrix(a))
-    _require_kmax(kmax)
+    _require_count(0, kmax=kmax)
     _require_tolerance(tau=tau)
     n = m.shape[0]
     if z == 0:
@@ -355,7 +351,7 @@ def spectral_radius_gelfand(a: np.ndarray, kmax: int = 20) -> np.ndarray:
     per matrix, shape (..., kmax + 1).
     """
     m = _require_square(_require_stack(a))
-    _require_kmax(kmax)
+    _require_count(0, kmax=kmax)
     seq = np.zeros(m.shape[:-2] + (kmax + 1,))
     seq[..., 0] = nrm = np.asarray(operator_norm(m))
     live = nrm != 0.0  # False from a matrix's first vanishing power on: its remaining entries stay 0

@@ -201,7 +201,7 @@ def test_halfplane_rejects_bad_y_and_narrow_window():
 def test_height_must_be_positive_and_not_nan(call, name, value):
     # a NaN height fails "y <= 0" and ran on: halfplane_window returned nan and
     # poisson_smooth failed later on "density has non-finite values"
-    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
         call(value)
 
 

@@ -96,8 +96,8 @@ GRID_RULE_VIOLATIONS = {
     "nan weight": (lambda: QuadratureGrid(0.0, 1.0, np.array([0.2, 0.5, 0.8]), np.array([0.3, np.nan, 0.3])), "weights"),
     "nan a": (lambda: QuadratureGrid(np.nan, 1.0, np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.4, 0.3])), "a"),
     "infinite b": (lambda: QuadratureGrid(0.0, np.inf, np.array([0.2, 0.5, 0.8]), np.array([0.3, 0.4, 0.3])), "b"),
-    "rule to infinity": (lambda: gauss_legendre_grid(0.0, np.inf, 4, 4), "b"),
-    "rule from nan": (lambda: gauss_legendre_grid(np.nan, 1.0, 4, 4), "a"),
+    "rule to infinity": (lambda: gauss_legendre_grid(0.0, np.inf, 4, 4), "(a, b)"),
+    "rule from nan": (lambda: gauss_legendre_grid(np.nan, 1.0, 4, 4), "(a, b)"),
     "fractional panels": (lambda: gauss_legendre_grid(0.0, 1.0, 2.5, 4), "panels"),
     "fractional per_panel": (lambda: gauss_legendre_grid(0.0, 1.0, 4, 2.5), "per_panel"),
 }
@@ -110,7 +110,7 @@ def test_grid_rejects_non_finite_and_fractional_input(case):
     build, field_name = GRID_RULE_VIOLATIONS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic warns
-        with pytest.raises(ValueError, match=rf"^{field_name} must be"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field_name)} must be"):
             build()
 
 
@@ -715,14 +715,14 @@ def test_eigensolve_rejects_k_wanted_below_one(k_wanted):
 @pytest.mark.parametrize("n_nodes", [0, -8])
 def test_eigensolve_rejects_n_nodes_below_one(n_nodes):
     # n_nodes = 0 used to solve quietly on one 8-node panel
-    with pytest.raises(ValueError, match="^n_nodes must be >= 1"):
+    with pytest.raises(ValueError, match="^n_nodes must be an integer >= 1, got "):
         sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=n_nodes)
 
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
 def test_homogeneous_solutions_reject_bad_step(h):
     # h = 0 raised ZeroDivisionError and h = -0.1 quietly took 16 steps
-    with pytest.raises(ValueError, match="^h must be a finite positive step"):
+    with pytest.raises(ValueError, match="^h must be finite and > 0, got "):
         sl_homogeneous_solutions(dirichlet_problem(0.0, np.pi, const_q(1.0)), h=h)
 
 

@@ -1,5 +1,6 @@
 """Inner products, spectral resolutions, Gram-Schmidt, and the norm identities."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,22 +10,41 @@ from speclab import linalg_core
 from speclab import (
     FiniteMeasure,
     InnerProductSpace,
+    SampledBoundaryFunction,
     SpectralResolution,
+    SturmLiouvilleProblem,
     cluster_offsets,
     commuting_diagonalization,
+    compose_power,
+    disc_quadrature,
+    extract_atoms,
+    fourier_coefficients,
+    gauss_legendre_grid,
     gram_schmidt,
     hadamard,
+    halfplane_window,
+    herglotz_recover,
     hermitian_eig,
     inner_product,
+    kernel_by_name,
     matrix_from_json,
     matrix_to_json,
+    momentum_model,
+    multiplier_adjoint_check,
     neumann_resolvent,
     operator_norm,
+    poisson_halfplane,
+    poisson_smooth,
     positive_definite_test,
+    rayleigh_refine,
     require_hermitian,
+    sl_eigensolve,
+    sl_homogeneous_solutions,
+    sl_shift,
     spectral_radius_gelfand,
     trace,
 )
+from speclab.cli import ExperimentConfig, run_experiment
 
 
 def random_hermitian(rng, n):
@@ -156,6 +176,21 @@ def test_diagonal_clustering():
     for gap, mults in ((5e-7, [1, 2]), (2e-6, [1, 1, 1])):
         a = q @ np.diag([-1e6, 1.0, 1.0 + gap]) @ q.T
         assert hermitian_eig((a + a.T) / 2.0).multiplicities.tolist() == mults
+
+
+@pytest.mark.parametrize("sizes", [[8, 1, 128, 2, 9], [1] * 12, [2, 2], [3] * 10, [128]])
+def test_cluster_means_equal_per_cluster_np_mean_bitwise(sizes):
+    # a cluster of one value takes it from w; larger clusters keep np.mean,
+    # whose pairwise sum np.add.reduceat does not reproduce bit for bit
+    rng = np.random.default_rng(len(sizes))
+    values = np.concatenate([k + 1e-10 * rng.standard_normal(s) for k, s in enumerate(sizes)])
+    q = np.linalg.qr(rng.standard_normal((values.size,) * 2) + 1j * rng.standard_normal((values.size,) * 2))[0]
+    a = (q * values) @ q.conj().T
+    res = hermitian_eig(a)
+    w = np.linalg.eigh(require_hermitian(a))[0]
+    want = np.array([float(np.mean(w[lo:hi])) for lo, hi in zip(res.offsets[:-1], res.offsets[1:])])
+    assert sorted(res.multiplicities.tolist()) == sorted(sizes)
+    assert res.eigenvalues.dtype == np.float64 and np.array_equal(res.eigenvalues, want)
 
 
 def test_reconstruction_oracle_8x8():
@@ -385,6 +420,93 @@ def test_bad_tolerance_is_rejected_by_name(case, tol):
     message = f"{name} must be finite" if not np.isfinite(tol) else f"{name} must be >= 0, got -1.0"
     with pytest.raises(ValueError, match=rf"^{message}$"):
         call(tol)
+
+
+SL_PROBLEM = SturmLiouvilleProblem(0.0, np.pi, lambda x: np.zeros_like(x))
+ONES = lambda z: np.ones_like(z)  # noqa: E731 - a positive harmonic function, its slice is flat
+# name: (call taking the bad value, argument, least value, a fractional value)
+COUNT_SITES = {
+    "spectral_radius_gelfand": (lambda v: spectral_radius_gelfand(np.eye(2), v), "kmax", 0, 2.5),
+    "neumann_resolvent": (lambda v: neumann_resolvent(0.1 * np.eye(2), 1.0, kmax=v), "kmax", 0, 2.5),
+    "gauss_legendre_grid-panels": (lambda v: gauss_legendre_grid(0.0, 1.0, v, 4), "panels", 1, 2.5),
+    "gauss_legendre_grid-per_panel": (lambda v: gauss_legendre_grid(0.0, 1.0, 4, v), "per_panel", 1, 2.5),
+    "sl_eigensolve-k_wanted": (lambda v: sl_eigensolve(SL_PROBLEM, n_nodes=80, k_wanted=v), "k_wanted", 1, 2.5),
+    "sl_eigensolve-n_nodes": (lambda v: sl_eigensolve(SL_PROBLEM, n_nodes=v), "n_nodes", 1, 80.5),
+    "rayleigh_refine": (lambda v: rayleigh_refine(np.diag([1.0, 2.0, 3.0]), v), "k", 1, 1.5),
+    "sl_shift": (lambda v: sl_shift(SL_PROBLEM, v), "depth", 0, 1.5),
+    "coordinate": (InnerProductSpace.coordinate, "dimension", 1, 2.5),
+    "on_circle": (lambda v: SampledBoundaryFunction.on_circle(np.cos, v), "n", 2, 8.5),
+    "on_window": (lambda v: SampledBoundaryFunction.on_window(np.cos, 0.0, 1.0, v), "n", 2, 8.5),
+    "fourier_coefficients": (lambda v: fourier_coefficients(SampledBoundaryFunction.on_circle(np.cos, 64), v), "order", 0, 1.5),
+    "momentum_model": (lambda v: momentum_model(0.5, v), "order", 0, 1.5),
+    "herglotz_recover": (lambda v: herglotz_recover(ONES, 0.1, (-1.0, 1.0), v), "n", 2, 11.5),
+    "multiplier_adjoint_check": (lambda v: multiplier_adjoint_check([1.0], kernel_by_name("hardy"), [0.5], v), "n_trunc", 2, 8.5),
+    "disc_quadrature-n_radial": (lambda v: disc_quadrature(v, 8), "n_radial", 1, 4.5),
+    "disc_quadrature-n_angular": (lambda v: disc_quadrature(4, v), "n_angular", 1, 8.5),
+    "compose_power": (lambda v: compose_power([1.0, 2.0], v), "n", 1, 2.5),
+    "run_experiment-nodes": (lambda v: run_experiment(ExperimentConfig("sl-dirichlet", nodes=v)), "nodes", 1, 400.5),
+    "run_experiment-trials": (lambda v: run_experiment(ExperimentConfig("gelfand", trials=v)), "trials", 1, 2.5),
+    "run_experiment-trunc": (lambda v: run_experiment(ExperimentConfig("momentum-model", trunc=v)), "trunc", 2, 64.5),
+}
+SCALE_SITES = {
+    "halfplane_window": (halfplane_window, "y"),
+    "poisson_halfplane": (lambda v: poisson_halfplane(SampledBoundaryFunction.on_window(np.cos, -10.0, 10.0, 101), 0.0, v), "y"),
+    "poisson_smooth": (lambda v: poisson_smooth(FiniteMeasure.from_atoms([(0.0, 1.0)]), v, np.linspace(-1.0, 1.0, 11)), "y"),
+    "herglotz_recover": (lambda v: herglotz_recover(ONES, v, (-1.0, 1.0), 11), "eps"),
+    "extract_atoms-eps": (lambda v: extract_atoms(herglotz_recover(ONES, 0.1, (-1.0, 1.0), 11), v), "eps"),
+    "extract_atoms-window_width": (lambda v: extract_atoms(herglotz_recover(ONES, 0.1, (-1.0, 1.0), 11), 0.1, v), "window_width"),
+    "sl_homogeneous_solutions": (lambda v: sl_homogeneous_solutions(SL_PROBLEM, h=v), "h"),
+}
+# name: (call taking the (lo, hi) pair, argument)
+INTERVAL_SITES = {
+    "gauss_legendre_grid": (lambda w: gauss_legendre_grid(*w, 4, 4), "(a, b)"),
+    "SturmLiouvilleProblem": (lambda w: SturmLiouvilleProblem(*w, lambda x: np.zeros_like(x)), "(a, b)"),
+    "on_window": (lambda w: SampledBoundaryFunction.on_window(np.cos, *w, 5), "(lo, hi)"),
+    "herglotz_recover": (lambda w: herglotz_recover(ONES, 0.1, w, 11), "window"),
+}
+ARGUMENT_RULE_CASES = (
+    [
+        (f"{case}-{v!r}", call, v, f"{name} must be an integer >= {least}, got {v!r}")
+        for case, (call, name, least, fractional) in COUNT_SITES.items()
+        for v in (least - 1, fractional, np.nan, np.inf)
+    ]
+    + [
+        (f"{case}-{v!r}", call, v, f"{name} must be finite and > 0, got {v!r}")
+        for case, (call, name) in SCALE_SITES.items()
+        for v in (0.0, -1.0, np.nan, np.inf, -np.inf)
+    ]
+    + [
+        (f"{case}-{w!r}", call, w, f"{name} must be a finite interval with lo < hi, got {w!r}")
+        for case, (call, name) in INTERVAL_SITES.items()
+        for w in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (1.0, 0.0))
+    ]
+)
+
+
+@pytest.mark.parametrize("call, value, message", [c[1:] for c in ARGUMENT_RULE_CASES], ids=[c[0] for c in ARGUMENT_RULE_CASES])
+def test_argument_rules_reject_by_name(call, value, message, tmp_path, monkeypatch):
+    # The fractional and non-finite cases once returned wrong answers quietly:
+    # momentum_model(0.5, 1.5) had eigenvalues -1, 0, 1, 2; coordinate(2.5) and
+    # on_circle(cos, 8.5) built objects of a fractional size;
+    # halfplane_window(inf) was inf; on_window(cos, 0, inf, 5) sampled the grid
+    # [nan, inf, inf, inf, inf]; SturmLiouvilleProblem(0, inf, q) failed only in
+    # the solver; and a run at nodes = 400.5 passed and wrote "nodes": 400.5.
+    monkeypatch.chdir(tmp_path)  # a run that is not rejected writes here
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]])
+@pytest.mark.parametrize(
+    "build, owner",
+    [(FiniteMeasure.from_density, "FiniteMeasure density"), (SampledBoundaryFunction, "SampledBoundaryFunction")],
+    ids=["FiniteMeasure", "SampledBoundaryFunction"],
+)
+def test_uniform_grid_rejects_non_finite_grids(build, owner, grid):
+    # a NaN step compares False and an infinite spread is not above an infinite
+    # bound, so these passed every step check: [0, nan, 2] gave total mass NaN
+    with pytest.raises(ValueError, match=f"^{owner}: grid must be finite$"):
+        build(np.array(grid), np.ones(3))
 
 
 # ---------------------------------------------------------------- sampled evaluators

@@ -35,8 +35,13 @@ def _source_nodes():
 
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
-    negative_tolerance, margin = [], []
+    negative_tolerance, margin, integer_test = [], [], []
+    rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": []}
     for module, owner, node in _source_nodes():
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for text, sites in rule_texts.items():
+                if text in node.value:
+                    sites.append((module, owner))
         if isinstance(node, ast.BinOp) and ast.unparse(node) == "1.0 + 1e-08":
             margin.append((module, owner))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be >= 0, got" in node.value:
@@ -46,6 +51,8 @@ def test_each_shared_rule_has_one_site():
         if not isinstance(node, ast.Call):
             continue
         func = ast.unparse(node.func)
+        if func == "isinstance" and ast.unparse(node.args[1]) == "(int, np.integer)":
+            integer_test.append((module, owner))
         if func.split(".")[-1] == "leggauss":
             leggauss.append((module, owner))
         if func.split(".")[-1] == "cumsum":
@@ -72,3 +79,11 @@ def test_each_shared_rule_has_one_site():
     assert negative_tolerance == [("linalg_core.py", "_require_tolerance")]
     # every certified norm bound clears its threshold by the same relative margin
     assert margin == [("linalg_core.py", "_bounds_clear")]
+    # counts, scales and intervals are each checked by one helper, with one message;
+    # cli._fmt's integer test picks a number format and checks no argument
+    assert rule_texts == {
+        "must be an integer >=": [("linalg_core.py", "_require_count")],
+        "must be finite and > 0": [("linalg_core.py", "_require_scale")],
+        "must be a finite interval": [("linalg_core.py", "_require_interval")],
+    }
+    assert sorted(integer_test) == [("cli.py", "_fmt"), ("linalg_core.py", "_require_count")]

@@ -380,9 +380,9 @@ def test_disc_quadrature_radial_rule_is_gauss_legendre_on_unit_interval(n_radial
 def test_disc_quadrature_rejects_sizes_below_one(sizes, name):
     # before: ZeroDivisionError, "negative dimensions are not allowed", and a
     # message about gauss_legendre_grid's panels and per_panel
-    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
         disc_quadrature(*sizes)
-    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
         dirichlet_seminorm_quad(lambda z: np.ones_like(z), *sizes)
 
 
