@@ -15,8 +15,9 @@ Usage:
                        [--out DIR] [--config FILE]
     speclab list
 
-Sizes must be integers (nodes, dim, trials >= 1; trunc >= 2): any other value
-is a usage error (exit status 2), and run_experiment raises ValueError.
+The seed and sizes must be integers (seed >= 0; nodes, dim, trials >= 1;
+trunc >= 2): any other value is a usage error (exit status 2), and
+run_experiment raises ValueError.
 
 Outputs <name>.csv (measurement table) and <name>.json (machine-readable
 report with verdicts) in the output directory.  The JSON is strict: a
@@ -78,8 +79,9 @@ class ExperimentConfig:
 
 
 def _check_sizes(cfg: ExperimentConfig) -> None:
-    """Raise ValueError for a size that is not an integer >= its least value (trials=None keeps the default)."""
+    """Raise ValueError for a seed or size that is not an integer >= its least value (trials=None keeps the default)."""
     trials = {} if cfg.trials is None else {"trials": cfg.trials}
+    _require_count(0, seed=cfg.seed)
     _require_count(1, nodes=cfg.nodes, dim=cfg.dim, **trials)
     _require_count(2, trunc=cfg.trunc)
 

@@ -125,9 +125,9 @@ def _require_tolerance(**fields) -> None:
 
 
 def _require_count(least: int, **fields) -> None:
-    """ValueError naming the first count that is not an integer >= least."""
+    """ValueError naming the first count that is not an integer >= least (a bool is not a count)."""
     for name, value in fields.items():
-        if not isinstance(value, (int, np.integer)) or value < least:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -188,37 +188,6 @@ def operator_norm(a: np.ndarray) -> float | np.ndarray:
     if m.size == 0:
         return _unstack(np.zeros(m.shape[:-2]))
     return _unstack(np.linalg.svd(m, compute_uv=False)[..., 0])
-
-
-def _bounds_clear(lower: float, upper: float, lo: float, hi: float) -> bool:
-    """Whether lower >= lo and upper <= hi, each by the relative margin 1e-8.
-
-    The margin is far above the roundoff of a norm bound, so bounds that
-    clear it prove lo <= ||A||_2 <= hi.  An overflowed bound (inf or nan)
-    never clears.
-    """
-    margin = 1.0 + 1e-8
-    return lower >= lo * margin and upper * margin <= hi
-
-
-def _norm_certainly_within(a: np.ndarray, x: np.ndarray, lo: float, hi: float) -> tuple[bool, np.ndarray]:
-    """Whether cheap bounds prove lo <= ||A||_2 <= hi, and the probe for the next call.
-
-    ||A x|| for the unit vector x bounds the norm below and ||A||_F bounds it
-    above (Golub & Van Loan, Matrix Computations, 2.3), and `_bounds_clear`
-    compares them with the thresholds, so a True never contradicts
-    operator_norm; False means undecided, not outside.  The returned probe is
-    A*(A x) normalized, one power step of A*A, so a caller bracketing a
-    sequence of related matrices tightens the lower bound.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: undecided
-        ax = a @ x
-        lo_a = float(np.linalg.norm(ax))
-        hi_a = float(np.linalg.norm(a))
-        if 0.0 < lo_a < np.inf:
-            y = ((ax / lo_a).conj() @ a).conj()  # A* (A x) / ||A x||, without forming A*
-            x = y / np.linalg.norm(y)
-    return _bounds_clear(lo_a, hi_a, lo, hi), x
 
 
 def hermiticity_tol(a: np.ndarray) -> float:

@@ -21,9 +21,7 @@ import numpy as np
 
 from .linalg_core import (
     SpectralResolution,
-    _bounds_clear,
     _first_failure,
-    _norm_certainly_within,
     _require_2d,
     _require_count,
     _require_square,
@@ -223,41 +221,35 @@ class NeumannResult:
     tail: float
 
 
-def _refine_probe(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The unit vector x after 20 power steps of M*M, toward M's top right singular vector.
-
-    M*M x is formed as ((M x)* M)*, without a copy of M*.  A step whose
-    vector vanishes or overflows is not taken.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(20):
-            y = ((m @ x).conj() @ m).conj()
-            ny = float(np.linalg.norm(y))
-            if not 0.0 < ny < np.inf:
-                break
-            x = y / ny
-    return x
-
-
-def _neumann_skip(m: np.ndarray, z: complex, x: np.ndarray, tau: float, kmax: int) -> int:
+def _neumann_skip(m: np.ndarray, z: complex, tau: float, kmax: int) -> int:
     """The largest K < kmax such that no term T_k = A^k / z^(k+1), 1 <= k <= K, can stop the series.
 
-    The unit probe x, refined by `_refine_probe` on A, is walked forward as
-    x_k = A x_(k-1) / z.  ||x_k|| / |z| bounds ||T_k|| below and
-    (||A||_F / |z|)^k / |z| bounds it above; term k is passed over only when
-    `_bounds_clear` finds the lower bound above tau and the upper bound under
-    1e120.  The certificate is one of exact arithmetic: the computed terms
-    carry their products' roundoff, so a term within roundoff of tau may be
-    passed over where the term loop would stop at it.
+    A fixed unit probe x, taken 20 power steps of A*A toward A's top right
+    singular vector, is walked forward as x_k = A x_(k-1) / z.  ||x_k|| / |z|
+    bounds ||T_k|| below and (||A||_F / |z|)^k / |z| bounds it above (Golub &
+    Van Loan, Matrix Computations, 2.3); term k is passed over only when the
+    lower bound clears tau and the upper bound clears 1e120, each by the
+    relative margin 1e-8, far above a bound's roundoff.  An overflowed bound
+    (inf or nan) never clears.  The certificate is one of exact arithmetic:
+    the computed terms carry their products' roundoff, so a term within
+    roundoff of tau may be passed over where the term loop would stop at it.
     """
-    x = _refine_probe(m, x)
+    margin = 1.0 + 1e-8
+    x = np.random.default_rng(0).standard_normal(m.shape[0])  # fixed start: reruns make the same calls
+    x /= np.linalg.norm(x)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound reads inf or nan: no skip
+        for _ in range(20):
+            y = ((m @ x).conj() @ m).conj()  # A*A x, without a copy of A*
+            ny = float(np.linalg.norm(y))
+            if not 0.0 < ny < np.inf:  # a step whose vector vanishes or overflows is not taken
+                break
+            x = y / ny
         ratio = float(np.linalg.norm(m)) / abs(z)
         upper = 1.0 / abs(z)
         for k in range(1, kmax):
             x = m @ x / z
             upper *= ratio
-            if not _bounds_clear(float(np.linalg.norm(x)) / abs(z), upper, tau, 1e120):
+            if not (float(np.linalg.norm(x)) / abs(z) >= tau * margin and upper * margin <= 1e120):
                 return k - 1
     return max(kmax - 1, 0)
 
@@ -301,13 +293,8 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     The series first skips ahead: `_neumann_skip` certifies an index K before
     which no term can stop the series, and `_neumann_head` sums the terms up
     to K by binary powering, in about 2 log2(K) products rather than K.  The
-    term loop then takes over at term K + 1, its probe first refined by
-    `_refine_probe` on that term.  Each of its stopping decisions
-    is certified by a cheap bracket of the term's norm: ||T x|| below, with x
-    carried forward as one power step of T*T per term, and the Frobenius norm
-    above.  The exact SVD norm runs only when the bracket straddles tau or
-    1e120 (within a 1e-8 relative margin), and on the last term, so `tail` is
-    always the exact norm of the last term.  With K = 0 the loop alone sums
+    term loop then decides each term from K + 1 on by its exact SVD norm, so
+    `tail` is the exact norm of the last term.  With K = 0 the loop alone sums
     the series, from the first term.  tau must be finite and >= 0.
     """
     m = _require_square(require_matrix(a))
@@ -317,22 +304,15 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     if z == 0:
         return NeumannResult(np.full((n, n), np.nan, dtype=complex), False, 0, np.inf)
     tail = 1.0 / abs(z) if n else 0.0  # ||I / z||, exactly
-    probe = np.random.default_rng(0).standard_normal(n)  # fixed start: reruns make the same calls
-    probe /= np.linalg.norm(probe)
-    skip = _neumann_skip(m, z, probe, tau, kmax)
+    skip = _neumann_skip(m, z, tau, kmax)
     if skip:
         acc, term = _neumann_head(m, z, skip + 1)
-        probe = _refine_probe(term, probe)  # the loop's bracket would have refined it over K terms
     else:  # the loop's own first product, so a call with no skip keeps the loop's bits
         acc = np.eye(n, dtype=complex) / z
         term = m @ acc / z
     for k in range(skip + 1, kmax + 1):
         if k > skip + 1:
             term = m @ term / z
-        certain, probe = _norm_certainly_within(term, probe, tau, 1e120)
-        if certain and k < kmax:
-            acc += term
-            continue
         tail = operator_norm(term)
         if not np.isfinite(tail) or tail > 1e120:
             return NeumannResult(acc, False, k, float(tail))

@@ -117,12 +117,12 @@ def test_config_file_applies_and_flags_override(tmp_path):
 
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    for text in ("sede = 5\n", "trials = 0\n", "dim = 0\n", "trunc = 1\n"):
+    for text in ("sede = 5\n", "trials = 0\n", "dim = 0\n", "trunc = 1\n", "seed = -1\n"):
         cfg.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["run", "cayley", "--config", str(cfg), "--out", str(tmp_path)])
         assert exc.value.code == 2, text
-    for flags in (["--trials", "0"], ["--trials", "-3"], ["--dim", "0"], ["--nodes", "0"], ["--trunc", "1"]):
+    for flags in (["--trials", "0"], ["--trials", "-3"], ["--dim", "0"], ["--nodes", "0"], ["--trunc", "1"], ["--seed", "-1"]):
         with pytest.raises(SystemExit) as exc:
             main(["run", "hausdorff", *flags, "--out", str(tmp_path)])
         assert exc.value.code == 2, flags

@@ -447,6 +447,7 @@ COUNT_SITES = {
     "run_experiment-nodes": (lambda v: run_experiment(ExperimentConfig("sl-dirichlet", nodes=v)), "nodes", 1, 400.5),
     "run_experiment-trials": (lambda v: run_experiment(ExperimentConfig("gelfand", trials=v)), "trials", 1, 2.5),
     "run_experiment-trunc": (lambda v: run_experiment(ExperimentConfig("momentum-model", trunc=v)), "trunc", 2, 64.5),
+    "run_experiment-seed": (lambda v: run_experiment(ExperimentConfig("momentum-model", seed=v)), "seed", 0, 0.5),
 }
 SCALE_SITES = {
     "halfplane_window": (halfplane_window, "y"),
@@ -468,7 +469,7 @@ ARGUMENT_RULE_CASES = (
     [
         (f"{case}-{v!r}", call, v, f"{name} must be an integer >= {least}, got {v!r}")
         for case, (call, name, least, fractional) in COUNT_SITES.items()
-        for v in (least - 1, fractional, np.nan, np.inf)
+        for v in (least - 1, fractional, np.nan, np.inf, True)
     ]
     + [
         (f"{case}-{v!r}", call, v, f"{name} must be finite and > 0, got {v!r}")
@@ -487,7 +488,8 @@ ARGUMENT_RULE_CASES = (
 def test_argument_rules_reject_by_name(call, value, message, tmp_path, monkeypatch):
     # The fractional and non-finite cases once returned wrong answers quietly:
     # momentum_model(0.5, 1.5) had eigenvalues -1, 0, 1, 2; coordinate(2.5) and
-    # on_circle(cos, 8.5) built objects of a fractional size;
+    # on_circle(cos, 8.5) built objects of a fractional size, and a bool passed
+    # as a count (coordinate(True).dimension was True);
     # halfplane_window(inf) was inf; on_window(cos, 0, inf, 5) sampled the grid
     # [nan, inf, inf, inf, inf]; SturmLiouvilleProblem(0, inf, q) failed only in
     # the solver; and a run at nodes = 400.5 passed and wrote "nodes": 400.5.

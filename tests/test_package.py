@@ -77,8 +77,8 @@ def test_each_shared_rule_has_one_site():
     assert float_view == [], "np.isfinite reads both parts of complex data"
     # every tolerance is checked finite and >= 0 by one helper, with one message
     assert negative_tolerance == [("linalg_core.py", "_require_tolerance")]
-    # every certified norm bound clears its threshold by the same relative margin
-    assert margin == [("linalg_core.py", "_bounds_clear")]
+    # the Neumann skip's certified norm bounds clear their thresholds by one relative margin
+    assert margin == [("spectral_fd.py", "_neumann_skip")]
     # counts, scales and intervals are each checked by one helper, with one message;
     # cli._fmt's integer test picks a number format and checks no argument
     assert rule_texts == {
@@ -87,3 +87,20 @@ def test_each_shared_rule_has_one_site():
         "must be a finite interval": [("linalg_core.py", "_require_interval")],
     }
     assert sorted(integer_test) == [("cli.py", "_fmt"), ("linalg_core.py", "_require_count")]
+
+
+def test_private_helpers_have_a_src_caller():
+    # a helper whose last caller is deleted is dead code, even while a test still calls it
+    helpers = {
+        node.name
+        for path in Path(speclab.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    assert len(helpers) > 50  # an empty scan would pass vacuously
+    called = set()
+    for _, owner, node in _source_nodes():
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in helpers and name != owner:
+            called.add(name)
+    assert sorted(helpers - called) == []

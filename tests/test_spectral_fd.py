@@ -385,10 +385,8 @@ def _radius(a):
 
 
 def _skip(a, z, tau=1e-12, kmax=256):
-    """The index K up to which neumann_resolvent sums by doubling, from the call's own fixed probe."""
-    probe = np.random.default_rng(0).standard_normal(len(a))
-    probe /= np.linalg.norm(probe)
-    return spectral_fd._neumann_skip(np.asarray(a, dtype=complex), z, probe, tau, kmax)
+    """The index K up to which neumann_resolvent sums by doubling."""
+    return spectral_fd._neumann_skip(np.asarray(a, dtype=complex), z, tau, kmax)
 
 
 _DIVERGENT = random_hermitian(np.random.default_rng(37), 4)  # test_neumann_divergence_is_flagged's input
@@ -397,32 +395,32 @@ _SEMICIRCLE = _semicircle(61, 96)
 _GROWTH = np.diag(np.linspace(-0.7, 0.7, 96)) + 1.5 * np.triu(np.random.default_rng(11).standard_normal((96, 96)), 1) / np.sqrt(96)
 _GINIBRE = np.random.default_rng(71).standard_normal((96, 192)).view(complex) / np.sqrt(192)
 
-# name: (A, z, keyword arguments, least number of exact norms the term loop alone must take)
+# name: (A, z, keyword arguments)
 NEUMANN_CASES = {
     # ||T x|| / ||T|| stays near 0.8 while the norms cross tau = 0.15 at term 7
-    "jordan-loose-bound": (_jordan(12, 0.7), 2.0, {"tau": 0.15}, 2),
-    "jordan-to-1e-12": (_jordan(8, 0.5), 1.0, {}, 1),
-    "nilpotent": (np.eye(6, k=1), 2.0, {}, 1),
-    "exits-above-1e120": (1e3 * _unit_hermitian(41, 6), 1.0, {}, 1),
+    "jordan-loose-bound": (_jordan(12, 0.7), 2.0, {"tau": 0.15}),
+    "jordan-to-1e-12": (_jordan(8, 0.5), 1.0, {}),
+    "nilpotent": (np.eye(6, k=1), 2.0, {}),
+    "exits-above-1e120": (1e3 * _unit_hermitian(41, 6), 1.0, {}),
     # term 2 has entries near 1e200, whose squares overflow in the Frobenius bound
-    "jumps-past-1e154": (np.diag([1e100, 1.0]), 1.0, {}, 1),
-    "kmax-exhausted": (_DIVERGENT, 0.5 * operator_norm(_DIVERGENT), {}, 1),  # ratio 2: 2^256 < 1e120
-    "z-zero": (_unit_hermitian(43, 3), 0.0, {}, 0),
+    "jumps-past-1e154": (np.diag([1e100, 1.0]), 1.0, {}),
+    "kmax-exhausted": (_DIVERGENT, 0.5 * operator_norm(_DIVERGENT), {}),  # ratio 2: 2^256 < 1e120
+    "z-zero": (_unit_hermitian(43, 3), 0.0, {}),
     # term 20 has norm 2^-20 exactly, 1e-10 relative above or below tau
-    "norm-just-above-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 - 1e-10)}, 2),
-    "norm-just-below-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 + 1e-10)}, 1),
-    "semicircle-0.7": (_SEMICIRCLE, 2.0 * _radius(_SEMICIRCLE) * np.exp(0.7j), {}, 1),
-    "semicircle-2.9": (_SEMICIRCLE, 2.0 * _radius(_SEMICIRCLE) * np.exp(2.9j), {}, 1),
-    "transient-growth": (_GROWTH, 1.0, {}, 1),  # the loop walks 8 terms after the skip
-    "nilpotent-shift": (0.66 * np.eye(96, k=1), 1.0, {}, 1),
-    "ginibre": (_GINIBRE, 2.0, {}, 1),
+    "norm-just-above-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 - 1e-10)}),
+    "norm-just-below-tau": (np.diag([0.5, 0.25, -0.125]), 1.0, {"tau": 0.5 ** 20 * (1 + 1e-10)}),
+    "semicircle-0.7": (_SEMICIRCLE, 2.0 * _radius(_SEMICIRCLE) * np.exp(0.7j), {}),
+    "semicircle-2.9": (_SEMICIRCLE, 2.0 * _radius(_SEMICIRCLE) * np.exp(2.9j), {}),
+    "transient-growth": (_GROWTH, 1.0, {}),  # the loop walks 8 terms after the skip
+    "nilpotent-shift": (0.66 * np.eye(96, k=1), 1.0, {}),
+    "ginibre": (_GINIBRE, 2.0, {}),
     # |z| < spectral radius: the terms grow tenfold each, until one passes 1e120 and is left out
-    "divergent": (_SEMICIRCLE, 0.1 * _radius(_SEMICIRCLE) * np.exp(0.5j), {}, 1),
+    "divergent": (_SEMICIRCLE, 0.1 * _radius(_SEMICIRCLE) * np.exp(0.5j), {}),
     # K = 2 and r = 3: the unit step's P A would be 1e320 before the division by z, where the loop's A T_2 is 1e255
-    "large-z": (np.array([[1e150]]), 1e65, {}, 1),
-    "real-input": (0.5 * np.random.default_rng(73).standard_normal((32, 32)) / np.sqrt(32), 1.5, {}, 1),
-    "empty": (np.zeros((0, 0)), 1.0, {}, 1),
-    "empty-tau-zero": (np.zeros((0, 0)), 1.0, {"tau": 0.0}, 1),  # 0 >= tau always: skips to kmax - 1
+    "large-z": (np.array([[1e150]]), 1e65, {}),
+    "real-input": (0.5 * np.random.default_rng(73).standard_normal((32, 32)) / np.sqrt(32), 1.5, {}),
+    "empty": (np.zeros((0, 0)), 1.0, {}),
+    "empty-tau-zero": (np.zeros((0, 0)), 1.0, {"tau": 0.0}),  # 0 >= tau always: skips to kmax - 1
 }
 
 
@@ -434,13 +432,12 @@ def _against_reference(a, z, kw, monkeypatch, skip_ahead=True):
     skip_ahead=False forces K = 0, the term loop alone.
     """
     want, norms = _neumann_by_svd(a, z, **kw)
-    skip, bracket = spectral_fd._neumann_skip, spectral_fd._norm_certainly_within
-    skips, bracketed, exact = [0], [], {}
+    skip = spectral_fd._neumann_skip
+    skips, exact = [0], {}
     with monkeypatch.context() as mp:
         mp.setattr(spectral_fd, "_neumann_skip", lambda *args: skips.append(skip(*args) if skip_ahead else 0) or skips[-1])
-        mp.setattr(spectral_fd, "_norm_certainly_within", lambda *args: bracketed.append(None) or bracket(*args))
-        # the loop brackets each term once, from term K + 1 on, so an exact norm belongs to term K + len(bracketed)
-        mp.setattr(spectral_fd, "operator_norm", lambda t: exact.setdefault(skips[-1] + len(bracketed), operator_norm(t)))
+        # the loop takes one exact norm per term, from term K + 1 on
+        mp.setattr(spectral_fd, "operator_norm", lambda t: exact.setdefault(skips[-1] + len(exact) + 1, operator_norm(t)))
         got = neumann_resolvent(a, z, **kw)
     if skips[-1] == 0:
         assert np.array_equal(got.matrix, want.matrix, equal_nan=True)
@@ -457,14 +454,15 @@ def _against_reference(a, z, kw, monkeypatch, skip_ahead=True):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", NEUMANN_CASES)
 def test_neumann_matches_svd_per_term_reference(case, monkeypatch):
-    a, z, kw, least_exact = NEUMANN_CASES[case]
+    a, z, kw = NEUMANN_CASES[case]
     _, loop_exact, norms = _against_reference(a, z, kw, monkeypatch, skip_ahead=False)
-    _, exact, _ = _against_reference(a, z, kw, monkeypatch)
-    assert len(loop_exact) >= least_exact
-    # the skip and the hand-over's refined probe take no more exact norms than the loop alone
-    assert len(exact) <= len(loop_exact)
-    # a term whose norm lies within 1e-8 of a threshold is decided by the exact norm of that term;
-    # no norm falls below tau = 0, and the bracket's ||T x|| >= 0 is exact
+    skip, exact, _ = _against_reference(a, z, kw, monkeypatch)
+    terms = len(norms)  # the reference's term count, which the call matched
+    # every term after the skip, and no other, is decided by its exact norm
+    assert sorted(loop_exact) == list(range(1, terms + 1))
+    assert sorted(exact) == list(range(skip + 1, terms + 1))
+    # so a term whose norm lies within 1e-8 of a threshold is never passed over by the skip;
+    # no norm falls below tau = 0
     tau = kw.get("tau", 1e-12)
     near = {k for k, t in enumerate(norms, start=1) if 0 < tau and abs(t - tau) <= 1e-8 * tau or abs(t - 1e120) <= 1e-8 * 1e120}
     assert near <= set(loop_exact) and near <= set(exact)
@@ -472,7 +470,7 @@ def test_neumann_matches_svd_per_term_reference(case, monkeypatch):
 
 @pytest.mark.parametrize("kmax", ["0", "1", "K-1", "K", "K+1"])
 def test_neumann_kmax_around_the_skip(kmax, monkeypatch):
-    a, z, _, _ = NEUMANN_CASES["semicircle-0.7"]
+    a, z, _ = NEUMANN_CASES["semicircle-0.7"]
     k = _skip(a, z)
     assert k == 37  # term 38 is the first below 1e-12
     kmax = {"0": 0, "1": 1, "K-1": k - 1, "K": k, "K+1": k + 1}[kmax]
@@ -548,6 +546,21 @@ def test_neumann_takes_few_exact_norms(monkeypatch):
     out = neumann_resolvent(a, z)
     assert out.converged and out.terms > 30
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("phase", [0.4, 2.5, 4.6])
+def test_neumann_on_the_benchmark_recipe_takes_one_exact_norm(phase, monkeypatch):
+    # perfbench's resolution-large series: an n = 384 semicircle matrix at |z| = 2 * spectral radius.
+    # The skip certifies every term but the first below tau, so the loop takes one SVD.
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((384, 384)) + 1j * rng.standard_normal((384, 384))
+    a = (m + m.conj().T) / (2.0 * np.sqrt(384))
+    z = 2.0 * _radius(a) * np.exp(1j * phase)
+    calls = []
+    monkeypatch.setattr(spectral_fd, "operator_norm", lambda t: calls.append(1) or operator_norm(t))
+    out = neumann_resolvent(a, z)
+    assert out.converged
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------- gelfand radius
