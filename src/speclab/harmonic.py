@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import SpectralResolution, _require_count, _require_interval, _require_scale, _uniform_grid
+from .linalg_core import SpectralResolution, _require_count, _require_finite, _require_interval, _require_scale, _sample, _uniform_grid
 
 __all__ = [
     "FourierSeries",
@@ -62,7 +62,10 @@ class FourierSeries:
 
 @dataclass(frozen=True)
 class SampledBoundaryFunction:
-    """Complex samples on a uniform grid (circle period or real-line window)."""
+    """Finite samples on a uniform grid (circle period or real-line window).
+
+    The values are float64 when real (bool, integer or floating input) and complex128 otherwise.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -85,7 +88,7 @@ class SampledBoundaryFunction:
         """Sample f on the right-open periodic grid t_k = -pi + 2pi k / n."""
         _require_count(2, n=n)
         t = -np.pi + 2.0 * np.pi * np.arange(n) / n
-        return SampledBoundaryFunction(t, np.asarray(f(t), dtype=complex))
+        return SampledBoundaryFunction(t, _sample(f, t))
 
     @staticmethod
     def on_window(f, lo: float, hi: float, n: int) -> "SampledBoundaryFunction":
@@ -93,7 +96,7 @@ class SampledBoundaryFunction:
         _require_interval("(lo, hi)", lo, hi)
         _require_count(2, n=n)
         t = np.linspace(lo, hi, n)
-        return SampledBoundaryFunction(t, np.asarray(f(t), dtype=complex))
+        return SampledBoundaryFunction(t, _sample(f, t))
 
 
 def fourier_coefficients(f: SampledBoundaryFunction, order: int) -> FourierSeries:
@@ -155,8 +158,9 @@ def poisson_halfplane(
     analytic arctan tail bound.  The window must extend at least
     halfplane_window(y, tau_tail) to each side of x.
 
-    Raises ValueError for y <= 0 or a window too narrow for tau_tail.
+    Raises ValueError for a non-finite x, y <= 0 or a window too narrow for tau_tail.
     """
+    _require_finite(x=x)
     t, v, h = f.grid, f.values, f.step
     need = halfplane_window(y, tau_tail)
     if x - t[0] < need or t[-1] - x < need:
@@ -178,8 +182,9 @@ def poisson_disc(phi: SampledBoundaryFunction, rho: float, s: float) -> complex:
     """Poisson integral on the unit disc at the point rho * e^{is}.
 
     Kernel (1/2pi)(1 - rho^2) / (1 - 2 rho cos(s - t) + rho^2) against periodic
-    boundary samples; rho = 0 returns the boundary mean.
+    boundary samples; rho = 0 returns the boundary mean.  A non-finite s raises ValueError.
     """
+    _require_finite(s=s)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if not phi.covers_period():

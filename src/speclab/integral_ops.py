@@ -245,7 +245,7 @@ class SturmLiouvilleProblem:
     """-y'' + q y = lambda y on [a, b] with separated boundary conditions.
 
     bc_left = (alpha0, alpha1) imposes alpha0 y(a) + alpha1 y'(a) = 0 and
-    bc_right = (beta0, beta1) the same at b; each pair must be nonzero.
+    bc_right = (beta0, beta1) the same at b; each pair must be finite and nonzero.
     The potential q must be real-valued and continuous.
     """
 
@@ -260,6 +260,7 @@ class SturmLiouvilleProblem:
         for name, pair in (("bc_left", self.bc_left), ("bc_right", self.bc_right)):
             if len(pair) != 2 or (pair[0] == 0.0 and pair[1] == 0.0):
                 raise ValueError(f"{name} must be a nonzero pair")
+        _require_finite(bc_left=self.bc_left, bc_right=self.bc_right)
 
     def shifted(self, mu: float) -> "SturmLiouvilleProblem":
         """The problem with potential q - mu (spectrum translates by -mu)."""

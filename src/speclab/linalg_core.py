@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * inner products are conjugate-linear in the FIRST slot,
   <x, a*y + b*z> = a<x, y> + b<x, z>;
 * matrices are dense complex128 numpy arrays, row-major in serialized form;
-* validated matrices are complex128, but a sampled evaluator's values (a
-  kernel, a potential) stay float64 when they are real;
+* validated matrices are complex128, but sampled values (kernels, potentials,
+  measure densities, boundary samples) stay float64 when real (_real_or_complex);
 * a Hermitian matrix is resolved as A = sum_i lambda_i P_i with strictly
   ascending distinct eigenvalues and orthogonal projections P_i, stored as
   the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
@@ -90,23 +90,27 @@ def _unstack(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _real_or_complex(values) -> np.ndarray:
+    """values as an array: float64 for bool, integer or floating values, complex128 for any others."""
+    v = np.asarray(values)
+    return np.asarray(v, dtype=float if v.dtype.kind in "biuf" else complex)
+
+
 def _sample(f: Callable, *args) -> np.ndarray:
-    """f called once on its argument arrays, as an array of their broadcast shape:
-    float64 for bool, integer or floating values, complex128 for any others.
+    """f called once on its argument arrays, as an array of their broadcast shape,
+    real or complex by _real_or_complex.
 
     An evaluator that raises on arrays, or returns the wrong shape, is called entry by entry.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a) for a in args))
     shape = arrays[0].shape
-    real_or_complex = lambda v: np.asarray(v, dtype=float if v.dtype.kind in "biuf" else complex)
     try:
-        out = real_or_complex(np.asarray(f(*args)))
+        out = _real_or_complex(f(*args))
         if out.shape == shape:
             return out
     except Exception:  # whatever a user evaluator raises on arrays, it may still take scalars
         pass
-    entries = zip(*(a.ravel().tolist() for a in arrays))
-    return real_or_complex(np.array([f(*e) for e in entries])).reshape(shape)
+    return _real_or_complex([f(*e) for e in zip(*(a.ravel().tolist() for a in arrays))]).reshape(shape)
 
 
 def _require_finite(**fields) -> None:
@@ -163,14 +167,14 @@ def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
 
 
 def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
-    """The grid as float and the values as complex, checked to be matching 1-d arrays
-    of >= 2 points on a finite, strictly increasing grid whose steps spread by
-    at most 1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`."""
+    """The grid as float and the values real or complex by _real_or_complex, checked to be
+    matching 1-d arrays of >= 2 finite points on a strictly increasing grid whose steps
+    spread by at most 1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`."""
     g = np.asarray(grid, dtype=float)
-    v = np.asarray(values, dtype=complex)
+    v = _real_or_complex(values)
     if g.ndim != 1 or g.shape != v.shape or g.size < 2:
         raise ValueError(f"{owner}: grid/values must be matching 1-d arrays with >= 2 points")
-    _require_finite(**{f"{owner}: grid": g})
+    _require_finite(**{f"{owner}: grid": g, f"{owner}: values": v})
     steps = np.diff(g)
     if np.any(steps <= 0):
         raise ValueError(f"{owner}: grid must be strictly increasing")
@@ -244,11 +248,12 @@ class InnerProductSpace:
 
     @staticmethod
     def quadrature(nodes: np.ndarray, weights: np.ndarray) -> "InnerProductSpace":
-        """Sampled L2 space: <f, g> = sum_k w_k conj(f(x_k)) g(x_k)."""
+        """Sampled L2 space: <f, g> = sum_k w_k conj(f(x_k)) g(x_k), for finite nodes and finite weights > 0."""
         w = np.asarray(weights, dtype=float)
         n = np.asarray(nodes, dtype=float)
         if w.shape != n.shape or w.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        _require_finite(nodes=n, weights=w)
         if np.any(w <= 0):
             raise ValueError("quadrature weights must be positive")
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _require_count, _require_interval, _require_scale, _require_tolerance, _sample, _uniform_grid
+from .linalg_core import _require_count, _require_finite, _require_interval, _require_scale, _require_tolerance, _sample, _uniform_grid
 
 __all__ = [
     "FiniteMeasure",
@@ -34,7 +34,10 @@ TAU_NEG = 1e-9
 
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """atoms: list of (location, complex mass); density: samples on a uniform grid."""
+    """atoms: list of finite (location, complex mass); density: finite samples on a uniform grid.
+
+    density_values is float64 when real (bool, integer or floating input) and complex128 otherwise.
+    """
 
     atoms: tuple = ()
     density_grid: np.ndarray | None = field(default=None, repr=False)
@@ -42,14 +45,14 @@ class FiniteMeasure:
 
     def __post_init__(self):
         atoms = tuple((float(x), complex(m)) for x, m in self.atoms)
+        _require_finite(**{"FiniteMeasure atoms: locations": [x for x, _ in atoms],
+                           "FiniteMeasure atoms: masses": [m for _, m in atoms]})
         object.__setattr__(self, "atoms", atoms)
         g, v = self.density_grid, self.density_values
         if (g is None) != (v is None):
             raise ValueError("density grid and values must be given together")
         if g is not None:
             g, v = _uniform_grid(g, v, "FiniteMeasure density")
-            if not np.isfinite(v).all():
-                raise ValueError("density has non-finite values")
             object.__setattr__(self, "density_grid", g)
             object.__setattr__(self, "density_values", v)
 
@@ -130,16 +133,15 @@ def _on_lattice(g: np.ndarray, origin: float, h: float, s: int = 0) -> bool:
 
 
 def _kernel_sum(kernel: Callable, x: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j kernel(x_i, g_j) u_j for each x_i, one sum per trailing column of u.
+    """sum_j kernel(x_i, g_j) u_j for each x_i, one sum per trailing column of u, in the dtype of kernel * u.
 
-    The kernel is called on tiles of at most _ROWS x _COLS points, so no
-    len(x) x len(g) array is formed.
+    The kernel is called on tiles of at most _ROWS x _COLS points, so no len(x) x len(g) array is
+    formed.  Each row block is the sum of its tiles; an empty x makes one empty block, of that dtype.
     """
-    out = np.zeros((x.size,) + u.shape[1:], dtype=u.dtype)
-    for r in range(0, x.size, _ROWS):
-        for c in range(0, g.size, _COLS):
-            out[r:r + _ROWS] += kernel(x[r:r + _ROWS, None], g[None, c:c + _COLS]) @ u[c:c + _COLS]
-    return out
+    return np.concatenate([
+        sum(kernel(x[r:r + _ROWS, None], g[None, c:c + _COLS]) @ u[c:c + _COLS] for c in range(0, g.size, _COLS))
+        for r in range(0, max(x.size, 1), _ROWS)
+    ])
 
 
 def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -224,7 +226,7 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
         n = max(1001, int(np.ceil((hi - lo) / (eps / 24.0))) + 1)
     _require_count(2, n=n)
     x = np.linspace(lo, hi, n)
-    vals = np.asarray(U(x + 1j * eps), dtype=complex)
+    vals = _sample(U, x + 1j * eps)
     if np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(vals.real))):
         raise ValueError("slice samples are not real: U is not a harmonic-positive evaluator")
     v = vals.real
@@ -286,14 +288,19 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
     differences; a function that does not broadcast is sampled entry by entry
     instead.  The Hermitian-symmetry precondition f(-x) = conj(f(x)) is
     checked on the probed differences first and its violation raises
-    ValueError (a structural failure, not a not-PD verdict), as does a tau
-    that is not finite or is below 0.
+    ValueError (a structural failure, not a not-PD verdict), as do a
+    non-finite sample, named by its probed difference, and a tau that is not
+    finite or is below 0.
     """
     _require_tolerance(tau=tau)
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("points must be a nonempty 1-d list")
     m = _sample(f, x[:, None] - x[None, :])
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"f not finite at the probed difference points[{i}] - points[{j}] = {float(x[i] - x[j])!r}")
     scale = float(np.max(np.abs(m))) + 1.0
     defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > tau * scale:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integral_ops import gauss_legendre_grid
-from .linalg_core import _require_count, _sample, operator_norm
+from .linalg_core import _require_count, _require_finite, _sample, operator_norm
 
 __all__ = [
     "Kernel",
@@ -336,8 +336,7 @@ def disc_quadrature(n_radial: int = 64, n_angular: int = 256):
 def dirichlet_seminorm_quad(derivative, n_radial: int = 64, n_angular: int = 256) -> float:
     """[f] = (1/pi) integral_D |f'(z)|^2 dA by the tensor polar rule."""
     z, w = disc_quadrature(n_radial, n_angular)
-    vals = np.asarray(derivative(z), dtype=complex)
-    return float(np.sum(w * np.abs(vals) ** 2) / np.pi)
+    return float(np.sum(w * np.abs(_sample(derivative, z)) ** 2) / np.pi)
 
 
 def compose_power(coeffs: Sequence[complex], n: int) -> np.ndarray:
@@ -359,6 +358,7 @@ class MobiusMap:
     def __post_init__(self):
         a = complex(self.a)
         v = complex(self.v)
+        _require_finite(a=a, v=v)
         if abs(a) >= 1.0:
             raise ValueError(f"|a| must be < 1, got {abs(a)}")
         if abs(abs(v) - 1.0) > 1e-12:

@@ -24,6 +24,7 @@ from .linalg_core import (
     _first_failure,
     _require_2d,
     _require_count,
+    _require_finite,
     _require_square,
     _require_stack,
     _require_tolerance,
@@ -87,6 +88,7 @@ class BorelSet:
 
     @staticmethod
     def point(x: float) -> "BorelSet":
+        _require_finite(x=x)
         return BorelSet(points=(float(x),))
 
     @staticmethod
@@ -199,8 +201,9 @@ def resolvent(a: np.ndarray, z: complex) -> np.ndarray:
     """R(z) = (A - zI)^-1 for Hermitian A and z off the spectrum.
 
     Diagonalized form: eigenvalue lambda contributes 1/(lambda - z).  Raises
-    ValueError when z is within 1e-12*(1+||A||-scale) of an eigenvalue.
+    ValueError when z is not finite or is within 1e-12*(1+||A||-scale) of an eigenvalue.
     """
+    _require_finite(z=z)
     m = require_hermitian(_require_2d(a))
     w = np.linalg.eigvalsh(m)
     dist = float(np.min(np.abs(w - z), initial=np.inf))

@@ -1,5 +1,7 @@
 """Inner products, spectral resolutions, Gram-Schmidt, and the norm identities."""
 
+import cmath
+import math
 import re
 from fractions import Fraction
 
@@ -8,14 +10,17 @@ import pytest
 
 from speclab import linalg_core
 from speclab import (
+    BorelSet,
     FiniteMeasure,
     InnerProductSpace,
+    MobiusMap,
     SampledBoundaryFunction,
     SpectralResolution,
     SturmLiouvilleProblem,
     cluster_offsets,
     commuting_diagonalization,
     compose_power,
+    dirichlet_seminorm_quad,
     disc_quadrature,
     extract_atoms,
     fourier_coefficients,
@@ -33,11 +38,13 @@ from speclab import (
     multiplier_adjoint_check,
     neumann_resolvent,
     operator_norm,
+    poisson_disc,
     poisson_halfplane,
     poisson_smooth,
     positive_definite_test,
     rayleigh_refine,
     require_hermitian,
+    resolvent,
     sl_eigensolve,
     sl_homogeneous_solutions,
     sl_shift,
@@ -498,17 +505,65 @@ def test_argument_rules_reject_by_name(call, value, message, tmp_path, monkeypat
         call(value)
 
 
-@pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]])
+# id: (grid, values, the field named)
+NON_FINITE_GRIDS = {
+    "grid0": ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "grid"),
+    "grid1": ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], "grid"),
+    "grid2": ([-np.inf, 0.0, 1.0], [1.0, 1.0, 1.0], "grid"),
+    "values-nan": ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "values"),
+    "values-inf": ([0.0, 1.0, 2.0], [1.0, 1.0, np.inf], "values"),
+    "values--inf": ([0.0, 1.0, 2.0], [-np.inf, 1.0, 1.0], "values"),
+    "values-nan-imaginary-part": ([0.0, 1.0, 2.0], [1.0, complex(1.0, np.nan), 1.0], "values"),
+}
+
+
+@pytest.mark.parametrize("grid, values, field", NON_FINITE_GRIDS.values(), ids=NON_FINITE_GRIDS.keys())
 @pytest.mark.parametrize(
     "build, owner",
     [(FiniteMeasure.from_density, "FiniteMeasure density"), (SampledBoundaryFunction, "SampledBoundaryFunction")],
     ids=["FiniteMeasure", "SampledBoundaryFunction"],
 )
-def test_uniform_grid_rejects_non_finite_grids(build, owner, grid):
+def test_uniform_grid_rejects_non_finite_grids(build, owner, grid, values, field):
     # a NaN step compares False and an infinite spread is not above an infinite
-    # bound, so these passed every step check: [0, nan, 2] gave total mass NaN
-    with pytest.raises(ValueError, match=f"^{owner}: grid must be finite$"):
-        build(np.array(grid), np.ones(3))
+    # bound, so these grids passed every step check: [0, nan, 2] gave total mass
+    # NaN.  A NaN boundary sample was kept, and poisson_disc and
+    # fourier_coefficients then returned NaN without an error
+    with pytest.raises(ValueError, match=f"^{owner}: {field} must be finite$"):
+        build(np.array(grid), np.array(values))
+
+
+# name: (call taking the bad value, argument)
+FINITE_SITES = {
+    "resolvent": (lambda v: resolvent(np.diag([1.0, 2.0]), v), "z"),
+    "SturmLiouvilleProblem-bc_left-alpha0": (lambda v: SturmLiouvilleProblem(0.0, 1.0, np.cos, (v, 0.0)), "bc_left"),
+    "SturmLiouvilleProblem-bc_left-alpha1": (lambda v: SturmLiouvilleProblem(0.0, 1.0, np.cos, (1.0, v)), "bc_left"),
+    "SturmLiouvilleProblem-bc_right": (lambda v: SturmLiouvilleProblem(0.0, 1.0, np.cos, bc_right=(v, 1.0)), "bc_right"),
+    "MobiusMap-a": (lambda v: MobiusMap(v, 1.0), "a"),
+    "MobiusMap-v": (lambda v: MobiusMap(0.2, v), "v"),
+    "quadrature-nodes": (lambda v: InnerProductSpace.quadrature([0.0, v], [1.0, 1.0]), "nodes"),
+    "quadrature-weights": (lambda v: InnerProductSpace.quadrature([0.0, 1.0], [1.0, v]), "weights"),
+    "BorelSet.point": (BorelSet.point, "x"),
+    "from_atoms-location": (lambda v: FiniteMeasure.from_atoms([(v, 1.0)]), "FiniteMeasure atoms: locations"),
+    "from_atoms-mass": (lambda v: FiniteMeasure.from_atoms([(0.0, v)]), "FiniteMeasure atoms: masses"),
+    "poisson_halfplane": (lambda v: poisson_halfplane(SampledBoundaryFunction.on_window(np.cos, -10.0, 10.0, 101), v, 1.0), "x"),
+    "poisson_disc": (lambda v: poisson_disc(SampledBoundaryFunction.on_circle(np.cos, 16), 0.5, v), "s"),
+}
+FINITE_CASES = [
+    (f"{case}-{v!r}", call, v, f"{name} must be finite")
+    for case, (call, name) in FINITE_SITES.items()
+    for v in (np.nan, np.inf, -np.inf)
+]
+
+
+@pytest.mark.parametrize("call, value, message", [c[1:] for c in FINITE_CASES], ids=[c[0] for c in FINITE_CASES])
+def test_non_finite_points_are_rejected_by_name(call, value, message):
+    # each was accepted: resolvent(A, nan) and (A, inf) gave NaN matrices; a NaN
+    # or infinite boundary coefficient failed only inside LAPACK; MobiusMap(nan, 1)
+    # passed both of its checks; a NaN weight made every norm NaN; pvm of
+    # BorelSet.point(nan) was 0; an atom (nan, 1) or (0, inf) gave a NaN transform
+    # or an infinite mass; and poisson_halfplane and poisson_disc returned NaN
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 # ---------------------------------------------------------------- sampled evaluators
@@ -537,6 +592,55 @@ def test_sample_keeps_real_values_real(values, want, scalars_only):
     out = linalg_core._sample(f, x, y)
     assert out.dtype == want and out.shape == (4, 3)
     np.testing.assert_array_equal(out, np.asarray(10.0 * x + y, dtype=values).astype(want))
+
+
+WINDOW, CIRCLE = np.linspace(0.0, 1.0, 8), -np.pi + 2.0 * np.pi * np.arange(8) / 8
+# owner: (the samples it stores from an evaluator f, the real grid f is sampled on)
+SAMPLE_OWNERS = {
+    "from_density": (lambda f: FiniteMeasure.from_density(WINDOW, f(WINDOW)).density_values, WINDOW),
+    "SampledBoundaryFunction": (lambda f: SampledBoundaryFunction(WINDOW, f(WINDOW)).values, WINDOW),
+    "on_circle": (lambda f: SampledBoundaryFunction.on_circle(f, 8).values, CIRCLE),
+    "on_window": (lambda f: SampledBoundaryFunction.on_window(f, 0.0, 1.0, 8).values, WINDOW),
+    "herglotz_recover": (lambda f: herglotz_recover(f, 0.1, (0.0, 1.0), 8).density_values, WINDOW),
+}
+
+
+@pytest.mark.parametrize("values, want", SAMPLE_DTYPES.values(), ids=SAMPLE_DTYPES.keys())
+@pytest.mark.parametrize("owner", SAMPLE_OWNERS.keys())
+def test_grid_owners_keep_real_samples_real(owner, values, want):
+    # every density and boundary sample was cast to complex128; the complex kinds
+    # stay complex although their imaginary parts are all zero
+    build, grid = SAMPLE_OWNERS[owner]
+    f = lambda t: np.asarray(2.0 + np.cos(np.real(t)), dtype=values)  # noqa: E731 - positive, so a slice too
+    if owner == "herglotz_recover":
+        want = np.float64  # the slice of a positive harmonic function is its real part
+    out = build(f)
+    assert out.dtype == want
+    expected = f(grid)
+    np.testing.assert_array_equal(out, (np.real(expected) if want == np.float64 else expected).astype(want))
+
+
+# name: (samples from an evaluator, a scalar-only evaluator, its broadcast twin)
+SCALAR_ONLY = {
+    "on_circle": (lambda f: SampledBoundaryFunction.on_circle(f, 16).values, math.cos, np.cos),
+    "on_window": (lambda f: SampledBoundaryFunction.on_window(f, 0.0, 1.0, 5).values, math.cos, np.cos),
+    "herglotz_recover": (
+        lambda f: herglotz_recover(f, 0.1, (-1.0, 1.0), 11).density_values,
+        lambda z: (-1.0 / (math.pi * (complex(z) - 0.3))).imag,  # a point mass at 0.3
+        lambda z: (-1.0 / (np.pi * (z - 0.3))).imag,
+    ),
+    "dirichlet_seminorm_quad": (lambda f: dirichlet_seminorm_quad(f, 8, 16), cmath.exp, np.exp),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_ONLY.keys())
+def test_grid_samplers_take_scalar_only_evaluators(case):
+    # these four called the evaluator on the grid array by hand, so
+    # on_window(math.cos, 0, 1, 5) raised TypeError where nystrom took it
+    sample, scalar, broadcast = SCALAR_ONLY[case]
+    with pytest.raises(TypeError):
+        scalar(np.linspace(0.1, 0.2, 3) + 0j)
+    np.testing.assert_allclose(sample(scalar), sample(broadcast), rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------- serialization

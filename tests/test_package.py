@@ -35,13 +35,15 @@ def _source_nodes():
 
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
-    negative_tolerance, margin, integer_test = [], [], []
+    negative_tolerance, margin, integer_test, real_kinds = [], [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": []}
     for module, owner, node in _source_nodes():
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             for text, sites in rule_texts.items():
                 if text in node.value:
                     sites.append((module, owner))
+        if isinstance(node, ast.Constant) and node.value == "biuf":
+            real_kinds.append((module, owner))
         if isinstance(node, ast.BinOp) and ast.unparse(node) == "1.0 + 1e-08":
             margin.append((module, owner))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be >= 0, got" in node.value:
@@ -77,6 +79,8 @@ def test_each_shared_rule_has_one_site():
     assert float_view == [], "np.isfinite reads both parts of complex data"
     # every tolerance is checked finite and >= 0 by one helper, with one message
     assert negative_tolerance == [("linalg_core.py", "_require_tolerance")]
+    # sampled values (kernels, potentials, densities, boundary samples) are real or complex by one rule
+    assert real_kinds == [("linalg_core.py", "_real_or_complex")]
     # the Neumann skip's certified norm bounds clear their thresholds by one relative margin
     assert margin == [("spectral_fd.py", "_neumann_skip")]
     # counts, scales and intervals are each checked by one helper, with one message;
