@@ -204,8 +204,7 @@ def _exp_volterra(cfg: ExperimentConfig, rng: np.random.Generator) -> Experiment
     grid = integral_ops._panel_grid(0.0, 1.0, cfg.nodes)
     pair = integral_ops.volterra(grid)
     # V*V's kernel 1 - max(x, y) is the Green form u(max) v(min) / W with u = 1 - x, v = 1, W = 1
-    vstar_v = integral_ops._green_matvec(1.0 - grid.nodes, 1.0, 1.0, grid)
-    mu = integral_ops._lanczos(vstar_v, grid.size, 5)[0]
+    mu = integral_ops._green_eigs(1.0 - grid.nodes, 1.0, 1.0, grid, 5)[0]
     targets = [4.0 / ((2 * k - 1) ** 2 * np.pi ** 2) for k in range(1, 6)]
     rows = [(k, float(m), t, abs(m - t) / t) for k, m, t in zip(range(1, 6), mu, targets)]
     vmax = float(np.max(np.abs(np.linalg.eigvals(pair.v.symmetrized))))

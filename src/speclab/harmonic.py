@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import SpectralResolution, _require_count, _require_finite, _require_interval, _require_scale, _sample, _uniform_grid
+from .linalg_core import SpectralResolution, _from_parts, _require_count, _require_finite, _require_interval, _require_scale, _sample, _uniform_grid
 
 __all__ = [
     "FourierSeries",
@@ -242,4 +242,4 @@ def boundary_from_csv(path: str) -> SampledBoundaryFunction:
     if not rows or [c.strip() for c in rows[0]] != ["t", "re", "im"]:
         raise ValueError("expected CSV header: t, re, im")
     data = np.array([[float(a), float(b), float(c)] for a, b, c in rows[1:]])
-    return SampledBoundaryFunction(data[:, 0], data[:, 1] + 1j * data[:, 2])
+    return SampledBoundaryFunction(data[:, 0], _from_parts(data[:, 1], data[:, 2]))

@@ -13,13 +13,15 @@ Nystrom matrix S = W^{1/2} G W^{1/2} is never formed: S y is two cumulative
 sums over the nodes, O(n), and Lanczos with full reorthogonalization on that
 product gives the few extremal eigenpairs the solve needs, in O(n * steps)
 memory; it diagonalizes its tridiagonal matrix only at the steps where it
-can stop.  One routine, _green_sums, applies G by those prefix and suffix
-sums: for the product, for the extension of eigenfunctions off the grid, and
-for each mode's residual, the defect of the integral eigen-equation
+can stop.  _green_eigs is the one entry point to that eigensolve.  One
+routine, _green_sums, applies G by those prefix and suffix sums: for the
+product, for the extension of eigenfunctions off the grid, and for each
+mode's residual, the defect of the integral eigen-equation
 f = (lambda - shift) G f on trapezoid cells.  The grid-doubling check is the
 same solve at twice the nodes (same solutions).  The Volterra square V*V has
-the same form, kernel 1 - max(x, y) with u = 1 - x, v = 1 and W = 1, so the
-O(n) product serves its spectrum too.
+the same form, kernel 1 - max(x, y) with u = 1 - x, v = 1 and W = 1, so
+_green_eigs serves its spectrum too.  rayleigh_refine takes its successive
+Rayleigh minima from one Hermitian eigensolve (Courant-Fischer).
 """
 
 from __future__ import annotations
@@ -552,6 +554,17 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> t
         q = w / b
 
 
+def _green_eigs(
+    u: np.ndarray | float, v: np.ndarray | float, wronskian: float, grid: QuadratureGrid, n_top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n_top largest-|mu| eigenpairs of S = W^{1/2} G W^{1/2}, G = u(max) v(min) / wronskian on the grid.
+
+    The one Green eigensolve, for the Sturm-Liouville solve and for V*V:
+    Lanczos on the O(n) product of _green_matvec.
+    """
+    return _lanczos(_green_matvec(u, v, wronskian, grid), grid.size, n_top)
+
+
 def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> tuple[np.ndarray, list[int]]:
     """(lambdas, indices) of the k_wanted smallest |lambda| = |1/mu + shift| among the
     4 k_wanted largest |mu| Green eigenvalues above 1e-13 max|mu|."""
@@ -624,8 +637,7 @@ def sl_eigensolve(
 
     def solve(n: int):
         grid = _panel_grid(p.a, p.b, n)
-        matvec = _green_matvec(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid)
-        theta, ritz = _lanczos(matvec, grid.size, 4 * k_wanted)
+        theta, ritz = _green_eigs(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid, 4 * k_wanted)
         lams, idx = _sl_candidates(theta, mu_shift, k_wanted)
         return grid, theta, ritz, lams, idx
 
@@ -658,12 +670,13 @@ def sl_eigensolve(
 
 
 def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First k eigenvalues of a positive Hermitian matrix by successive Rayleigh minimization.
+    """First k eigenvalues of a positive Hermitian matrix as successive Rayleigh minima.
 
-    Each eigenvalue is the minimum of <x, Bx>/<x, x> over the orthocomplement
-    of the previous minimizers, located by projected inverse iteration with a
-    Rayleigh-quotient polish.  Returns (ascending eigenvalues, minimizer
-    columns); monotonicity is enforced exactly.  Raises ValueError when B is
+    The j-th minimum of <x, Bx>/<x, x> over the orthocomplement of the first
+    j - 1 minimizers is the j-th smallest eigenvalue of B, and the minimizers
+    are orthonormal eigenvectors (Courant-Fischer).  So one Hermitian
+    eigensolve of the checked Hermitian part gives them all.  Returns
+    (ascending eigenvalues, minimizer columns).  Raises ValueError when B is
     not positive within tolerance.
     """
     m = require_hermitian(_require_2d(b))
@@ -671,57 +684,9 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     _require_count(1, k=k)
     if k > n:
         raise ValueError(f"k must be in 1..{n}")
-    scale = operator_norm(m)
-    herm = _positive_hermitian_part(m, 1.0 + scale, "matrix is not positive within tolerance")
-    mu = np.zeros(k)
-    vecs = np.zeros((n, k), dtype=complex)
-
-    def project(x: np.ndarray, j: int) -> np.ndarray:
-        for c in range(j):
-            x = x - np.vdot(vecs[:, c], x) * vecs[:, c]
-        return x
-
-    for j in range(k):
-        x = project(np.ones(n, dtype=complex) + 1e-3 * np.arange(n), j)
-        col = 0
-        while np.linalg.norm(x) < 1e-8 and col < n:
-            e = np.zeros(n, dtype=complex)
-            e[col] = 1.0
-            x = project(e, j)
-            col += 1
-        x = x / np.linalg.norm(x)
-        rho_old = np.inf
-        for _ in range(300):
-            try:
-                y = np.linalg.solve(herm, x)
-            except np.linalg.LinAlgError:
-                y = np.linalg.solve(herm + 1e-12 * (1.0 + scale) * np.eye(n), x)
-            y = project(y, j)
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                break
-            x = y / ny
-            rho = float(np.vdot(x, herm @ x).real)
-            if abs(rho - rho_old) <= 1e-15 * (1.0 + abs(rho)):
-                break
-            rho_old = rho
-        rho = float(np.vdot(x, herm @ x).real)
-        for _ in range(3):  # Rayleigh-quotient polish, cubic near convergence
-            try:
-                y = np.linalg.solve(herm - rho * np.eye(n), x)
-            except np.linalg.LinAlgError:
-                break
-            y = project(y, j)
-            ny = np.linalg.norm(y)
-            if ny == 0.0 or not np.isfinite(ny):
-                break
-            x = y / ny
-            rho = float(np.vdot(x, herm @ x).real)
-        if j > 0:
-            rho = max(rho, mu[j - 1])  # exact monotonicity
-        mu[j] = rho
-        vecs[:, j] = x
-    return mu, vecs
+    herm = _positive_hermitian_part(m, 1.0 + operator_norm(m), "matrix is not positive within tolerance")
+    w, v = np.linalg.eigh(herm)
+    return w[:k], v[:, :k]
 
 
 _BUILTIN_POTENTIALS = {

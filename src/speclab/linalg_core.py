@@ -96,6 +96,11 @@ def _real_or_complex(values) -> np.ndarray:
     return np.asarray(v, dtype=float if v.dtype.kind in "biuf" else complex)
 
 
+def _from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + 1j im read back from its parts: float64 re when every entry of im is zero, else complex128."""
+    return re if not np.any(im) else re + 1j * im
+
+
 def _sample(f: Callable, *args) -> np.ndarray:
     """f called once on its argument arrays, as an array of their broadcast shape,
     real or complex by _real_or_complex.

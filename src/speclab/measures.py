@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _require_count, _require_finite, _require_interval, _require_scale, _require_tolerance, _sample, _uniform_grid
+from .linalg_core import _from_parts, _require_count, _require_finite, _require_interval, _require_scale, _require_tolerance, _sample, _uniform_grid
 
 __all__ = [
     "FiniteMeasure",
@@ -336,4 +336,4 @@ def measure_from_json(obj: dict) -> FiniteMeasure:
     re = np.asarray(dens["re"], dtype=float)
     im = np.asarray(dens["im"], dtype=float)
     grid = float(dens["grid0"]) + float(dens["step"]) * np.arange(re.size)
-    return FiniteMeasure(atoms, grid, re + 1j * im)
+    return FiniteMeasure(atoms, grid, _from_parts(re, im))

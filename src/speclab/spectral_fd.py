@@ -137,22 +137,32 @@ class ProjectionValuedMeasure:
         return pvm(self.resolution, e)
 
 
+def _values_on_spectrum(m: Callable, eigenvalues: np.ndarray) -> np.ndarray:
+    """complex(m(lambda)) for each eigenvalue, as a complex array.
+
+    m is called one scalar at a time: an array call may round differently
+    (x**3 does).  An exception from the evaluator, or a NaN or infinite
+    value, raises ValueError naming the eigenvalue.
+    """
+    vals = np.empty(len(eigenvalues), dtype=complex)
+    for i, lam in enumerate(eigenvalues):
+        try:
+            vals[i] = complex(m(float(lam)))
+        except Exception as exc:
+            raise ValueError(f"evaluator undefined at eigenvalue {lam}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"evaluator not finite at eigenvalue {eigenvalues[bad[0]]}: {vals[bad[0]]}")
+    return vals
+
+
 def measurable_calculus(res: SpectralResolution, m: Callable) -> np.ndarray:
     """m(A) = sum_i m(lambda_i) P_i.
 
     The evaluator must produce a finite complex value at every eigenvalue;
     anything else (exception, inf, nan) raises ValueError naming the point.
     """
-    vals = np.empty(len(res.eigenvalues), dtype=complex)
-    for i, lam in enumerate(res.eigenvalues):
-        try:
-            val = complex(m(float(lam)))
-        except Exception as exc:
-            raise ValueError(f"evaluator undefined at eigenvalue {lam}: {exc}") from exc
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-            raise ValueError(f"evaluator not finite at eigenvalue {lam}: {val}")
-        vals[i] = val
-    return res.combine(vals)
+    return res.combine(_values_on_spectrum(m, res.eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -171,9 +181,12 @@ class SpectralMeasurePair:
         return complex(np.sum(self.masses))
 
     def integrate(self, m: Callable) -> complex:
-        """sum_i m(lambda_i) * mass_i, i.e. <x, m(A) y>."""
-        vals = np.array([complex(m(float(lam))) for lam in self.eigenvalues])
-        return complex(np.sum(vals * self.masses))
+        """sum_i m(lambda_i) * mass_i, i.e. <x, m(A) y>.
+
+        The evaluator must produce a finite complex value at every eigenvalue,
+        as in measurable_calculus.
+        """
+        return complex(np.sum(_values_on_spectrum(m, self.eigenvalues) * self.masses))
 
 
 def spectral_measure(res: SpectralResolution, x: np.ndarray, y: np.ndarray) -> SpectralMeasurePair:

@@ -111,6 +111,18 @@ def test_boundary_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, f.values)
 
 
+def test_real_boundary_sample_stays_real_through_csv(tmp_path):
+    f = SampledBoundaryFunction.on_circle(np.cos, n=32)
+    path = tmp_path / "boundary.csv"
+    boundary_to_csv(f, str(path))
+    back = boundary_from_csv(str(path))
+    assert back.values.dtype == np.float64
+    assert np.array_equal(back.values, f.values)
+    written = path.read_text()
+    boundary_to_csv(back, str(path))
+    assert path.read_text() == written
+
+
 def test_grid_validation(bad_grids):
     for grid, values, reason in bad_grids:
         with pytest.raises(ValueError, match=f"^SampledBoundaryFunction: .*{reason}"):

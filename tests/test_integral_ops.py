@@ -841,6 +841,19 @@ def test_rayleigh_matches_eigensolve():
     assert np.all(np.diff(vals) >= 0.0)
 
 
+def test_rayleigh_resolves_a_near_degenerate_cluster():
+    # Courant-Fischer: the successive minima are eigenpairs, also 1e-9 apart
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    spectrum = np.array([1.0, 1.0 + 1e-9, 1.0 + 2e-9, 2.0, 3.0, 4.0, 5.0, 6.0])
+    b = (q * spectrum) @ q.conj().T
+    vals, vecs = rayleigh_refine(b, 5)
+    want = np.linalg.eigvalsh(b)[:5]
+    assert np.max(np.abs(vals - want) / want) <= 1e-12
+    assert np.max(np.linalg.norm(b @ vecs - vecs * vals, axis=0)) <= 1e-12 * operator_norm(b)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(5))) <= 1e-12
+
+
 def test_rayleigh_rejects_non_positive():
     with pytest.raises(ValueError):
         rayleigh_refine(np.diag([1.0, -1.0]), 2)

@@ -502,3 +502,12 @@ def test_measure_json_round_trip():
     assert back.atoms == mu.atoms
     np.testing.assert_allclose(back.density_grid, grid, atol=1e-12)  # grid0 + step form
     np.testing.assert_allclose(back.density_values, mu.density_values, atol=1e-15)
+
+
+def test_real_density_stays_real_through_json():
+    grid = np.linspace(-1.0, 1.0, 21)
+    mu = FiniteMeasure.from_density(grid, np.cos(grid))
+    back = measure_from_json(measure_to_json(mu))
+    assert back.density_values.dtype == np.float64
+    assert np.array_equal(back.density_values, mu.density_values)
+    assert measure_to_json(back) == measure_to_json(mu)

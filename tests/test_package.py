@@ -35,8 +35,9 @@ def _source_nodes():
 
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
-    negative_tolerance, margin, integer_test, real_kinds = [], [], [], []
-    rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": []}
+    negative_tolerance, margin, integer_test, real_kinds, lanczos = [], [], [], [], []
+    rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
+                  "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": []}
     for module, owner, node in _source_nodes():
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             for text, sites in rule_texts.items():
@@ -59,6 +60,8 @@ def test_each_shared_rule_has_one_site():
             leggauss.append((module, owner))
         if func.split(".")[-1] == "cumsum":
             cumsum.append((module, owner))
+        if func.split(".")[-1] == "_lanczos":
+            lanczos.append((module, owner))
         if func.split(".")[-1] == "IntegralOperator":
             integral_op.append((module, owner))
         if func.endswith(".view") and [ast.unparse(a) for a in node.args] == ["float"]:
@@ -74,6 +77,8 @@ def test_each_shared_rule_has_one_site():
     assert sorted(set_distance) == [("spectral_fd.py", "_set_distance")] * 2
     # the Green kernel's prefix and suffix sums, for the product, the extension and the residual
     assert cumsum == [("integral_ops.py", "_green_sums")] * 2
+    # every Green eigenproblem, Sturm-Liouville or V*V, is solved through one entry point
+    assert lanczos == [("integral_ops.py", "_green_eigs")]
     # every operator is sampled, checked and symmetrized in one place
     assert integral_op == [("integral_ops.py", "nystrom")]
     assert float_view == [], "np.isfinite reads both parts of complex data"
@@ -89,6 +94,9 @@ def test_each_shared_rule_has_one_site():
         "must be an integer >=": [("linalg_core.py", "_require_count")],
         "must be finite and > 0": [("linalg_core.py", "_require_scale")],
         "must be a finite interval": [("linalg_core.py", "_require_interval")],
+        # a function is evaluated on a spectrum, and its failures named, in one place
+        "evaluator undefined at eigenvalue": [("spectral_fd.py", "_values_on_spectrum")],
+        "evaluator not finite at eigenvalue": [("spectral_fd.py", "_values_on_spectrum")],
     }
     assert sorted(integer_test) == [("cli.py", "_fmt"), ("linalg_core.py", "_require_count")]
 

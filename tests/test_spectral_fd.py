@@ -166,6 +166,27 @@ def test_calculus_rejects_undefined_values():
         measurable_calculus(res, lambda t: 1.0 / t if t != 0 else np.inf)
 
 
+# evaluators that fail at eigenvalue 0 of diag(0, 1), and the message both consumers give
+UNDEFINED_EVALUATORS = {
+    "inf": (lambda t: np.inf if t == 0 else 1.0, "evaluator not finite at eigenvalue 0.0: (inf+0j)"),
+    "nan": (lambda t: np.nan, "evaluator not finite at eigenvalue 0.0: (nan+0j)"),
+    "raises": (lambda t: 1.0 / t, "evaluator undefined at eigenvalue 0.0: float division by zero"),
+}
+
+
+@pytest.mark.parametrize("consumer", ["measurable_calculus", "integrate"])
+@pytest.mark.parametrize("case", UNDEFINED_EVALUATORS)
+def test_spectrum_consumers_reject_undefined_values_alike(consumer, case):
+    m, message = UNDEFINED_EVALUATORS[case]
+    res = hermitian_eig(np.diag([0.0, 1.0]))
+    call = {
+        "measurable_calculus": lambda: measurable_calculus(res, m),
+        "integrate": lambda: spectral_measure(res, np.ones(2), np.ones(2)).integrate(m),
+    }[consumer]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # ---------------------------------------------------------------- spectral measures
 
 def test_spectral_measure_total_mass():
