@@ -183,7 +183,7 @@ def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
     steps = np.diff(g)
     if np.any(steps <= 0):
         raise ValueError(f"{owner}: grid must be strictly increasing")
-    if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + np.max(np.abs(g))):
+    if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + max(g[-1], -g[0])):  # max |grid|, as g increases
         raise ValueError(f"{owner}: grid step is not constant")
     return g, v
 

@@ -123,13 +123,35 @@ _ROWS, _COLS = 256, 1 << 14
 def _trapezoid_weights(g: np.ndarray) -> np.ndarray:
     """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g."""
     dg = np.diff(g)
-    return np.concatenate((dg[:1], dg[:-1] + dg[1:], dg[-1:])) / 2.0
+    w = np.empty_like(g)
+    np.add(dg[:-1], dg[1:], out=w[1:-1])
+    w[0], w[-1] = dg[0], dg[-1]
+    w /= 2.0
+    return w
 
 
 def _on_lattice(g: np.ndarray, origin: float, h: float, s: int = 0) -> bool:
-    """Whether g_i = origin + (s + i) h for every i, to within 4 ulps of max |g|."""
-    ideal = origin + (s + np.arange(g.size)) * h
-    return bool(np.max(np.abs(g - ideal)) <= 4.0 * np.spacing(np.max(np.abs(g))))
+    """Whether g_i = origin + (s + i) h for every i, to within 4 ulps of max |g|.
+
+    The gaps are formed in place in one float buffer, so the check holds one N-point temporary.
+    """
+    gap = np.arange(g.size, dtype=float)
+    gap += s
+    gap *= h
+    gap += origin
+    gap -= g
+    np.abs(gap, out=gap)
+    return bool(np.max(gap) <= 4.0 * np.spacing(max(np.max(g), -np.min(g))))
+
+
+def _real_parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real arrays x is made of: (x,) when x is real, (x.real, x.imag) when it is complex."""
+    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+
+
+def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The inverse of _real_parts: parts[0] for one part, parts[0] + 1j parts[1] for two."""
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
 
 def _kernel_sum(kernel: Callable, x: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -150,21 +172,35 @@ def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     The trapezoid weights are folded into the density.  When g is arithmetic
     to within a few ulps, index k = a*B + b splits the phase into
     e^{-i w (g_0 + a B h)} e^{-i w b h}, so the sum is one (A x B) @ (B x M)
-    product and only (A + B) M exponentials, with A, B ~ sqrt(N).  Otherwise
-    the direct sum runs over tiles, so no M x N temporary is formed.
+    product and only (A + B) M exponentials, with A, B ~ sqrt(N).  The product
+    is taken in real arithmetic, once per real part of v (v itself when it is
+    real, v.real and v.imag when it is complex): the weighted (A x B) blocks of
+    the part times the (B x 2M) real matrix of the inner phases' real and
+    imaginary parts.  A complex v is transformed as F(re) + i F(im).  Beyond
+    the O(sqrt(N) M) phases, the working set is 8 B per point for the weights
+    and 8 B per point for each part's blocks.  Otherwise the direct sum runs
+    over tiles, so no M x N temporary is formed.
     """
-    u = v * _trapezoid_weights(g)
-    n = g.size
+    n, m = g.size, w.size
     h = (g[-1] - g[0]) / (n - 1)
-    if _on_lattice(g, g[0], h):
-        b = int(np.ceil(np.sqrt(n)))
-        a = -(-n // b)
-        blocks = np.zeros(a * b, dtype=complex)
-        blocks[:n] = u
-        inner = blocks.reshape(a, b) @ np.exp(-1j * np.multiply.outer(np.arange(b) * h, w))
-        outer = np.exp(-1j * np.multiply.outer(g[0] + np.arange(a) * (b * h), w))
-        return np.einsum("am,am->m", outer, inner)
-    return _kernel_sum(lambda wr, gc: np.exp(-1j * (wr * gc)), w, g, u)
+    if not _on_lattice(g, g[0], h):
+        return _kernel_sum(lambda wr, gc: np.exp(-1j * (wr * gc)), w, g, v * _trapezoid_weights(g))
+    b = int(np.ceil(np.sqrt(n)))
+    a = -(-n // b)
+    weights = _trapezoid_weights(g)
+    blocks = []
+    for part in _real_parts(v):
+        block = np.zeros(a * b)
+        np.multiply(part, weights, out=block[:n])
+        blocks.append(block.reshape(a, b))
+    del weights
+    phase = np.exp(-1j * np.multiply.outer(np.arange(b) * h, w))
+    columns = np.hstack(_real_parts(phase))
+    del phase
+    products = [block @ columns for block in blocks]
+    del blocks, columns
+    outer = np.exp(-1j * np.multiply.outer(g[0] + np.arange(a) * (b * h), w))
+    return _joined([np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]) for p in products])
 
 
 def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasure:
@@ -172,27 +208,28 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
 
     Returns a density-only measure on the given uniform grid.  For positive mu
     the smoothed mass never exceeds the input mass, and captures it up to the
-    kernel tail outside the grid window.
+    kernel tail outside the grid window.  The output density is float64 when
+    mu's density (if any) is float64 and every atom mass is real, and
+    complex128 otherwise.
 
     The density part is the trapezoid sum sum_j k(x_i - u_j) w_j v_j over the
-    density grid u.  When u is arithmetic with step h and x_i = u_0 + (s + i) h
-    for an integer s, both to within 4 ulps, the sum is a Toeplitz matvec: the
-    kernel is sampled once at the M + N - 1 offsets and convolved with w v by a
-    zero-padded real FFT of length n_fft >= M + N - 1.  Its error is absolute,
-    about eps log2(n_fft) max|k| sum_j |w_j v_j|, with max|k| <= 1/(pi y).  Any
-    other grid pair takes the direct sum over tiles of at most 256 x 16384
-    points.  Neither route forms an M x N array.
+    density grid u, taken once per real part of w v: one row for a real
+    density, two (real and imaginary) for a complex one.  When u is arithmetic
+    with step h and x_i = u_0 + (s + i) h for an integer s, both to within 4
+    ulps, the sum is a Toeplitz matvec: the kernel is sampled once at the
+    M + N - 1 offsets and convolved with each row by a zero-padded real FFT of
+    length n_fft >= M + N - 1, so the working set is O(n_fft) per row.  Its
+    error is absolute, about eps log2(n_fft) max|k| sum_j |w_j v_j|, with
+    max|k| <= 1/(pi y).  Any other grid pair takes the direct sum over tiles of
+    at most 256 x 16384 points.  Neither route forms an M x N array.
     """
     _require_scale(y=y)
     x = np.asarray(grid, dtype=float)
-    dens = np.zeros(x.shape, dtype=complex)
-    for a, m in mu.atoms:
-        dens += m * (y / np.pi) / ((x - a) ** 2 + y * y)
+    kernel = lambda d: (y / np.pi) / (d * d + y * y)
+    rows = ()
     if mu.density_grid is not None:
         u = mu.density_grid
-        wv = _trapezoid_weights(u) * mu.density_values
-        parts = np.stack((wv.real, wv.imag))
-        kernel = lambda d: (y / np.pi) / (d * d + y * y)
+        parts = np.stack(_real_parts(_trapezoid_weights(u) * mu.density_values))
         n = u.size
         h = (u[-1] - u[0]) / (n - 1)
         s = round((x[0] - u[0]) / h)
@@ -201,10 +238,15 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
             n_fft = 1 << (x.size + n - 2).bit_length()
             k = kernel((s - n + 1 + np.arange(x.size + n - 1)) * h)
             conv = np.fft.irfft(np.fft.rfft(k, n_fft) * np.fft.rfft(parts, n_fft), n_fft)
-            re, im = conv[:, n - 1:n - 1 + x.size]
+            rows = conv[:, n - 1:n - 1 + x.size]
         else:
-            re, im = _kernel_sum(lambda xr, uc: kernel(xr - uc), x, u, parts.T).T
-        dens += re + 1j * im
+            rows = _kernel_sum(lambda xr, uc: kernel(xr - uc), x, u, parts.T).T
+    real = len(rows) < 2 and not any(m.imag for _, m in mu.atoms)
+    dens = np.zeros(x.shape, dtype=float if real else complex)
+    for a, m in mu.atoms:
+        dens += (m.real if real else m) * kernel(x - a)
+    if len(rows):
+        dens += _joined(rows)
     return FiniteMeasure.from_density(x, dens)
 
 

@@ -310,6 +310,21 @@ def test_volterra_lanczos_eigenvalues_match_the_dense_route(tmp_path, nodes):
     assert np.all(np.abs(mu - dense) <= 1e-12 * dense)
 
 
+@pytest.mark.parametrize("nodes", [8, 16, 80, 120, 400, 800, 1600])
+def test_volterra_radius_from_the_diagonal_matches_the_dense_eigenvalues(nodes):
+    # V's symmetrized Nystrom matrix is lower triangular, so its spectrum is its diagonal;
+    # the dense nonsymmetric eigensolve is the oracle, to the bit
+    b = integral_ops.volterra(integral_ops._panel_grid(0.0, 1.0, nodes)).v.symmetrized
+    assert cli._lower_triangular_radius(b) == float(np.max(np.abs(np.linalg.eigvals(b))))
+
+
+def test_lower_triangular_radius_rejects_an_entry_above_the_diagonal():
+    b = np.tril(np.ones((4, 4)))
+    b[1, 3] = 1e-300
+    with pytest.raises(ValueError, match="not lower triangular"):
+        cli._lower_triangular_radius(b)
+
+
 def test_volterra_experiment_bounds_its_memory(tmp_path):
     # real kernels and no dense V*V eigensolve: the complex route peaked at 20.5 MB at 400 nodes
     cfg = ExperimentConfig(name="volterra", nodes=400, out=str(tmp_path))

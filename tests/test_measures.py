@@ -120,6 +120,59 @@ def test_density_transform_matches_direct_trapezoid_sum():
         assert np.array_equal(measure_fourier(real, w), twin)
 
 
+def _lattice_reference(g, origin, h, s=0):
+    # the check as first written, with its N-point temporaries
+    ideal = origin + (s + np.arange(g.size)) * h
+    return bool(np.max(np.abs(g - ideal)) <= 4.0 * np.spacing(np.max(np.abs(g))))
+
+
+def _ulps_off(g, k):
+    # g with its middle point moved k ulps of max |g| off the lattice
+    g = g.copy()
+    g[g.size // 2] += k * np.spacing(np.max(np.abs(g)))
+    return g
+
+
+_LATTICE_CASES = {
+    # grid, origin, step, whole-step offset s
+    "all negative": (-7.0 + 0.01 * np.arange(300), -7.0, 0.01, 0),
+    "whole-step offset": (0.25 * np.arange(-40, 60), 0.25 * -43, 0.25, 3),
+    "negative offset, large origin": (1e5 + 0.5 * np.arange(1, 101), 1e5 + 0.5 * 6, 0.5, -5),
+    "3 ulps off": (_ulps_off(-3.0 + 0.125 * np.arange(81), 3), -3.0, 0.125, 0),
+    "5 ulps off": (_ulps_off(-3.0 + 0.125 * np.arange(81), 5), -3.0, 0.125, 0),
+    "off by a step": (np.linspace(0.0, 1.0, 11), 0.1, 0.1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE_CASES))
+def test_on_lattice_matches_the_reference_expression(name):
+    g, origin, h, s = _LATTICE_CASES[name]
+    got = measures._on_lattice(g, origin, h, s)
+    assert got == _lattice_reference(g, origin, h, s)
+    assert got == (name not in ("5 ulps off", "off by a step"))
+
+
+@pytest.mark.parametrize("kind, limit", [("real", 20), ("complex", 28)])
+def test_lattice_transform_memory_per_point(kind, limit):
+    # the density went through a complex128 block array, with 24 B/point of lattice and
+    # weight temporaries: 32 B/point for a real density, 40 for a complex one.  Each real
+    # part now takes 8 B/point of blocks beside the 8 B/point of weights
+    n = 1_000_000
+    g = np.linspace(-3.2e4, 3.2e4, n)
+    v = (1.0 / np.pi) / (g * g + 1.0)
+    mu = FiniteMeasure.from_density(g, v if kind == "real" else v * (1.0 - 0.5j))
+    omega = np.linspace(-10.0, 10.0, 81)
+    tracemalloc.start()
+    try:
+        got = measure_fourier(mu, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.exp(-np.abs(omega)) * (1.0 if kind == "real" else 1.0 - 0.5j)
+    assert np.max(np.abs(got - want)) <= 1e-4
+    assert peak <= limit * n
+
+
 # ---------------------------------------------------------------- poisson smoothing
 
 def test_smooth_point_mass_gives_kernel():
@@ -238,6 +291,25 @@ def test_smooth_lattice_grids_take_fft_route(name, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", sorted(_FFT_CASES))
+def test_smooth_real_measure_stays_real(name, monkeypatch):
+    # a real density with real atom masses convolves one row, not two, and its
+    # output is float64: on the FFT route, the bits of the real part of its
+    # complex-typed twin's output, whose imaginary part is exactly zero
+    u, x, _, atoms = _FFT_CASES[name]
+    x = u if x is None else x
+    v = np.random.default_rng(25).standard_normal(u.size)
+    atoms = tuple((a, complex(m).real) for a, m in atoms)
+    real = FiniteMeasure(atoms=atoms, density_grid=u, density_values=v)
+    twin = FiniteMeasure(atoms=atoms, density_grid=u, density_values=v.astype(complex))
+    calls = smooth_routes(monkeypatch)
+    got = poisson_smooth(real, 0.3, x).density_values
+    ref = poisson_smooth(twin, 0.3, x).density_values
+    assert calls == []
+    assert got.dtype == np.float64 and ref.dtype == np.complex128
+    assert np.array_equal(got, ref.real) and not np.any(ref.imag)
+
+
 def _perturbed(g, seed):
     # ~1e-10 off arithmetic, inside the uniformity check; the ends stay on the
     # lattice, so only the grid's own test can send it to the direct sum
@@ -268,6 +340,32 @@ def test_smooth_off_lattice_grids_take_direct_sum(name, monkeypatch):
     assert calls == [x.size, x.size]
 
 
+def test_smooth_real_measure_stays_real_on_the_direct_sum(monkeypatch):
+    # off the lattice a real density is one column of the tiled sum, and its
+    # complex-typed twin two: one column goes through a matrix-vector product,
+    # two through a matrix product, which sum in different orders, so the real
+    # parts agree to roundoff, not to the bit
+    u, x = _FALLBACK_CASES["half-step offset"]
+    v = np.exp(-u ** 2) + 0.3 * np.random.default_rng(26).standard_normal(u.size)
+    real = FiniteMeasure(atoms=((0.4, 1.5),), density_grid=u, density_values=v)
+    twin = FiniteMeasure(atoms=((0.4, 1.5),), density_grid=u, density_values=v.astype(complex))
+    calls = smooth_routes(monkeypatch)
+    got = poisson_smooth(real, 0.3, x).density_values
+    ref = poisson_smooth(twin, 0.3, x).density_values
+    assert calls == [x.size, x.size]
+    assert got.dtype == np.float64 and not np.any(ref.imag)
+    assert np.max(np.abs(got - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_smooth_complex_atom_makes_the_output_complex():
+    u = np.linspace(-2.0, 2.0, 101)
+    mu = FiniteMeasure(atoms=((0.0, 1.0 + 0.5j),), density_grid=u, density_values=np.exp(-u ** 2))
+    out = poisson_smooth(mu, 0.5, u).density_values
+    assert out.dtype == np.complex128
+    np.testing.assert_allclose(out.imag, 0.5 * poisson_density(u, 0.5), rtol=1e-15)
+    assert poisson_smooth(FiniteMeasure.from_atoms([(0.0, 2.0)]), 0.5, u).density_values.dtype == np.float64
+
+
 @pytest.mark.parametrize("offset, limit", [(0.0, 10e6), (0.5, 50e6)])
 def test_smooth_memory_is_linear_in_grid_size(offset, limit):
     # a 4001 x 4001 kernel matrix alone takes 128 MB; the FFT route (whole-step
@@ -290,7 +388,7 @@ def test_smooth_memory_is_linear_in_grid_size(offset, limit):
 def test_real_density_is_stored_once_at_float64_size():
     # the density was cast to complex128, 16 B/point, and its finiteness checked
     # apart from the grid's: 32 B/point in all.  Now a float64 density is kept as
-    # given, and the peak is the grid check's steps plus |grid|: 16 B/point
+    # given, and the peak is the grid check's steps and their sign mask: 9 B/point
     n = 1_000_000
     grid, values = np.linspace(0.0, 1.0, n), np.exp(-np.linspace(0.0, 1.0, n))
     tracemalloc.start()
@@ -300,7 +398,7 @@ def test_real_density_is_stored_once_at_float64_size():
     finally:
         tracemalloc.stop()
     assert mu.density_values.dtype == np.float64
-    assert peak <= 20 * n
+    assert peak <= 12 * n
 
 
 # ---------------------------------------------------------------- herglotz recovery
