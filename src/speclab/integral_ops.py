@@ -1,8 +1,8 @@
 """Nystrom-discretized integral operators and the Sturm-Liouville solver chain.
 
-Integral operators carry their raw kernel samples K and the symmetrized
-matrix B = W^{1/2} K W^{1/2} whose Hermitian eigensolve approximates the
-operator spectrum.  The Sturm-Liouville path is: a spectral shift ladder for
+Integral operators store only their kernel samples K; B = W^{1/2} K W^{1/2},
+whose Hermitian eigensolve approximates the operator spectrum, is formed from
+K on access.  The Sturm-Liouville path is: a spectral shift ladder for
 problems where the operator is not injective, homogeneous solutions u, v by
 fixed-step RK4 shooting (with cubic-Hermite dense output) and a Wronskian
 check, all run once per solve.  Each shot multiplies the 2 x 2 transfer
@@ -138,11 +138,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class IntegralOperator:
-    """Kernel samples on a quadrature grid plus the symmetrized matrix."""
+    """Kernel samples K on a quadrature grid; the symmetrized matrix is formed from them on access."""
 
     grid: QuadratureGrid
     kernel_matrix: np.ndarray = field(repr=False)
-    symmetrized: np.ndarray = field(repr=False)
+
+    @property
+    def symmetrized(self) -> np.ndarray:
+        """B = W^{1/2} K W^{1/2} for the grid's quadrature weights W, a new array on each access."""
+        sw = np.sqrt(self.grid.weights)
+        return sw[:, None] * self.kernel_matrix * sw[None, :]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(T f)(x_i) = sum_j w_j K_ij f(x_j): float64 for a real kernel and a real f, else complex128."""
@@ -157,7 +162,7 @@ class IntegralOperator:
 
 
 def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
-    """Sample a kernel on grid x grid and store K with B = W^{1/2} K W^{1/2}.
+    """Sample a kernel on grid x grid and store K; B = W^{1/2} K W^{1/2} is formed on access.
 
     k is called once as k(x[:, None], x[None, :]); a kernel that does not
     broadcast is sampled entry by entry instead.  A real kernel is stored as
@@ -169,13 +174,7 @@ def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"kernel sample not finite at nodes ({i}, {j})")
-    return IntegralOperator(grid, km, _symmetrized(km, grid))
-
-
-def _symmetrized(km: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """W^{1/2} K W^{1/2} for the grid's quadrature weights W."""
-    sw = np.sqrt(grid.weights)
-    return sw[:, None] * km * sw[None, :]
+    return IntegralOperator(grid, km)
 
 
 def _positive_hermitian_part(m: np.ndarray, scale: float, message: str) -> np.ndarray:
@@ -213,7 +212,7 @@ def trace(t):
     if isinstance(t, IntegralOperator):
         b = t.symmetrized
         scale = float(np.max(np.abs(b))) + 1.0
-        if t.hermitian_defect() > 1e-10 * scale:
+        if np.max(np.abs(b - b.conj().T)) > 1e-10 * scale:  # hermitian_defect() of this B, formed once
             raise ValueError("operator trace requires a Hermitian kernel")
         _positive_hermitian_part(b, scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))

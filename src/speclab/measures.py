@@ -58,9 +58,11 @@ class FiniteMeasure:
 
     @property
     def density_step(self) -> float:
+        """(g[-1] - g[0]) / (n - 1): the step end to end, so g[0] + step * k lands on the last point."""
         if self.density_grid is None:
             raise ValueError("measure has no density part")
-        return float(self.density_grid[1] - self.density_grid[0])
+        g = self.density_grid
+        return float((g[-1] - g[0]) / (g.size - 1))
 
     @staticmethod
     def from_atoms(pairs: Sequence[tuple[float, complex]]) -> "FiniteMeasure":
@@ -117,7 +119,7 @@ def measure_fourier(mu: FiniteMeasure, omega) -> complex | np.ndarray:
     return out
 
 
-_ROWS, _COLS = 256, 1 << 14
+_ROWS, _COLS = 128, 512
 
 
 def _trapezoid_weights(g: np.ndarray) -> np.ndarray:
@@ -221,7 +223,7 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
     length n_fft >= M + N - 1, so the working set is O(n_fft) per row.  Its
     error is absolute, about eps log2(n_fft) max|k| sum_j |w_j v_j|, with
     max|k| <= 1/(pi y).  Any other grid pair takes the direct sum over tiles of
-    at most 256 x 16384 points.  Neither route forms an M x N array.
+    at most 128 x 512 points.  Neither route forms an M x N array.
     """
     _require_scale(y=y)
     x = np.asarray(grid, dtype=float)
@@ -230,8 +232,7 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
     if mu.density_grid is not None:
         u = mu.density_grid
         parts = np.stack(_real_parts(_trapezoid_weights(u) * mu.density_values))
-        n = u.size
-        h = (u[-1] - u[0]) / (n - 1)
+        n, h = u.size, mu.density_step
         s = round((x[0] - u[0]) / h)
         if _on_lattice(u, u[0], h) and _on_lattice(x, u[0], h, s):
             # x_i - u_j = (s + i - j) h: sample offsets (s - n + 1) h ... (s + M - 1) h

@@ -1,5 +1,6 @@
 """Nystrom operators, HS norm and trace, Volterra, Sturm-Liouville Green machinery."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -276,6 +277,12 @@ def test_volterra_integrates_ones_to_x():
     assert np.max(np.abs(out - g.nodes)) < 5e-4
 
 
+def symmetrized_reference(km, g):
+    """W^{1/2} K W^{1/2}, the expression nystrom once evaluated and stored beside K."""
+    sw = np.sqrt(g.weights)
+    return sw[:, None] * km * sw[None, :]
+
+
 def complex_volterra_kernels(x):
     """The complex construction the float64 kernels replaced, kept as their oracle."""
     xi, yj = x[:, None], x[None, :]
@@ -290,7 +297,33 @@ def test_volterra_kernels_are_real_and_equal_the_complex_construction(panels):
         assert op.kernel_matrix.dtype == op.symmetrized.dtype == np.float64
         assert not np.any(want.imag)
         np.testing.assert_array_equal(op.kernel_matrix, want.real)
-        np.testing.assert_array_equal(op.symmetrized, integral_ops._symmetrized(want, g).real)
+        np.testing.assert_array_equal(op.symmetrized, symmetrized_reference(want, g).real)
+
+
+def test_operator_stores_its_kernel_once():
+    # B = W^{1/2} K W^{1/2} was stored beside K: two n x n copies of one operator
+    assert tuple(f.name for f in dataclasses.fields(integral_ops.IntegralOperator)) == ("grid", "kernel_matrix")
+    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    n = g.size
+    tracemalloc.start()
+    try:
+        op = nystrom(VSTAR_KERNEL, g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert op.kernel_matrix.dtype == np.float64
+    assert held <= 8 * n * n + 64 * n
+
+
+@pytest.mark.parametrize("kernel", [VSTAR_KERNEL, lambda x, y: np.exp(1j * x * y) / (1.0 + (x - y) ** 2)],
+                         ids=["real", "complex"])
+def test_symmetrized_is_formed_from_the_kernel_on_access(kernel):
+    g = gauss_legendre_grid(0.0, 1.0, panels=7, per_panel=8)
+    op = nystrom(kernel, g)
+    b = op.symmetrized
+    assert b.dtype == op.kernel_matrix.dtype
+    assert np.array_equal(b, symmetrized_reference(op.kernel_matrix, g))
+    assert np.array_equal(op.symmetrized, b)
 
 
 def test_volterra_wrong_interval_rejected():

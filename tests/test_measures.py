@@ -369,7 +369,7 @@ def test_smooth_complex_atom_makes_the_output_complex():
 @pytest.mark.parametrize("offset, limit", [(0.0, 10e6), (0.5, 50e6)])
 def test_smooth_memory_is_linear_in_grid_size(offset, limit):
     # a 4001 x 4001 kernel matrix alone takes 128 MB; the FFT route (whole-step
-    # offset) needs O(M + N) and the direct sum (half-step offset) 256-row tiles
+    # offset) needs O(M + N) and the direct sum (half-step offset) 128 x 512 tiles
     u = np.linspace(-10.0, 10.0, 4001)
     x = u + offset * (u[1] - u[0])
     mu = FiniteMeasure.from_density(u, np.exp(-u ** 2))
@@ -383,6 +383,36 @@ def test_smooth_memory_is_linear_in_grid_size(offset, limit):
     rows = [0, 1234, 4000]
     ref = direct_smooth(mu, 0.5, x[rows])
     assert np.max(np.abs(out.density_values[rows] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _off_lattice_fourier():
+    g = np.linspace(-10.0, 10.0, 100_001)
+    g += 1e-12 * np.random.default_rng(24).standard_normal(g.size)
+    mu, omega = FiniteMeasure.from_density(g, np.exp(-g ** 2)), np.linspace(-8.0, 8.0, 81)
+    assert not measures._on_lattice(g, g[0], mu.density_step)
+    ref = np.trapezoid(np.exp(-1j * np.multiply.outer(omega[::20], g)) * np.exp(-g ** 2), g, axis=-1)
+    return lambda: measure_fourier(mu, omega)[::20], ref
+
+
+def _half_step_smooth():
+    u = np.linspace(-10.0, 10.0, 4001)
+    mu, x, rows = FiniteMeasure.from_density(u, np.exp(-u ** 2)), u + 0.5 * (u[1] - u[0]), [0, 1234, 4000]
+    return lambda: poisson_smooth(mu, 0.5, x).density_values[rows], direct_smooth(mu, 0.5, x[rows])
+
+
+@pytest.mark.parametrize("case", [_off_lattice_fourier, _half_step_smooth])
+def test_direct_sum_memory_is_bounded_by_its_tiles(case):
+    # the direct sum's kernel holds three or four tiles at once.  On 256 x 16384 tiles that peaked
+    # at 43.3 MB (81 x 100001 points, complex) and 24.6 MB (4001 x 4001, real)
+    run, ref = case()
+    tracemalloc.start()
+    try:
+        got = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_real_density_is_stored_once_at_float64_size():
@@ -600,6 +630,18 @@ def test_measure_json_round_trip():
     assert back.atoms == mu.atoms
     np.testing.assert_allclose(back.density_grid, grid, atol=1e-12)  # grid0 + step form
     np.testing.assert_allclose(back.density_values, mu.density_values, atol=1e-15)
+
+
+@pytest.mark.parametrize("n, lo, hi", [(4001, -10.0, 10.0), (100_001, 0.1, 7.3), (21, -1.0, 1.0)])
+def test_json_round_trip_keeps_the_grid_bits(n, lo, hi):
+    # the step was written as g[1] - g[0], and grid0 + step k drifted off the grid:
+    # 1760 ulps of max |g| at the last point of linspace(-10, 10, 4001)
+    grid = np.linspace(lo, hi, n)
+    mu = FiniteMeasure.from_density(grid, np.exp(-grid ** 2))
+    back = measure_from_json(measure_to_json(mu))
+    assert np.array_equal(back.density_grid, grid)
+    assert back.total_mass() == mu.total_mass()
+    assert measure_to_json(back) == measure_to_json(mu)
 
 
 def test_real_density_stays_real_through_json():
