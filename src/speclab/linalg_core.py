@@ -11,6 +11,8 @@ Conventions used throughout the package:
   ascending distinct eigenvalues and orthogonal projections P_i, stored as
   the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
   column block V_i of eigenvalue i; the projections are built only on access;
+  every V diag(d) V^* (projections, functions of A, evolutions) is formed by
+  _synthesize, which reads V^T as a view and makes no copy of V^*;
 * one helper owns each argument rule and names the argument in its ValueError:
   _require_count (an integer >= least), _require_scale (finite and > 0),
   _require_interval (finite ends, lo < hi), _require_tolerance (finite, >= 0).
@@ -211,7 +213,9 @@ def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     first matrix that fails.
     """
     m = _require_square(_require_stack(a))
-    deviation = np.abs(m - m.conj().swapaxes(-2, -1))
+    deviation = m.conj().swapaxes(-2, -1)  # the one copy: A - A^* is written into it
+    np.subtract(m, deviation, out=deviation)
+    deviation = np.abs(deviation)
     # hermiticity_tol is never below 1e-10, so defects all that small need no SVD
     if deviation.max(initial=0.0) <= (1e-10 if tol is None else tol):
         return m
@@ -333,7 +337,8 @@ class SpectralResolution:
     columns of eigenvectors are orthonormal; cluster i owns the column block
     V_i = eigenvectors[:, offsets[i]:offsets[i+1]], so offsets runs from 0 to
     dim and its differences are the multiplicities.  The dense projections
-    P_i are built afresh on every access to `projections`.
+    P_i are built afresh on every access to `projections`; they and every
+    combination sum_i values[i] P_i are formed from V by _synthesize.
     """
 
     eigenvalues: np.ndarray
@@ -353,16 +358,42 @@ class SpectralResolution:
         """The orthogonal projections P_i, one dense dim x dim matrix each."""
         v = self.eigenvectors
         blocks = (v[:, lo:hi] for lo, hi in zip(self.offsets[:-1], self.offsets[1:]))
-        return [b @ b.conj().T for b in blocks]
+        return [_synthesize(b, 1.0) for b in blocks]
 
     def combine(self, values) -> np.ndarray:
-        """Return sum_i values[i] P_i as V diag(values repeated by multiplicity) V^*."""
-        v = self.eigenvectors
-        return (v * np.repeat(values, self.multiplicities)) @ v.conj().T
+        """Return sum_i values[i] P_i as V diag(values repeated by multiplicity) V^*.
+
+        values holds one number per eigenvalue, a 1-d array of the length of
+        eigenvalues; any other shape raises ValueError.
+        """
+        values = np.asarray(values)
+        if values.shape != self.eigenvalues.shape:
+            raise ValueError(f"expected {len(self.eigenvalues)} values, one per eigenvalue, got shape {values.shape}")
+        return _synthesize(self.eigenvectors, np.repeat(values, self.multiplicities))
 
     def reconstruct(self) -> np.ndarray:
         """Return sum_i lambda_i P_i."""
         return self.combine(self.eigenvalues)
+
+
+def _synthesize(v: np.ndarray, d) -> np.ndarray:
+    """V diag(d) V^* for V of shape (..., n, k), with the bits of (v * d) @ v.conj().swapaxes(-2, -1).
+
+    d scales the columns of V: a scalar, a (k,) vector, or (..., 1, k) to
+    broadcast against a stack.  The product is taken as the conjugate of
+    conj(V d) V^T, with V^T a view, so besides the output the one temporary
+    is V d, of V's size.  The conjugate's sign flip of the imaginary part is
+    taken as 0 - x, not -x: the conjugated product has the same bits with
+    every sign flipped, and 0 - x gives its zeros back as +0 where -x would
+    give -0.
+    """
+    w = v * d
+    np.conjugate(w, out=w)
+    out = w @ v.swapaxes(-2, -1)
+    if out.dtype.kind == "c":
+        im = out.imag
+        np.subtract(0.0, im, out=im)
+    return out
 
 
 def _cluster_tol(norm: float) -> float:

@@ -28,6 +28,7 @@ from .linalg_core import (
     _require_square,
     _require_stack,
     _require_tolerance,
+    _synthesize,
     _unstack,
     hermitian_eig,
     matrix_to_json,
@@ -194,9 +195,10 @@ def spectral_measure(res: SpectralResolution, x: np.ndarray, y: np.ndarray) -> S
 
     Stacks (..., n) of equal shape give masses[..., i] for each pair of
     vectors, each row bitwise as for its pair alone: every vector is
-    multiplied by V* on its own, as (V* @ x[..., None])[..., 0].  A stacked
-    result's total_mass and integrate sum over the whole stack, and
-    spectral_measure_to_json rejects it.
+    multiplied by V* on its own, with the bits of (V* @ x[..., None])[..., 0].
+    The coordinates V* x are taken as conj(conj(x) V), one row vector at a
+    time, so no copy of V* is formed.  A stacked result's total_mass and
+    integrate sum over the whole stack, and spectral_measure_to_json rejects it.
     """
     xv = np.asarray(x, dtype=complex)
     yv = np.asarray(y, dtype=complex)
@@ -204,8 +206,12 @@ def spectral_measure(res: SpectralResolution, x: np.ndarray, y: np.ndarray) -> S
         raise ValueError("vector dimension does not match the resolution")
     if xv.shape != yv.shape:
         raise ValueError(f"x and y must have the same shape, got {xv.shape} and {yv.shape}")
-    vh = res.eigenvectors.conj().T
-    coords = lambda v: (vh @ v[..., None])[..., 0]
+
+    def coords(v):
+        c = (np.conj(v)[..., None, :] @ res.eigenvectors)[..., 0, :]
+        np.subtract(0.0, c.imag, out=c.imag)  # the conjugate, with +0 zeros as in _synthesize
+        return c
+
     masses = np.add.reduceat(np.conj(coords(xv)) * coords(yv), res.offsets[:-1], axis=-1)
     return SpectralMeasurePair(res.eigenvalues.copy(), masses)
 
@@ -419,7 +425,7 @@ def evolve(a: np.ndarray, t: float) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
     w, v = np.linalg.eigh(m)
-    return (v * np.exp(1j * w * t[..., None])[..., None, :]) @ v.conj().swapaxes(-2, -1)
+    return _synthesize(v, np.exp(1j * w * t[..., None])[..., None, :])
 
 
 @dataclass(frozen=True)

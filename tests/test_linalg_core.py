@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from speclab import (
     compose_power,
     dirichlet_seminorm_quad,
     disc_quadrature,
+    evolve,
     extract_atoms,
     fourier_coefficients,
     gauss_legendre_grid,
@@ -48,6 +50,7 @@ from speclab import (
     sl_eigensolve,
     sl_homogeneous_solutions,
     sl_shift,
+    spectral_measure,
     spectral_radius_gelfand,
     trace,
 )
@@ -241,6 +244,125 @@ def test_spectral_resolution_dim():
     assert empty.eigenvalues.size == 0 and empty.multiplicities.size == 0
     assert empty.projections == []
     assert empty.reconstruct().shape == (0, 0)
+
+
+# ---------------------------------------------------------------- spectral synthesis
+# V diag(d) V^* is formed from V and a view of V^T; the expressions that copied V^*
+# are written out below as the references, and must match byte for byte
+
+
+def _synthesis_input(kind, n):
+    """A Hermitian matrix: complex with a simple spectrum, clustered onto three values, or real symmetric."""
+    rng = np.random.default_rng(n + len(kind))
+    a = random_hermitian(rng, n)
+    if kind == "clustered":
+        q = np.linalg.qr(a)[0]
+        a = q @ np.diag(np.tile([-1.0, 0.5, 2.0], n)[:n]) @ q.conj().T
+        a = (a + a.conj().T) / 2.0
+    return a.real if kind == "real" else a
+
+
+SYNTHESIS_CASES = [(kind, n) for kind in ("complex", "clustered", "real") for n in (0, 1, 8, 384)]
+
+
+@pytest.mark.parametrize("kind, n", SYNTHESIS_CASES)
+def test_combine_and_projections_have_the_bits_of_the_copying_product(kind, n):
+    res = hermitian_eig(_synthesis_input(kind, n))
+    v, k = res.eigenvectors, len(res.eigenvalues)
+    rng = np.random.default_rng(n)
+    indicator = (np.arange(k) % 2).astype(float)  # zeros whose sign the conjugate step must keep at +0
+    for values in (res.eigenvalues, res.eigenvalues + 1j * rng.standard_normal(k), indicator, np.zeros(k)):
+        want = (v * np.repeat(values, res.multiplicities)) @ v.conj().T
+        got = res.combine(values)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert res.reconstruct().tobytes() == ((v * np.repeat(res.eigenvalues, res.multiplicities)) @ v.conj().T).tobytes()
+    if k <= 8:  # 384 dense rank-one projections would hold 906 MB
+        blocks = [v[:, lo:hi] for lo, hi in zip(res.offsets[:-1], res.offsets[1:])]
+        got = res.projections
+        assert len(got) == len(blocks)
+        for b, p in zip(blocks, got):
+            assert p.tobytes() == (b @ b.conj().T).tobytes()
+
+
+@pytest.mark.parametrize("kind, n", [c for c in SYNTHESIS_CASES if c[1] > 0])
+def test_spectral_measure_has_the_bits_of_the_copying_coordinates(kind, n):
+    res = hermitian_eig(_synthesis_input(kind, n))
+    rng = np.random.default_rng(n + 1)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    x[0] = x[0].real  # a real vector among the complex ones
+    vh = res.eigenvectors.conj().T
+    coords = lambda u: (vh @ u[..., None])[..., 0]
+    want = np.add.reduceat(np.conj(coords(x)) * coords(y), res.offsets[:-1], axis=-1)
+    assert spectral_measure(res, x, y).masses.tobytes() == want.tobytes()
+    assert spectral_measure(res, x[0], y[0]).masses.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 384])
+@pytest.mark.parametrize("shape", ["single", "pair-of-times", "stack", "stack-by-times", "real"])
+def test_evolve_has_the_bits_of_the_copying_product(shape, n):
+    rng = np.random.default_rng(n)
+    a = random_hermitian(rng, n)
+    t = 0.7
+    if shape == "pair-of-times":
+        t = np.array([0.3, -1.2])
+    if shape in ("stack", "stack-by-times"):
+        a = np.stack([a, random_hermitian(rng, n)])
+    if shape == "stack-by-times":
+        t = np.array([[0.3], [-1.2], [2.5]])  # broadcast against the stack's axis: 3 x 2 evolutions
+    if shape == "real":
+        a = a.real
+    w, v = np.linalg.eigh(require_hermitian(a))
+    tt = np.asarray(t)
+    want = (v * np.exp(1j * w * tt[..., None])[..., None, :]) @ v.conj().swapaxes(-2, -1)
+    got = evolve(a, t)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_combine_takes_one_value_per_eigenvalue():
+    res = hermitian_eig(np.diag([1.0, 2.0]))
+    for values in ([[1.0, 2.0]], [1.0, 2.0, 3.0], [1.0], 1.0):
+        shape = np.shape(values)
+        with pytest.raises(ValueError, match=re.escape(f"expected 2 values, one per eigenvalue, got shape {shape}")):
+            res.combine(values)
+    np.testing.assert_array_equal(res.combine([1.0, 2.0]), np.diag([1.0, 2.0]))
+
+
+def _traced_peak(call):
+    """(result, tracemalloc peak in bytes) of one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_reconstruct_memory_is_two_matrices():
+    n = 384
+    res = hermitian_eig(_synthesis_input("complex", n))
+    # V d and the output; a copy of V^* made it three
+    _, peak = _traced_peak(res.reconstruct)
+    assert peak <= 2 * 16 * n * n + 64 * 1024
+
+
+def test_spectral_measure_memory_is_its_result():
+    n = 384
+    res = hermitian_eig(_synthesis_input("complex", n))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    pair, peak = _traced_peak(lambda: spectral_measure(res, x, x[::-1]))
+    assert peak <= pair.eigenvalues.nbytes + pair.masses.nbytes + 64 * 1024
+
+
+def test_require_hermitian_forms_one_adjoint():
+    n = 384
+    a = _synthesis_input("complex", n)
+    # the A^* copy, then A - A^* written into it, and its modulus
+    _, peak = _traced_peak(lambda: require_hermitian(a))
+    assert peak <= 16 * n * n + 8 * n * n + 64 * 1024
 
 
 # ---------------------------------------------------------------- operator norm

@@ -36,7 +36,7 @@ def _source_nodes():
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
     negative_tolerance, margin, integer_test, real_kinds, lanczos = [], [], [], [], []
-    real_split, real_split_calls = [], []
+    real_split, real_split_calls, adjoint_product, synthesize = [], [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
                   "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": []}
     for module, owner, node in _source_nodes():
@@ -48,6 +48,9 @@ def test_each_shared_rule_has_one_site():
             real_kinds.append((module, owner))
         if isinstance(node, ast.Tuple) and re.fullmatch(r"\((.+)\.real, \1\.imag\)", ast.unparse(node)):
             real_split.append((module, owner))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and module in ("linalg_core.py", "spectral_fd.py")
+                and re.fullmatch(r".+\.conj\(\)\.(T|swapaxes\(-2, -1\))", ast.unparse(node.right))):
+            adjoint_product.append((module, owner))
         if isinstance(node, ast.BinOp) and ast.unparse(node) == "1.0 + 1e-08":
             margin.append((module, owner))
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be >= 0, got" in node.value:
@@ -65,6 +68,8 @@ def test_each_shared_rule_has_one_site():
             cumsum.append((module, owner))
         if func.split(".")[-1] == "_real_parts":
             real_split_calls.append((module, owner))
+        if func.split(".")[-1] == "_synthesize":
+            synthesize.append((module, owner))
         if func.split(".")[-1] == "_lanczos":
             lanczos.append((module, owner))
         if func.split(".")[-1] == "IntegralOperator":
@@ -94,6 +99,9 @@ def test_each_shared_rule_has_one_site():
     # data is split into its real parts in one place, and both real-arithmetic transforms use it
     assert real_split == [("measures.py", "_real_parts")]
     assert sorted(real_split_calls) == [("measures.py", "_density_fourier")] * 2 + [("measures.py", "poisson_smooth")]
+    # every V diag(d) V^* is formed by one helper, which reads V^T as a view and copies no V^*
+    assert adjoint_product == []
+    assert sorted(synthesize) == [("linalg_core.py", "combine"), ("linalg_core.py", "projections"), ("spectral_fd.py", "evolve")]
     # the Neumann skip's certified norm bounds clear their thresholds by one relative margin
     assert margin == [("spectral_fd.py", "_neumann_skip")]
     # counts, scales and intervals are each checked by one helper, with one message;
