@@ -40,6 +40,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded with the CLI: numpy imports it lazily, and every run draws from it
 
 from .linalg_core import (
+    _hermitian_part,
     _read_key_values,
     _require_count,
     hermitian_eig,
@@ -141,8 +142,7 @@ def _trial_blocks(cfg: ExperimentConfig, rng: np.random.Generator, default: int,
 
 def _hermitians(z: np.ndarray) -> np.ndarray:
     """(m + m*) / 2 for m = z[..., 0, :, :] + i z[..., 1, :, :]: a random Hermitian matrix from standard draws."""
-    m = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    return (m + m.conj().swapaxes(-2, -1)) / 2.0
+    return _hermitian_part(z[..., 0, :, :] + 1j * z[..., 1, :, :])
 
 
 def _unitaries(z: np.ndarray) -> np.ndarray:
@@ -154,8 +154,7 @@ def _unitaries(z: np.ndarray) -> np.ndarray:
 
 def _hermitian_with_spectrum(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """q diag(d) q*, symmetrized: Hermitian with eigenvalues d when q is unitary."""
-    a = q @ np.diag(d) @ q.conj().T
-    return (a + a.conj().T) / 2.0
+    return _hermitian_part(q @ np.diag(d) @ q.conj().T)
 
 
 def _states(z: np.ndarray) -> np.ndarray:
@@ -200,11 +199,18 @@ def _exp_sl_shifted(cfg: ExperimentConfig, rng: np.random.Generator) -> Experime
     return ExperimentReport(cfg.name, ["k", "lambda", "target", "norm_err", "residual"], rows, checks)
 
 
-def _lower_triangular_radius(b: np.ndarray) -> float:
-    """Spectral radius of a lower triangular matrix: its eigenvalues are its diagonal entries."""
-    if np.any(np.triu(b, 1)):
+def _lower_triangular_radius(op: integral_ops.IntegralOperator) -> float:
+    """Spectral radius of an operator whose kernel matrix K is lower triangular.
+
+    B = W^{1/2} K W^{1/2} is then lower triangular too, and its eigenvalues are
+    its diagonal entries sw_i K_ii sw_i, formed here with B's bits.  K's strict
+    upper triangle is checked one row at a time, so no n x n array is formed.
+    """
+    k = op.kernel_matrix
+    if any(row[i + 1:].any() for i, row in enumerate(k)):
         raise ValueError("matrix is not lower triangular")
-    return float(np.max(np.abs(np.diag(b))))
+    sw = np.sqrt(op.grid.weights)
+    return float(np.max(np.abs(sw * np.diag(k) * sw)))
 
 
 def _exp_volterra(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
@@ -214,8 +220,10 @@ def _exp_volterra(cfg: ExperimentConfig, rng: np.random.Generator) -> Experiment
     mu = integral_ops._green_eigs(1.0 - grid.nodes, 1.0, 1.0, grid, 5)[0]
     targets = [4.0 / ((2 * k - 1) ** 2 * np.pi ** 2) for k in range(1, 6)]
     rows = [(k, float(m), t, abs(m - t) / t) for k, m, t in zip(range(1, 6), mu, targets)]
-    vmax = _lower_triangular_radius(pair.v.symmetrized)  # V's kernel chi(y <= x) vanishes above the diagonal
-    tr = integral_ops.trace(pair.vstar_v)
+    vmax = _lower_triangular_radius(pair.v)  # V's kernel chi(y <= x) vanishes above the diagonal
+    vstar_v = pair.vstar_v
+    del pair  # V's kernel is not held through trace's n x n check
+    tr = integral_ops.trace(vstar_v)
     checks = [
         _max_leq("V*V eigenvalues max relative error", rows, 3, 1e-3),
         _leq("max |eigenvalue| of discretized V", vmax, 0.05),
@@ -426,7 +434,7 @@ def _exp_rkhs_psd(cfg: ExperimentConfig, rng: np.random.Generator) -> Experiment
             group = [z for z in sets if len(z) == size]
             for i in range(0, len(group), _TRIAL_BLOCK):
                 g = rkhs.gram(k, np.stack(group[i:i + _TRIAL_BLOCK]))
-                low.append(np.linalg.eigvalsh((g + g.conj().swapaxes(-2, -1)) / 2.0)[:, 0])
+                low.append(np.linalg.eigvalsh(_hermitian_part(g))[:, 0])
         return np.min(np.concatenate(low))
 
     rows = [(name, cfg.resolved_trials(200), worst_lowest_eigenvalue(rkhs.kernel_by_name(name))) for name in rkhs.KERNEL_NAMES]

@@ -36,6 +36,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .linalg_core import (
+    _hermitian_defect,
+    _hermitian_part,
     _read_key_values,
     _require_2d,
     _require_count,
@@ -157,8 +159,7 @@ class IntegralOperator:
         return self.kernel_matrix @ (self.grid.weights * fv)
 
     def hermitian_defect(self) -> float:
-        b = self.symmetrized
-        return float(np.max(np.abs(b - b.conj().T)))
+        return float(_hermitian_defect(self.symmetrized))
 
 
 def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
@@ -177,14 +178,13 @@ def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     return IntegralOperator(grid, km)
 
 
-def _positive_hermitian_part(m: np.ndarray, scale: float, message: str) -> np.ndarray:
-    """(M + M*) / 2 once it plus 1e-10 * scale * I has a Cholesky factor, else ValueError(message)."""
-    herm = (m + m.conj().T) / 2.0
+def _check_positive(herm: np.ndarray, scale: float, message: str) -> None:
+    """ValueError(message) unless herm + 1e-10 * scale * I has a Cholesky factor; the shift is added to herm in place."""
+    herm[np.diag_indices_from(herm)] += 1e-10 * scale
     try:
-        np.linalg.cholesky(herm + 1e-10 * scale * np.eye(m.shape[0]))
+        np.linalg.cholesky(herm)
     except np.linalg.LinAlgError:
         raise ValueError(message)
-    return herm
 
 
 def hs_norm(t) -> float | np.ndarray:
@@ -206,15 +206,21 @@ def hs_norm(t) -> float | np.ndarray:
 def trace(t):
     """sum_i w_i k(x_i, x_i) for an operator, sum of diagonal entries for a matrix.
 
-    The operator form requires a Hermitian positive kernel (checked on the
-    symmetrized matrix); the matrix form takes any square matrix.
+    The operator form requires a Hermitian positive kernel (Mercer), checked on
+    the symmetrized matrix B: its Hermitian defect, then a Cholesky factor of
+    (B + B*) / 2 shifted by 1e-10 (1 + max |B_ij|).  For a real kernel the
+    check holds at most two n x n arrays beside the stored kernel: B and one
+    temporary at a time (|B|, then B - B*, then (B + B*) / 2), and after B is
+    dropped (B + B*) / 2 with its factor.  The matrix form takes any square matrix.
     """
     if isinstance(t, IntegralOperator):
         b = t.symmetrized
         scale = float(np.max(np.abs(b))) + 1.0
-        if np.max(np.abs(b - b.conj().T)) > 1e-10 * scale:  # hermitian_defect() of this B, formed once
+        if _hermitian_defect(b) > 1e-10 * scale:
             raise ValueError("operator trace requires a Hermitian kernel")
-        _positive_hermitian_part(b, scale, "operator trace requires a positive kernel")
+        herm = _hermitian_part(b)
+        del b
+        _check_positive(herm, scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
     return complex(np.trace(_require_square(require_matrix(t))))
 
@@ -683,7 +689,8 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     _require_count(1, k=k)
     if k > n:
         raise ValueError(f"k must be in 1..{n}")
-    herm = _positive_hermitian_part(m, 1.0 + operator_norm(m), "matrix is not positive within tolerance")
+    herm = _hermitian_part(m)
+    _check_positive(herm.copy(), 1.0 + operator_norm(m), "matrix is not positive within tolerance")
     w, v = np.linalg.eigh(herm)
     return w[:k], v[:, :k]
 

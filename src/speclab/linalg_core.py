@@ -13,6 +13,8 @@ Conventions used throughout the package:
   column block V_i of eigenvalue i; the projections are built only on access;
   every V diag(d) V^* (projections, functions of A, evolutions) is formed by
   _synthesize, which reads V^T as a view and makes no copy of V^*;
+* every Hermitian part (A + A^*) / 2 and Hermitian defect max |A - A^*| is
+  formed by _hermitian_part and _hermitian_defect, in one new buffer each;
 * one helper owns each argument rule and names the argument in its ValueError:
   _require_count (an integer >= least), _require_scale (finite and > 0),
   _require_interval (finite ends, lo < hi), _require_tolerance (finite, >= 0).
@@ -213,19 +215,43 @@ def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     first matrix that fails.
     """
     m = _require_square(_require_stack(a))
-    deviation = m.conj().swapaxes(-2, -1)  # the one copy: A - A^* is written into it
-    np.subtract(m, deviation, out=deviation)
-    deviation = np.abs(deviation)
+    defect = _hermitian_defect(m)
     # hermiticity_tol is never below 1e-10, so defects all that small need no SVD
-    if deviation.max(initial=0.0) <= (1e-10 if tol is None else tol):
+    if defect.max(initial=0.0) <= (1e-10 if tol is None else tol):
         return m
-    defect = deviation.max(axis=(-2, -1), initial=0.0)
     tol = np.broadcast_to(hermiticity_tol(m) if tol is None else tol, defect.shape)
     failed = defect > tol
     if failed.any():
         index, at = _first_failure(failed)
         raise ValueError(f"matrix{at} is not Hermitian: defect {defect[index]:.3e} > tol {tol[index]:.3e}")
     return m
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2 for each matrix of a stack (..., n, n): a new C-ordered array with that expression's bits.
+
+    M* is copied into the result and M + M* is written over it, so M is left
+    as it was and no other n x n array is formed.  The copy must be a new
+    array: for real M, M.conj() is M itself, and a transposed view of it would
+    write into M.
+    """
+    part = np.empty(m.shape, np.result_type(m, 2.0))
+    np.conjugate(m.swapaxes(-2, -1), out=part)
+    np.add(m, part, out=part)
+    return np.divide(part, 2.0, out=part)
+
+
+def _hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """max_ij |M_ij - conj(M_ji)| for each matrix of a stack (..., n, n), 0 for an empty one.
+
+    As _hermitian_part, M - M* is written over a new copy of M*; for real M its
+    absolute value is taken in place, for complex M into one real array.
+    """
+    deviation = np.empty(m.shape, m.dtype)
+    np.conjugate(m.swapaxes(-2, -1), out=deviation)
+    np.subtract(m, deviation, out=deviation)
+    deviation = np.abs(deviation, out=None if deviation.dtype.kind == "c" else deviation)
+    return deviation.max(axis=(-2, -1), initial=0.0)
 
 
 def inner_product(x: np.ndarray, y: np.ndarray) -> complex:

@@ -13,7 +13,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .harmonic import TAU_TAIL
-from .linalg_core import _from_parts, _require_count, _require_finite, _require_interval, _require_scale, _require_tolerance, _sample, _uniform_grid
+from .linalg_core import (
+    _from_parts,
+    _hermitian_defect,
+    _hermitian_part,
+    _require_count,
+    _require_finite,
+    _require_interval,
+    _require_scale,
+    _require_tolerance,
+    _sample,
+    _uniform_grid,
+)
 
 __all__ = [
     "FiniteMeasure",
@@ -345,13 +356,13 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"f not finite at the probed difference points[{i}] - points[{j}] = {float(x[i] - x[j])!r}")
     scale = float(np.max(np.abs(m))) + 1.0
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    defect = float(_hermitian_defect(m))
     if defect > tau * scale:
         raise ValueError(
             f"f(-x) != conj(f(x)) on probed differences (defect {defect:.3e}); "
             "not a candidate positive-definite function"
         )
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(_hermitian_part(m))
     lo = float(w[0])
     return PDVerdict(lo >= -tau, lo, x)
 

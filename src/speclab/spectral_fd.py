@@ -22,6 +22,7 @@ import numpy as np
 from .linalg_core import (
     SpectralResolution,
     _first_failure,
+    _hermitian_part,
     _require_2d,
     _require_count,
     _require_finite,
@@ -525,9 +526,7 @@ def commuting_diagonalization(
     db = np.empty(res.dim)
     for lo, hi in zip(res.offsets[:-1], res.offsets[1:]):
         s = res.eigenvectors[:, lo:hi]
-        block = s.conj().T @ mb @ s
-        block = (block + block.conj().T) / 2.0
-        db[lo:hi], vb = np.linalg.eigh(block)
+        db[lo:hi], vb = np.linalg.eigh(_hermitian_part(s.conj().T @ mb @ s))
         basis[:, lo:hi] = s @ vb
     return CompatibilityResult(True, comm, basis, np.repeat(res.eigenvalues, res.multiplicities), db)
 

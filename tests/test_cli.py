@@ -310,19 +310,29 @@ def test_volterra_lanczos_eigenvalues_match_the_dense_route(tmp_path, nodes):
     assert np.all(np.abs(mu - dense) <= 1e-12 * dense)
 
 
+def test_random_hermitians_keep_the_bits_of_the_written_out_hermitian_part():
+    z = np.random.default_rng(3).standard_normal((4, 2, 6, 6))
+    m = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    assert cli._hermitians(z).tobytes() == ((m + m.conj().swapaxes(-2, -1)) / 2.0).tobytes()
+    q, d = cli._unitaries(z[0]), np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0])
+    a = q @ np.diag(d) @ q.conj().T
+    assert cli._hermitian_with_spectrum(q, d).tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+
+
 @pytest.mark.parametrize("nodes", [8, 16, 80, 120, 400, 800, 1600])
 def test_volterra_radius_from_the_diagonal_matches_the_dense_eigenvalues(nodes):
     # V's symmetrized Nystrom matrix is lower triangular, so its spectrum is its diagonal;
     # the dense nonsymmetric eigensolve is the oracle, to the bit
-    b = integral_ops.volterra(integral_ops._panel_grid(0.0, 1.0, nodes)).v.symmetrized
-    assert cli._lower_triangular_radius(b) == float(np.max(np.abs(np.linalg.eigvals(b))))
+    op = integral_ops.volterra(integral_ops._panel_grid(0.0, 1.0, nodes)).v
+    assert cli._lower_triangular_radius(op) == float(np.max(np.abs(np.linalg.eigvals(op.symmetrized))))
 
 
 def test_lower_triangular_radius_rejects_an_entry_above_the_diagonal():
-    b = np.tril(np.ones((4, 4)))
-    b[1, 3] = 1e-300
+    grid = integral_ops.gauss_legendre_grid(0.0, 1.0, panels=1, per_panel=4)
+    k = np.tril(np.ones((4, 4)))
+    k[1, 3] = 1e-300
     with pytest.raises(ValueError, match="not lower triangular"):
-        cli._lower_triangular_radius(b)
+        cli._lower_triangular_radius(integral_ops.IntegralOperator(grid, k))
 
 
 def test_volterra_experiment_bounds_its_memory(tmp_path):
@@ -336,3 +346,18 @@ def test_volterra_experiment_bounds_its_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 12e6
+
+
+def test_volterra_experiment_holds_three_matrices(tmp_path):
+    # the two kernels while V*V is sampled, then V*V's kernel with trace's two n x n arrays;
+    # V's kernel, B and the copies of trace's check once peaked at 7.7 MB at 400 nodes
+    cfg = ExperimentConfig(name="volterra", nodes=400, out=str(tmp_path))
+    n = integral_ops._panel_grid(0.0, 1.0, cfg.nodes).size
+    run_experiment(cfg)  # first run: imports and lazy set-up
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * n + 512 * 1024

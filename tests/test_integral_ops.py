@@ -268,6 +268,34 @@ def test_trace_operator_requires_positivity():
         trace(nystrom(sign_kernel, g))
 
 
+@pytest.mark.parametrize("kernel, message", [
+    (lambda x, y: -1.0 + 0.0 * (x + y), "requires a positive kernel"),  # Hermitian, negative definite
+    (lambda x, y: (x - y) + 1.0, "requires a Hermitian kernel"),
+], ids=["indefinite", "non-hermitian"])
+def test_trace_operator_names_what_a_real_kernel_lacks(kernel, message):
+    g = gauss_legendre_grid(0.0, 1.0, panels=4, per_panel=4)
+    op = nystrom(kernel, g)
+    assert op.kernel_matrix.dtype == np.float64
+    with pytest.raises(ValueError, match=f"operator trace {message}"):
+        trace(op)
+
+
+def test_trace_operator_check_holds_two_matrices():
+    # B with one buffer (B - B*, then its Hermitian part), then that part with its Cholesky factor;
+    # B, B - B*, |B - B*|, (B + B*) / 2 and its shifted copy were held at once
+    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    n = g.size
+    op = volterra(g).vstar_v
+    tracemalloc.start()
+    try:
+        tr = trace(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr == pytest.approx(0.5, abs=1e-12)
+    assert peak <= 2 * 8 * n * n + 256 * 1024
+
+
 # ---------------------------------------------------------------- volterra
 
 def test_volterra_integrates_ones_to_x():
@@ -888,8 +916,24 @@ def test_rayleigh_resolves_a_near_degenerate_cluster():
 
 
 def test_rayleigh_rejects_non_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix is not positive within tolerance"):
         rayleigh_refine(np.diag([1.0, -1.0]), 2)
+
+
+def test_rayleigh_and_hermitian_defect_keep_the_bits_of_the_written_out_expressions():
+    # Hermitian to roundoff, not exactly: (B + B*) / 2 differs from B, and the positivity
+    # check's diagonal shift must not reach the matrix that is diagonalized
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    b = m @ m.conj().T + 0.5 * np.eye(8)
+    b[0, 1] += 1e-13
+    vals, vecs = rayleigh_refine(b, 5)
+    w, v = np.linalg.eigh((b + b.conj().T) / 2.0)
+    assert vals.tobytes() == w[:5].tobytes() and vecs.tobytes() == v[:, :5].tobytes()
+    g = gauss_legendre_grid(0.0, 1.0, panels=2, per_panel=4)
+    op = nystrom(lambda x, y: np.exp(1j * (x - y)) + 1e-3 * x * y * (x - y), g)
+    sym = op.symmetrized
+    assert op.hermitian_defect() == float(np.max(np.abs(sym - sym.conj().T))) > 0.0
 
 
 # ---------------------------------------------------------------- config and export

@@ -365,6 +365,31 @@ def test_require_hermitian_forms_one_adjoint():
     assert peak <= 16 * n * n + 8 * n * n + 64 * 1024
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (400, 400), (2, 3, 8, 8)])
+@pytest.mark.parametrize("layout", ["c", "transposed"])
+def test_hermitian_part_and_defect_keep_their_argument_and_the_former_bits(dtype, shape, layout):
+    # for real M, M.conj() is M itself: a buffer that is a transposed view of it would overwrite M
+    rng = np.random.default_rng(shape[-1])
+    m = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        m += 1j * rng.standard_normal(shape)
+    m[..., :1, :] *= -0.0  # signed zeros in the first row
+    if layout == "transposed":
+        m = m.swapaxes(-2, -1)
+    before = m.copy()
+    part = linalg_core._hermitian_part(m)
+    defect = linalg_core._hermitian_defect(m)
+    assert m.tobytes() == before.tobytes()
+    want_part = (before + before.conj().swapaxes(-2, -1)) / 2.0
+    want_defect = np.abs(before - before.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    assert part.flags.c_contiguous and part.dtype == want_part.dtype and part.shape == want_part.shape
+    assert part.tobytes() == want_part.tobytes()
+    assert np.shape(defect) == shape[:-2] and np.asarray(defect).tobytes() == np.asarray(want_defect).tobytes()
+    if shape[-1] > 1:
+        assert np.all(defect > 0)
+
+
 # ---------------------------------------------------------------- operator norm
 
 def test_operator_norm_identity_and_diagonal():

@@ -570,6 +570,16 @@ def test_exponential_kernel_is_pd():
     assert abs(scalar.min_eigenvalue - verdict.min_eigenvalue) <= 1e-15
 
 
+def test_pd_verdict_keeps_the_bits_of_the_written_out_hermitian_part():
+    # a complex f with f(-x) = conj(f(x)) up to roundoff; its probe matrix is Hermitian only to that roundoff
+    pts = np.random.default_rng(8).uniform(-3.0, 3.0, size=12)
+    f = lambda x: np.exp(-x * x + 0.3j * x) * (1.0 + 1e-14 * x)  # noqa: E731
+    m = f(pts[:, None] - pts[None, :])
+    assert np.any(m != m.conj().T)
+    verdict = positive_definite_test(f, pts)
+    assert verdict.min_eigenvalue == float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_sample_is_named_by_its_probed_difference(bad):
     # a NaN sample once gave PDVerdict(False, nan): a verdict from no data

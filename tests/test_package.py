@@ -33,10 +33,43 @@ def _source_nodes():
             stack.extend((child, owner) for child in ast.iter_child_nodes(node))
 
 
+def _hermitian_rule_sites():
+    """The sites that combine a matrix X with its adjoint X*: {"+": sites of X + X*, "-": sites of X - X*}.
+
+    X* is written X.conj().T, X.conj().swapaxes(-2, -1) or np.conjugate(X.T or X.swapaxes(-2, -1)), inline,
+    or as a name bound to it in the same function (assigned, or the out= of np.conjugate); X + X* and X - X*
+    are written as operators or as np.add and np.subtract.
+    """
+    def adjoint_of(text):
+        match = re.fullmatch(r"(.+)\.conj\(\)\.(?:T|swapaxes\(-2, -1\))|np\.conjugate\((.+)\.(?:T|swapaxes\(-2, -1\))\)", text)
+        return match and (match[1] or match[2])
+
+    nodes = list(_source_nodes())
+    bound = {}  # (module, owner, name) -> the X whose adjoint the name holds
+    for module, owner, node in nodes:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and adjoint_of(ast.unparse(node.value)):
+            bound[module, owner, ast.unparse(node.targets[0])] = adjoint_of(ast.unparse(node.value))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.conjugate" and node.args:
+            for out in (k.value for k in node.keywords if k.arg == "out"):
+                bound[module, owner, ast.unparse(out)] = adjoint_of(f"np.conjugate({ast.unparse(node.args[0])})")
+    sites = {"+": [], "-": []}
+    for module, owner, node in nodes:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            sign, x, y = "+" if isinstance(node.op, ast.Add) else "-", node.left, node.right
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.add", "np.subtract") and len(node.args) >= 2:
+            sign, (x, y) = "+" if ast.unparse(node.func) == "np.add" else "-", node.args[:2]
+        else:
+            continue
+        x, y = ast.unparse(x), ast.unparse(y)
+        if x in (adjoint_of(y), bound.get((module, owner, y))):
+            sites[sign].append((module, owner))
+    return sites
+
+
 def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
     negative_tolerance, margin, integer_test, real_kinds, lanczos = [], [], [], [], []
-    real_split, real_split_calls, adjoint_product, synthesize = [], [], [], []
+    real_split, real_split_calls, adjoint_product, synthesize, hermitian_part, hermitian_defect = [], [], [], [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
                   "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": []}
     for module, owner, node in _source_nodes():
@@ -70,6 +103,10 @@ def test_each_shared_rule_has_one_site():
             real_split_calls.append((module, owner))
         if func.split(".")[-1] == "_synthesize":
             synthesize.append((module, owner))
+        if func.split(".")[-1] == "_hermitian_part":
+            hermitian_part.append((module, owner))
+        if func.split(".")[-1] == "_hermitian_defect":
+            hermitian_defect.append((module, owner))
         if func.split(".")[-1] == "_lanczos":
             lanczos.append((module, owner))
         if func.split(".")[-1] == "IntegralOperator":
@@ -102,6 +139,17 @@ def test_each_shared_rule_has_one_site():
     # every V diag(d) V^* is formed by one helper, which reads V^T as a view and copies no V^*
     assert adjoint_product == []
     assert sorted(synthesize) == [("linalg_core.py", "combine"), ("linalg_core.py", "projections"), ("spectral_fd.py", "evolve")]
+    # (X + X*) / 2 and max |X - X*| are each formed in one place, in one buffer that is never a view of X
+    assert _hermitian_rule_sites() == {"+": [("linalg_core.py", "_hermitian_part")], "-": [("linalg_core.py", "_hermitian_defect")]}
+    assert sorted(hermitian_part) == [
+        ("cli.py", "_hermitian_with_spectrum"), ("cli.py", "_hermitians"), ("cli.py", "worst_lowest_eigenvalue"),
+        ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "trace"),
+        ("measures.py", "positive_definite_test"), ("spectral_fd.py", "commuting_diagonalization"),
+    ]
+    assert sorted(hermitian_defect) == [
+        ("integral_ops.py", "hermitian_defect"), ("integral_ops.py", "trace"),
+        ("linalg_core.py", "require_hermitian"), ("measures.py", "positive_definite_test"),
+    ]
     # the Neumann skip's certified norm bounds clear their thresholds by one relative margin
     assert margin == [("spectral_fd.py", "_neumann_skip")]
     # counts, scales and intervals are each checked by one helper, with one message;
