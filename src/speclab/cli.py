@@ -241,7 +241,9 @@ def _exp_poisson_halfplane(cfg: ExperimentConfig, rng: np.random.Generator) -> E
 
     r, h = 3.2e4, 0.25
     grid = np.arange(-r, r + h / 2, h)
-    dens = (y / np.pi) / (grid ** 2 + y * y)
+    dens = np.multiply(grid, grid)  # (y / pi) / (grid ** 2 + y * y), formed in place
+    dens += y * y
+    np.divide(y / np.pi, dens, out=dens)
     mu = measures.FiniteMeasure.from_density(grid, dens)
     omegas = np.linspace(-10.0, 10.0, 81)
     vals = measures.measure_fourier(mu, omegas)

@@ -175,19 +175,28 @@ def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
     return values
 
 
+_CHUNK = 1 << 14  # points per chunk of a grid pass: bounds its temporaries
+
+
 def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
     """The grid as float and the values real or complex by _real_or_complex, checked to be
     matching 1-d arrays of >= 2 finite points on a strictly increasing grid whose steps
-    spread by at most 1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`."""
+    spread by at most 1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`.
+
+    The steps are taken _CHUNK at a time, adjacent chunks sharing their boundary point, so
+    their min and max are exact and the step check holds O(_CHUNK) beyond the arrays."""
     g = np.asarray(grid, dtype=float)
     v = _real_or_complex(values)
     if g.ndim != 1 or g.shape != v.shape or g.size < 2:
         raise ValueError(f"{owner}: grid/values must be matching 1-d arrays with >= 2 points")
     _require_finite(**{f"{owner}: grid": g, f"{owner}: values": v})
-    steps = np.diff(g)
-    if np.any(steps <= 0):
+    shortest, longest = np.inf, -np.inf
+    for lo in range(0, g.size - 1, _CHUNK):
+        steps = np.diff(g[lo:lo + _CHUNK + 1])
+        shortest, longest = min(shortest, np.min(steps)), max(longest, np.max(steps))
+    if shortest <= 0:
         raise ValueError(f"{owner}: grid must be strictly increasing")
-    if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + max(g[-1], -g[0])):  # max |grid|, as g increases
+    if longest - shortest > 1e-9 * (1.0 + max(g[-1], -g[0])):  # max |grid|, as g increases
         raise ValueError(f"{owner}: grid step is not constant")
     return g, v
 

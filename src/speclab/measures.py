@@ -14,6 +14,7 @@ import numpy as np
 
 from .harmonic import TAU_TAIL
 from .linalg_core import (
+    _CHUNK,
     _from_parts,
     _hermitian_defect,
     _hermitian_part,
@@ -87,13 +88,13 @@ class FiniteMeasure:
         """mu(R): atom masses plus the trapezoid integral of the density."""
         out = sum((m for _, m in self.atoms), 0j)
         if self.density_grid is not None:
-            out += complex(np.trapezoid(self.density_values, self.density_grid))
+            out += complex(_trapezoid(self.density_grid, self.density_values))
         return complex(out)
 
     def total_variation(self) -> float:
         out = float(sum(abs(m) for _, m in self.atoms))
         if self.density_grid is not None:
-            out += float(np.trapezoid(np.abs(self.density_values), self.density_grid))
+            out += float(_trapezoid(self.density_grid, self.density_values, np.abs))
         return out
 
     def is_positive(self, tau: float = TAU_NEG) -> bool:
@@ -133,28 +134,47 @@ def measure_fourier(mu: FiniteMeasure, omega) -> complex | np.ndarray:
 _ROWS, _COLS = 128, 512
 
 
-def _trapezoid_weights(g: np.ndarray) -> np.ndarray:
-    """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g."""
-    dg = np.diff(g)
-    w = np.empty_like(g)
+def _trapezoid(g: np.ndarray, v: np.ndarray, f: Callable = lambda x: x):
+    """np.trapezoid(f(v), g), summed over chunks of _CHUNK steps that share their boundary points.
+
+    Each chunk's temporaries are O(_CHUNK), so no N-point array is formed; the sum differs from
+    one np.trapezoid call at roundoff.
+    """
+    chunks = range(0, g.size - 1, _CHUNK)
+    return sum(np.trapezoid(f(v[lo:lo + _CHUNK + 1]), g[lo:lo + _CHUNK + 1]) for lo in chunks)
+
+
+def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g, or their entries lo:hi.
+
+    Each entry is formed from the grid points beside it, so a slice has the bits of the whole.
+    """
+    hi = g.size if hi is None else hi
+    first, last = max(lo - 1, 0), min(hi + 1, g.size)
+    dg = np.diff(g[first:last])
+    w = np.empty(last - first)
     np.add(dg[:-1], dg[1:], out=w[1:-1])
     w[0], w[-1] = dg[0], dg[-1]
     w /= 2.0
-    return w
+    return w[lo - first:hi - first]
 
 
 def _on_lattice(g: np.ndarray, origin: float, h: float, s: int = 0) -> bool:
     """Whether g_i = origin + (s + i) h for every i, to within 4 ulps of max |g|.
 
-    The gaps are formed in place in one float buffer, so the check holds one N-point temporary.
+    The gaps are formed in place, _CHUNK points at a time, and their max is exact, so the check
+    holds O(_CHUNK) floats beyond g.
     """
-    gap = np.arange(g.size, dtype=float)
-    gap += s
-    gap *= h
-    gap += origin
-    gap -= g
-    np.abs(gap, out=gap)
-    return bool(np.max(gap) <= 4.0 * np.spacing(max(np.max(g), -np.min(g))))
+    worst = 0.0
+    for lo in range(0, g.size, _CHUNK):
+        gap = np.arange(lo, min(lo + _CHUNK, g.size), dtype=float)
+        gap += s
+        gap *= h
+        gap += origin
+        gap -= g[lo:lo + _CHUNK]
+        np.abs(gap, out=gap)
+        worst = max(worst, np.max(gap))
+    return bool(worst <= 4.0 * np.spacing(max(np.max(g), -np.min(g))))
 
 
 def _real_parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -179,20 +199,32 @@ def _kernel_sum(kernel: Callable, x: np.ndarray, g: np.ndarray, u: np.ndarray) -
     ])
 
 
+def _phases(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """e^{-i x_j w_k} as a len(x) x len(w) complex array, exponentiated in place."""
+    z = -1j * np.multiply.outer(x, w)
+    return np.exp(z, out=z)
+
+
 def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Trapezoid rule for int e^{-i x w} v(x) dx on the grid g, at each w (1-d).
 
     The trapezoid weights are folded into the density.  When g is arithmetic
     to within a few ulps, index k = a*B + b splits the phase into
-    e^{-i w (g_0 + a B h)} e^{-i w b h}, so the sum is one (A x B) @ (B x M)
+    e^{-i w (g_0 + a B h)} e^{-i w b h}, so the sum is an (A x B) @ (B x M)
     product and only (A + B) M exponentials, with A, B ~ sqrt(N).  The product
     is taken in real arithmetic, once per real part of v (v itself when it is
     real, v.real and v.imag when it is complex): the weighted (A x B) blocks of
     the part times the (B x 2M) real matrix of the inner phases' real and
-    imaginary parts.  A complex v is transformed as F(re) + i F(im).  Beyond
-    the O(sqrt(N) M) phases, the working set is 8 B per point for the weights
-    and 8 B per point for each part's blocks.  Otherwise the direct sum runs
-    over tiles, so no M x N temporary is formed.
+    imaginary parts.  A complex v is transformed as F(re) + i F(im).  The sum
+    runs in blocks of _CHUNK // B rows (about _CHUNK points): each block's
+    trapezoid weights and weighted density are formed from its slice of g and
+    v, multiplied by the columns, and summed against its rows of outer phases
+    into the M-vector result; the columns are filled the same number of rows at
+    a time.  So the working set is O(sqrt(N) M + block): the columns and one
+    block's arrays, and no array of N points.  A grid of one block (N up to
+    about _CHUNK) has the bits of the unblocked product; more blocks move the
+    sum at roundoff.  Otherwise the direct sum runs over tiles, so no M x N
+    temporary is formed.
     """
     n, m = g.size, w.size
     h = (g[-1] - g[0]) / (n - 1)
@@ -200,20 +232,24 @@ def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return _kernel_sum(lambda wr, gc: np.exp(-1j * (wr * gc)), w, g, v * _trapezoid_weights(g))
     b = int(np.ceil(np.sqrt(n)))
     a = -(-n // b)
-    weights = _trapezoid_weights(g)
-    blocks = []
-    for part in _real_parts(v):
-        block = np.zeros(a * b)
-        np.multiply(part, weights, out=block[:n])
-        blocks.append(block.reshape(a, b))
-    del weights
-    phase = np.exp(-1j * np.multiply.outer(np.arange(b) * h, w))
-    columns = np.hstack(_real_parts(phase))
-    del phase
-    products = [block @ columns for block in blocks]
-    del blocks, columns
-    outer = np.exp(-1j * np.multiply.outer(g[0] + np.arange(a) * (b * h), w))
-    return _joined([np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]) for p in products])
+    rows = max(1, _CHUNK // b)
+    columns = np.empty((b, 2 * m))
+    for j in range(0, b, rows):
+        phase = _phases(np.arange(j, min(j + rows, b)) * h, w)
+        columns[j:j + rows, :m], columns[j:j + rows, m:] = _real_parts(phase)
+    parts, sums = _real_parts(v), None
+    for r in range(0, a, rows):
+        lo, hi, k = r * b, min((r + rows) * b, n), min(rows, a - r)
+        weights = _trapezoid_weights(g, lo, hi)
+        outer = _phases(g[0] + np.arange(r, r + k) * (b * h), w)
+        terms = []
+        for part in parts:
+            block = np.zeros(k * b)
+            np.multiply(part[lo:hi], weights, out=block[:hi - lo])
+            p = block.reshape(k, b) @ columns
+            terms.append(np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]))
+        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+    return _joined(sums)
 
 
 def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasure:
@@ -281,7 +317,7 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
     _require_count(2, n=n)
     x = np.linspace(lo, hi, n)
     vals = _sample(U, x + 1j * eps)
-    if np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(vals.real))):
+    if np.iscomplexobj(vals) and np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(vals.real))):
         raise ValueError("slice samples are not real: U is not a harmonic-positive evaluator")
     v = vals.real
     if np.min(v) < -TAU_NEG:

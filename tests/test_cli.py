@@ -348,6 +348,21 @@ def test_volterra_experiment_bounds_its_memory(tmp_path):
     assert peak <= 12e6
 
 
+def test_poisson_halfplane_experiment_bounds_its_memory(tmp_path):
+    # the experiment's 256001-point grid and density (4.1 MB) are alive while the transform
+    # runs; it held 16 B/point of weights and blocks beside them, 8.32 MB in all, and now
+    # runs in row blocks beside O(sqrt(N) M) phases
+    cfg = ExperimentConfig(name="poisson-halfplane", out=str(tmp_path))
+    run_experiment(cfg)  # first run: imports and lazy set-up
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.0e6
+
+
 def test_volterra_experiment_holds_three_matrices(tmp_path):
     # the two kernels while V*V is sampled, then V*V's kernel with trace's two n x n arrays;
     # V's kernel, B and the copies of trace's check once peaked at 7.7 MB at 400 nodes

@@ -679,6 +679,46 @@ def test_uniform_grid_rejects_non_finite_grids(build, owner, grid, values, field
         build(np.array(grid), np.array(values))
 
 
+def _whole_grid_step_message(g):
+    # the step check as first written, on one np.diff of the whole grid
+    steps = np.diff(g)
+    if np.any(steps <= 0):
+        return "grid must be strictly increasing"
+    if np.max(steps) - np.min(steps) > 1e-9 * (1.0 + max(g[-1], -g[0])):
+        return "grid step is not constant"
+    return None
+
+
+def _grid_with_step(step, change):
+    # a 3-chunk-plus grid on [0, 1] whose step number `step` is changed: set to exactly 0,
+    # or lengthened by 5e-9 or 1e-9 against the spread bound of 2e-9
+    g = np.linspace(0.0, 1.0, 3 * linalg_core._CHUNK + 101)
+    g[step + 1:] += (g[step] - g[step + 1]) if change == "zero" else change
+    return g
+
+
+@pytest.mark.parametrize("step", [linalg_core._CHUNK - 1, linalg_core._CHUNK, 2 * linalg_core._CHUNK + 7],
+                         ids=["last step of a chunk", "first step of the next", "inside a chunk"])
+@pytest.mark.parametrize("change, message", [("zero", "grid must be strictly increasing"),
+                                             (5e-9, "grid step is not constant"), (1e-9, None)],
+                         ids=["zero step", "spread 5e-9", "spread 1e-9"])
+@pytest.mark.parametrize(
+    "build, owner",
+    [(FiniteMeasure.from_density, "FiniteMeasure density"), (SampledBoundaryFunction, "SampledBoundaryFunction")],
+    ids=["FiniteMeasure", "SampledBoundaryFunction"],
+)
+def test_uniform_grid_checks_steps_across_chunk_boundaries(build, owner, step, change, message):
+    # the steps are checked chunk by chunk, adjacent chunks sharing their boundary point:
+    # a bad step on either side of a boundary raises the message of the whole-grid check
+    g = _grid_with_step(step, change)
+    assert _whole_grid_step_message(g) == message
+    if message is None:
+        build(g, np.ones(g.size))
+    else:
+        with pytest.raises(ValueError, match=f"^{owner}: {message}$"):
+            build(g, np.ones(g.size))
+
+
 # name: (call taking the bad value, argument)
 FINITE_SITES = {
     "resolvent": (lambda v: resolvent(np.diag([1.0, 2.0]), v), "z"),

@@ -126,10 +126,10 @@ def _lattice_reference(g, origin, h, s=0):
     return bool(np.max(np.abs(g - ideal)) <= 4.0 * np.spacing(np.max(np.abs(g))))
 
 
-def _ulps_off(g, k):
-    # g with its middle point moved k ulps of max |g| off the lattice
+def _ulps_off(g, k, i=None):
+    # g with its point i (the middle one by default) moved k ulps of max |g| off the lattice
     g = g.copy()
-    g[g.size // 2] += k * np.spacing(np.max(np.abs(g)))
+    g[g.size // 2 if i is None else i] += k * np.spacing(np.max(np.abs(g)))
     return g
 
 
@@ -152,11 +152,74 @@ def test_on_lattice_matches_the_reference_expression(name):
     assert got == (name not in ("5 ulps off", "off by a step"))
 
 
-@pytest.mark.parametrize("kind, limit", [("real", 20), ("complex", 28)])
-def test_lattice_transform_memory_per_point(kind, limit):
+_MANY_CHUNKS = -3.0 + 0.125 * np.arange(3 * measures._CHUNK + 1001)
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("i", [17, measures._CHUNK - 1, measures._CHUNK, _MANY_CHUNKS.size - 17, _MANY_CHUNKS.size - 1])
+def test_on_lattice_reads_every_chunk(i, k):
+    # the gaps are taken chunk by chunk: a point off the lattice in the first or the last
+    # chunk, or on either side of a chunk boundary, gives the verdict of the whole-grid check
+    g = _ulps_off(_MANY_CHUNKS, k, i)
+    got = measures._on_lattice(g, -3.0, 0.125)
+    assert got == _lattice_reference(g, -3.0, 0.125)
+    assert got == (k == 3)
+
+
+def _unblocked_fourier(g, v, w):
+    # the lattice route as first written: one (A x B) @ (B x 2M) product per real part,
+    # with N-point trapezoid weights and blocks
+    n, m = g.size, w.size
+    h = (g[-1] - g[0]) / (n - 1)
+    b = int(np.ceil(np.sqrt(n)))
+    a = -(-n // b)
+    dg = np.diff(g)
+    weights = np.empty_like(g)
+    np.add(dg[:-1], dg[1:], out=weights[1:-1])
+    weights[0], weights[-1] = dg[0], dg[-1]
+    weights /= 2.0
+    phase = np.exp(-1j * np.multiply.outer(np.arange(b) * h, w))
+    columns = np.hstack((phase.real, phase.imag))
+    outer = np.exp(-1j * np.multiply.outer(g[0] + np.arange(a) * (b * h), w))
+    out = []
+    for part in ((v.real, v.imag) if np.iscomplexobj(v) else (v,)):
+        block = np.zeros(a * b)
+        np.multiply(part, weights, out=block[:n])
+        p = block.reshape(a, b) @ columns
+        out.append(np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]))
+    return out[0] if len(out) == 1 else out[0] + 1j * out[1]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 1001, 16_384, 16_385, 40_001, 256_001])
+def test_blocked_lattice_transform_matches_the_unblocked_product(kind, n):
+    # a grid of one row block keeps the bits of the single product; more blocks sum the
+    # same terms block by block, which moves the result at roundoff
+    rng = np.random.default_rng(n)
+    g = np.linspace(-50.0, 75.0, n)
+    assert measures._on_lattice(g, g[0], (g[-1] - g[0]) / (n - 1))
+    v = np.exp(-((g - 5.0) / 20.0) ** 2) + 0.3 * rng.standard_normal(n)
+    if kind == "complex":
+        v = v * (1.0 - 0.5j) + 0.2j * rng.standard_normal(n)
+    w = np.concatenate([[0.0], rng.uniform(-20.0, 20.0, 36)])
+    got, ref = measures._density_fourier(g, v, w), _unblocked_fourier(g, v, w)
+    b = int(np.ceil(np.sqrt(n)))
+    one_block = -(-n // b) <= measures._CHUNK // b
+    assert one_block == (n <= 16_384)
+    assert got.dtype == ref.dtype == np.complex128
+    if one_block:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lattice_transform_memory_per_point(kind):
     # the density went through a complex128 block array, with 24 B/point of lattice and
-    # weight temporaries: 32 B/point for a real density, 40 for a complex one.  Each real
-    # part now takes 8 B/point of blocks beside the 8 B/point of weights
+    # weight temporaries: 32 B/point for a real density, 40 for a complex one.  Then each
+    # real part took 8 B/point of blocks beside 8 B/point of weights: 16 MB for a real
+    # density here.  Now the transform runs in row blocks of about 16384 points, and its
+    # working set is the 1000 x 162 real columns and one block's arrays, about 1.9 MB
     n = 1_000_000
     g = np.linspace(-3.2e4, 3.2e4, n)
     v = (1.0 / np.pi) / (g * g + 1.0)
@@ -170,7 +233,42 @@ def test_lattice_transform_memory_per_point(kind, limit):
         tracemalloc.stop()
     want = np.exp(-np.abs(omega)) * (1.0 if kind == "real" else 1.0 - 0.5j)
     assert np.max(np.abs(got - want)) <= 1e-4
-    assert peak <= limit * n
+    assert peak <= 2.5e6
+
+
+def _chunked_density(kind, n):
+    rng = np.random.default_rng(n)
+    g = np.linspace(-4.0, 6.0, n)
+    v = np.exp(-g * g) * (1.0 + 0.5 * rng.random(n))
+    return g, v if kind == "real" else v * (1.0 - 2.0j) + 0.1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, measures._CHUNK, measures._CHUNK + 1, measures._CHUNK + 2, 3 * measures._CHUNK + 7, 1_000_000])
+def test_total_mass_and_variation_match_one_trapezoid(kind, n):
+    # the trapezoid sums run over chunks that share their boundary points; the chunk sums
+    # add up to one np.trapezoid call's value at roundoff
+    g, v = _chunked_density(kind, n)
+    mu = FiniteMeasure.from_density(g, v)
+    scale = np.trapezoid(np.abs(v), g)
+    assert abs(mu.total_mass() - np.trapezoid(v, g)) <= 1e-14 * scale
+    assert abs(mu.total_variation() - scale) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_total_mass_and_variation_bound_their_memory(kind):
+    # one np.trapezoid call held 16 B/point for a real density (16 MB here) and |v| beside
+    # it for the variation (24 MB); the chunked sums hold O(16384) points
+    g, v = _chunked_density(kind, 1_000_000)
+    mu = FiniteMeasure.from_density(g, v)
+    tracemalloc.start()
+    try:
+        mu.total_mass()
+        mu.total_variation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 # ---------------------------------------------------------------- poisson smoothing
@@ -417,8 +515,9 @@ def test_direct_sum_memory_is_bounded_by_its_tiles(case):
 
 def test_real_density_is_stored_once_at_float64_size():
     # the density was cast to complex128, 16 B/point, and its finiteness checked
-    # apart from the grid's: 32 B/point in all.  Now a float64 density is kept as
-    # given, and the peak is the grid check's steps and their sign mask: 9 B/point
+    # apart from the grid's: 32 B/point in all.  Then a float64 density was kept as
+    # given, and the peak was the grid check's steps and their sign mask: 9 B/point.
+    # The steps are now checked in chunks, and the peak is one finiteness mask: 1 B/point
     n = 1_000_000
     grid, values = np.linspace(0.0, 1.0, n), np.exp(-np.linspace(0.0, 1.0, n))
     tracemalloc.start()
@@ -428,7 +527,7 @@ def test_real_density_is_stored_once_at_float64_size():
     finally:
         tracemalloc.stop()
     assert mu.density_values.dtype == np.float64
-    assert peak <= 12 * n
+    assert peak <= 2 * n
 
 
 # ---------------------------------------------------------------- herglotz recovery
@@ -476,8 +575,18 @@ def test_herglotz_rejects_negative_and_complex_samples():
     base = two_atom_extension([(0.0, 1.0)])
     with pytest.raises(ValueError):
         herglotz_recover(lambda z: base(z) - 0.01, 1e-3, (-5.0, 5.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slice samples are not real"):
         herglotz_recover(lambda z: base(z) + 1e-6j, 1e-3, (-1.0, 1.0))
+
+
+def test_herglotz_reads_complex_samples_with_zero_imaginary_part_as_real():
+    # only a complex slice is checked for an imaginary part; one that has none gives the
+    # float64 slice of the real evaluator, bit for bit
+    base = two_atom_extension([(0.0, 1.0)])
+    real = herglotz_recover(base, 1e-3, (-1.0, 1.0))
+    twin = herglotz_recover(lambda z: base(z) + 0j, 1e-3, (-1.0, 1.0))
+    assert real.density_values.dtype == twin.density_values.dtype == np.float64
+    assert real.density_values.tobytes() == twin.density_values.tobytes()
 
 
 def extract_atoms_by_loop(slice_measure, eps, window_width=None):
