@@ -36,6 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .linalg_core import (
+    _first_non_finite,
     _hermitian_defect,
     _hermitian_part,
     _read_key_values,
@@ -165,15 +166,17 @@ class IntegralOperator:
 def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     """Sample a kernel on grid x grid and store K; B = W^{1/2} K W^{1/2} is formed on access.
 
-    k is called once as k(x[:, None], x[None, :]); a kernel that does not
-    broadcast is sampled entry by entry instead.  A real kernel is stored as
-    float64.  A non-finite sample raises ValueError naming the indices.
+    k is called as k(x[rows, None], x[None, :]) once per block of
+    16 384 // n rows (once in all while n^2 <= 16 384), so besides K only one
+    block's temporaries are held; a kernel that does not broadcast is sampled
+    entry by entry instead.  A real kernel is stored as float64.  A non-finite
+    sample raises ValueError naming the indices.
     """
     x = grid.nodes
     km = _sample(k, x[:, None], x[None, :])
-    bad = ~np.isfinite(km)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    bad = _first_non_finite(km)
+    if bad is not None:
+        i, j = bad
         raise ValueError(f"kernel sample not finite at nodes ({i}, {j})")
     return IntegralOperator(grid, km)
 

@@ -7,6 +7,7 @@ Conventions used throughout the package:
 * matrices are dense complex128 numpy arrays, row-major in serialized form;
 * validated matrices are complex128, but sampled values (kernels, potentials,
   measure densities, boundary samples) stay float64 when real (_real_or_complex);
+  every evaluator is sampled by _sample, once per block of about _CHUNK points;
 * a Hermitian matrix is resolved as A = sum_i lambda_i P_i with strictly
   ascending distinct eigenvalues and orthogonal projections P_i, stored as
   the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
@@ -22,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -105,13 +107,51 @@ def _from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return re if not np.any(im) else re + 1j * im
 
 
+_CHUNK = 1 << 14  # points per chunk of a grid pass: bounds its temporaries
+
+
+def _row_blocks(shape: tuple) -> list[slice]:
+    """Slices of the first axis that cut an array of this shape (ndim >= 1) into blocks of
+    about _CHUNK entries: _CHUNK // (entries per row) rows each, and at least one row."""
+    rows = max(1, _CHUNK // max(1, math.prod(shape[1:])))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
+
+
 def _sample(f: Callable, *args) -> np.ndarray:
-    """f called once on its argument arrays, as an array of their broadcast shape,
-    real or complex by _real_or_complex.
+    """f on its argument arrays, as an array of their broadcast shape, real or complex by
+    _real_or_complex.
+
+    f is called once per block of about _CHUNK (16 384) points, cut along the first axis
+    of the broadcast shape by _row_blocks, and each block is written into one result; an
+    input of at most _CHUNK points is one call on the arguments as given.  The result is
+    float64 unless a block comes back complex, when it is cast to complex128 once.  An
+    evaluator that raises on a block, or returns the wrong shape, is called entry by entry
+    on that block.
+    """
+    given = [np.asarray(a) for a in args]
+    arrays = np.broadcast_arrays(*given)
+    shape = arrays[0].shape
+    if arrays[0].size <= _CHUNK:
+        return _sample_block(f, args, arrays)
+    out = None
+    for rows in _row_blocks(shape):
+        # an argument that spans the first axis is cut; one broadcast along it is passed as given
+        cut = [g[rows] if g.ndim == len(shape) and len(g) > 1 else a for a, g in zip(args, given)]
+        block = _sample_block(f, cut, [a[rows] for a in arrays])
+        if out is None:
+            out = np.empty(shape, block.dtype)
+        elif out.dtype != block.dtype and out.dtype.kind == "f":
+            out = out.astype(complex)
+        out[rows] = block
+    return out
+
+
+def _sample_block(f: Callable, args, arrays: list[np.ndarray]) -> np.ndarray:
+    """f(*args) as an array of the shape of `arrays` (args broadcast), real or complex by
+    _real_or_complex.
 
     An evaluator that raises on arrays, or returns the wrong shape, is called entry by entry.
     """
-    arrays = np.broadcast_arrays(*(np.asarray(a) for a in args))
     shape = arrays[0].shape
     try:
         out = _real_or_complex(f(*args))
@@ -122,10 +162,26 @@ def _sample(f: Callable, *args) -> np.ndarray:
     return _real_or_complex([f(*e) for e in zip(*(a.ravel().tolist() for a in arrays))]).reshape(shape)
 
 
+def _first_non_finite(v: np.ndarray) -> tuple | None:
+    """The row-major index of v's first NaN or infinite entry, or None when all are finite.
+
+    An array is checked in the row blocks of _row_blocks, so the check holds one block's
+    mask; a 0-d v has the index ().
+    """
+    if v.ndim == 0:
+        return None if np.isfinite(v) else ()
+    for rows in _row_blocks(v.shape):
+        finite = np.isfinite(v[rows])
+        if not finite.all():
+            index = np.unravel_index(np.argmin(finite), finite.shape)
+            return (rows.start + int(index[0]), *map(int, index[1:]))
+    return None
+
+
 def _require_finite(**fields) -> None:
-    """ValueError naming the first field with a NaN or infinite entry."""
+    """ValueError naming the first field with a NaN or infinite entry (checked by _first_non_finite)."""
     for name, value in fields.items():
-        if not np.isfinite(value).all():
+        if _first_non_finite(np.asarray(value)) is not None:
             raise ValueError(f"{name} must be finite")
 
 
@@ -173,9 +229,6 @@ def _read_key_values(path: str, known: Sequence[str]) -> dict[str, str]:
             raise ValueError(f"{path}:{ln}: unknown key {key!r} (known: {', '.join(known)})")
         values[key] = val
     return values
-
-
-_CHUNK = 1 << 14  # points per chunk of a grid pass: bounds its temporaries
 
 
 def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:

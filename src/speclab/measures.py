@@ -15,6 +15,7 @@ import numpy as np
 from .harmonic import TAU_TAIL
 from .linalg_core import (
     _CHUNK,
+    _first_non_finite,
     _from_parts,
     _hermitian_defect,
     _hermitian_part,
@@ -301,11 +302,13 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
 def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: int | None = None) -> FiniteMeasure:
     """Sample the slice u -> U(u + i*eps) of a positive harmonic function.
 
-    Returns the slice as a density measure on the window.  Atom locations and
-    masses are read off afterwards with extract_atoms.  Raises ValueError if a
-    sample is negative beyond -1e-9 (the function is then not positive
-    harmonic on the probed region), and if the sample count n is given
-    but is not an integer >= 2.
+    Returns the slice as a density measure on the window.  U is called on
+    t + i*eps for the real grid t, once per block of about 16 384 points, so
+    no N-point complex argument is formed.  Atom locations and masses are
+    read off afterwards with extract_atoms.  Raises ValueError if a sample is
+    negative beyond -1e-9 (the function is then not positive harmonic on the
+    probed region), and if the sample count n is given but is not an integer
+    >= 2.
     """
     _require_scale(eps=eps)
     lo, hi = float(window[0]), float(window[1])
@@ -316,7 +319,7 @@ def herglotz_recover(U: Callable, eps: float, window: tuple[float, float], n: in
         n = max(1001, int(np.ceil((hi - lo) / (eps / 24.0))) + 1)
     _require_count(2, n=n)
     x = np.linspace(lo, hi, n)
-    vals = _sample(U, x + 1j * eps)
+    vals = _sample(lambda t: U(t + 1j * eps), x)
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag), initial=0.0) > 1e-9 * (1.0 + np.max(np.abs(vals.real))):
         raise ValueError("slice samples are not real: U is not a harmonic-positive evaluator")
     v = vals.real
@@ -340,8 +343,7 @@ def extract_atoms(slice_measure: FiniteMeasure, eps: float, window_width: float 
     _require_scale(eps=eps, window_width=window_width)
     x = slice_measure.density_grid
     v = slice_measure.density_values.real
-    med = float(np.median(v))
-    threshold = 10.0 * med
+    threshold = 10.0 * _median(v)
     half = window_width / 2.0
     step = slice_measure.density_step
     reach = int(round(half / step))
@@ -359,6 +361,17 @@ def extract_atoms(slice_measure: FiniteMeasure, eps: float, window_width: float 
     return FiniteMeasure.from_atoms(atoms)
 
 
+def _median(v: np.ndarray) -> float:
+    """The median of a nonempty 1-d array of finite values, with np.median's bits.
+
+    It is taken from one partition, without np.median's NaN check, which imports
+    numpy.ma on first use.
+    """
+    below, above = (v.size - 1) // 2, v.size // 2
+    mid = np.partition(v, [below, above])
+    return float((mid[below] + mid[above]) / 2.0)
+
+
 @dataclass(frozen=True)
 class PDVerdict:
     is_pd: bool
@@ -374,22 +387,22 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
     """Finite-section positive-definiteness test of a function on the line.
 
     Builds M[k, j] = f(x_k - x_j) and reports the minimum eigenvalue; the
-    verdict is PD iff min eig >= -tau.  f is called once on the matrix of
-    differences; a function that does not broadcast is sampled entry by entry
-    instead.  The Hermitian-symmetry precondition f(-x) = conj(f(x)) is
-    checked on the probed differences first and its violation raises
-    ValueError (a structural failure, not a not-PD verdict), as do a
-    non-finite sample, named by its probed difference, and a tau that is not
-    finite or is below 0.
+    verdict is PD iff min eig >= -tau.  f is called on the matrix of
+    differences once per block of about 16 384 entries; a function that does
+    not broadcast is sampled entry by entry instead.  The Hermitian-symmetry
+    precondition f(-x) = conj(f(x)) is checked on the probed differences
+    first and its violation raises ValueError (a structural failure, not a
+    not-PD verdict), as do a non-finite sample, named by its probed
+    difference, and a tau that is not finite or is below 0.
     """
     _require_tolerance(tau=tau)
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("points must be a nonempty 1-d list")
     m = _sample(f, x[:, None] - x[None, :])
-    bad = ~np.isfinite(m)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    bad = _first_non_finite(m)
+    if bad is not None:
+        i, j = bad
         raise ValueError(f"f not finite at the probed difference points[{i}] - points[{j}] = {float(x[i] - x[j])!r}")
     scale = float(np.max(np.abs(m))) + 1.0
     defect = float(_hermitian_defect(m))

@@ -160,7 +160,8 @@ def gram(k: Kernel, points: Sequence[complex]) -> np.ndarray:
     """Gram matrix G[i, j] = k(x_i, x_j) after checking every point's domain.
 
     A stack (..., n) of point sets gives the (..., n, n) stack of their Gram
-    matrices, each bitwise as for its point set alone.
+    matrices, each bitwise as for its point set alone.  k.evaluate is called
+    once per block of about 16 384 entries along the first axis.
     """
     z = np.asarray(points, dtype=complex)
     if z.ndim == 0:

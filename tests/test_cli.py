@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -346,6 +349,34 @@ def test_volterra_experiment_bounds_its_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 12e6
+
+
+def test_herglotz_experiment_bounds_its_memory(tmp_path):
+    # the 96 001-point slice was sampled in one call on the complex grid x + 1j * eps,
+    # beside the evaluator's whole-array temporaries: 5.38 MB; it is now sampled in blocks
+    cfg = ExperimentConfig(name="herglotz-roundtrip", out=str(tmp_path))
+    run_experiment(cfg)  # first run: imports and lazy set-up
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6
+
+
+def test_herglotz_experiment_does_not_import_numpy_ma(tmp_path):
+    # np.median's NaN check imported numpy.ma (0.93 MB of modules) on its first call
+    script = (
+        "import sys\n"
+        "from speclab.cli import ExperimentConfig, run_experiment\n"
+        f"assert run_experiment(ExperimentConfig(name='herglotz-roundtrip', out={str(tmp_path)!r})).passed\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_poisson_halfplane_experiment_bounds_its_memory(tmp_path):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from speclab import integral_ops
+from speclab import integral_ops, linalg_core
 from speclab import (
     NonInjectiveError,
     QuadratureGrid,
@@ -163,6 +163,15 @@ def test_nystrom_names_the_index_of_a_non_finite_sample(kernel, where):
     g = gauss_legendre_grid(0.0, 1.0, panels=2, per_panel=3)
     with pytest.raises(ValueError, match=rf"^kernel sample not finite at nodes {re.escape(where)}$"):
         nystrom(kernel, g)
+
+
+@pytest.mark.parametrize("where", [(399, 7), (40, 0), (39, 399), (0, 0)])
+def test_nystrom_names_a_non_finite_sample_in_any_block(where):
+    grid = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    xi, yj = grid.nodes[where[0]], grid.nodes[where[1]]
+    kernel = lambda x, y: np.where((x == xi) & (y == yj), np.nan, x * y)  # noqa: E731
+    with pytest.raises(ValueError, match=rf"^kernel sample not finite at nodes {re.escape(str(where))}$"):
+        nystrom(kernel, grid)
 
 
 @pytest.mark.parametrize(
@@ -341,6 +350,21 @@ def test_operator_stores_its_kernel_once():
         tracemalloc.stop()
     assert op.kernel_matrix.dtype == np.float64
     assert held <= 8 * n * n + 64 * n
+
+
+def test_nystrom_samples_in_row_blocks():
+    # the whole-array 1.0 - np.maximum(x, y) held its n x n temporary beside K: 2.00 * 8 n^2
+    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    n = g.size
+    nystrom(VSTAR_KERNEL, g)  # first call: lazy set-up
+    tracemalloc.start()
+    try:
+        op = nystrom(VSTAR_KERNEL, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.kernel_matrix.tobytes() == VSTAR_KERNEL(g.nodes[:, None], g.nodes[None, :]).tobytes()
+    assert peak <= 8 * n * n + 32 * linalg_core._CHUNK
 
 
 @pytest.mark.parametrize("kernel", [VSTAR_KERNEL, lambda x, y: np.exp(1j * x * y) / (1.0 + (x - y) ** 2)],

@@ -830,6 +830,111 @@ def test_grid_samplers_take_scalar_only_evaluators(case):
     np.testing.assert_allclose(sample(scalar), sample(broadcast), rtol=1e-14, atol=1e-15)
 
 
+# ---------------------------------------------------------------- blocked sampling
+
+def _herglotz_slice(t):
+    # the herglotz-roundtrip experiment's evaluator on the slice t + 1e-3 i, as herglotz_recover calls it
+    z = np.asarray(t + 1e-3j, dtype=complex)
+    out = np.zeros(z.shape)
+    for a, m in ((-1.0, 2.0), (1.0, 3.0)):
+        out = out + m * (z.imag / np.pi) / ((z.real - a) ** 2 + z.imag ** 2)
+    return out
+
+
+_NODES_400 = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8).nodes
+_DISC_200 = 0.95 * np.sqrt(np.linspace(0.0, 1.0, 200)) * np.exp(1j * np.linspace(0.0, 40.0, 200))
+# name: (evaluator, its arguments), each above _CHUNK points
+BLOCKED_SAMPLES = {
+    "herglotz-slice": (_herglotz_slice, (np.linspace(-2.0, 2.0, 96001),)),
+    "volterra-v": (lambda x, y: (y < x) + 0.5 * (y == x), (_NODES_400[:, None], _NODES_400[None, :])),
+    "volterra-vstar-v": (lambda x, y: 1.0 - np.maximum(x, y), (_NODES_400[:, None], _NODES_400[None, :])),
+    "rkhs-dirichlet": (kernel_by_name("dirichlet").evaluate, (_DISC_200[:, None], _DISC_200[None, :])),
+    "rkhs-hardy": (kernel_by_name("hardy").evaluate, (_DISC_200[:, None], _DISC_200[None, :])),
+}
+
+
+@pytest.mark.parametrize("case", BLOCKED_SAMPLES.keys())
+def test_blocked_sample_has_the_bits_of_one_whole_array_call(case):
+    f, args = BLOCKED_SAMPLES[case]
+    assert np.broadcast(*args).size > linalg_core._CHUNK
+    want = linalg_core._real_or_complex(f(*args))
+    out = linalg_core._sample(f, *args)
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("complex_first", [False, True], ids=["real-then-complex", "complex-then-real"])
+def test_blocked_sample_is_complex_when_any_block_is(complex_first):
+    # the blocks come back as float64 and complex128; the result is complex128 with
+    # imaginary part +0.0 on the real blocks, as a whole-array complex result would have it
+    x = np.arange(3 * linalg_core._CHUNK + 5, dtype=float)
+    edge = 2 * linalg_core._CHUNK  # the first point of the third block
+
+    def f(t):
+        return 2.0 * t + 1j if (t[0] < edge) == complex_first else 2.0 * t
+
+    out = linalg_core._sample(f, x)
+    want = (2.0 * x).astype(complex)
+    want[slice(None, edge) if complex_first else slice(edge, None)] += 1j
+    assert out.dtype == np.complex128
+    assert out.tobytes() == want.tobytes()
+
+
+def test_blocked_sample_takes_a_scalar_only_evaluator():
+    x, y = np.linspace(0.0, 1.0, 150)[:, None], np.linspace(-1.0, 0.0, 130)[None, :]
+    scalar = lambda x, y: math.exp(-((x - y) ** 2))  # noqa: E731 - raises TypeError on arrays
+    out = linalg_core._sample(scalar, x, y)
+    want = np.array([[scalar(a, b) for b in y[0].tolist()] for a in x[:, 0].tolist()])
+    assert x.size * y.size > linalg_core._CHUNK
+    assert out.dtype == np.float64 and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape, calls", [
+    ((5,), 1),
+    ((linalg_core._CHUNK,), 1),
+    ((128, 128), 1),
+    ((linalg_core._CHUNK + 1,), 2),
+    ((96001,), 6),
+    ((400, 400), 10),  # 16 384 // 400 = 40 rows a block
+    ((129, 128), 2),
+    ((3, 100, 100), 3),
+    ((2, 20000), 2),  # a row above _CHUNK is a block of its own
+])
+def test_sample_calls_once_per_block_of_rows(shape, calls):
+    seen = []
+
+    def f(x):
+        seen.append(x.shape)
+        return x + 1.0
+
+    out = linalg_core._sample(f, np.zeros(shape))
+    assert len(seen) == calls == -(-shape[0] // max(1, linalg_core._CHUNK // math.prod(shape[1:])))
+    assert sum(s[0] for s in seen) == shape[0] and all(s[1:] == shape[1:] for s in seen)
+    assert out.shape == shape and np.all(out == 1.0)
+
+
+@pytest.mark.parametrize("shape", [(10**5,), (400, 400), (3, 7, 5000)])
+def test_first_non_finite_is_the_first_of_the_whole_mask(shape):
+    # bad entries are placed last to first, so each one placed is the new first
+    rng = np.random.default_rng(sum(shape))
+    assert linalg_core._first_non_finite(rng.standard_normal(shape)) is None
+    for bad in (np.inf, np.nan):
+        v = rng.standard_normal(shape)
+        for flat in sorted(rng.choice(v.size, 3, replace=False).tolist(), reverse=True):
+            v.flat[flat] = bad
+            assert linalg_core._first_non_finite(v) == tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
+
+
+def test_require_finite_holds_one_chunk_of_mask():
+    # np.isfinite(v).all() held a 1 B/point mask: 1.0 MB at 10^6 points
+    v = np.linspace(0.0, 1.0, 10**6)
+    _, peak = _traced_peak(lambda: linalg_core._require_finite(v=v))
+    assert peak <= 64 * 1024
+    v[-1] = np.nan
+    with pytest.raises(ValueError, match="^v must be finite$"):
+        linalg_core._require_finite(v=v)
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_matrix_json_round_trip():

@@ -664,6 +664,32 @@ def test_herglotz_mass_bound():
         assert np.pi * y * u(x + 1j * y) <= total + 0.15
 
 
+def test_herglotz_recover_samples_in_blocks():
+    # U(x + 1j * eps) on the whole grid held the 16 B/point complex argument and U's own
+    # whole-array temporaries beside the grid and slice: 5.38 MB at N = 96 001
+    u = two_atom_extension([(-1.0, 2.0), (1.0, 3.0)])
+    n = 96001  # the default sample count for eps = 1e-3 on (-2, 2)
+    herglotz_recover(u, 1e-3, (-2.0, 2.0))  # first call: lazy set-up
+    tracemalloc.start()
+    try:
+        slice_measure = herglotz_recover(u, 1e-3, (-2.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x = np.linspace(-2.0, 2.0, n)
+    assert slice_measure.density_values.tobytes() == u(x + 1j * 1e-3).tobytes()
+    assert peak <= 2 * 8 * n + 80 * measures._CHUNK
+
+
+@pytest.mark.parametrize("n", [2, 3, 96000, 96001])
+@pytest.mark.parametrize("data", ["normal", "ties"])
+def test_median_has_the_bits_of_np_median(n, data):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) if data == "normal" else rng.integers(0, 4, n) * 0.1
+    got = measures._median(v)
+    assert np.float64(got).tobytes() == np.median(v).tobytes()
+
+
 # ---------------------------------------------------------------- bochner verdicts
 
 def test_exponential_kernel_is_pd():
