@@ -47,6 +47,7 @@ from .linalg_core import (
     _require_scale,
     _require_square,
     _require_stack,
+    _row_blocks,
     _sample,
     _unstack,
     operator_norm,
@@ -148,9 +149,15 @@ class IntegralOperator:
 
     @property
     def symmetrized(self) -> np.ndarray:
-        """B = W^{1/2} K W^{1/2} for the grid's quadrature weights W, a new array on each access."""
+        """B = W^{1/2} K W^{1/2} for the grid's quadrature weights W, a new array on each access.
+
+        B is formed in one n x n allocation: the rows of K are scaled into it, then its
+        columns in place, with the bits of sw[:, None] * K * sw[None, :].
+        """
         sw = np.sqrt(self.grid.weights)
-        return sw[:, None] * self.kernel_matrix * sw[None, :]
+        b = sw[:, None] * self.kernel_matrix
+        b *= sw[None, :]
+        return b
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(T f)(x_i) = sum_j w_j K_ij f(x_j): float64 for a real kernel and a real f, else complex128."""
@@ -182,10 +189,28 @@ def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
 
 
 def _check_positive(herm: np.ndarray, scale: float, message: str) -> None:
-    """ValueError(message) unless herm + 1e-10 * scale * I has a Cholesky factor; the shift is added to herm in place."""
+    """ValueError(message) unless herm + 1e-10 * scale * I has a Cholesky factor.
+
+    Only herm's lower triangle is read, and the factor is formed over it, in
+    place: the shift is added to the diagonal, then a left-looking blocked
+    Cholesky (Golub & Van Loan, Matrix Computations, 4.2) takes one block
+    column of _row_blocks rows at a time.  The block column is reduced by the
+    factor's columns to its left in one product of its own size, its diagonal
+    block is factored by np.linalg.cholesky, and its rows below are solved
+    against that factor.  So besides herm the check holds one block column's
+    temporaries, about _CHUNK entries.
+    """
     herm[np.diag_indices_from(herm)] += 1e-10 * scale
     try:
-        np.linalg.cholesky(herm)
+        for cols in _row_blocks(herm.shape):
+            lo, hi = cols.start, min(cols.stop, len(herm))
+            # written back by assignment: an in-place subtraction into the strided block would copy it
+            update = herm[lo:, :lo] @ herm[cols, :lo].conj().T
+            herm[lo:, cols] = np.subtract(herm[lo:, cols], update, out=update)
+            del update  # before the solve's result is formed
+            herm[cols, cols] = np.linalg.cholesky(herm[cols, cols])
+            # L21 = A21 L11^-* is the transpose of conj(L11)^-1 A21^T, so only L11 is conjugated
+            herm[hi:, cols] = np.linalg.solve(herm[cols, cols].conj(), herm[hi:, cols].T).T
     except np.linalg.LinAlgError:
         raise ValueError(message)
 
@@ -211,19 +236,18 @@ def trace(t):
 
     The operator form requires a Hermitian positive kernel (Mercer), checked on
     the symmetrized matrix B: its Hermitian defect, then a Cholesky factor of
-    (B + B*) / 2 shifted by 1e-10 (1 + max |B_ij|).  For a real kernel the
-    check holds at most two n x n arrays beside the stored kernel: B and one
-    temporary at a time (|B|, then B - B*, then (B + B*) / 2), and after B is
-    dropped (B + B*) / 2 with its factor.  The matrix form takes any square matrix.
+    (B + B*) / 2 shifted by 1e-10 (1 + max |B_ij|).  The check holds one n x n
+    array beside the stored kernel, B itself: max |B_ij| and the defect are
+    read in row blocks of about 16 384 entries, (B + B*) / 2 is written over
+    B's lower triangle, and the shifted factor over that, one block column at
+    a time.  The matrix form takes any square matrix.
     """
     if isinstance(t, IntegralOperator):
         b = t.symmetrized
-        scale = float(np.max(np.abs(b))) + 1.0
+        scale = max(float(np.max(np.abs(b[rows]))) for rows in _row_blocks(b.shape)) + 1.0
         if _hermitian_defect(b) > 1e-10 * scale:
             raise ValueError("operator trace requires a Hermitian kernel")
-        herm = _hermitian_part(b)
-        del b
-        _check_positive(herm, scale, "operator trace requires a positive kernel")
+        _check_positive(_hermitian_part(b, in_place=True), scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
     return complex(np.trace(_require_square(require_matrix(t))))
 

@@ -284,14 +284,19 @@ def _neumann_head(m: np.ndarray, z: complex, r: int) -> tuple[np.ndarray, np.nda
     of r, from S = 0, P = I: a doubling step is S += P S, then P = P P; a unit
     step is S += P, then P = (P / z) A, dividing first so that the product is
     no larger than the term loop's A T_j.  The leading digit's unit step gives
-    (I, A/z).  Three n x n buffers, so memory is that of the term loop.
+    (I, A/z), so the first doubling step adds P in place of the product P I,
+    the same sum bit for bit for finite A, and gives (I + B, B^2).  Three
+    n x n buffers, so memory is that of the term loop.
     """
     s = np.eye(m.shape[0], dtype=complex)
     p = m / z
     w = np.empty_like(s)
-    for digit in bin(r)[3:]:
-        np.matmul(p, s, out=w)
-        s += w
+    for step, digit in enumerate(bin(r)[3:]):
+        if step:
+            np.matmul(p, s, out=w)
+            s += w
+        else:
+            s += p
         np.matmul(p, p, out=w)
         p, w = w, p
         if digit == "1":

@@ -289,9 +289,9 @@ def test_trace_operator_names_what_a_real_kernel_lacks(kernel, message):
         trace(op)
 
 
-def test_trace_operator_check_holds_two_matrices():
-    # B with one buffer (B - B*, then its Hermitian part), then that part with its Cholesky factor;
-    # B, B - B*, |B - B*|, (B + B*) / 2 and its shifted copy were held at once
+def test_trace_operator_check_holds_one_matrix():
+    # B alone, with one row block's temporaries: max |B|, B - B*, (B + B*) / 2 over B's lower triangle
+    # and its factor over that; B and (B + B*) / 2 with its Cholesky factor once peaked at 2.05 * 8 n^2
     g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
     n = g.size
     op = volterra(g).vstar_v
@@ -302,7 +302,130 @@ def test_trace_operator_check_holds_two_matrices():
     finally:
         tracemalloc.stop()
     assert tr == pytest.approx(0.5, abs=1e-12)
-    assert peak <= 2 * 8 * n * n + 256 * 1024
+    assert peak <= 8 * n * n + 256 * 1024
+
+
+class _Threshold:
+    """Stands for the defect in trace's `defect > 1e-10 * scale`: records the threshold and passes the check."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __gt__(self, threshold):
+        self.seen["threshold"] = threshold
+        return False
+
+
+@pytest.mark.parametrize("kernel", [VSTAR_KERNEL, lambda x, y: np.exp(1j * (x - y)) / (1.0 + (x - y) ** 2) + 1e-3 * x * y * (x - y)],
+                         ids=["real", "complex"])
+def test_trace_check_sees_the_bits_of_the_whole_matrix_expressions(kernel, monkeypatch):
+    # 160 nodes: two row blocks, of 16 384 // 160 = 102 rows and 58, so every blocked path is taken
+    g = gauss_legendre_grid(0.0, 1.0, panels=20, per_panel=8)
+    op = nystrom(kernel, g)
+    b = op.symmetrized
+    assert len(linalg_core._row_blocks(b.shape)) == 2
+    scale = float(np.max(np.abs(b))) + 1.0
+    defect = np.abs(b - b.conj().T).max()
+    part = (b + b.conj().T) / 2.0
+    seen = {}
+    defect_of, check = integral_ops._hermitian_defect, integral_ops._check_positive
+
+    def probe_defect(m):
+        seen["defect"] = defect_of(m)
+        return _Threshold(seen)
+
+    def probe_check(herm, s, message):
+        seen.update(lower=herm[np.tri(len(herm), dtype=bool)].tobytes(), scale=s)
+        check(herm, s, message)
+
+    monkeypatch.setattr(integral_ops, "_hermitian_defect", probe_defect)
+    monkeypatch.setattr(integral_ops, "_check_positive", probe_check)
+    trace(op)
+    assert seen["defect"].tobytes() == defect.tobytes() and seen["threshold"] == 1e-10 * scale and seen["scale"] == scale
+    assert seen["lower"] == part[np.tri(len(b), dtype=bool)].tobytes()
+
+
+@pytest.mark.parametrize("kernel, message", [
+    (lambda x, y: -np.exp(1j * (x - y)), "requires a positive kernel"),  # Hermitian, rank one, negative
+    (lambda x, y: np.exp(1j * (x + y)), "requires a Hermitian kernel"),  # symmetric, not Hermitian
+], ids=["indefinite", "non-hermitian"])
+@pytest.mark.parametrize("panels", [4, 50])
+def test_trace_operator_names_what_a_complex_kernel_lacks(kernel, message, panels):
+    g = gauss_legendre_grid(0.0, 1.0, panels=panels, per_panel=8)
+    op = nystrom(kernel, g)
+    assert op.kernel_matrix.dtype == np.complex128
+    with pytest.raises(ValueError, match=f"^operator trace {message}$"):
+        trace(op)
+
+
+def test_symmetrized_is_one_allocation_with_the_bits_of_the_product():
+    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    n = g.size
+    op = nystrom(lambda x, y: -0.0 * x + np.cos(x - y), g)
+    op.kernel_matrix[0, :7] = -0.0
+    op.symmetrized  # first access: lazy set-up
+    tracemalloc.start()
+    try:
+        b = op.symmetrized
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.tobytes() == symmetrized_reference(op.kernel_matrix, g).tobytes()
+    # B, sqrt(w) and numpy's 8192-entry buffer for a broadcast operand; the product's second
+    # multiplication allocated a second n x n array
+    assert peak <= 8 * n * n + 8 * n + 8 * 8192 + 4 * 1024
+
+
+def _cholesky_input(kind, n, dtype):
+    """A Hermitian n x n matrix: positive definite, indefinite (negative definite at n = 1), or
+    positive semidefinite of rank n // 2, singular until trace's 1e-10 (1 + max |A_ij|) shift."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)).astype(dtype)
+    if dtype is np.complex128:
+        x += 1j * rng.standard_normal((n, n))
+    if kind == "definite":
+        a = x @ x.conj().T / max(n, 1) + 0.1 * np.eye(n)
+    elif kind == "indefinite":
+        q = np.linalg.qr(x)[0]
+        a = (q * np.linspace(-1.0, 2.0, n)) @ q.conj().T
+    else:
+        a = x[:, : n // 2] @ x[:, : n // 2].conj().T
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["definite", "indefinite", "singular-until-shifted"])
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 400])  # 128 = sqrt(_CHUNK): one block up to n = 128, two at 129
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_blocked_cholesky_agrees_with_numpy(kind, n, dtype, monkeypatch):
+    a = _cholesky_input(kind, n, dtype)
+    scale = 1.0 + np.max(np.abs(a), initial=0.0)
+    try:
+        want = np.linalg.cholesky(a + 1e-10 * scale * np.eye(n))
+    except np.linalg.LinAlgError:
+        want = None
+    assert (want is None) == (kind == "indefinite" and n > 0)
+    herm = a.copy()
+    herm[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
+    blocks = []
+    factor = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda d: blocks.append(len(d)) or factor(d))
+    if want is None:
+        with pytest.raises(ValueError, match="^not positive$"):
+            integral_ops._check_positive(herm, scale, "not positive")
+        return
+    integral_ops._check_positive(herm, scale, "not positive")
+    assert blocks == [len(d) for d in (range(n)[rows] for rows in linalg_core._row_blocks((n, n)))]
+    got = np.tril(herm)
+    assert np.isfinite(got).all()
+    size = max(np.linalg.norm(want), 1e-300)
+    # the shifted singular matrix has condition about 1e10, so two backward-stable factors differ
+    # by up to about 1e10 * 1e-16 * ||L||: there the two factors' residuals are compared instead
+    if kind == "singular-until-shifted":
+        shifted = a + 1e-10 * scale * np.eye(n)
+        assert np.linalg.norm(got @ got.conj().T - shifted) <= 1e-14 * np.linalg.norm(shifted) * max(n, 1)
+        assert np.linalg.norm(got - want) <= 1e-9 * size
+    else:
+        assert np.linalg.norm(got - want) <= 1e-12 * size
 
 
 # ---------------------------------------------------------------- volterra

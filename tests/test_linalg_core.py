@@ -360,21 +360,50 @@ def test_spectral_measure_memory_is_its_result():
 def test_require_hermitian_forms_one_adjoint():
     n = 384
     a = _synthesis_input("complex", n)
-    # the A^* copy, then A - A^* written into it, and its modulus
+    # one row block of A^* at a time (16 B an entry), A - A^* written into it, and its modulus (8 B an
+    # entry); the whole A^* copy and its modulus held 16 n^2 + 8 n^2, 3.5 MB
     _, peak = _traced_peak(lambda: require_hermitian(a))
-    assert peak <= 16 * n * n + 8 * n * n + 64 * 1024
+    assert peak <= 24 * linalg_core._CHUNK + 64 * 1024
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (400, 400), (2, 3, 8, 8)])
-@pytest.mark.parametrize("layout", ["c", "transposed"])
-def test_hermitian_part_and_defect_keep_their_argument_and_the_former_bits(dtype, shape, layout):
-    # for real M, M.conj() is M itself: a buffer that is a transposed view of it would overwrite M
-    rng = np.random.default_rng(shape[-1])
+def _with_signed_zeros(dtype, shape, seed):
+    """Normal draws, complex for complex128, with -0.0 in the first row."""
+    rng = np.random.default_rng(seed)
     m = rng.standard_normal(shape).astype(dtype)
     if dtype is np.complex128:
         m += 1j * rng.standard_normal(shape)
-    m[..., :1, :] *= -0.0  # signed zeros in the first row
+    m[..., :1, :] *= -0.0
+    return m
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [0, 1, 8, 127, 128, 129, 400])
+def test_in_place_hermitian_part_writes_the_former_bits_over_the_lower_triangle(dtype, n):
+    m = _with_signed_zeros(dtype, (n, n), n)
+    before = m.copy()
+    want = (before + before.conj().T) / 2.0
+    assert linalg_core._hermitian_part(m, in_place=True) is m
+    lower = np.tri(n, dtype=bool)
+    assert m[lower].tobytes() == want[lower].tobytes()
+    assert m[~lower].tobytes() == before[~lower].tobytes()  # the strict upper triangle is left as it was
+
+
+def test_in_place_hermitian_part_holds_one_block():
+    n = 400
+    m = _with_signed_zeros(np.complex128, (n, n), 5)
+    # one row block of (M + M*) / 2 and numpy's 8192-entry buffer for its strided read, 16 B an entry;
+    # the new array of the whole-matrix form is 16 n^2, 2.56 MB
+    _, peak = _traced_peak(lambda: linalg_core._hermitian_part(m, in_place=True))
+    assert peak <= 16 * (linalg_core._CHUNK + 8192) + 16 * 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(0, 0), (1, 1), (8, 8), (129, 129), (400, 400), (2, 3, 8, 8), (2, 200, 200)])
+@pytest.mark.parametrize("layout", ["c", "transposed"])
+def test_hermitian_part_and_defect_keep_their_argument_and_the_former_bits(dtype, shape, layout):
+    # above 128 x 128 the defect is read in several row blocks
+    # for real M, M.conj() is M itself: a buffer that is a transposed view of it would overwrite M
+    m = _with_signed_zeros(dtype, shape, shape[-1])
     if layout == "transposed":
         m = m.swapaxes(-2, -1)
     before = m.copy()

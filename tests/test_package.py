@@ -34,25 +34,34 @@ def _source_nodes():
 
 
 def _hermitian_rule_sites():
-    """The sites that combine a matrix X with its adjoint X*: {"+": sites of X + X*, "-": sites of X - X*}.
+    """The functions that combine a matrix X with its adjoint X*: {"+": sites of X + X*, "-": sites of X - X*}.
 
     X* is written X.conj().T, X.conj().swapaxes(-2, -1) or np.conjugate(X.T or X.swapaxes(-2, -1)), inline,
     or as a name bound to it in the same function (assigned, or the out= of np.conjugate); X + X* and X - X*
-    are written as operators or as np.add and np.subtract.
+    are written as operators or as np.add and np.subtract.  X may be a block X[..., rows, cols] of a matrix,
+    whose adjoint is then read from the block X[..., cols, rows].
     """
     def adjoint_of(text):
         match = re.fullmatch(r"(.+)\.conj\(\)\.(?:T|swapaxes\(-2, -1\))|np\.conjugate\((.+)\.(?:T|swapaxes\(-2, -1\))\)", text)
         return match and (match[1] or match[2])
 
+    def mirrored(text):
+        """The block with the last two indices swapped, for a block X[..., rows, cols]; else the text itself."""
+        node = ast.parse(text, mode="eval").body
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) >= 2:
+            node.slice.elts[-2:] = node.slice.elts[:-3:-1]
+        return ast.unparse(node)
+
     nodes = list(_source_nodes())
-    bound = {}  # (module, owner, name) -> the X whose adjoint the name holds
+    bound = {}  # (module, owner, name) -> the Xs whose adjoints the name holds
     for module, owner, node in nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 and adjoint_of(ast.unparse(node.value)):
-            bound[module, owner, ast.unparse(node.targets[0])] = adjoint_of(ast.unparse(node.value))
+            bound.setdefault((module, owner, ast.unparse(node.targets[0])), set()).add(adjoint_of(ast.unparse(node.value)))
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.conjugate" and node.args:
             for out in (k.value for k in node.keywords if k.arg == "out"):
-                bound[module, owner, ast.unparse(out)] = adjoint_of(f"np.conjugate({ast.unparse(node.args[0])})")
-    sites = {"+": [], "-": []}
+                x = adjoint_of(f"np.conjugate({ast.unparse(node.args[0])})")
+                bound.setdefault((module, owner, ast.unparse(out)), set()).add(x)
+    sites = {"+": set(), "-": set()}
     for module, owner, node in nodes:
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
             sign, x, y = "+" if isinstance(node.op, ast.Add) else "-", node.left, node.right
@@ -61,9 +70,10 @@ def _hermitian_rule_sites():
         else:
             continue
         x, y = ast.unparse(x), ast.unparse(y)
-        if x in (adjoint_of(y), bound.get((module, owner, y))):
-            sites[sign].append((module, owner))
-    return sites
+        adjoints = {adjoint_of(y), *bound.get((module, owner, y), ())}
+        if {x, mirrored(x)} & adjoints:
+            sites[sign].add((module, owner))
+    return {sign: sorted(found) for sign, found in sites.items()}
 
 
 def test_each_shared_rule_has_one_site():

@@ -547,6 +547,71 @@ def test_neumann_memory_is_three_matrices():
     assert peak <= 3 * 16 * n * n + 64 * 1024
 
 
+def _former_neumann_head(m, z, r):
+    """_neumann_head as it was, with the first doubling step's product P S at S = I."""
+    s = np.eye(m.shape[0], dtype=complex)
+    p = m / z
+    w = np.empty_like(s)
+    for digit in bin(r)[3:]:
+        np.matmul(p, s, out=w)
+        s += w
+        np.matmul(p, p, out=w)
+        p, w = w, p
+        if digit == "1":
+            s += p
+            p /= z
+            np.matmul(p, m, out=w)
+            p, w = w, p
+    s /= z
+    p /= z
+    return s, p
+
+
+def _semicircle_recipe(n):
+    """perfbench's resolution-large series matrix at size n, and its spectral radius."""
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = (m + m.conj().T) / (2.0 * np.sqrt(n))
+    return a, _radius(a)
+
+
+# (A, z): three phases at n = 8 and 96 and three |z| / spectral radius, the benchmark's n = 384 at |z| = 2 rho,
+# and the transient growth case
+NEUMANN_HEAD_CASES = {
+    **{f"n{n}-ratio{ratio}-phase{phase}": (n, ratio, phase) for n in (8, 96) for ratio in (1.25, 2.0, 4.0) for phase in (0.4, 2.5, 4.6)},
+    **{f"n384-ratio2.0-phase{phase}": (384, 2.0, phase) for phase in (0.4, 2.5, 4.6)},
+    "transient-growth": None,
+}
+
+
+@pytest.mark.parametrize("case", NEUMANN_HEAD_CASES)
+def test_neumann_head_has_the_bits_of_the_former_head(case):
+    if NEUMANN_HEAD_CASES[case] is None:
+        a, z, _ = NEUMANN_CASES["transient-growth"]
+        a = np.asarray(a, dtype=complex)
+    else:
+        n, ratio, phase = NEUMANN_HEAD_CASES[case]
+        a, rho = _semicircle_recipe(n)
+        z = ratio * rho * np.exp(1j * phase)
+    r = _skip(a, z) + 1
+    assert r > 2  # the head is used, and takes at least one doubling step
+    for got, want in zip(spectral_fd._neumann_head(a, z, r), _former_neumann_head(a, z, r)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 38, 255, 256])
+def test_neumann_head_skips_the_product_with_the_identity(r, monkeypatch):
+    # per binary digit of r after the leading one: P S and P P, and P A for a 1, less the first P S,
+    # which is P I; the benchmark recipe's r = 38 takes 11 products, 12 before
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kw: calls.append(1) or matmul(*args, **kw))
+    spectral_fd._neumann_head(_semicircle(61, 8).astype(complex), 3.0, r)
+    digits = bin(r)[3:]
+    assert len(calls) == (2 * len(digits) + digits.count("1") - 1 if digits else 0)
+    assert r != 38 or len(calls) == 11
+
+
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_neumann_tail_after_transient_growth_matches_a_long_double_power(seed):
     # ||A^k|| grows to 15-24 before it decays; the per-term reference's own tail is off by up to 1.1e-12 here
