@@ -716,9 +716,10 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     _require_count(1, k=k)
     if k > n:
         raise ValueError(f"k must be in 1..{n}")
-    herm = _hermitian_part(m)
-    _check_positive(herm.copy(), 1.0 + operator_norm(m), "matrix is not positive within tolerance")
-    w, v = np.linalg.eigh(herm)
+    # the check factors its Hermitian part in place, and eigh gets a new one: so besides m
+    # at most two n x n arrays are held at once, eigh's input and its eigenvectors
+    _check_positive(_hermitian_part(m), 1.0 + operator_norm(m), "matrix is not positive within tolerance")
+    w, v = np.linalg.eigh(_hermitian_part(m))
     return w[:k], v[:, :k]
 
 

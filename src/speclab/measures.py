@@ -119,7 +119,10 @@ def measure_fourier(mu: FiniteMeasure, omega) -> complex | np.ndarray:
     """mu_hat(omega) = integral e^{-i x omega} d mu(x).
 
     Atom part is summed exactly; the density part uses the trapezoid rule on
-    its grid.  omega may be a scalar or an array (evaluated pointwise).
+    its grid.  omega may be a scalar or an array (evaluated pointwise).  On a
+    lattice grid the density's transform is summed once per distinct |omega|
+    for each real part of the density and conjugated for negative omega, since
+    a real part's transform is Hermitian: a symmetric omega set costs half.
     """
     w = np.asarray(omega, dtype=float)
     out = np.zeros(w.shape, dtype=complex)
@@ -145,19 +148,24 @@ def _trapezoid(g: np.ndarray, v: np.ndarray, f: Callable = lambda x: x):
     return sum(np.trapezoid(f(v[lo:lo + _CHUNK + 1]), g[lo:lo + _CHUNK + 1]) for lo in chunks)
 
 
-def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g, or their entries lo:hi.
 
-    Each entry is formed from the grid points beside it, so a slice has the bits of the whole.
+    Each entry is formed from the grid points beside it, so a slice has the bits of the whole.  The
+    entries are written into out (hi - lo floats) when it is given, and into a new array otherwise.
     """
     hi = g.size if hi is None else hi
-    first, last = max(lo - 1, 0), min(hi + 1, g.size)
-    dg = np.diff(g[first:last])
-    w = np.empty(last - first)
-    np.add(dg[:-1], dg[1:], out=w[1:-1])
-    w[0], w[-1] = dg[0], dg[-1]
-    w /= 2.0
-    return w[lo - first:hi - first]
+    out = np.empty(hi - lo) if out is None else out
+    first = max(lo - 1, 0)
+    dg = np.diff(g[first:min(hi + 1, g.size)])  # dg[t] = g[first + t + 1] - g[first + t]
+    i, j = max(lo, 1), min(hi, g.size - 1)  # the points i..j-1 have a grid step on each side
+    np.add(dg[i - 1 - first:j - 1 - first], dg[i - first:j - first], out=out[i - lo:j - lo])
+    if lo == 0:
+        out[0] = dg[0]
+    if hi == g.size:
+        out[-1] = dg[-1]
+    out /= 2.0
+    return out
 
 
 def _on_lattice(g: np.ndarray, origin: float, h: float, s: int = 0) -> bool:
@@ -216,41 +224,52 @@ def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     is taken in real arithmetic, once per real part of v (v itself when it is
     real, v.real and v.imag when it is complex): the weighted (A x B) blocks of
     the part times the (B x 2M) real matrix of the inner phases' real and
-    imaginary parts.  A complex v is transformed as F(re) + i F(im).  The sum
-    runs in blocks of _CHUNK // B rows (about _CHUNK points): each block's
-    trapezoid weights and weighted density are formed from its slice of g and
-    v, multiplied by the columns, and summed against its rows of outer phases
-    into the M-vector result; the columns are filled the same number of rows at
-    a time.  So the working set is O(sqrt(N) M + block): the columns and one
-    block's arrays, and no array of N points.  A grid of one block (N up to
-    about _CHUNK) has the bits of the unblocked product; more blocks move the
-    sum at roundoff.  Otherwise the direct sum runs over tiles, so no M x N
-    temporary is formed.
+    imaginary parts.  The transform of a real part is Hermitian,
+    F(-w) = conj F(w), so M counts only the sorted unique |w|: each part's sum
+    is taken once per |w|, scattered back to w's order and conjugated where w's
+    sign bit is set (-0 included).  A complex v is transformed as
+    F(re) + i F(im).  The sum runs in blocks of _CHUNK // B rows (about _CHUNK
+    points): each block's trapezoid weights are written into one buffer, which
+    every block reuses, weighted by the part in place, multiplied by the
+    columns, and summed against the block's rows of outer phases into the
+    M-vector result; the columns are filled the same number of rows at a time.
+    So the working set is O(sqrt(N) M + block): the columns and one block's
+    arrays, and no array of N points.  A grid of one block (N up to about
+    _CHUNK) has the bits of the unblocked product over the same columns; more
+    blocks move the sum at roundoff.  Otherwise the direct sum runs over tiles,
+    at every w, so no M x N temporary is formed.
     """
-    n, m = g.size, w.size
+    n = g.size
     h = (g[-1] - g[0]) / (n - 1)
     if not _on_lattice(g, g[0], h):
         return _kernel_sum(lambda wr, gc: np.exp(-1j * (wr * gc)), w, g, v * _trapezoid_weights(g))
+    w_abs, back = np.unique(np.abs(w), return_inverse=True)
+    m = w_abs.size
     b = int(np.ceil(np.sqrt(n)))
     a = -(-n // b)
     rows = max(1, _CHUNK // b)
     columns = np.empty((b, 2 * m))
     for j in range(0, b, rows):
-        phase = _phases(np.arange(j, min(j + rows, b)) * h, w)
+        phase = _phases(np.arange(j, min(j + rows, b)) * h, w_abs)
         columns[j:j + rows, :m], columns[j:j + rows, m:] = _real_parts(phase)
     parts, sums = _real_parts(v), None
+    block = np.empty(min(rows, a) * b)
     for r in range(0, a, rows):
         lo, hi, k = r * b, min((r + rows) * b, n), min(rows, a - r)
-        weights = _trapezoid_weights(g, lo, hi)
-        outer = _phases(g[0] + np.arange(r, r + k) * (b * h), w)
+        outer = _phases(g[0] + np.arange(r, r + k) * (b * h), w_abs)
         terms = []
         for part in parts:
-            block = np.zeros(k * b)
-            np.multiply(part[lo:hi], weights, out=block[:hi - lo])
-            p = block.reshape(k, b) @ columns
+            _trapezoid_weights(g, lo, hi, out=block[:hi - lo])
+            np.multiply(block[:hi - lo], part[lo:hi], out=block[:hi - lo])
+            block[hi - lo:] = 0.0  # the last block's rows past the grid's end
+            p = block[:k * b].reshape(k, b) @ columns
             terms.append(np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]))
         sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
-    return _joined(sums)
+    negative, folded = np.signbit(w), []
+    for s in sums:
+        s = s[back]
+        folded.append(np.conjugate(s, out=s, where=negative))
+    return _joined(folded)
 
 
 def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasure:

@@ -166,41 +166,52 @@ def test_on_lattice_reads_every_chunk(i, k):
     assert got == (k == 3)
 
 
-def _unblocked_fourier(g, v, w):
+def _unblocked_fourier(g, v, w, fold=True):
     # the lattice route as first written: one (A x B) @ (B x 2M) product per real part,
-    # with N-point trapezoid weights and blocks
-    n, m = g.size, w.size
+    # with N-point trapezoid weights and blocks.  With fold, each part's product is taken at
+    # the sorted unique |w| and conjugated back onto w's negative entries, as the blocked
+    # route takes it; without, at every w in w's order
+    n = g.size
     h = (g[-1] - g[0]) / (n - 1)
     b = int(np.ceil(np.sqrt(n)))
     a = -(-n // b)
+    at, back = np.unique(np.abs(w), return_inverse=True) if fold else (w, np.arange(w.size))
+    m = at.size
     dg = np.diff(g)
     weights = np.empty_like(g)
     np.add(dg[:-1], dg[1:], out=weights[1:-1])
     weights[0], weights[-1] = dg[0], dg[-1]
     weights /= 2.0
-    phase = np.exp(-1j * np.multiply.outer(np.arange(b) * h, w))
+    phase = np.exp(-1j * np.multiply.outer(np.arange(b) * h, at))
     columns = np.hstack((phase.real, phase.imag))
-    outer = np.exp(-1j * np.multiply.outer(g[0] + np.arange(a) * (b * h), w))
+    outer = np.exp(-1j * np.multiply.outer(g[0] + np.arange(a) * (b * h), at))
     out = []
     for part in ((v.real, v.imag) if np.iscomplexobj(v) else (v,)):
         block = np.zeros(a * b)
         np.multiply(part, weights, out=block[:n])
         p = block.reshape(a, b) @ columns
-        out.append(np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]))
+        f = np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:])[back]
+        out.append(np.where(np.signbit(w), f.conj(), f) if fold else f)
     return out[0] if len(out) == 1 else out[0] + 1j * out[1]
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("n", [2, 3, 1001, 16_384, 16_385, 40_001, 256_001])
-def test_blocked_lattice_transform_matches_the_unblocked_product(kind, n):
-    # a grid of one row block keeps the bits of the single product; more blocks sum the
-    # same terms block by block, which moves the result at roundoff
+def _lattice_density(kind, n):
     rng = np.random.default_rng(n)
     g = np.linspace(-50.0, 75.0, n)
     assert measures._on_lattice(g, g[0], (g[-1] - g[0]) / (n - 1))
     v = np.exp(-((g - 5.0) / 20.0) ** 2) + 0.3 * rng.standard_normal(n)
     if kind == "complex":
         v = v * (1.0 - 0.5j) + 0.2j * rng.standard_normal(n)
+    return g, v, rng
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 1001, 16_384, 16_385, 40_001, 256_001])
+def test_blocked_lattice_transform_matches_the_unblocked_product(kind, n):
+    # a grid of one row block keeps the bits of the single product over the same columns,
+    # the sorted unique |w|; more blocks sum the same terms block by block, which moves the
+    # result at roundoff
+    g, v, rng = _lattice_density(kind, n)
     w = np.concatenate([[0.0], rng.uniform(-20.0, 20.0, 36)])
     got, ref = measures._density_fourier(g, v, w), _unblocked_fourier(g, v, w)
     b = int(np.ceil(np.sqrt(n)))
@@ -213,13 +224,60 @@ def test_blocked_lattice_transform_matches_the_unblocked_product(kind, n):
         assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
 
 
+_OMEGA_SETS = {
+    "unsorted": np.array([3.5, -0.25, 17.0, -9.0, 0.5, -3.5, 2.0]),
+    "duplicated": np.array([-4.0, 4.0, 4.0, 1.5, -4.0, 1.5, -1.5, 4.0]),
+    "all negative": -np.linspace(0.5, 12.0, 9)[::-1],
+    "signed zeros": np.array([0.0, -0.0, 2.0, -0.0, -2.0, 0.0]),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [1001, 16_384, 40_001])
+@pytest.mark.parametrize("name", sorted(_OMEGA_SETS))
+def test_folded_transform_matches_the_unfolded_route(name, n, kind):
+    # the fold takes one sum per |w|; the route that sums at every w agrees to roundoff, on
+    # one-block (n <= 16384) and multi-block grids.  max |F| is taken over w and 0, as in the
+    # test above: these densities' transforms peak at 0, and the roundoff scales with it
+    g, v, _ = _lattice_density(kind, n)
+    w = _OMEGA_SETS[name]
+    got, ref = measures._density_fourier(g, v, w), _unblocked_fourier(g, v, np.append(w, 0.0), fold=False)
+    assert got.shape == w.shape and got.dtype == np.complex128
+    assert np.max(np.abs(got - ref[:-1]), initial=0.0) <= 4e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1001, 40_001])
+def test_transform_of_a_real_part_is_hermitian(n):
+    # F(-w) = conj F(w) bit for bit for a real density, and for a complex one
+    # F_v(-w) = conj F_{conj v}(w), since each real part is conjugated on its own
+    w = np.concatenate([[0.0], np.random.default_rng(n).uniform(0.0, 20.0, 24)])
+    g, v, _ = _lattice_density("real", n)
+    assert measures._density_fourier(g, v, -w).tobytes() == measures._density_fourier(g, v, w).conj().tobytes()
+    g, v, _ = _lattice_density("complex", n)
+    flipped = measures._density_fourier(g, v.conj(), w).conj()
+    assert measures._density_fourier(g, v, -w).tobytes() == flipped.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_non_finite_frequencies_give_nan_where_the_unfolded_route_does(kind):
+    g, v, _ = _lattice_density(kind, 1001)
+    w = np.array([1.0, np.nan, -np.inf, 2.5, np.inf, -np.nan, -1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        got, ref = measures._density_fourier(g, v, w), _unblocked_fourier(g, v, w, fold=False)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan) and nan[[1, 2, 4, 5]].all()
+    assert np.max(np.abs(got[~nan] - ref[~nan])) <= 4e-15 * np.max(np.abs(ref[~nan]))
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_lattice_transform_memory_per_point(kind):
     # the density went through a complex128 block array, with 24 B/point of lattice and
     # weight temporaries: 32 B/point for a real density, 40 for a complex one.  Then each
     # real part took 8 B/point of blocks beside 8 B/point of weights: 16 MB for a real
-    # density here.  Now the transform runs in row blocks of about 16384 points, and its
-    # working set is the 1000 x 162 real columns and one block's arrays, about 1.9 MB
+    # density here.  Row blocks of about 16384 points cut that to the 1000 x 162 real
+    # columns and one block's arrays, 1.87 MB; one sum per |w| and one reused block buffer
+    # cut it to the 1000 x 82 columns, the buffer and one block's grid steps, 0.95 MB
     n = 1_000_000
     g = np.linspace(-3.2e4, 3.2e4, n)
     v = (1.0 / np.pi) / (g * g + 1.0)
@@ -233,7 +291,7 @@ def test_lattice_transform_memory_per_point(kind):
         tracemalloc.stop()
     want = np.exp(-np.abs(omega)) * (1.0 if kind == "real" else 1.0 - 0.5j)
     assert np.max(np.abs(got - want)) <= 1e-4
-    assert peak <= 2.5e6
+    assert peak <= 1.0e6
 
 
 def _chunked_density(kind, n):

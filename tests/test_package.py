@@ -153,7 +153,7 @@ def test_each_shared_rule_has_one_site():
     assert _hermitian_rule_sites() == {"+": [("linalg_core.py", "_hermitian_part")], "-": [("linalg_core.py", "_hermitian_defect")]}
     assert sorted(hermitian_part) == [
         ("cli.py", "_hermitian_with_spectrum"), ("cli.py", "_hermitians"), ("cli.py", "worst_lowest_eigenvalue"),
-        ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "trace"),
+        ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "trace"),
         ("measures.py", "positive_definite_test"), ("spectral_fd.py", "commuting_diagonalization"),
     ]
     assert sorted(hermitian_defect) == [
