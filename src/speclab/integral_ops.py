@@ -12,8 +12,10 @@ kernel u(max) v(min) / W is real and semiseparable, so its symmetrized
 Nystrom matrix S = W^{1/2} G W^{1/2} is never formed: S y is two cumulative
 sums over the nodes, O(n), and Lanczos with full reorthogonalization on that
 product gives the few extremal eigenpairs the solve needs, in O(n * steps)
-memory; it diagonalizes its tridiagonal matrix only at the steps where it
-can stop.  _green_eigs is the one entry point to that eigensolve.  One
+memory.  It stops once the modes it returns are certified: converged, and
+nearer 0 in lambda = 1/mu + shift than any eigenvalue not yet converged can
+be; it diagonalizes its tridiagonal matrix only at the steps where it can
+stop.  _green_eigs is the one entry point to that eigensolve.  One
 routine, _green_sums, applies G by those prefix and suffix sums: for the
 product, for the extension of eigenfunctions off the grid, and for each
 mode's residual, the defect of the integral eigen-equation
@@ -501,14 +503,16 @@ def _panel_grid(a: float, b: float, n_nodes: int) -> QuadratureGrid:
     return gauss_legendre_grid(a, b, max(1, int(round(n_nodes / NODES_PER_PANEL))), NODES_PER_PANEL)
 
 
-def _green_sums(lower: np.ndarray, upper: np.ndarray, ux: np.ndarray, vx: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _green_sums(lower: np.ndarray, upper: np.ndarray, ux: np.ndarray, vx: np.ndarray, k: np.ndarray | slice) -> np.ndarray:
     """u(x_i) sum_{j < k_i} lower_j + v(x_i) sum_{j >= k_i} upper_j: W G f at the points x.
 
     The one routine that applies the Green kernel G = u(max) v(min) / W, for
     the Lanczos product, the off-grid extension and the residual defect.
     lower and upper are the terms v f and u f of an integral over [a, b],
     quadrature-weighted nodes or trapezoid cells, with k_i the number of terms
-    left of x_i; ux, vx are u and v at x, shaped to broadcast against the sums.
+    left of x_i (an index array, or a slice where the k_i are consecutive, so
+    the sums are read as views); ux, vx are u and v at x, shaped to broadcast
+    against the sums.
     Each sum is one cumulative sum: O(len(lower) + len(x)).  The suffix sums
     are a reversed cumulative sum, not the total minus a prefix, which cancels
     when u f grows by orders of magnitude across the interval.
@@ -530,8 +534,7 @@ def _green_matvec(
     Volterra product V*V, whose kernel 1 - max(x, y) has u = 1 - x, v = 1.
     """
     sw = np.sqrt(grid.weights)
-    k = np.arange(1, grid.size + 1)
-    return lambda y: sw * _green_sums(v * (sw * y), u * (sw * y), u, v, k) / wronskian
+    return lambda y: sw * _green_sums(v * (sw * y), u * (sw * y), u, v, slice(1, None)) / wronskian
 
 
 def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -543,29 +546,35 @@ def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.n
     return _green_sums(v * wf, u * wf, solutions.u_at(x)[:, None], solutions.v_at(x)[:, None], k) / solutions.wronskian
 
 
-def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n_top largest-|theta| Ritz values of a real symmetric n x n operator and their Ritz vectors.
+def _lanczos(
+    apply: Callable[[np.ndarray], np.ndarray], n: int, k: int, shift: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """k Ritz values of a real symmetric n x n operator A and their Ritz vectors, by Lanczos.
 
     Lanczos (Parlett, The Symmetric Eigenvalue Problem; Golub & Van Loan,
     Matrix Computations, ch. 10) from a fixed-seed Gaussian start vector, so
     reruns repeat every bit.  Each step orthogonalizes A q_m against all
     previous vectors, twice; alpha_m = q_m . A q_m and beta_m is the norm of
     what is left.  After step m the Ritz pairs (theta_i, s_i) of the m x m
-    tridiagonal T_m have residual norms beta_m |s_mi|, and the iteration stops
-    once each of the n_top largest-|theta| pairs has beta_m |s_mi| <=
-    1e-14 max|theta|, or at m = n.  T_m is diagonalized and that test made
+    tridiagonal T_m have residual norms beta_m |s_mi|, and a pair has
+    converged once beta_m |s_mi| <= 1e-14 max|theta|.  _lanczos_pick says
+    when to stop and which pairs to return: with a shift, the k values
+    lambda = 1/theta + shift nearest 0, once certified; without one, the k
+    largest |theta|, once converged.  T_m is diagonalized and that test made
     only where it can stop: at m = n; where beta_m <= 1e-14 max|alpha|, since
     |s_mi| <= 1 and max|theta| >= max|alpha| make every pair pass there, so
     breakdown (beta_m = 0, an invariant Krylov space) and nearly invariant
-    spaces stop at once; and from m = 2 n_top on, every 4th step.  A later
-    stop only lowers the residuals.  Returns theta ordered by decreasing
-    |theta| and the Ritz vectors as orthonormal columns.
+    spaces stop at once; and from m = 2 k on, every 4th step.  A later stop
+    only lowers the residuals.  Returns theta and the Ritz vectors as
+    orthonormal columns, ordered by increasing |1/theta + shift| (by
+    decreasing |theta| without a shift).
     """
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
-    basis = np.empty((min(n, 4 * n_top), n))  # rows q_0, q_1, ...; doubled when full
+    basis = np.empty((min(n, 4 * k), n))  # rows q_0, q_1, ...; doubled when full
     alpha: list[float] = []
     beta: list[float] = []
+    alpha_max = 0.0
     while True:
         m = len(alpha)
         if m == basis.shape[0]:
@@ -573,39 +582,63 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], n: int, n_top: int) -> t
         basis[m] = q
         w = apply(q)
         alpha.append(float(q @ w))
+        alpha_max = max(alpha_max, abs(alpha[-1]))
         for _ in range(2):  # one pass loses orthogonality once beta_m << |alpha_m|
             w -= basis[: m + 1].T @ (basis[: m + 1] @ w)
         b = float(np.linalg.norm(w))
-        last = m + 1 == n
-        if last or b <= 1e-14 * max(map(abs, alpha)) or (m + 1 >= 2 * n_top and (m + 1 - 2 * n_top) % 4 == 0):
+        final = m + 1 == n or b <= 1e-14 * alpha_max
+        if final or (m + 1 >= 2 * k and (m + 1 - 2 * k) % 4 == 0):
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            top = np.argsort(-np.abs(theta))[:n_top]
-            if last or np.all(b * np.abs(s[-1, top]) <= 1e-14 * np.max(np.abs(theta))):
-                return theta[top], basis[: m + 1].T @ s[:, top]
+            order = np.argsort(-np.abs(theta))
+            theta, s = theta[order], s[:, order]
+            pick = _lanczos_pick(theta, b * np.abs(s[-1]) <= 1e-14 * abs(theta[0]), k, shift, final)
+            if pick is not None:
+                return theta[pick], basis[: m + 1].T @ s[:, pick]
         beta.append(b)
         q = w / b
 
 
+def _lanczos_pick(theta: np.ndarray, converged: np.ndarray, k: int, shift: float | None, final: bool) -> np.ndarray | None:
+    """Indices of the Ritz values _lanczos returns, or None while it must go on.
+
+    theta is ordered by decreasing |theta|, and theta_p ends the longest
+    prefix of converged pairs.  Extremal pairs converge first, so every
+    eigenvalue outside that prefix has |mu| <= |theta_p|.  Where A is the
+    inverse of L - shift, such an eigenvalue gives L the eigenvalue
+    lambda = 1/mu + shift with |lambda| >= 1/|theta_p| - |shift|.  So once k
+    prefix members above 1e-13 max|theta| have |1/theta + shift| at most that
+    bound, the k of them nearest 0 are k eigenvalues of L nearest 0 (ties
+    aside).  theta_p itself meets the bound bit for bit when shift is 0 or of
+    the sign opposite to theta_p, so with shift 0 the rule is that the k
+    largest |theta| have converged.  Without a shift the k largest
+    |theta| are returned once they have converged.  At the final step (m = n,
+    or a nearly invariant Krylov space) nothing lies outside the Krylov space
+    that the iteration can reach, so the best available are returned.
+    """
+    p = theta.size if final else int(np.cumprod(converged).sum())
+    if shift is None:
+        return np.arange(min(k, p)) if final or p >= k else None
+    idx = np.flatnonzero(np.abs(theta[:p]) > 1e-13 * abs(theta[0]))
+    lam = np.abs(1.0 / theta[idx] + shift)
+    if not final:
+        sure = lam <= 1.0 / abs(theta[p - 1]) - abs(shift)
+        idx, lam = idx[sure], lam[sure]
+        if idx.size < k:
+            return None
+    return idx[np.argsort(lam, kind="stable")[:k]]
+
+
 def _green_eigs(
-    u: np.ndarray | float, v: np.ndarray | float, wronskian: float, grid: QuadratureGrid, n_top: int
+    u: np.ndarray | float, v: np.ndarray | float, wronskian: float, grid: QuadratureGrid, k: int, shift: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The n_top largest-|mu| eigenpairs of S = W^{1/2} G W^{1/2}, G = u(max) v(min) / wronskian on the grid.
+    """The k eigenpairs of S = W^{1/2} G W^{1/2}, G = u(max) v(min) / wronskian on the grid,
+    whose lambda = 1/mu + shift lie nearest 0, ordered by |lambda|: with shift 0, the k largest |mu|.
 
     The one Green eigensolve, for the Sturm-Liouville solve and for V*V:
-    Lanczos on the O(n) product of _green_matvec.
+    Lanczos on the O(n) product of _green_matvec, stopped once those k are
+    certified (_lanczos_pick).
     """
-    return _lanczos(_green_matvec(u, v, wronskian, grid), grid.size, n_top)
-
-
-def _sl_candidates(mu_green: np.ndarray, mu_shift: float, k_wanted: int) -> tuple[np.ndarray, list[int]]:
-    """(lambdas, indices) of the k_wanted smallest |lambda| = |1/mu + shift| among the
-    4 k_wanted largest |mu| Green eigenvalues above 1e-13 max|mu|."""
-    order = np.argsort(-np.abs(mu_green))
-    floor = 1e-13 * float(np.max(np.abs(mu_green)))
-    cand = [int(i) for i in order[: 4 * k_wanted] if abs(mu_green[i]) > floor]
-    lam_cand = [(float(1.0 / mu_green[i] + mu_shift), i) for i in cand]
-    lam_cand.sort(key=lambda t: abs(t[0]))
-    return np.array([lam for lam, _ in lam_cand[:k_wanted]]), [i for _, i in lam_cand[:k_wanted]]
+    return _lanczos(_green_matvec(u, v, wronskian, grid), grid.size, k, shift)
 
 
 def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -618,7 +651,7 @@ def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: n
     v = solutions.v_at(x)[:, None]
     half = (x[1] - x[0]) / 2.0
     cells = lambda y: half * (y[1:] + y[:-1])
-    defect = f - scale * _green_sums(cells(v * f), cells(u * f), u, v, np.arange(x.size)) / solutions.wronskian
+    defect = f - scale * _green_sums(cells(v * f), cells(u * f), u, v, slice(None)) / solutions.wronskian
     return np.linalg.norm(defect, axis=0) / np.linalg.norm(f, axis=0)
 
 
@@ -645,13 +678,15 @@ def sl_eigensolve(
     shifted problem is discretized as S = W^{1/2} G W^{1/2} on the Nystrom
     grid, real and symmetric, with G_ij = u(x_max) v(x_min) / W; S is never
     formed, since G is semiseparable and S y takes two cumulative sums over
-    the nodes.  Lanczos on that product gives the 4 k_wanted largest-|mu|
-    Ritz pairs of S, stopping when each has residual <= 1e-14 max|mu|, and
-    lambda = 1/mu + shift.  One start vector suffices: with separated
-    boundary conditions every eigenvalue is simple, so no eigenvector hides
-    behind another of the same eigenvalue.  Eigenfunction node samples are
-    orthonormal under the quadrature pairing, and each mode records the
-    ladder's shift.  Each mode's residual is the relative L2 defect of
+    the nodes.  Lanczos on that product stops once the k_wanted values
+    lambda = 1/mu + shift nearest 0 are certified: their Ritz pairs of S have
+    residual <= 1e-14 max|mu|, and every eigenvalue not yet converged lies
+    at least as far from 0 (_lanczos_pick); with no shift, that is once the
+    k_wanted largest |mu| have converged.  One start vector suffices: with
+    separated boundary conditions every eigenvalue is simple, so no
+    eigenvector hides behind another of the same eigenvalue.  Eigenfunction
+    node samples are orthonormal under the quadrature pairing, and each mode
+    records the ladder's shift.  Each mode's residual is the relative L2 defect of
     f = (lambda - shift) G f on 2001 uniform points, where f is the Nystrom
     extension (1/mu) sum_j w_j G(x, x_j) f(x_j).  One routine applies G for
     the product, the extension and the residual: prefix and suffix sums over
@@ -660,21 +695,20 @@ def sl_eigensolve(
     eigenvalues at 2 n_nodes (a second Lanczos); each mode records its
     relative drift as refine_drift, and a drift above 1% emits a
     RuntimeWarning.  Time is O(n_nodes * steps^2) and memory
-    O(n_nodes * steps) for the Lanczos step count, about 50 at k_wanted = 5;
-    the steps x steps tridiagonal eigensolve runs from step 8 k_wanted on,
-    every 4th step, about 4 times per Lanczos at k_wanted = 5.
+    O(n_nodes * steps) for the Lanczos step count, 22 to 26 at k_wanted = 5;
+    the steps x steps tridiagonal eigensolve runs from step 2 k_wanted on,
+    every 4th step, 4 or 5 times per Lanczos at k_wanted = 5.
     """
     _require_count(1, k_wanted=k_wanted, n_nodes=n_nodes)
     mu_shift, sols = _shift_ladder(p, SHIFT_LADDER_DEPTH)
 
     def solve(n: int):
         grid = _panel_grid(p.a, p.b, n)
-        theta, ritz = _green_eigs(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid, 4 * k_wanted)
-        lams, idx = _sl_candidates(theta, mu_shift, k_wanted)
-        return grid, theta, ritz, lams, idx
+        mu, psi = _green_eigs(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid, k_wanted, mu_shift)
+        return grid, mu, psi, 1.0 / mu + mu_shift
 
-    grid, theta, ritz, lams, idx = solve(n_nodes)
-    drifts: list[float | None] = [None] * len(idx)
+    grid, mu, psi, lams = solve(n_nodes)
+    drifts: list[float | None] = [None] * mu.size
     if check_refinement:
         finer = solve(2 * n_nodes)[3]
         for r, (lam, lam2) in enumerate(zip(lams, finer)):
@@ -688,16 +722,15 @@ def sl_eigensolve(
                 )
                 break
 
-    psi = ritz[:, idx]
-    psi *= np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(len(idx))])
+    psi *= np.sign(psi[np.argmax(np.abs(psi), axis=0), np.arange(mu.size)])
     f_nodes = psi / np.sqrt(grid.weights)[:, None]
     # extend off-grid: f(x) = (1/mu) sum_j w_j G(x, x_j) f(x_j)
     fine = np.linspace(p.a, p.b, 2001)
-    f_fine = _green_extension(sols, grid, f_nodes, fine) / theta[idx]
+    f_fine = _green_extension(sols, grid, f_nodes, fine) / mu
     residuals = _sl_residuals(sols, fine, f_fine, lams - mu_shift)
     return [
         SLMode(r + 1, float(lams[r]), grid.nodes, f_nodes[:, r], float(residuals[r]), drifts[r], mu_shift)
-        for r in range(len(idx))
+        for r in range(mu.size)
     ]
 
 

@@ -972,8 +972,9 @@ def test_eigensolve_reruns_are_bitwise_equal():
 
 
 def test_lanczos_diagonalizes_the_tridiagonal_only_where_it_can_stop(monkeypatch):
-    # the m x m eigh and the stop test run from step 2 n_top = 40 on, every 4th
-    # step; testing at each step takes 99 calls over the two solves
+    # the m x m eigh and the stop test run from step 2 k_wanted = 10 on, every
+    # 4th step, and each solve stops at step 22; testing at each step takes 40
+    # calls over the two solves
     calls = []
     real = np.linalg.eigh
 
@@ -983,10 +984,85 @@ def test_lanczos_diagonalizes_the_tridiagonal_only_where_it_can_stop(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=400, k_wanted=5, check_refinement=True)
-    assert len(calls) <= 12
+    assert len(calls) <= 8
     assert all(m.refine_drift is not None for m in modes)
     for m in modes:
         assert abs(m.lam - m.k ** 2) <= 1e-3 * m.k ** 2  # the 400-node discretization error
+
+
+def fixed_pool_lambdas(p, n_nodes, k_wanted):
+    """The 4 k_wanted pool rule: Lanczos until the 4 k_wanted largest |mu| have
+    converged, then the k_wanted smallest |1/mu + shift| among them above 1e-13 max|mu|."""
+    mu, sols = integral_ops._shift_ladder(p, integral_ops.SHIFT_LADDER_DEPTH)
+    grid = integral_ops._panel_grid(p.a, p.b, n_nodes)
+    matvec = integral_ops._green_matvec(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid)
+    theta = integral_ops._lanczos(matvec, grid.size, 4 * k_wanted)[0]
+    floor = 1e-13 * np.max(np.abs(theta))
+    return np.array(sorted((1.0 / t + mu for t in theta if abs(t) > floor), key=abs)[:k_wanted])
+
+
+@pytest.mark.parametrize("n_nodes", [240, 480])
+@pytest.mark.parametrize("name", sorted(SL_CASES))
+def test_certified_modes_match_the_fixed_pool(name, n_nodes):
+    # the certificate stops Lanczos once the returned modes are certified; it
+    # must pick the modes of the dense route and of the 4 k_wanted pool
+    p = SL_CASES[name]
+    dense = dense_sl_oracle(p, n_nodes, 5)[0]
+    pool = fixed_pool_lambdas(p, n_nodes, 5)
+    lams = np.array([m.lam for m in sl_eigensolve(p, n_nodes=n_nodes, k_wanted=5, check_refinement=False)])
+    assert lams.size == dense.size == pool.size == 5
+    assert np.all(np.abs(lams - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+    assert np.all(np.abs(lams - pool) <= 1e-13 * np.maximum(1.0, np.abs(pool)))
+
+
+def test_certified_stop_waits_for_modes_outside_the_largest_mu():
+    # L = diag(j^2) with shift 15.5: mu = 1/(j^2 - 15.5) is largest in modulus at
+    # j = 4, 3, 5, so the 3 smallest lambda = 1, 4, 9 sit at mu ranks 5, 4 and 2.
+    # Certifying lambda = 9 needs the converged prefix to reach |mu| <= 1/24.5.
+    lam = np.arange(1, 301) ** 2.0
+    shift = 15.5
+    d = 1.0 / (lam - shift)
+    calls = []
+    apply = lambda y: calls.append(1) or d * y
+    top = integral_ops._lanczos(apply, d.size, 3)[0]
+    top_steps = len(calls)
+    theta, ritz = integral_ops._lanczos(apply, d.size, 3, shift)
+    # the 3 largest |mu| give lambda = 16, 9, 25, and converge first
+    assert np.all(np.abs(1.0 / top + shift - [16.0, 9.0, 25.0]) <= 1e-13 * 25.0)
+    assert len(calls) - top_steps > top_steps
+    assert np.all(np.abs(1.0 / theta + shift - [1.0, 4.0, 9.0]) <= 1e-13 * 9.0)
+    assert np.array_equal(np.argmax(np.abs(ritz), axis=0), [0, 1, 2])
+    assert np.max(np.abs(ritz.T @ ritz - np.eye(3))) <= 1e-13
+
+
+def test_eigensolve_green_products_are_bounded(monkeypatch):
+    # the 4 k_wanted pool took 104 products over the solve and its re-solve
+    products = []
+    real = integral_ops._green_matvec
+
+    def counting(*args):
+        matvec = real(*args)
+        return lambda y: products.append(1) or matvec(y)
+
+    monkeypatch.setattr(integral_ops, "_green_matvec", counting)
+    modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=400, k_wanted=5, check_refinement=True)
+    assert len(modes) == 5 and all(m.refine_drift is not None for m in modes)
+    assert len(products) <= 60
+
+
+@pytest.mark.parametrize("shape", [(37,), (37, 3)])
+def test_green_sums_read_by_slice_equal_the_gather(shape):
+    # _green_matvec reads the sums at k = 1..n and _sl_residuals at k = 0..n - 1
+    # (n - 1 trapezoid cells): slices, with the bits of the index gather
+    rng = np.random.default_rng(17)
+    lower, upper = rng.standard_normal((2,) + shape)
+    ux, vx = rng.standard_normal((2,) + shape)
+    n = shape[0]
+    got = integral_ops._green_sums(lower, upper, ux, vx, slice(1, None))
+    assert got.tobytes() == integral_ops._green_sums(lower, upper, ux, vx, np.arange(1, n + 1)).tobytes()
+    ux, vx = rng.standard_normal((2, n + 1) + shape[1:])
+    got = integral_ops._green_sums(lower, upper, ux, vx, slice(None))
+    assert got.tobytes() == integral_ops._green_sums(lower, upper, ux, vx, np.arange(n + 1)).tobytes()
 
 
 def test_eigensolve_memory_is_linear_in_nodes(monkeypatch):
