@@ -45,6 +45,7 @@ class FourierSeries:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        _require_count(0, order=self.order)
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (2 * self.order + 1,):
             raise ValueError(f"expected {2 * self.order + 1} coefficients, got {c.shape}")

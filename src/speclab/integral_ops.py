@@ -12,18 +12,18 @@ kernel u(max) v(min) / W is real and semiseparable, so its symmetrized
 Nystrom matrix S = W^{1/2} G W^{1/2} is never formed: S y is two cumulative
 sums over the nodes, O(n), and Lanczos with full reorthogonalization on that
 product gives the few extremal eigenpairs the solve needs, in O(n * steps)
-memory.  It stops once the modes it returns are certified: converged, and
-nearer 0 in lambda = 1/mu + shift than any eigenvalue not yet converged can
-be; it diagonalizes its tridiagonal matrix only at the steps where it can
-stop.  _green_eigs is the one entry point to that eigensolve.  One
-routine, _green_sums, applies G by those prefix and suffix sums: for the
-product, for the extension of eigenfunctions off the grid, and for each
-mode's residual, the defect of the integral eigen-equation
-f = (lambda - shift) G f on trapezoid cells.  The grid-doubling check is the
-same solve at twice the nodes (same solutions).  The Volterra square V*V has
-the same form, kernel 1 - max(x, y) with u = 1 - x, v = 1 and W = 1, so
-_green_eigs serves its spectrum too.  rayleigh_refine takes its successive
-Rayleigh minima from one Hermitian eigensolve (Courant-Fischer).
+memory.  Its one stopping rule certifies the modes it returns: converged,
+and nearer 0 in lambda = 1/mu + shift than any eigenvalue not yet converged
+can be; it diagonalizes its tridiagonal matrix only where it can stop.
+_green_eigs is the one entry point to that eigensolve.  _green_sums applies
+G by those sums, to u and v sampled once per point set: for the product,
+the extension of eigenfunctions off the grid, and each mode's residual, the
+defect of f = (lambda - shift) G f on trapezoid cells.  The grid-doubling
+check is the same solve at twice the nodes (same solutions).  The Volterra
+square V*V has the same form, kernel 1 - max(x, y) with u = 1 - x, v = 1
+and W = 1, so _green_eigs serves its spectrum too.  rayleigh_refine takes
+its successive Rayleigh minima from one Hermitian eigensolve
+(Courant-Fischer).
 """
 
 from __future__ import annotations
@@ -537,17 +537,16 @@ def _green_matvec(
     return lambda y: sw * _green_sums(v * (sw * y), u * (sw * y), u, v, slice(1, None)) / wronskian
 
 
-def _green_extension(solutions: SLSolutions, grid: QuadratureGrid, f_nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j w_j G(x_i, x_j) f(x_j) at the points x for each column of f_nodes sampled at the grid nodes."""
-    u = solutions.u_at(grid.nodes)[:, None]
-    v = solutions.v_at(grid.nodes)[:, None]
-    k = np.searchsorted(grid.nodes, x, side="right")
+def _green_extension(u: np.ndarray, v: np.ndarray, wronskian: float, grid: QuadratureGrid, f_nodes: np.ndarray,
+                     x: np.ndarray, ux: np.ndarray, vx: np.ndarray) -> np.ndarray:
+    """sum_j w_j G(x_i, x_j) f(x_j) at x for each column of f_nodes, from u, v at the nodes and columns ux, vx at x."""
     wf = grid.weights[:, None] * f_nodes
-    return _green_sums(v * wf, u * wf, solutions.u_at(x)[:, None], solutions.v_at(x)[:, None], k) / solutions.wronskian
+    k = np.searchsorted(grid.nodes, x, side="right")
+    return _green_sums(v[:, None] * wf, u[:, None] * wf, ux, vx, k) / wronskian
 
 
 def _lanczos(
-    apply: Callable[[np.ndarray], np.ndarray], n: int, k: int, shift: float | None = None
+    apply: Callable[[np.ndarray], np.ndarray], n: int, k: int, shift: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """k Ritz values of a real symmetric n x n operator A and their Ritz vectors, by Lanczos.
 
@@ -558,16 +557,16 @@ def _lanczos(
     what is left.  After step m the Ritz pairs (theta_i, s_i) of the m x m
     tridiagonal T_m have residual norms beta_m |s_mi|, and a pair has
     converged once beta_m |s_mi| <= 1e-14 max|theta|.  _lanczos_pick says
-    when to stop and which pairs to return: with a shift, the k values
-    lambda = 1/theta + shift nearest 0, once certified; without one, the k
-    largest |theta|, once converged.  T_m is diagonalized and that test made
-    only where it can stop: at m = n; where beta_m <= 1e-14 max|alpha|, since
-    |s_mi| <= 1 and max|theta| >= max|alpha| make every pair pass there, so
-    breakdown (beta_m = 0, an invariant Krylov space) and nearly invariant
-    spaces stop at once; and from m = 2 k on, every 4th step.  A later stop
-    only lowers the residuals.  Returns theta and the Ritz vectors as
-    orthonormal columns, ordered by increasing |1/theta + shift| (by
-    decreasing |theta| without a shift).
+    when to stop and which pairs to return: the k values
+    lambda = 1/theta + shift nearest 0, once certified (at shift 0, the k
+    largest |theta| above 1e-13 max|theta|, once converged).  T_m is
+    diagonalized and that test made only where it can stop: at m = n; where
+    beta_m <= 1e-14 max|alpha|, since |s_mi| <= 1 and max|theta| >= max|alpha|
+    make every pair pass there, so breakdown (beta_m = 0, an invariant
+    Krylov space) and nearly invariant spaces stop at once; and from m = 2 k
+    on, every 4th step.  A later stop only lowers the residuals.  Returns
+    theta and the Ritz vectors as orthonormal columns, ordered by increasing
+    |1/theta + shift|.
     """
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
@@ -598,7 +597,7 @@ def _lanczos(
         q = w / b
 
 
-def _lanczos_pick(theta: np.ndarray, converged: np.ndarray, k: int, shift: float | None, final: bool) -> np.ndarray | None:
+def _lanczos_pick(theta: np.ndarray, converged: np.ndarray, k: int, shift: float, final: bool) -> np.ndarray | None:
     """Indices of the Ritz values _lanczos returns, or None while it must go on.
 
     theta is ordered by decreasing |theta|, and theta_p ends the longest
@@ -610,14 +609,12 @@ def _lanczos_pick(theta: np.ndarray, converged: np.ndarray, k: int, shift: float
     bound, the k of them nearest 0 are k eigenvalues of L nearest 0 (ties
     aside).  theta_p itself meets the bound bit for bit when shift is 0 or of
     the sign opposite to theta_p, so with shift 0 the rule is that the k
-    largest |theta| have converged.  Without a shift the k largest
-    |theta| are returned once they have converged.  At the final step (m = n,
-    or a nearly invariant Krylov space) nothing lies outside the Krylov space
-    that the iteration can reach, so the best available are returned.
+    largest |theta| above the floor have converged.  At the final step
+    (m = n, or a nearly invariant Krylov space) nothing lies outside the
+    Krylov space that the iteration can reach, so the best available above
+    the floor are returned.
     """
     p = theta.size if final else int(np.cumprod(converged).sum())
-    if shift is None:
-        return np.arange(min(k, p)) if final or p >= k else None
     idx = np.flatnonzero(np.abs(theta[:p]) > 1e-13 * abs(theta[0]))
     lam = np.abs(1.0 / theta[idx] + shift)
     if not final:
@@ -641,17 +638,15 @@ def _green_eigs(
     return _lanczos(_green_matvec(u, v, wronskian, grid), grid.size, k, shift)
 
 
-def _sl_residuals(solutions: SLSolutions, x: np.ndarray, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _sl_residuals(u: np.ndarray, v: np.ndarray, wronskian: float, x: np.ndarray, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """||f - scale G f|| / ||f|| for each column of f sampled on the uniform grid x.
 
-    G f(x) = (u(x) int_a^x v f + v(x) int_x^b u f) / W is applied by
-    _green_sums on the trapezoid cells of v f and u f, O(len(x)).
+    G f(x) = (u(x) int_a^x v f + v(x) int_x^b u f) / W, u and v sampled at x as
+    columns, is applied by _green_sums on the cells of v f and u f, O(len(x)).
     """
-    u = solutions.u_at(x)[:, None]
-    v = solutions.v_at(x)[:, None]
     half = (x[1] - x[0]) / 2.0
     cells = lambda y: half * (y[1:] + y[:-1])
-    defect = f - scale * _green_sums(cells(v * f), cells(u * f), u, v, slice(None)) / solutions.wronskian
+    defect = f - scale * _green_sums(cells(v * f), cells(u * f), u, v, slice(None)) / wronskian
     return np.linalg.norm(defect, axis=0) / np.linalg.norm(f, axis=0)
 
 
@@ -681,7 +676,7 @@ def sl_eigensolve(
     the nodes.  Lanczos on that product stops once the k_wanted values
     lambda = 1/mu + shift nearest 0 are certified: their Ritz pairs of S have
     residual <= 1e-14 max|mu|, and every eigenvalue not yet converged lies
-    at least as far from 0 (_lanczos_pick); with no shift, that is once the
+    at least as far from 0 (_lanczos_pick); at shift 0, that is once the
     k_wanted largest |mu| have converged.  One start vector suffices: with
     separated boundary conditions every eigenvalue is simple, so no
     eigenvector hides behind another of the same eigenvalue.  Eigenfunction
@@ -690,7 +685,8 @@ def sl_eigensolve(
     f = (lambda - shift) G f on 2001 uniform points, where f is the Nystrom
     extension (1/mu) sum_j w_j G(x, x_j) f(x_j).  One routine applies G for
     the product, the extension and the residual: prefix and suffix sums over
-    the weighted nodes, or over trapezoid cells for the residual.  With
+    the weighted nodes, or over trapezoid cells for the residual, with u and
+    v sampled once per point set (each solve's nodes, the 2001 points).  With
     check_refinement, the same solutions and the same solve give the
     eigenvalues at 2 n_nodes (a second Lanczos); each mode records its
     relative drift as refine_drift, and a drift above 1% emits a
@@ -704,17 +700,17 @@ def sl_eigensolve(
 
     def solve(n: int):
         grid = _panel_grid(p.a, p.b, n)
-        mu, psi = _green_eigs(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid, k_wanted, mu_shift)
-        return grid, mu, psi, 1.0 / mu + mu_shift
+        u, v = sols.u_at(grid.nodes), sols.v_at(grid.nodes)
+        mu, psi = _green_eigs(u, v, sols.wronskian, grid, k_wanted, mu_shift)
+        return grid, u, v, mu, psi, 1.0 / mu + mu_shift
 
-    grid, mu, psi, lams = solve(n_nodes)
+    grid, u, v, mu, psi, lams = solve(n_nodes)
     drifts: list[float | None] = [None] * mu.size
     if check_refinement:
-        finer = solve(2 * n_nodes)[3]
-        for r, (lam, lam2) in enumerate(zip(lams, finer)):
-            drifts[r] = float(abs(lam - lam2) / max(1.0, abs(lam)))
-        for r, drift in enumerate(drifts):
-            if drift is not None and drift > 0.01:
+        finer = solve(2 * n_nodes)[-1]
+        drifts[: finer.size] = (float(abs(lam - lam2) / max(1.0, abs(lam))) for lam, lam2 in zip(lams, finer))
+        for r, drift in enumerate(drifts[: finer.size]):
+            if drift > 0.01:
                 warnings.warn(
                     f"eigenvalue {r + 1} unstable under grid doubling "
                     f"(drift {drift:.2%}); increase n_nodes",
@@ -726,8 +722,9 @@ def sl_eigensolve(
     f_nodes = psi / np.sqrt(grid.weights)[:, None]
     # extend off-grid: f(x) = (1/mu) sum_j w_j G(x, x_j) f(x_j)
     fine = np.linspace(p.a, p.b, 2001)
-    f_fine = _green_extension(sols, grid, f_nodes, fine) / mu
-    residuals = _sl_residuals(sols, fine, f_fine, lams - mu_shift)
+    u_fine, v_fine = sols.u_at(fine[:, None]), sols.v_at(fine[:, None])
+    f_fine = _green_extension(u, v, sols.wronskian, grid, f_nodes, fine, u_fine, v_fine) / mu
+    residuals = _sl_residuals(u_fine, v_fine, sols.wronskian, fine, f_fine, lams - mu_shift)
     return [
         SLMode(r + 1, float(lams[r]), grid.nodes, f_nodes[:, r], float(residuals[r]), drifts[r], mu_shift)
         for r in range(mu.size)

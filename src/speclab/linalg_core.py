@@ -239,7 +239,7 @@ def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
     matching 1-d arrays of >= 2 finite points on a strictly increasing grid whose steps
     spread by at most 1e-9 (1 + max |grid|).  A failed check raises ValueError naming `owner`.
 
-    The steps are taken _CHUNK at a time, adjacent chunks sharing their boundary point, so
+    The steps are taken in the chunks of _row_blocks, adjacent chunks sharing their boundary point, so
     their min and max are exact and the step check holds O(_CHUNK) beyond the arrays."""
     g = np.asarray(grid, dtype=float)
     v = _real_or_complex(values)
@@ -247,8 +247,8 @@ def _uniform_grid(grid, values, owner: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"{owner}: grid/values must be matching 1-d arrays with >= 2 points")
     _require_finite(**{f"{owner}: grid": g, f"{owner}: values": v})
     shortest, longest = np.inf, -np.inf
-    for lo in range(0, g.size - 1, _CHUNK):
-        steps = np.diff(g[lo:lo + _CHUNK + 1])
+    for r in _row_blocks((g.size - 1,)):
+        steps = np.diff(g[r.start:r.stop + 1])
         shortest, longest = min(shortest, np.min(steps)), max(longest, np.max(steps))
     if shortest <= 0:
         raise ValueError(f"{owner}: grid must be strictly increasing")

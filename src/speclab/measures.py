@@ -24,6 +24,7 @@ from .linalg_core import (
     _require_interval,
     _require_scale,
     _require_tolerance,
+    _row_blocks,
     _sample,
     _uniform_grid,
 )
@@ -139,13 +140,12 @@ _ROWS, _COLS = 128, 512
 
 
 def _trapezoid(g: np.ndarray, v: np.ndarray, f: Callable = lambda x: x):
-    """np.trapezoid(f(v), g), summed over chunks of _CHUNK steps that share their boundary points.
+    """np.trapezoid(f(v), g), summed over the _row_blocks chunks of the steps, which share their boundary points.
 
     Each chunk's temporaries are O(_CHUNK), so no N-point array is formed; the sum differs from
     one np.trapezoid call at roundoff.
     """
-    chunks = range(0, g.size - 1, _CHUNK)
-    return sum(np.trapezoid(f(v[lo:lo + _CHUNK + 1]), g[lo:lo + _CHUNK + 1]) for lo in chunks)
+    return sum(np.trapezoid(f(v[r.start:r.stop + 1]), g[r.start:r.stop + 1]) for r in _row_blocks((g.size - 1,)))
 
 
 def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -171,16 +171,16 @@ def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None, out: n
 def _on_lattice(g: np.ndarray, origin: float, h: float, s: int = 0) -> bool:
     """Whether g_i = origin + (s + i) h for every i, to within 4 ulps of max |g|.
 
-    The gaps are formed in place, _CHUNK points at a time, and their max is exact, so the check
+    The gaps are formed in place, one _row_blocks chunk at a time, and their max is exact, so the check
     holds O(_CHUNK) floats beyond g.
     """
     worst = 0.0
-    for lo in range(0, g.size, _CHUNK):
-        gap = np.arange(lo, min(lo + _CHUNK, g.size), dtype=float)
+    for r in _row_blocks(g.shape):
+        gap = np.arange(*r.indices(g.size), dtype=float)
         gap += s
         gap *= h
         gap += origin
-        gap -= g[lo:lo + _CHUNK]
+        gap -= g[r]
         np.abs(gap, out=gap)
         worst = max(worst, np.max(gap))
     return bool(worst <= 4.0 * np.spacing(max(np.max(g), -np.min(g))))
@@ -411,13 +411,14 @@ def positive_definite_test(f: Callable, points: Sequence[float], tau: float = TA
     not broadcast is sampled entry by entry instead.  The Hermitian-symmetry
     precondition f(-x) = conj(f(x)) is checked on the probed differences
     first and its violation raises ValueError (a structural failure, not a
-    not-PD verdict), as do a non-finite sample, named by its probed
-    difference, and a tau that is not finite or is below 0.
+    not-PD verdict), as do a non-finite point, a non-finite sample, named by
+    its probed difference, and a tau that is not finite or is below 0.
     """
     _require_tolerance(tau=tau)
     x = np.asarray(points, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("points must be a nonempty 1-d list")
+    _require_finite(points=x)
     m = _sample(f, x[:, None] - x[None, :])
     bad = _first_non_finite(m)
     if bad is not None:

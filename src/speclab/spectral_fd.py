@@ -323,8 +323,9 @@ def neumann_resolvent(a: np.ndarray, z: complex, kmax: int = 256, tau: float = 1
     to K by binary powering, in about 2 log2(K) products rather than K.  The
     term loop then decides each term from K + 1 on by its exact SVD norm, so
     `tail` is the exact norm of the last term.  With K = 0 the loop alone sums
-    the series, from the first term.  tau must be finite and >= 0.
+    the series, from the first term.  z must be finite, tau finite and >= 0.
     """
+    _require_finite(z=z)
     m = _require_square(require_matrix(a))
     _require_count(0, kmax=kmax)
     _require_tolerance(tau=tau)

@@ -5,6 +5,7 @@ import pytest
 
 from speclab import (
     FiniteMeasure,
+    FourierSeries,
     SampledBoundaryFunction,
     boundary_from_csv,
     boundary_to_csv,
@@ -100,6 +101,13 @@ def test_series_json_round_trip():
     back = series_from_json(series_to_json(series))
     assert back.order == 3
     np.testing.assert_allclose(back.coefficients, series.coefficients)
+
+
+@pytest.mark.parametrize("order", [2.5, True, -1, np.float64(1.0)])
+def test_series_order_must_be_a_count(order):
+    # FourierSeries(2.5, np.zeros(6)) was accepted and then coefficient(1) raised IndexError
+    with pytest.raises(ValueError, match="^order must be an integer >= 0, got "):
+        FourierSeries(order, np.zeros(6))
 
 
 def test_boundary_csv_round_trip(tmp_path):

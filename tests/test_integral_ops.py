@@ -855,7 +855,8 @@ def test_structured_eigensolve_matches_dense_route(name):
     table = g(fine[:, None], grid.nodes[None, :]).real
     f_nodes = np.column_stack([m.samples for m in modes])
     wf = grid.weights[:, None] * f_nodes
-    ext = integral_ops._green_extension(sols, grid, f_nodes, fine)
+    u, v = sols.u_at(grid.nodes), sols.v_at(grid.nodes)
+    ext = integral_ops._green_extension(u, v, sols.wronskian, grid, f_nodes, fine, sols.u_at(fine[:, None]), sols.v_at(fine[:, None]))
     assert np.all(np.abs(ext - table @ wf) <= 1e-12 * (np.abs(table) @ np.abs(wf)))
 
 
@@ -898,11 +899,13 @@ def test_residual_through_green_sums_equals_cumulative_trapezoid(name):
     grid = integral_ops._panel_grid(p.a, p.b, 400)
     assert np.array_equal(grid.nodes, modes[0].nodes)
     fine = np.linspace(p.a, p.b, 2001)
-    ext = integral_ops._green_extension(sols, grid, np.column_stack([m.samples for m in modes]), fine)
+    u, v = sols.u_at(fine[:, None]), sols.v_at(fine[:, None])
+    f_nodes = np.column_stack([m.samples for m in modes])
+    ext = integral_ops._green_extension(sols.u_at(grid.nodes), sols.v_at(grid.nodes), sols.wronskian, grid, f_nodes, fine, u, v)
     scale = np.array([m.lam for m in modes]) - mu
     rough = np.random.default_rng(13).standard_normal((fine.size, 3))  # not eigenfunctions: large defects
     for f, s in ((ext, scale), (rough, scale[:3])):
-        got = integral_ops._sl_residuals(sols, fine, f, s)
+        got = integral_ops._sl_residuals(u, v, sols.wronskian, fine, f, s)
         assert np.array_equal(got, cumulative_trapezoid_residuals(sols, fine, f, s))
 
 
@@ -955,11 +958,14 @@ def test_lanczos_near_invariant_krylov_space_and_breakdown():
     assert np.all(np.abs(theta - np.sort(d)[::-1][:8]) <= 1e-14 * 3.0)
     assert np.max(np.abs(ritz.T @ ritz - np.eye(8))) <= 1e-13
     # rank 3: the Krylov space is invariant after four steps (3, 2, 1 and the
-    # start vector's null-space part), and the iteration stops there
+    # start vector's null-space part), and the iteration stops there; the Ritz
+    # value 0 is under the 1e-13 max|theta| floor, so three pairs are returned
     d[3:] = 0.0
-    theta, ritz = integral_ops._lanczos(lambda y: d * y, d.size, 8)
-    assert ritz.shape == (d.size, 4)
-    assert np.all(np.abs(theta - [3.0, 2.0, 1.0, 0.0]) <= 1e-14 * 3.0)
+    products = []
+    theta, ritz = integral_ops._lanczos(lambda y: products.append(1) or d * y, d.size, 8)
+    assert len(products) == 4
+    assert ritz.shape == (d.size, 3)
+    assert np.all(np.abs(theta - [3.0, 2.0, 1.0]) <= 1e-14 * 3.0)
 
 
 def test_eigensolve_reruns_are_bitwise_equal():
@@ -1048,6 +1054,25 @@ def test_eigensolve_green_products_are_bounded(monkeypatch):
     modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=400, k_wanted=5, check_refinement=True)
     assert len(modes) == 5 and all(m.refine_drift is not None for m in modes)
     assert len(products) <= 60
+
+
+@pytest.mark.parametrize("check_refinement, calls", [(True, 6), (False, 4)])
+def test_eigensolve_samples_each_point_set_once(monkeypatch, check_refinement, calls):
+    # one call for u and one for v per point set: each solve's nodes, shared by
+    # its product and the extension, and the 2001 points, shared by the
+    # extension and the residual (400 + 800 + 2001 points each with the re-solve)
+    points = []
+    real = integral_ops._hermite_eval
+
+    def counting(a, h, f, fp, x):
+        points.append(np.size(x))
+        return real(a, h, f, fp, x)
+
+    monkeypatch.setattr(integral_ops, "_hermite_eval", counting)
+    modes = sl_eigensolve(dirichlet_problem(0.0, np.pi, zero_q), n_nodes=400, k_wanted=5, check_refinement=check_refinement)
+    assert len(modes) == 5
+    assert len(points) == calls
+    assert sum(points) == (6402 if check_refinement else 4802)
 
 
 @pytest.mark.parametrize("shape", [(37,), (37, 3)])

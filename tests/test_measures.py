@@ -781,6 +781,13 @@ def test_non_finite_sample_is_named_by_its_probed_difference(bad):
         positive_definite_test(f, [0.0, 1.0, 1.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_rejected(bad):
+    # [0.0, nan] once gave a PD verdict: the constant f never saw the NaN difference
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        positive_definite_test(lambda x: np.ones_like(x), [0.0, bad])
+
+
 def test_cosine_is_pd():
     pts = np.linspace(-3.0, 3.0, 9)
     assert positive_definite_test(np.cos, pts).is_pd

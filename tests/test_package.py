@@ -190,3 +190,15 @@ def test_private_helpers_have_a_src_caller():
         if name in helpers and name != owner:
             called.add(name)
     assert sorted(helpers - called) == []
+
+
+def test_grid_passes_take_their_chunks_from_row_blocks():
+    # a pass cut by hand, range(lo, hi, _CHUNK), repeats _row_blocks' boundary rule
+    loops = [
+        (module, owner)
+        for module, owner, node in _source_nodes()
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "range" and len(node.args) == 3
+        and "_CHUNK" in ast.unparse(node.args[2])
+    ]
+    assert loops == []
+    assert any(ast.unparse(node) == "_CHUNK" for _, _, node in _source_nodes())  # the scan reads the name

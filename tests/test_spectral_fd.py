@@ -352,6 +352,14 @@ def test_neumann_matches_direct_inverse():
     assert abs(first.tail - 1.0 / z) <= 1e-15 / z
 
 
+@pytest.mark.parametrize("z", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_neumann_rejects_non_finite_z(z):
+    # z = inf returned a zero matrix flagged converged after one term, and
+    # z = nan blamed A for the non-finite entries
+    with pytest.raises(ValueError, match="^z must be finite$"):
+        neumann_resolvent(0.1 * np.eye(2), z)
+
+
 def test_neumann_divergence_is_flagged():
     rng = np.random.default_rng(37)
     a = random_hermitian(rng, 4)
