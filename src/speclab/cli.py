@@ -43,6 +43,7 @@ from .linalg_core import (
     _hermitian_part,
     _read_key_values,
     _require_count,
+    _row_blocks,
     hermitian_eig,
     inner_product,
     operator_norm,
@@ -204,10 +205,11 @@ def _lower_triangular_radius(op: integral_ops.IntegralOperator) -> float:
 
     B = W^{1/2} K W^{1/2} is then lower triangular too, and its eigenvalues are
     its diagonal entries sw_i K_ii sw_i, formed here with B's bits.  K's strict
-    upper triangle is checked one row at a time, so no n x n array is formed.
+    upper triangle is checked one row block of _row_blocks at a time, so no n x n
+    array is formed.
     """
     k = op.kernel_matrix
-    if any(row[i + 1:].any() for i, row in enumerate(k)):
+    if any(np.triu(k[rows], rows.start + 1).any() for rows in _row_blocks(k.shape)):
         raise ValueError("matrix is not lower triangular")
     sw = np.sqrt(op.grid.weights)
     return float(np.max(np.abs(sw * np.diag(k) * sw)))
@@ -215,15 +217,13 @@ def _lower_triangular_radius(op: integral_ops.IntegralOperator) -> float:
 
 def _exp_volterra(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:
     grid = integral_ops._panel_grid(0.0, 1.0, cfg.nodes)
-    pair = integral_ops.volterra(grid)
+    # V's kernel chi(y <= x) vanishes above the diagonal; it is dropped before V*V's is sampled
+    vmax = _lower_triangular_radius(integral_ops.nystrom(integral_ops._volterra_step, grid))
     # V*V's kernel 1 - max(x, y) is the Green form u(max) v(min) / W with u = 1 - x, v = 1, W = 1
     mu = integral_ops._green_eigs(1.0 - grid.nodes, 1.0, 1.0, grid, 5)[0]
     targets = [4.0 / ((2 * k - 1) ** 2 * np.pi ** 2) for k in range(1, 6)]
     rows = [(k, float(m), t, abs(m - t) / t) for k, m, t in zip(range(1, 6), mu, targets)]
-    vmax = _lower_triangular_radius(pair.v)  # V's kernel chi(y <= x) vanishes above the diagonal
-    vstar_v = pair.vstar_v
-    del pair  # V's kernel is not held through trace's n x n check
-    tr = integral_ops.trace(vstar_v)
+    tr = integral_ops.trace(integral_ops.nystrom(integral_ops._volterra_product, grid))
     checks = [
         _max_leq("V*V eigenvalues max relative error", rows, 3, 1e-3),
         _leq("max |eigenvalue| of discretized V", vmax, 0.05),

@@ -52,7 +52,8 @@ class FourierSeries:
         object.__setattr__(self, "coefficients", c)
 
     def coefficient(self, n: int) -> complex:
-        if abs(n) > self.order:
+        _require_count(-self.order, n=n)
+        if n > self.order:
             raise ValueError(f"mode {n} outside [-{self.order}, {self.order}]")
         return complex(self.coefficients[n + self.order])
 

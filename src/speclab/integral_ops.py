@@ -2,8 +2,9 @@
 
 Integral operators store only their kernel samples K; B = W^{1/2} K W^{1/2},
 whose Hermitian eigensolve approximates the operator spectrum, is formed from
-K on access.  The Sturm-Liouville path is: a spectral shift ladder for
-problems where the operator is not injective, homogeneous solutions u, v by
+K on access, whole or one block at a time (trace reads it by block
+columns).  The Sturm-Liouville path is: a spectral shift ladder for problems
+where the operator is not injective, homogeneous solutions u, v by
 fixed-step RK4 shooting (with cubic-Hermite dense output) and a Wronskian
 check, all run once per solve.  Each shot multiplies the 2 x 2 transfer
 matrices of its RK4 steps in blocks of 64, vectorized: 64 + n/64
@@ -49,7 +50,6 @@ from .linalg_core import (
     _require_scale,
     _require_square,
     _require_stack,
-    _row_blocks,
     _sample,
     _unstack,
     operator_norm,
@@ -142,6 +142,38 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+class _BlockColumn:
+    """The block column M[lo:, cols] and block row M[cols, lo:] of a matrix M, lo = cols.start,
+    each formed once.  Indexed as the trailing matrix M[lo:, lo:], whose first w = len(cols)
+    columns and rows they are, [rows, :w] reads the column and [:w, rows] the row, so
+    _hermitian_part and _hermitian_defect read the block column from them."""
+
+    def __init__(self, m, cols: slice):
+        self.column, self.row = m[cols.start:, cols], m[cols, cols.start:]
+        self.head = slice(0, self.column.shape[1])
+        self.shape, self.dtype = (len(self.column),) * 2, self.column.dtype
+
+    def __getitem__(self, index: tuple) -> np.ndarray:
+        rows, cols = index[-2:]
+        return self.column[rows] if cols == self.head else self.row[:, cols]
+
+
+class _Symmetrized:
+    """B = W^{1/2} K W^{1/2} of an operator, read by blocks: b[rows, cols] forms that block
+    from K as a new array, sw[rows, None] * K[rows, cols] and then *= sw[None, cols], with the
+    bits of sw[:, None] * K * sw[None, :].  Nothing of B is held between reads."""
+
+    def __init__(self, op: "IntegralOperator"):
+        self.kernel, self.sw = op.kernel_matrix, np.sqrt(op.grid.weights)
+        self.shape, self.dtype = self.kernel.shape, self.kernel.dtype
+
+    def __getitem__(self, index: tuple) -> np.ndarray:
+        rows, cols = index[-2:]
+        block = self.sw[rows, None] * self.kernel[rows, cols]
+        block *= self.sw[None, cols]
+        return block
+
+
 @dataclass(frozen=True)
 class IntegralOperator:
     """Kernel samples K on a quadrature grid; the symmetrized matrix is formed from them on access."""
@@ -156,10 +188,7 @@ class IntegralOperator:
         B is formed in one n x n allocation: the rows of K are scaled into it, then its
         columns in place, with the bits of sw[:, None] * K * sw[None, :].
         """
-        sw = np.sqrt(self.grid.weights)
-        b = sw[:, None] * self.kernel_matrix
-        b *= sw[None, :]
-        return b
+        return _Symmetrized(self)[:, :]
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(T f)(x_i) = sum_j w_j K_ij f(x_j): float64 for a real kernel and a real f, else complex128."""
@@ -169,7 +198,8 @@ class IntegralOperator:
         return self.kernel_matrix @ (self.grid.weights * fv)
 
     def hermitian_defect(self) -> float:
-        return float(_hermitian_defect(self.symmetrized))
+        """max |B_ij - conj(B_ji)|, read from K in row blocks of B: no n x n array is formed."""
+        return float(_hermitian_defect(_Symmetrized(self)))
 
 
 def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
@@ -190,31 +220,44 @@ def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
     return IntegralOperator(grid, km)
 
 
-def _check_positive(herm: np.ndarray, scale: float, message: str) -> None:
-    """ValueError(message) unless herm + 1e-10 * scale * I has a Cholesky factor.
+_PANELS = 12  # block columns of a Cholesky check, each at least _PANEL_WIDTH wide
+_PANEL_WIDTH = 32
 
-    Only herm's lower triangle is read, and the factor is formed over it, in
-    place: the shift is added to the diagonal, then a left-looking blocked
-    Cholesky (Golub & Van Loan, Matrix Computations, 4.2) takes one block
-    column of _row_blocks rows at a time.  The block column is reduced by the
-    factor's columns to its left in one product of its own size, its diagonal
-    block is factored by np.linalg.cholesky, and its rows below are solved
-    against that factor.  So besides herm the check holds one block column's
-    temporaries, about _CHUNK entries.
+
+def _panels(n: int) -> list[slice]:
+    """The block columns of _check_positive's factor for an n x n matrix: max(_PANEL_WIDTH,
+    n / _PANELS) columns each but the last, so at most _PANELS of them.  Width w trades the
+    factor's memory, n^2 / 2 + n w / 2 entries with about n w of temporaries, against its
+    _PANELS^2 / 2 products and the per-panel factor and inverse."""
+    width = max(_PANEL_WIDTH, -(-n // _PANELS))
+    return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+
+def _check_positive(panels: list[np.ndarray], scale: float, message: str) -> None:
+    """ValueError(message) unless H + 1e-10 * scale * I has a Cholesky factor, for the
+    Hermitian matrix H given by its block columns from the diagonal down.
+
+    panels[j] is H[lo:, cols] for the j-th block column cols of _panels(n), lo = cols.start,
+    so only H's lower triangle and its diagonal blocks are read, about n^2 / 2 entries.  A
+    left-looking blocked Cholesky (Golub & Van Loan, Matrix Computations, 4.2) factors them
+    in place into L's panels, one at a time: the shift goes on its diagonal, each earlier
+    panel's product is subtracted from it, its diagonal block is factored by
+    np.linalg.cholesky, and its rows below are multiplied by that factor's inverse.  So
+    besides the panels the check holds one panel's temporaries.
     """
-    herm[np.diag_indices_from(herm)] += 1e-10 * scale
-    try:
-        for cols in _row_blocks(herm.shape):
-            lo, hi = cols.start, min(cols.stop, len(herm))
-            # written back by assignment: an in-place subtraction into the strided block would copy it
-            update = herm[lo:, :lo] @ herm[cols, :lo].conj().T
-            herm[lo:, cols] = np.subtract(herm[lo:, cols], update, out=update)
-            del update  # before the solve's result is formed
-            herm[cols, cols] = np.linalg.cholesky(herm[cols, cols])
-            # L21 = A21 L11^-* is the transpose of conj(L11)^-1 A21^T, so only L11 is conjugated
-            herm[hi:, cols] = np.linalg.solve(herm[cols, cols].conj(), herm[hi:, cols].T).T
-    except np.linalg.LinAlgError:
-        raise ValueError(message)
+    for j, panel in enumerate(panels):
+        width = panel.shape[1]
+        diagonal = np.arange(width)
+        panel[diagonal, diagonal] += 1e-10 * scale
+        for earlier in panels[:j]:
+            top = len(earlier) - len(panel)  # the panel's first row among the earlier panel's rows
+            panel -= earlier[top:] @ earlier[top:top + width].conj().T
+        try:
+            panel[:width] = np.linalg.cholesky(panel[:width])
+        except np.linalg.LinAlgError:
+            raise ValueError(message)
+        # L21 = A21 L11^-*: a product with L11's inverse, which costs less than a solve
+        panel[width:] = panel[width:] @ np.linalg.inv(panel[:width]).conj().T
 
 
 def hs_norm(t) -> float | np.ndarray:
@@ -238,18 +281,29 @@ def trace(t):
 
     The operator form requires a Hermitian positive kernel (Mercer), checked on
     the symmetrized matrix B: its Hermitian defect, then a Cholesky factor of
-    (B + B*) / 2 shifted by 1e-10 (1 + max |B_ij|).  The check holds one n x n
-    array beside the stored kernel, B itself: max |B_ij| and the defect are
-    read in row blocks of about 16 384 entries, (B + B*) / 2 is written over
-    B's lower triangle, and the shifted factor over that, one block column at
-    a time.  The matrix form takes any square matrix.
+    (B + B*) / 2 shifted by 1e-10 (1 + max |B_ij|).  B is never formed.  It is
+    read from the stored kernel one block column of _panels at a time: the
+    column's rows from its diagonal block down, and the mirrored block row, each
+    formed once with the bits of B's entries.  Together they hold every entry
+    of B once or twice, so they give max |B_ij| and the Hermitian defect, and
+    they give that block column of (B + B*) / 2, which _check_positive factors
+    in place after the defect is checked.  So the check holds the lower
+    triangle of (B + B*) / 2, about n^2 / 2 entries, beside the kernel, and one
+    block column's temporaries.  The matrix form takes any square matrix.
     """
     if isinstance(t, IntegralOperator):
-        b = t.symmetrized
-        scale = max(float(np.max(np.abs(b[rows]))) for rows in _row_blocks(b.shape)) + 1.0
-        if _hermitian_defect(b) > 1e-10 * scale:
+        b = _Symmetrized(t)
+        parts, largest, defect = [], 0.0, 0.0
+        for cols in _panels(len(t.kernel_matrix)):
+            block = _BlockColumn(b, cols)
+            largest = max(largest, float(np.max(np.abs(block.column))), float(np.max(np.abs(block.row))))
+            defect = max(defect, float(_hermitian_defect(block, slice(None), block.head)))
+            parts.append(_hermitian_part(block, slice(None), block.head))
+            del block  # before the next block column's is formed
+        scale = largest + 1.0
+        if defect > 1e-10 * scale:
             raise ValueError("operator trace requires a Hermitian kernel")
-        _check_positive(_hermitian_part(b, in_place=True), scale, "operator trace requires a positive kernel")
+        _check_positive(parts, scale, "operator trace requires a positive kernel")
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
     return complex(np.trace(_require_square(require_matrix(t))))
 
@@ -260,16 +314,27 @@ class VolterraPair:
     vstar_v: IntegralOperator
 
 
+def _volterra_step(x, y):
+    """V's kernel chi(y <= x), 1/2 on the diagonal."""
+    return (y < x) + 0.5 * (y == x)
+
+
+def _volterra_product(x, y):
+    """V*V's kernel 1 - max(x, y)."""
+    return 1.0 - np.maximum(x, y)
+
+
 def volterra(grid: QuadratureGrid) -> VolterraPair:
     """The Volterra operator Vf(x) = int_0^x f and its adjoint product V*V on [0, 1].
 
     V's kernel is the step chi(y <= x) with value 1/2 on the diagonal (average
-    of the one-sided limits); V*V has the continuous kernel 1 - max(x, y).
-    Both are built by nystrom, and being real they are stored as float64.
+    of the one-sided limits), _volterra_step; V*V has the continuous kernel
+    1 - max(x, y), _volterra_product.  Both are built by nystrom, and being real
+    they are stored as float64.
     """
     if abs(grid.a) > 1e-12 or abs(grid.b - 1.0) > 1e-12:
         raise ValueError("Volterra operators are built on [0, 1]")
-    return VolterraPair(nystrom(lambda x, y: (y < x) + 0.5 * (y == x), grid), nystrom(lambda x, y: 1.0 - np.maximum(x, y), grid))
+    return VolterraPair(nystrom(_volterra_step, grid), nystrom(_volterra_product, grid))
 
 
 class NonInjectiveError(ValueError):
@@ -746,9 +811,10 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     _require_count(1, k=k)
     if k > n:
         raise ValueError(f"k must be in 1..{n}")
-    # the check factors its Hermitian part in place, and eigh gets a new one: so besides m
-    # at most two n x n arrays are held at once, eigh's input and its eigenvectors
-    _check_positive(_hermitian_part(m), 1.0 + operator_norm(m), "matrix is not positive within tolerance")
+    # the check factors the lower triangle of its Hermitian part, and eigh gets a new one: so
+    # besides m at most two n x n arrays are held at once, eigh's input and its eigenvectors
+    _check_positive([_hermitian_part(m, slice(cols.start, None), cols) for cols in _panels(n)],
+                    1.0 + operator_norm(m), "matrix is not positive within tolerance")
     w, v = np.linalg.eigh(_hermitian_part(m))
     return w[:k], v[:, :k]
 

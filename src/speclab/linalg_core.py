@@ -15,8 +15,8 @@ Conventions used throughout the package:
   every V diag(d) V^* (projections, functions of A, evolutions) is formed by
   _synthesize, which reads V^T as a view and makes no copy of V^*;
 * every Hermitian part (A + A^*) / 2 and Hermitian defect max |A - A^*| is
-  formed by _hermitian_part and _hermitian_defect: the part in one new buffer,
-  or in place over A's lower triangle, and the defect in row blocks of about
+  formed by _hermitian_part and _hermitian_defect, of the whole matrix or of a
+  block: the part in one new buffer, and the defect in row blocks of about
   _CHUNK entries, with no copy of A^*;
 * one helper owns each argument rule and names the argument in its ValueError:
   _require_count (an integer >= least), _require_scale (finite and > 0),
@@ -292,52 +292,47 @@ def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     return m
 
 
-def _hermitian_part(m: np.ndarray, *, in_place: bool = False) -> np.ndarray:
-    """(M + M*) / 2 for each matrix of a stack (..., n, n): a new C-ordered array with that expression's bits.
+def _block_shape(shape: tuple, rows: slice, cols: slice) -> tuple:
+    """The shape of the block (rows, cols) of each matrix of a stack of this shape."""
+    return (*shape[:-2], len(range(shape[-2])[rows]), len(range(shape[-1])[cols]))
 
-    M* is copied into the result and M + M* is written over it, so M is left
-    as it was and no other n x n array is formed.  The copy must be a new
-    array: for real M, M.conj() is M itself, and a transposed view of it would
-    write into M.
 
-    in_place (a single n x n matrix of floating dtype): (M + M*) / 2 is
-    written over M's lower triangle, diagonal included, with the same bits,
-    row block by row block of _row_blocks; M is returned.  Entry (i, j), j <= i,
-    reads M_ij and M_ji, which no earlier block has written, so M's strict
-    upper triangle is left as it was and a block's temporaries are all the
-    memory the call takes.
+def _hermitian_part(m, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """(M + M*) / 2 for each matrix of a stack (..., n, n), or its block (rows, cols): a new
+    C-ordered array with that expression's bits.
+
+    The block is read from M's blocks (rows, cols) and (cols, rows).  M* is copied into the
+    result and M + M* is written over it, so M is left as it was and no other array of the
+    result's size is formed.  The copy must be a new array: for real M, M.conj() is M itself,
+    and a transposed view of it would write into M.  M may be an array, or any object with a
+    shape and a dtype whose M[..., rows, cols] forms that block as an array.
     """
-    if in_place:
-        for rows in _row_blocks(m.shape):
-            cols = slice(0, min(rows.stop, len(m)))  # the columns that reach the diagonal
-            part = np.empty(m[rows, cols].shape, m.dtype)
-            np.conjugate(m[cols, rows].T, out=part)
-            np.add(m[rows, cols], part, out=part)
-            np.divide(part, 2.0, out=part)
-            np.copyto(m[rows, cols], part, where=np.tri(*part.shape, rows.start, dtype=bool))
-            del part  # before the next block's is formed
-        return m
-    part = np.empty(m.shape, np.result_type(m, 2.0))
-    np.conjugate(m.swapaxes(-2, -1), out=part)
-    np.add(m, part, out=part)
+    part = np.empty(_block_shape(m.shape, rows, cols), np.result_type(m.dtype, 2.0))
+    np.conjugate(m[..., cols, rows].swapaxes(-2, -1), out=part)
+    np.add(m[..., rows, cols], part, out=part)
     return np.divide(part, 2.0, out=part)
 
 
-def _hermitian_defect(m: np.ndarray) -> np.ndarray:
-    """max_ij |M_ij - conj(M_ji)| for each matrix of a stack (..., n, n), 0 for an empty one.
+def _hermitian_defect(m, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """max |M_ij - conj(M_ji)| over i in rows and j in cols (the whole matrix by default) for
+    each matrix of a stack (..., n, n), 0 for an empty block.
 
-    M is read in the row blocks of _row_blocks(M's n x n shape), so a stack of
-    matrices of at most _CHUNK entries each is one block, and no copy of M* is
-    formed.  A block's rows of M* are copied into a new buffer and M - M* is
-    written over it; for real M its absolute value is taken in place, for
-    complex M into one real array.  The maxima are exact, so blocks do not
-    change the bits.
+    M is read as _hermitian_part reads it, in the row blocks of _row_blocks(the block's
+    shape), so a stack of matrices of at most _CHUNK entries each is one block, and no copy
+    of M* is formed.  A block's rows of M* are copied into a new buffer and M - M* is written
+    over it; for real M its absolute value is taken in place, for complex M into one real
+    array.  The maxima are exact, so blocks do not change the bits, and the defect over
+    blocks that cover a triangle of M, diagonal included, is the whole matrix's.
     """
+    shape = _block_shape(m.shape, rows, cols)
+    span = range(m.shape[-2])[rows]
     maxima = []
-    for rows in _row_blocks(m.shape[-2:]) or [slice(None)]:  # an empty matrix is one empty block
-        deviation = np.empty(m[..., rows, :].shape, m.dtype)
-        np.conjugate(m[..., :, rows].swapaxes(-2, -1), out=deviation)
-        np.subtract(m[..., rows, :], deviation, out=deviation)
+    for r in _row_blocks(shape[-2:]) or [slice(None)]:  # an empty block is one empty row block
+        these = span[r]
+        block = slice(these.start, these.stop)
+        deviation = np.empty((*shape[:-2], len(these), shape[-1]), m.dtype)
+        np.conjugate(m[..., cols, block].swapaxes(-2, -1), out=deviation)
+        np.subtract(m[..., block, cols], deviation, out=deviation)
         deviation = np.abs(deviation, out=None if deviation.dtype.kind == "c" else deviation)
         maxima.append(deviation.max(axis=(-2, -1), initial=0.0))
         del deviation  # before the next block's is formed

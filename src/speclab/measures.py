@@ -228,16 +228,17 @@ def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     F(-w) = conj F(w), so M counts only the sorted unique |w|: each part's sum
     is taken once per |w|, scattered back to w's order and conjugated where w's
     sign bit is set (-0 included).  A complex v is transformed as
-    F(re) + i F(im).  The sum runs in blocks of _CHUNK // B rows (about _CHUNK
-    points): each block's trapezoid weights are written into one buffer, which
-    every block reuses, weighted by the part in place, multiplied by the
-    columns, and summed against the block's rows of outer phases into the
-    M-vector result; the columns are filled the same number of rows at a time.
-    So the working set is O(sqrt(N) M + block): the columns and one block's
-    arrays, and no array of N points.  A grid of one block (N up to about
-    _CHUNK) has the bits of the unblocked product over the same columns; more
-    blocks move the sum at roundoff.  Otherwise the direct sum runs over tiles,
-    at every w, so no M x N temporary is formed.
+    F(re) + i F(im).  The sum runs in the row blocks of _row_blocks((A, B)),
+    about _CHUNK points each: each block's trapezoid weights are written into
+    one buffer, which every block reuses, weighted by the part in place,
+    multiplied by the columns, and summed against the block's rows of outer
+    phases into the M-vector result; the columns are filled in the row blocks
+    of _row_blocks((B, B)), the same number of rows at a time.  So the working
+    set is O(sqrt(N) M + block): the columns and one block's arrays, and no
+    array of N points.  A grid of one block (N up to about _CHUNK) has the bits
+    of the unblocked product over the same columns; more blocks move the sum at
+    roundoff.  Otherwise the direct sum runs over tiles, at every w, so no
+    M x N temporary is formed.
     """
     n = g.size
     h = (g[-1] - g[0]) / (n - 1)
@@ -247,16 +248,16 @@ def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     m = w_abs.size
     b = int(np.ceil(np.sqrt(n)))
     a = -(-n // b)
-    rows = max(1, _CHUNK // b)
     columns = np.empty((b, 2 * m))
-    for j in range(0, b, rows):
-        phase = _phases(np.arange(j, min(j + rows, b)) * h, w_abs)
-        columns[j:j + rows, :m], columns[j:j + rows, m:] = _real_parts(phase)
+    for r in _row_blocks((b, b)):
+        phase = _phases(np.arange(r.start, min(r.stop, b)) * h, w_abs)
+        columns[r, :m], columns[r, m:] = _real_parts(phase)
     parts, sums = _real_parts(v), None
-    block = np.empty(min(rows, a) * b)
-    for r in range(0, a, rows):
-        lo, hi, k = r * b, min((r + rows) * b, n), min(rows, a - r)
-        outer = _phases(g[0] + np.arange(r, r + k) * (b * h), w_abs)
+    blocks = _row_blocks((a, b))
+    block = np.empty(len(range(a)[blocks[0]]) * b)
+    for r in blocks:
+        lo, hi, k = r.start * b, min(r.stop * b, n), len(range(a)[r])
+        outer = _phases(g[0] + np.arange(r.start, r.start + k) * (b * h), w_abs)
         terms = []
         for part in parts:
             _trapezoid_weights(g, lo, hi, out=block[:hi - lo])

@@ -338,6 +338,17 @@ def test_lower_triangular_radius_rejects_an_entry_above_the_diagonal():
         cli._lower_triangular_radius(integral_ops.IntegralOperator(grid, k))
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (0, 399), (40, 41), (79, 80), (200, 399), (398, 399)])
+def test_lower_triangular_radius_checks_every_row_block(entry):
+    # 400 nodes: ten row blocks of 40 rows, each checked above its rows' diagonal
+    grid = integral_ops._panel_grid(0.0, 1.0, 400)
+    k = np.tril(np.ones((400, 400)))
+    assert cli._lower_triangular_radius(integral_ops.IntegralOperator(grid, k)) > 0.0
+    k[entry] = -1e-300
+    with pytest.raises(ValueError, match="^matrix is not lower triangular$"):
+        cli._lower_triangular_radius(integral_ops.IntegralOperator(grid, k))
+
+
 def test_volterra_experiment_bounds_its_memory(tmp_path):
     # real kernels and no dense V*V eigensolve: the complex route peaked at 20.5 MB at 400 nodes
     cfg = ExperimentConfig(name="volterra", nodes=400, out=str(tmp_path))
@@ -396,10 +407,11 @@ def test_poisson_halfplane_experiment_bounds_its_memory(tmp_path):
     assert peak <= 16 * n + 1e6
 
 
-def test_volterra_experiment_holds_two_matrices(tmp_path):
-    # the two kernels while V*V is sampled, then V*V's kernel with trace's one n x n array, B;
-    # V's kernel, B and the copies of trace's check once peaked at 7.7 MB at 400 nodes, and
-    # trace's B with (B + B*) / 2 and its Cholesky factor at 3.9 MB
+def test_volterra_experiment_holds_one_kernel_at_a_time(tmp_path):
+    # V's kernel is dropped before V*V's is sampled, and trace holds the lower triangle of
+    # (B + B*) / 2 beside V*V's kernel: 1.64 * 8 n^2 at 400 nodes.  Both kernels while V*V was
+    # sampled, or V*V's kernel with trace's B, once peaked at 2.31 * 8 n^2; V's kernel, B and
+    # the copies of trace's check at 7.7 MB, and trace's B with (B + B*) / 2 and its factor at 3.9 MB
     cfg = ExperimentConfig(name="volterra", nodes=400, out=str(tmp_path))
     n = integral_ops._panel_grid(0.0, 1.0, cfg.nodes).size
     run_experiment(cfg)  # first run: imports and lazy set-up
@@ -409,4 +421,4 @@ def test_volterra_experiment_holds_two_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * n * n + 512 * 1024
+    assert peak <= 1.7 * 8 * n * n

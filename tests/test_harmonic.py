@@ -110,6 +110,15 @@ def test_series_order_must_be_a_count(order):
         FourierSeries(order, np.zeros(6))
 
 
+@pytest.mark.parametrize("n", [0.5, float("nan"), True])
+def test_coefficient_mode_must_be_an_integer(n):
+    # 0.5 and nan raised numpy's IndexError, and True returned c(1)
+    series = FourierSeries(2, np.arange(5))
+    with pytest.raises(ValueError, match="^n must be an integer >= -2, got "):
+        series.coefficient(n)
+    assert series.coefficient(np.int64(-2)) == 0.0 and series.coefficient(2) == 4.0
+
+
 def test_boundary_csv_round_trip(tmp_path):
     f = SampledBoundaryFunction.on_circle(lambda t: np.exp(1j * t), n=32)
     path = str(tmp_path / "boundary.csv")

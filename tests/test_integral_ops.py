@@ -289,10 +289,12 @@ def test_trace_operator_names_what_a_real_kernel_lacks(kernel, message):
         trace(op)
 
 
-def test_trace_operator_check_holds_one_matrix():
-    # B alone, with one row block's temporaries: max |B|, B - B*, (B + B*) / 2 over B's lower triangle
-    # and its factor over that; B and (B + B*) / 2 with its Cholesky factor once peaked at 2.05 * 8 n^2
-    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+@pytest.mark.parametrize("panels", [50, 100])
+def test_trace_operator_check_holds_half_a_matrix(panels):
+    # the lower triangle of (B + B*) / 2 in _panels' block columns, n^2 / 2 + n w / 2 entries for
+    # width w = n / 12, with one block column's temporaries: 0.63 * 8 n^2 at 400 and 800 nodes.
+    # B alone with one row block's temporaries peaked at 1.15 * 8 n^2 (400 nodes) and 1.04 (800)
+    g = gauss_legendre_grid(0.0, 1.0, panels=panels, per_panel=8)
     n = g.size
     op = volterra(g).vstar_v
     tracemalloc.start()
@@ -302,47 +304,87 @@ def test_trace_operator_check_holds_one_matrix():
     finally:
         tracemalloc.stop()
     assert tr == pytest.approx(0.5, abs=1e-12)
-    assert peak <= 8 * n * n + 256 * 1024
+    assert peak <= 0.7 * 8 * n * n
 
 
-class _Threshold:
-    """Stands for the defect in trace's `defect > 1e-10 * scale`: records the threshold and passes the check."""
+def test_hermitian_defect_reads_one_row_block_of_b():
+    # max |B - B*| from K: one row block of B, its mirrored column block and the deviation,
+    # each about _CHUNK entries; forming B first held 8 n^2, 1.28 MB at 400 nodes
+    g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
+    op = nystrom(lambda x, y: np.cos(x - y) + 1e-3 * x * y * (x - y), g)
+    op.hermitian_defect()  # first call: lazy set-up
+    tracemalloc.start()
+    try:
+        defect = op.hermitian_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b = op.symmetrized
+    assert defect == float(np.max(np.abs(b - b.T))) > 0.0
+    assert peak <= 3 * 8 * linalg_core._CHUNK + 16 * 1024
 
-    def __init__(self, seen):
-        self.seen = seen
 
-    def __gt__(self, threshold):
-        self.seen["threshold"] = threshold
-        return False
-
-
-@pytest.mark.parametrize("kernel", [VSTAR_KERNEL, lambda x, y: np.exp(1j * (x - y)) / (1.0 + (x - y) ** 2) + 1e-3 * x * y * (x - y)],
+@pytest.mark.parametrize("kernel", [VSTAR_KERNEL, lambda x, y: np.exp(1j * (x - y)) / (1.0 + (x - y) ** 2) + 1e-9 * x * y * (x - y)],
                          ids=["real", "complex"])
 def test_trace_check_sees_the_bits_of_the_whole_matrix_expressions(kernel, monkeypatch):
-    # 160 nodes: two row blocks, of 16 384 // 160 = 102 rows and 58, so every blocked path is taken
+    # 160 nodes: five block columns of 32, each read from K without forming B; the complex
+    # kernel's defect, about 1e-12, passes the check, and its part differs from B
     g = gauss_legendre_grid(0.0, 1.0, panels=20, per_panel=8)
     op = nystrom(kernel, g)
     b = op.symmetrized
-    assert len(linalg_core._row_blocks(b.shape)) == 2
+    columns = integral_ops._panels(len(b))
+    assert [c.stop - c.start for c in columns] == [32] * 5
     scale = float(np.max(np.abs(b))) + 1.0
     defect = np.abs(b - b.conj().T).max()
     part = (b + b.conj().T) / 2.0
-    seen = {}
+    seen = {"defects": []}
     defect_of, check = integral_ops._hermitian_defect, integral_ops._check_positive
 
-    def probe_defect(m):
-        seen["defect"] = defect_of(m)
-        return _Threshold(seen)
+    def probe_defect(*args):
+        seen["defects"].append(defect_of(*args))
+        return seen["defects"][-1]
 
-    def probe_check(herm, s, message):
-        seen.update(lower=herm[np.tri(len(herm), dtype=bool)].tobytes(), scale=s)
-        check(herm, s, message)
+    def probe_check(panels, s, message):
+        seen.update(panels=[p.copy() for p in panels], scale=s)  # before the shift
+        check(panels, s, message)
 
     monkeypatch.setattr(integral_ops, "_hermitian_defect", probe_defect)
     monkeypatch.setattr(integral_ops, "_check_positive", probe_check)
     trace(op)
-    assert seen["defect"].tobytes() == defect.tobytes() and seen["threshold"] == 1e-10 * scale and seen["scale"] == scale
-    assert seen["lower"] == part[np.tri(len(b), dtype=bool)].tobytes()
+    assert seen["scale"] == scale
+    assert len(seen["defects"]) == len(columns) and max(seen["defects"]).tobytes() == defect.tobytes()
+    assert len(seen["panels"]) == len(columns)
+    for cols, panel in zip(columns, seen["panels"]):
+        # rows lo: of the block column, the lower triangle's and the diagonal block's entries
+        assert panel.tobytes() == part[cols.start:, cols].tobytes()
+
+
+_MERCER_KERNELS = {
+    "positive-definite": VSTAR_KERNEL,
+    "rank-deficient": lambda x, y: np.cos(3.0 * (x - y)),  # rank 2, singular until the shift
+    "slightly-indefinite": lambda x, y: np.cos(3.0 * (x - y)) - 1e-6 * (x - 0.5) * (y - 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MERCER_KERNELS))
+@pytest.mark.parametrize("nodes", [160, 400, 800])
+def test_trace_verdict_matches_the_dense_cholesky(kind, nodes):
+    # the dense route: np.linalg.cholesky of the shifted (B + B*) / 2, formed whole
+    g = gauss_legendre_grid(0.0, 1.0, panels=nodes // 8, per_panel=8)
+    op = nystrom(_MERCER_KERNELS[kind], g)
+    b = op.symmetrized
+    shift = 1e-10 * (float(np.max(np.abs(b))) + 1.0)
+    try:
+        np.linalg.cholesky((b + b.conj().T) / 2.0 + shift * np.eye(len(b)))
+        positive = True
+    except np.linalg.LinAlgError:
+        positive = False
+    assert positive == (kind != "slightly-indefinite")
+    if positive:
+        assert trace(op) == float(np.sum(g.weights * np.diag(op.kernel_matrix)))
+    else:
+        with pytest.raises(ValueError, match="^operator trace requires a positive kernel$"):
+            trace(op)
 
 
 @pytest.mark.parametrize("kernel, message", [
@@ -394,7 +436,7 @@ def _cholesky_input(kind, n, dtype):
 
 
 @pytest.mark.parametrize("kind", ["definite", "indefinite", "singular-until-shifted"])
-@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 400])  # 128 = sqrt(_CHUNK): one block up to n = 128, two at 129
+@pytest.mark.parametrize("n", [0, 1, 32, 33, 127, 400])  # one block column up to n = 32, two at 33, twelve at 400
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_blocked_cholesky_agrees_with_numpy(kind, n, dtype, monkeypatch):
     a = _cholesky_input(kind, n, dtype)
@@ -406,17 +448,21 @@ def test_blocked_cholesky_agrees_with_numpy(kind, n, dtype, monkeypatch):
     assert (want is None) == (kind == "indefinite" and n > 0)
     herm = a.copy()
     herm[np.triu_indices(n, 1)] = np.nan  # only the lower triangle is read
+    columns = integral_ops._panels(n)
+    panels = [herm[cols.start:, cols].copy() for cols in columns]
     blocks = []
     factor = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda d: blocks.append(len(d)) or factor(d))
     if want is None:
         with pytest.raises(ValueError, match="^not positive$"):
-            integral_ops._check_positive(herm, scale, "not positive")
+            integral_ops._check_positive(panels, scale, "not positive")
         return
-    integral_ops._check_positive(herm, scale, "not positive")
-    assert blocks == [len(d) for d in (range(n)[rows] for rows in linalg_core._row_blocks((n, n)))]
-    got = np.tril(herm)
-    assert np.isfinite(got).all()
+    integral_ops._check_positive(panels, scale, "not positive")
+    assert blocks == [cols.stop - cols.start for cols in columns]
+    got = np.zeros((n, n), dtype)
+    for cols, panel in zip(columns, panels):
+        got[cols.start:, cols] = panel  # L's panels, factored in place
+    assert np.isfinite(got).all() and not np.any(np.triu(got, 1))
     size = max(np.linalg.norm(want), 1e-300)
     # the shifted singular matrix has condition about 1e10, so two backward-stable factors differ
     # by up to about 1e10 * 1e-16 * ||L||: there the two factors' residuals are compared instead

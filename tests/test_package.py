@@ -202,3 +202,10 @@ def test_grid_passes_take_their_chunks_from_row_blocks():
     ]
     assert loops == []
     assert any(ast.unparse(node) == "_CHUNK" for _, _, node in _source_nodes())  # the scan reads the name
+    # a chunk's row count, _CHUNK // (entries per row), is worked out in _row_blocks alone
+    divisions = [
+        (module, owner)
+        for module, owner, node in _source_nodes()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) and ast.unparse(node.left) == "_CHUNK"
+    ]
+    assert divisions == [("linalg_core.py", "_row_blocks")]
