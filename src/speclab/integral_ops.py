@@ -50,6 +50,7 @@ from .linalg_core import (
     _require_scale,
     _require_square,
     _require_stack,
+    _row_blocks,
     _sample,
     _unstack,
     operator_norm,
@@ -142,38 +143,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-class _BlockColumn:
-    """The block column M[lo:, cols] and block row M[cols, lo:] of a matrix M, lo = cols.start,
-    each formed once.  Indexed as the trailing matrix M[lo:, lo:], whose first w = len(cols)
-    columns and rows they are, [rows, :w] reads the column and [:w, rows] the row, so
-    _hermitian_part and _hermitian_defect read the block column from them."""
-
-    def __init__(self, m, cols: slice):
-        self.column, self.row = m[cols.start:, cols], m[cols, cols.start:]
-        self.head = slice(0, self.column.shape[1])
-        self.shape, self.dtype = (len(self.column),) * 2, self.column.dtype
-
-    def __getitem__(self, index: tuple) -> np.ndarray:
-        rows, cols = index[-2:]
-        return self.column[rows] if cols == self.head else self.row[:, cols]
-
-
-class _Symmetrized:
-    """B = W^{1/2} K W^{1/2} of an operator, read by blocks: b[rows, cols] forms that block
-    from K as a new array, sw[rows, None] * K[rows, cols] and then *= sw[None, cols], with the
-    bits of sw[:, None] * K * sw[None, :].  Nothing of B is held between reads."""
-
-    def __init__(self, op: "IntegralOperator"):
-        self.kernel, self.sw = op.kernel_matrix, np.sqrt(op.grid.weights)
-        self.shape, self.dtype = self.kernel.shape, self.kernel.dtype
-
-    def __getitem__(self, index: tuple) -> np.ndarray:
-        rows, cols = index[-2:]
-        block = self.sw[rows, None] * self.kernel[rows, cols]
-        block *= self.sw[None, cols]
-        return block
-
-
 @dataclass(frozen=True)
 class IntegralOperator:
     """Kernel samples K on a quadrature grid; the symmetrized matrix is formed from them on access."""
@@ -185,10 +154,17 @@ class IntegralOperator:
     def symmetrized(self) -> np.ndarray:
         """B = W^{1/2} K W^{1/2} for the grid's quadrature weights W, a new array on each access.
 
-        B is formed in one n x n allocation: the rows of K are scaled into it, then its
-        columns in place, with the bits of sw[:, None] * K * sw[None, :].
+        B is formed in one n x n allocation, as its block by _symmetrized_block.
         """
-        return _Symmetrized(self)[:, :]
+        return self._symmetrized_block(slice(None), slice(None))
+
+    def _symmetrized_block(self, rows: slice, cols: slice) -> np.ndarray:
+        """B[rows, cols], a new array formed from K: sw[rows, None] * K[rows, cols], then
+        *= sw[None, cols] for sw = W^{1/2}, with the bits of sw[:, None] * K * sw[None, :]."""
+        sw = np.sqrt(self.grid.weights)
+        block = sw[rows, None] * self.kernel_matrix[rows, cols]
+        block *= sw[None, cols]
+        return block
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(T f)(x_i) = sum_j w_j K_ij f(x_j): float64 for a real kernel and a real f, else complex128."""
@@ -198,8 +174,11 @@ class IntegralOperator:
         return self.kernel_matrix @ (self.grid.weights * fv)
 
     def hermitian_defect(self) -> float:
-        """max |B_ij - conj(B_ji)|, read from K in row blocks of B: no n x n array is formed."""
-        return float(_hermitian_defect(_Symmetrized(self)))
+        """max |B_ij - conj(B_ji)|, read from K by row blocks of B of about _CHUNK entries,
+        each with its mirrored column block: no n x n array is formed."""
+        every, b = slice(None), self._symmetrized_block
+        defects = (_hermitian_defect(b(rows, every), b(every, rows)) for rows in _row_blocks(self.kernel_matrix.shape))
+        return float(max(defects, default=0.0))
 
 
 def nystrom(k: Callable, grid: QuadratureGrid) -> IntegralOperator:
@@ -292,14 +271,14 @@ def trace(t):
     block column's temporaries.  The matrix form takes any square matrix.
     """
     if isinstance(t, IntegralOperator):
-        b = _Symmetrized(t)
         parts, largest, defect = [], 0.0, 0.0
         for cols in _panels(len(t.kernel_matrix)):
-            block = _BlockColumn(b, cols)
-            largest = max(largest, float(np.max(np.abs(block.column))), float(np.max(np.abs(block.row))))
-            defect = max(defect, float(_hermitian_defect(block, slice(None), block.head)))
-            parts.append(_hermitian_part(block, slice(None), block.head))
-            del block  # before the next block column's is formed
+            below = slice(cols.start, None)
+            column, row = t._symmetrized_block(below, cols), t._symmetrized_block(cols, below)
+            largest = max(largest, float(np.max(np.abs(column))), float(np.max(np.abs(row))))
+            defect = max(defect, float(_hermitian_defect(column, row)))
+            parts.append(_hermitian_part(column, row))
+            del column, row  # before the next block column's are formed
         scale = largest + 1.0
         if defect > 1e-10 * scale:
             raise ValueError("operator trace requires a Hermitian kernel")
@@ -813,7 +792,7 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"k must be in 1..{n}")
     # the check factors the lower triangle of its Hermitian part, and eigh gets a new one: so
     # besides m at most two n x n arrays are held at once, eigh's input and its eigenvectors
-    _check_positive([_hermitian_part(m, slice(cols.start, None), cols) for cols in _panels(n)],
+    _check_positive([_hermitian_part(m[cols.start:, cols], m[cols, cols.start:]) for cols in _panels(n)],
                     1.0 + operator_norm(m), "matrix is not positive within tolerance")
     w, v = np.linalg.eigh(_hermitian_part(m))
     return w[:k], v[:, :k]

@@ -16,8 +16,8 @@ Conventions used throughout the package:
   _synthesize, which reads V^T as a view and makes no copy of V^*;
 * every Hermitian part (A + A^*) / 2 and Hermitian defect max |A - A^*| is
   formed by _hermitian_part and _hermitian_defect, of the whole matrix or of a
-  block: the part in one new buffer, and the defect in row blocks of about
-  _CHUNK entries, with no copy of A^*;
+  block and its mirrored block: the part in one new buffer, and the defect in
+  row blocks of about _CHUNK entries, with no copy of A^*;
 * one helper owns each argument rule and names the argument in its ValueError:
   _require_count (an integer >= least), _require_scale (finite and > 0),
   _require_interval (finite ends, lo < hi), _require_tolerance (finite, >= 0).
@@ -292,47 +292,39 @@ def require_hermitian(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     return m
 
 
-def _block_shape(shape: tuple, rows: slice, cols: slice) -> tuple:
-    """The shape of the block (rows, cols) of each matrix of a stack of this shape."""
-    return (*shape[:-2], len(range(shape[-2])[rows]), len(range(shape[-1])[cols]))
+def _hermitian_part(a: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+    """(A + M*) / 2 for each matrix of a stack (..., n, m) and its mirror M (..., m, n), by
+    default A itself: a new C-ordered array with the bits of (A + A*) / 2 for M = A, and of
+    the block (rows, cols) of (X + X*) / 2 for A = X[..., rows, cols], M = X[..., cols, rows].
 
-
-def _hermitian_part(m, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
-    """(M + M*) / 2 for each matrix of a stack (..., n, n), or its block (rows, cols): a new
-    C-ordered array with that expression's bits.
-
-    The block is read from M's blocks (rows, cols) and (cols, rows).  M* is copied into the
-    result and M + M* is written over it, so M is left as it was and no other array of the
-    result's size is formed.  The copy must be a new array: for real M, M.conj() is M itself,
-    and a transposed view of it would write into M.  M may be an array, or any object with a
-    shape and a dtype whose M[..., rows, cols] forms that block as an array.
+    M* is copied into the result and A + M* is written over it, so A and M are left as they
+    were and no other array of the result's size is formed.  The copy must be a new array:
+    for real A, A.conj() is A itself, and a transposed view of it would write into A.
     """
-    part = np.empty(_block_shape(m.shape, rows, cols), np.result_type(m.dtype, 2.0))
-    np.conjugate(m[..., cols, rows].swapaxes(-2, -1), out=part)
-    np.add(m[..., rows, cols], part, out=part)
+    mirror = a if mirror is None else mirror
+    part = np.empty(a.shape, np.result_type(a, 2.0))
+    np.conjugate(mirror.swapaxes(-2, -1), out=part)
+    np.add(a, part, out=part)
     return np.divide(part, 2.0, out=part)
 
 
-def _hermitian_defect(m, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
-    """max |M_ij - conj(M_ji)| over i in rows and j in cols (the whole matrix by default) for
-    each matrix of a stack (..., n, n), 0 for an empty block.
+def _hermitian_defect(a: np.ndarray, mirror: np.ndarray | None = None) -> np.ndarray:
+    """max_ij |A_ij - conj(M_ji)| for each matrix of a stack (..., n, m) and its mirror M
+    (..., m, n), by default A itself, so max |A - A*|; 0 for an empty one.
 
-    M is read as _hermitian_part reads it, in the row blocks of _row_blocks(the block's
-    shape), so a stack of matrices of at most _CHUNK entries each is one block, and no copy
-    of M* is formed.  A block's rows of M* are copied into a new buffer and M - M* is written
-    over it; for real M its absolute value is taken in place, for complex M into one real
-    array.  The maxima are exact, so blocks do not change the bits, and the defect over
-    blocks that cover a triangle of M, diagonal included, is the whole matrix's.
+    A is read in the row blocks of _row_blocks(A's n x m shape) and M in the matching column
+    blocks, so a stack of matrices of at most _CHUNK entries each is one block, and no copy
+    of M* is formed.  A block's rows of M* are copied into a new buffer and A - M* is
+    written over it; for real A its absolute value is taken in place, for complex A into
+    one real array.  The maxima are exact, so blocks do not change the bits, and the defect
+    over blocks that cover a triangle of a matrix, diagonal included, is the whole matrix's.
     """
-    shape = _block_shape(m.shape, rows, cols)
-    span = range(m.shape[-2])[rows]
+    mirror = a if mirror is None else mirror
     maxima = []
-    for r in _row_blocks(shape[-2:]) or [slice(None)]:  # an empty block is one empty row block
-        these = span[r]
-        block = slice(these.start, these.stop)
-        deviation = np.empty((*shape[:-2], len(these), shape[-1]), m.dtype)
-        np.conjugate(m[..., cols, block].swapaxes(-2, -1), out=deviation)
-        np.subtract(m[..., block, cols], deviation, out=deviation)
+    for rows in _row_blocks(a.shape[-2:]) or [slice(None)]:  # an empty matrix is one empty block
+        deviation = np.empty(a[..., rows, :].shape, a.dtype)
+        np.conjugate(mirror[..., :, rows].swapaxes(-2, -1), out=deviation)
+        np.subtract(a[..., rows, :], deviation, out=deviation)
         deviation = np.abs(deviation, out=None if deviation.dtype.kind == "c" else deviation)
         maxima.append(deviation.max(axis=(-2, -1), initial=0.0))
         del deviation  # before the next block's is formed

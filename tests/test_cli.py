@@ -421,4 +421,4 @@ def test_volterra_experiment_holds_one_kernel_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.7 * 8 * n * n
+    assert peak <= 1.64 * 8 * n * n + 128 * 1024  # with room for another numpy's temporaries

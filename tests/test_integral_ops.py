@@ -308,8 +308,9 @@ def test_trace_operator_check_holds_half_a_matrix(panels):
 
 
 def test_hermitian_defect_reads_one_row_block_of_b():
-    # max |B - B*| from K: one row block of B, its mirrored column block and the deviation,
-    # each about _CHUNK entries; forming B first held 8 n^2, 1.28 MB at 400 nodes
+    # max |B - B*| from K: one row block of B, its mirrored column block and the deviation, each
+    # about _CHUNK entries, with numpy's 8192-entry buffer for the transposed read of the mirror;
+    # forming B first held 8 n^2, 1.28 MB at 400 nodes
     g = gauss_legendre_grid(0.0, 1.0, panels=50, per_panel=8)
     op = nystrom(lambda x, y: np.cos(x - y) + 1e-3 * x * y * (x - y), g)
     op.hermitian_defect()  # first call: lazy set-up
@@ -321,7 +322,7 @@ def test_hermitian_defect_reads_one_row_block_of_b():
         tracemalloc.stop()
     b = op.symmetrized
     assert defect == float(np.max(np.abs(b - b.T))) > 0.0
-    assert peak <= 3 * 8 * linalg_core._CHUNK + 16 * 1024
+    assert peak <= 8 * (3 * linalg_core._CHUNK + 8192) + 16 * 1024
 
 
 @pytest.mark.parametrize("kernel", [VSTAR_KERNEL, lambda x, y: np.exp(1j * (x - y)) / (1.0 + (x - y) ** 2) + 1e-9 * x * y * (x - y)],
@@ -382,6 +383,83 @@ def test_trace_verdict_matches_the_dense_cholesky(kind, nodes):
     assert positive == (kind != "slightly-indefinite")
     if positive:
         assert trace(op) == float(np.sum(g.weights * np.diag(op.kernel_matrix)))
+    else:
+        with pytest.raises(ValueError, match="^operator trace requires a positive kernel$"):
+            trace(op)
+
+
+@pytest.mark.parametrize("entry", [(100, 10), (10, 100), (50, 50)])
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+def test_trace_hermitian_threshold_is_1e_10_times_one_plus_max_b(entry, ratio):
+    # a positive kernel with max |B| about 4, and one entry moved so that B's Hermitian defect is
+    # ratio times 1e-10 (1 + max |B|): below or above one block column's diagonal block, or an
+    # imaginary part on the diagonal.  A threshold of 1e-10 alone, or of 1e-10 max |B|, would
+    # put 0.5 or 0.9 on the wrong side
+    g = gauss_legendre_grid(0.0, 1.0, panels=20, per_panel=8)
+    k = nystrom(lambda x, y: 480.0 * (1.0 - np.maximum(x, y)), g).kernel_matrix
+    b = integral_ops.IntegralOperator(g, k).symmetrized
+    threshold = 1e-10 * (float(np.max(np.abs(b))) + 1.0)
+    sw = np.sqrt(g.weights)
+    i, j = entry
+    if i == j:
+        k = k.astype(complex)
+        k[i, i] += 1j * ratio * threshold / (2.0 * sw[i] ** 2)
+    else:
+        k[i, j] += ratio * threshold / (sw[i] * sw[j])
+    op = integral_ops.IntegralOperator(g, k)
+    b = op.symmetrized
+    scale = float(np.max(np.abs(b))) + 1.0
+    assert np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0] > threshold  # positive, so the defect alone decides
+    assert np.abs(b - b.conj().T).max() / (1e-10 * scale) == pytest.approx(ratio, rel=1e-4)
+    if ratio < 1.0:
+        assert trace(op) == float(np.sum(g.weights * np.real(np.diag(k))))
+    else:
+        with pytest.raises(ValueError, match="^operator trace requires a Hermitian kernel$"):
+            trace(op)
+
+
+def _hermitian_with_lowest(h, lowest):
+    """h with its smallest eigenvalue moved to `lowest`, the rest of its spectrum kept."""
+    w, v = np.linalg.eigh(h)
+    w[0] = lowest
+    h = (v * w) @ v.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("ratio", [-0.5, -2.0])
+@pytest.mark.parametrize("family", ["gaussian", "random-half-rank", "random-half-rank-complex"])
+@pytest.mark.parametrize("nodes", [160, 400, 800])
+def test_trace_verdict_matches_the_dense_cholesky_near_the_shift(ratio, family, nodes):
+    # (B + B*) / 2 with its smallest eigenvalue at ratio times the shift 1e-10 (1 + max |B|), beside
+    # many eigenvalues near 0 that the shift lifts to about the shift, so the diagonal blocks of the
+    # factor are ill-conditioned: the blocked factor, which takes L21 from inv(L11), must reach the
+    # verdict of np.linalg.cholesky on the shifted matrix formed whole
+    g = gauss_legendre_grid(0.0, 1.0, panels=nodes // 8, per_panel=8)
+    if family == "gaussian":  # eigenvalues falling to rounding level
+        h = nystrom(lambda x, y: np.exp(-10.0 * (x - y) ** 2), g).symmetrized
+    else:
+        rng = np.random.default_rng(nodes)
+        q = rng.standard_normal((nodes, nodes // 2))
+        if family.endswith("complex"):
+            q = q + 1j * rng.standard_normal((nodes, nodes // 2))
+        q = np.linalg.qr(q)[0]
+        h = (q * np.geomspace(1e-6, 1.0, nodes // 2)) @ q.conj().T
+    shift = 1e-10 * (float(np.max(np.abs(h))) + 1.0)
+    h = _hermitian_with_lowest(h, ratio * shift)
+    sw = np.sqrt(g.weights)
+    op = integral_ops.IntegralOperator(g, h / sw[:, None] / sw[None, :])
+    b = op.symmetrized
+    part = (b + b.conj().T) / 2.0
+    shift = 1e-10 * (float(np.max(np.abs(b))) + 1.0)
+    assert np.linalg.eigvalsh(part)[0] / shift == pytest.approx(ratio, rel=1e-3)
+    try:
+        np.linalg.cholesky(part + shift * np.eye(nodes))
+        positive = True
+    except np.linalg.LinAlgError:
+        positive = False
+    assert positive == (ratio > -1.0)
+    if positive:
+        assert trace(op) == float(np.sum(g.weights * np.real(np.diag(op.kernel_matrix))))
     else:
         with pytest.raises(ValueError, match="^operator trace requires a positive kernel$"):
             trace(op)

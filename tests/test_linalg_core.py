@@ -379,19 +379,19 @@ def _with_signed_zeros(dtype, shape, seed):
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("n", [0, 1, 8, 127, 128, 129, 400])
 def test_hermitian_part_and_defect_of_a_block_keep_the_bits_of_the_whole_matrix(dtype, n):
-    # the block (rows, cols) is read from M's blocks (rows, cols) and (cols, rows); above 128 x 128
-    # entries the defect reads it in several row blocks
+    # the block (rows, cols) with its mirror, the block (cols, rows); above 128 x 128 entries the
+    # defect reads them in several row blocks
     m = _with_signed_zeros(dtype, (n, n), n)
     before = m.copy()
     part = (before + before.conj().T) / 2.0
     deviation = np.abs(before - before.conj().T)
     for rows, cols in [(slice(None), slice(None)), (slice(n // 3, None), slice(n // 3, n // 2)),
                        (slice(1, n - 1), slice(0, n // 5)), (slice(n // 2, n // 2), slice(None))]:
-        got = linalg_core._hermitian_part(m, rows, cols)
+        got = linalg_core._hermitian_part(m[rows, cols], m[cols, rows])
         assert got.flags.c_contiguous and got.dtype == part.dtype
         assert got.tobytes() == part[rows, cols].tobytes()
         want = deviation[rows, cols].max(initial=0.0)
-        assert linalg_core._hermitian_defect(m, rows, cols).tobytes() == np.float64(want).tobytes()
+        assert linalg_core._hermitian_defect(m[rows, cols], m[cols, rows]).tobytes() == np.float64(want).tobytes()
     assert m.tobytes() == before.tobytes()
 
 
@@ -401,9 +401,9 @@ def test_block_hermitian_part_and_defect_hold_one_block():
     rows, cols = slice(100, None), slice(100, 164)
     # the part holds its result and numpy's 8192-entry buffer for its strided read, the defect one
     # row block of M - M* with its modulus, 16 B and 8 B an entry; the whole-matrix forms are 16 n^2
-    _, peak = _traced_peak(lambda: linalg_core._hermitian_part(m, rows, cols))
+    _, peak = _traced_peak(lambda: linalg_core._hermitian_part(m[rows, cols], m[cols, rows]))
     assert peak <= 16 * (300 * 64 + 8192) + 4 * 1024
-    _, peak = _traced_peak(lambda: linalg_core._hermitian_defect(m, rows, cols))
+    _, peak = _traced_peak(lambda: linalg_core._hermitian_defect(m[rows, cols], m[cols, rows]))
     assert peak <= 24 * linalg_core._CHUNK + 4 * 1024
 
 

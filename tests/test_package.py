@@ -34,44 +34,36 @@ def _source_nodes():
 
 
 def _hermitian_rule_sites():
-    """The functions that combine a matrix X with its adjoint X*: {"+": sites of X + X*, "-": sites of X - X*}.
+    """The functions that combine a matrix X with an adjoint Y*: {"+": sites of X + Y*, "-": sites of X - Y*}.
 
-    X* is written X.conj().T, X.conj().swapaxes(-2, -1) or np.conjugate(X.T or X.swapaxes(-2, -1)), inline,
-    or as a name bound to it in the same function (assigned, or the out= of np.conjugate); X + X* and X - X*
-    are written as operators or as np.add and np.subtract.  X may be a block X[..., rows, cols] of a matrix,
-    whose adjoint is then read from the block X[..., cols, rows].
+    Y* is written Y.conj().T, Y.conj().swapaxes(-2, -1) or np.conjugate(Y.T or Y.swapaxes(-2, -1)), inline,
+    or as a name bound to it in the same function (assigned, or the out= of np.conjugate); X + Y* and X - Y*
+    are written as operators or as np.add and np.subtract.  Y may be X itself, its mirrored block X[..., cols,
+    rows] for a block X[..., rows, cols], or any other array, so a mirror passed in apart from X counts too.
     """
     def adjoint_of(text):
         match = re.fullmatch(r"(.+)\.conj\(\)\.(?:T|swapaxes\(-2, -1\))|np\.conjugate\((.+)\.(?:T|swapaxes\(-2, -1\))\)", text)
         return match and (match[1] or match[2])
 
-    def mirrored(text):
-        """The block with the last two indices swapped, for a block X[..., rows, cols]; else the text itself."""
-        node = ast.parse(text, mode="eval").body
-        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) >= 2:
-            node.slice.elts[-2:] = node.slice.elts[:-3:-1]
-        return ast.unparse(node)
-
     nodes = list(_source_nodes())
-    bound = {}  # (module, owner, name) -> the Xs whose adjoints the name holds
+    bound = {}  # (module, owner, name) -> the Ys whose adjoints the name holds
     for module, owner, node in nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 and adjoint_of(ast.unparse(node.value)):
             bound.setdefault((module, owner, ast.unparse(node.targets[0])), set()).add(adjoint_of(ast.unparse(node.value)))
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.conjugate" and node.args:
             for out in (k.value for k in node.keywords if k.arg == "out"):
-                x = adjoint_of(f"np.conjugate({ast.unparse(node.args[0])})")
-                bound.setdefault((module, owner, ast.unparse(out)), set()).add(x)
+                y = adjoint_of(f"np.conjugate({ast.unparse(node.args[0])})")
+                bound.setdefault((module, owner, ast.unparse(out)), set()).add(y)
     sites = {"+": set(), "-": set()}
     for module, owner, node in nodes:
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-            sign, x, y = "+" if isinstance(node.op, ast.Add) else "-", node.left, node.right
+            sign, y = "+" if isinstance(node.op, ast.Add) else "-", node.right
         elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.add", "np.subtract") and len(node.args) >= 2:
-            sign, (x, y) = "+" if ast.unparse(node.func) == "np.add" else "-", node.args[:2]
+            sign, y = "+" if ast.unparse(node.func) == "np.add" else "-", node.args[1]
         else:
             continue
-        x, y = ast.unparse(x), ast.unparse(y)
-        adjoints = {adjoint_of(y), *bound.get((module, owner, y), ())}
-        if {x, mirrored(x)} & adjoints:
+        y = ast.unparse(y)
+        if {adjoint_of(y), *bound.get((module, owner, y), ())} - {None}:
             sites[sign].add((module, owner))
     return {sign: sorted(found) for sign, found in sites.items()}
 
