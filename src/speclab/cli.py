@@ -33,6 +33,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, asdict
+from operator import is_
 from pathlib import Path
 from typing import Callable
 
@@ -40,6 +41,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded with the CLI: numpy imports it lazily, and every run draws from it
 
 from .linalg_core import (
+    _hermitian_norm,
     _hermitian_part,
     _read_key_values,
     _require_count,
@@ -330,7 +332,7 @@ def _exp_gelfand(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentR
     def block(rng, count):
         a = _hermitians(rng.standard_normal((count, 2, cfg.dim, cfg.dim)))
         estimate = spectral_fd.spectral_radius_gelfand(a, kmax=20)[:, -1]
-        r = np.max(np.abs(np.linalg.eigvalsh(a)), axis=-1)
+        r = _hermitian_norm(a)
         return estimate, r, np.abs(estimate - r)
 
     rows = _trial_blocks(cfg, rng, 100, block)
@@ -342,7 +344,7 @@ def _exp_hausdorff(cfg: ExperimentConfig, rng: np.random.Generator) -> Experimen
     def block(rng, count):
         a, b = _hermitians(rng.standard_normal((count, 2, 2, cfg.dim, cfg.dim))).swapaxes(0, 1)
         dh = spectral_fd.hausdorff_distance_spectra(a, b)
-        nd = operator_norm(a - b)
+        nd = _hermitian_norm(a - b)
         return dh, nd, dh - nd
 
     rows = _trial_blocks(cfg, rng, 1000, block)
@@ -376,7 +378,7 @@ def _exp_evolve(cfg: ExperimentConfig, rng: np.random.Generator) -> ExperimentRe
         u = spectral_fd.evolve(a, np.stack([s + t, s, t, np.full(count, h)]))
         group = operator_norm(u[0] - u[1] @ u[2])
         gen = operator_norm((u[3] - np.eye(cfg.dim)) / h - 1j * a)
-        return group, gen, [nrm ** 2 * h for nrm in operator_norm(a).tolist()]
+        return group, gen, [nrm ** 2 * h for nrm in _hermitian_norm(a).tolist()]
 
     rows = _trial_blocks(cfg, rng, 100, block)
     checks = [
@@ -582,20 +584,42 @@ def experiment_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # reporting
 
+def _number_format(x) -> str | None:
+    """The %-format of a number cell: %d for an integer, %.17g for a float, None for anything
+    else (a bool is not a number here)."""
+    if isinstance(x, bool):
+        return None
+    if isinstance(x, (int, np.integer)):
+        return "%d"
+    if isinstance(x, (float, np.floating)):
+        return "%.17g"
+    return None
+
+
 def _fmt(x) -> str:
+    """A CSV cell's text: true/false for a bool, a number by _number_format, str(x) otherwise."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % float(x)
-    return str(x)
+    spec = _number_format(x)
+    return str(x) if spec is None else spec % x
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """One line per row, each cell as _fmt writes it.
+
+    A row of numbers alone is written by one %-format, joined from _number_format's formats
+    of its cells and rebuilt whenever a row's cell types differ from the last row's; a row
+    with any other cell is joined from _fmt's cells.
+    """
     lines = [",".join(header)]
+    kinds = fmt = None
     for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+        # types compared one by one: a new tuple of them per row raised trial-suite's peak_mb by 2 KB
+        if kinds is None or len(row) != len(kinds) or not all(map(is_, map(type, row), kinds)):
+            kinds = tuple(map(type, row))
+            specs = [_number_format(x) for x in row]
+            fmt = None if None in specs else ",".join(specs)
+        lines.append(",".join(map(_fmt, row)) if fmt is None else fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
 
 

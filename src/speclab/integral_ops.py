@@ -246,13 +246,21 @@ def hs_norm(t) -> float | np.ndarray:
     bitwise as for the matrix alone.  The sum of squares is one dot product of
     the real parts plus one of the imaginary parts, in row-major order, as
     np.linalg.norm(matrix, "fro") forms it for a row-major matrix: the two
-    agree bit for bit there.
+    agree bit for bit there.  An operator's B = W^{1/2} K W^{1/2} is read from
+    K by the row blocks of _row_blocks, each block summed so and the blocks'
+    sums added, so one block of B is held, never B.
     """
     if isinstance(t, IntegralOperator):
-        return float(np.linalg.norm(t.symmetrized, "fro"))
+        every = slice(None)
+        blocks = (t._symmetrized_block(rows, every) for rows in _row_blocks(t.kernel_matrix.shape))
+        return float(np.sqrt(sum(_sum_of_squares(b.reshape(-1)) for b in blocks)))
     m = _require_stack(t)
-    flat = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
-    return _unstack(np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)))
+    return _unstack(np.sqrt(_sum_of_squares(m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]))))
+
+
+def _sum_of_squares(flat: np.ndarray) -> np.ndarray:
+    """sum |x|^2 along the last axis: one dot product of the real parts plus one of the imaginary parts."""
+    return np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
 
 
 def trace(t):

@@ -17,10 +17,12 @@ Conventions used throughout the package:
 * every Hermitian part (A + A^*) / 2 and Hermitian defect max |A - A^*| is
   formed by _hermitian_part and _hermitian_defect, of the whole matrix or of a
   block and its mirrored block: the part in one new buffer, and the defect in
-  row blocks of about _CHUNK entries, with no copy of A^*;
+  row blocks of about _CHUNK entries, with no copy of A^*; the 2-norm of an
+  exactly Hermitian matrix, max |lambda|, is taken by _hermitian_norm;
 * one helper owns each argument rule and names the argument in its ValueError:
-  _require_count (an integer >= least), _require_scale (finite and > 0),
-  _require_interval (finite ends, lo < hi), _require_tolerance (finite, >= 0).
+  _require_count (an integer >= least), _require_scale (a real scalar, finite
+  and > 0), _require_interval (finite ends, lo < hi), _require_tolerance (a
+  real scalar, finite, >= 0), _require_finite (numeric and finite).
 """
 
 from __future__ import annotations
@@ -182,17 +184,32 @@ def _first_non_finite(v: np.ndarray) -> tuple | None:
 
 
 def _require_finite(**fields) -> None:
-    """ValueError naming the first field with a NaN or infinite entry (checked by _first_non_finite)."""
+    """ValueError naming the first field that is not numeric (bool, integer, float or complex)
+    or has a NaN or infinite entry (checked by _first_non_finite)."""
     for name, value in fields.items():
-        if _first_non_finite(np.asarray(value)) is not None:
+        v = np.asarray(value)
+        if v.dtype.kind not in "biufc":
+            raise ValueError(f"{name} must be numeric, got dtype {v.dtype}")
+        if _first_non_finite(v) is not None:
             raise ValueError(f"{name} must be finite")
 
 
+def _real_scalar(name: str, value) -> float:
+    """value as a float; ValueError naming it unless it is a real scalar: an integer or a float,
+    numpy's and 0-d arrays included, and not a bool."""
+    v = np.asarray(value)
+    if v.ndim or v.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(v)
+
+
 def _require_tolerance(**fields) -> None:
-    """ValueError naming the first tolerance that is not finite or is below 0."""
+    """ValueError naming the first tolerance that is not a real scalar, is not finite or is below 0."""
     for name, value in fields.items():
-        _require_finite(**{name: value})
-        if value < 0:
+        x = _real_scalar(name, value)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+        if x < 0:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
@@ -204,9 +221,11 @@ def _require_count(least: int, **fields) -> None:
 
 
 def _require_scale(**fields) -> None:
-    """ValueError naming the first scale (a height, width or step) that is not finite and > 0."""
+    """ValueError naming the first scale (a height, width or step) that is not a real scalar,
+    or is not finite and > 0."""
     for name, value in fields.items():
-        if not (np.isfinite(value) and value > 0):
+        x = _real_scalar(name, value)
+        if not (math.isfinite(x) and x > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -266,6 +285,17 @@ def operator_norm(a: np.ndarray) -> float | np.ndarray:
     if m.size == 0:
         return _unstack(np.zeros(m.shape[:-2]))
     return _unstack(np.linalg.svd(m, compute_uv=False)[..., 0])
+
+
+def _hermitian_norm(h: np.ndarray) -> float | np.ndarray:
+    """||H|| = max |lambda| for an exactly Hermitian matrix H, or the array of norms of a stack
+    (..., n, n) of them, each bitwise as for the matrix alone: one eigvalsh, no SVD.
+
+    eigvalsh reads H's lower triangle alone: for H Hermitian bit for bit (as _hermitian_part
+    builds it, or a difference of such matrices) this is ||H||, and for H Hermitian within a
+    tolerance it is the norm of the Hermitian matrix that H's lower triangle defines.
+    """
+    return _unstack(np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1, initial=0.0))
 
 
 def hermiticity_tol(a: np.ndarray) -> float:
@@ -454,7 +484,7 @@ class SpectralResolution:
 
     @property
     def multiplicities(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     @property
     def projections(self) -> list[np.ndarray]:
@@ -516,8 +546,12 @@ def cluster_offsets(w: np.ndarray, tol: float) -> np.ndarray:
     finite and >= 0.
     """
     _require_tolerance(tol=tol)
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol)
-    return np.append(starts, len(w))
+    w = np.asarray(w)
+    new = np.empty(len(w), dtype=bool)
+    # the gap from -inf before w[0] clears every finite tol, unless w[0] is -inf or NaN
+    new[:1] = w[:1] > -np.inf
+    np.greater(w[1:] - w[:-1], tol, out=new[1:])
+    return np.append(np.flatnonzero(new), len(w))
 
 
 def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralResolution:
@@ -537,7 +571,7 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
         cluster_tol = _cluster_tol(float(np.max(np.abs(w), initial=0.0)))
     offsets = cluster_offsets(w, cluster_tol)
     eigenvalues = w[offsets[:-1]]  # a cluster of one value is its own mean
-    for i in np.flatnonzero(np.diff(offsets) > 1):
+    for i in np.flatnonzero(offsets[1:] - offsets[:-1] > 1):
         eigenvalues[i] = np.mean(w[offsets[i]:offsets[i + 1]])
     return SpectralResolution(eigenvalues, v, offsets)
 

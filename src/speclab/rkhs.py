@@ -19,6 +19,7 @@ point within 1e-12 of it; a point with no such ground point is outside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -294,11 +295,18 @@ def multiplier_adjoint_check(
 
 
 def poly_eval(coeffs: Sequence[complex], z):
-    """Evaluate sum_n a_n z^n (Horner), broadcasting over z."""
+    """Evaluate sum_n a_n z^n (Horner), broadcasting over z: a complex for a scalar z.
+
+    Each step acc = acc * z + a_n updates one buffer in place, with the bits of that
+    expression; z is only read.  A one-point z takes its products into a second buffer:
+    numpy rounds a one-element product in place apart from the same product into a new array.
+    """
     zv = np.asarray(z, dtype=complex)
     acc = np.zeros_like(zv)
+    product = acc if acc.size > 1 else np.empty_like(acc)
     for a in reversed(list(coeffs)):
-        acc = acc * zv + complex(a)
+        np.multiply(acc, zv, out=product)
+        np.add(product, complex(a), out=acc)
     return acc if acc.shape else complex(acc)
 
 
@@ -323,20 +331,35 @@ def disc_quadrature(n_radial: int = 64, n_angular: int = 256):
 
     Returns (points, weights) with sum_k w_k f(z_k) ~ integral_D f dA: the radial
     rule gauss_legendre_grid(0, 1, 1, n_radial), weighted by r, times a uniform angular grid.
+    The arrays are new on each call, copies of the rule _disc_rule holds.
     """
     _require_count(1, n_radial=n_radial, n_angular=n_angular)
+    z, w = _disc_rule(n_radial, n_angular)
+    return z.copy(), w.copy()
+
+
+@lru_cache(maxsize=1)
+def _disc_rule(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """disc_quadrature's (points, weights) for validated counts, built once for the last size
+    asked for and read-only because every caller shares it."""
     radial = gauss_legendre_grid(0.0, 1.0, 1, n_radial)
     r, wr = radial.nodes, radial.weights
     t = 2.0 * np.pi * np.arange(n_angular) / n_angular
     dt = 2.0 * np.pi / n_angular
     z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
-    w = (wr * r)[:, None] * np.full((1, n_angular), dt)
-    return z, w.ravel()
+    w = ((wr * r)[:, None] * np.full((1, n_angular), dt)).ravel()
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 def dirichlet_seminorm_quad(derivative, n_radial: int = 64, n_angular: int = 256) -> float:
-    """[f] = (1/pi) integral_D |f'(z)|^2 dA by the tensor polar rule."""
-    z, w = disc_quadrature(n_radial, n_angular)
+    """[f] = (1/pi) integral_D |f'(z)|^2 dA by the tensor polar rule.
+
+    The rule is _disc_rule's shared read-only copy, so the derivative must not write into
+    its argument: an evaluator that does raises.
+    """
+    _require_count(1, n_radial=n_radial, n_angular=n_angular)
+    z, w = _disc_rule(n_radial, n_angular)
     return float(np.sum(w * np.abs(_sample(derivative, z)) ** 2) / np.pi)
 
 
@@ -368,12 +391,25 @@ class MobiusMap:
         object.__setattr__(self, "v", v)
 
     def value(self, z):
+        """v (a - z) / (1 - conj(a) z), left as that expression: numpy elides its temporary
+        a - z for arrays of 256 KiB or more and forms v (a - z) as (a - z) v in place, which
+        rounds apart from v (a - z), so no one in-place form keeps its bits at every size."""
         zv = np.asarray(z, dtype=complex)
         return self.v * (self.a - zv) / (1.0 - np.conj(self.a) * zv)
 
     def derivative(self, z):
+        """v (|a|^2 - 1) / (1 - conj(a) z)^2 with the bits of that expression, formed, squared
+        and divided into in one new array of z's shape.  A one-point z is squared into a new
+        array, or as a numpy scalar for a 0-d z, as the expression does: numpy rounds a
+        one-element square in place apart from both."""
         zv = np.asarray(z, dtype=complex)
-        return self.v * (abs(self.a) ** 2 - 1.0) / (1.0 - np.conj(self.a) * zv) ** 2
+        scale = self.v * (abs(self.a) ** 2 - 1.0)
+        den = np.multiply(np.conj(self.a), zv, out=np.empty_like(zv))
+        np.subtract(1.0, den, out=den)
+        if den.size < 2:
+            return scale / den[()] ** 2
+        den **= 2
+        return np.divide(scale, den, out=den)
 
 
 @dataclass(frozen=True)

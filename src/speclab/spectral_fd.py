@@ -14,6 +14,7 @@ Sign conventions worth stating once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 from .linalg_core import (
     SpectralResolution,
     _first_failure,
+    _hermitian_norm,
     _hermitian_part,
     _require_2d,
     _require_count,
@@ -113,11 +115,11 @@ class BorelSet:
             if abs(lam - p) <= tol:
                 return True
         for lo, hi, lc, hc in self.intervals:
-            if np.isfinite(lo) and abs(lam - lo) <= tol:
+            if math.isfinite(lo) and abs(lam - lo) <= tol:
                 if lc:
                     return True
                 continue
-            if np.isfinite(hi) and abs(lam - hi) <= tol:
+            if math.isfinite(hi) and abs(lam - hi) <= tol:
                 if hc:
                     return True
                 continue
@@ -525,7 +527,7 @@ def commuting_diagonalization(
     if tau_comm is None:  # Hermitian, so ||A|| = max |lambda| (A's from res): no SVD needed
         tau_comm = 1e-10 * (1.0 + float(np.max(np.abs(res.eigenvalues), initial=0.0)))
         if comm > tau_comm:  # at or below this floor comm clears the default for every ||B||
-            tau_comm *= 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(mb)), initial=0.0))
+            tau_comm *= 1.0 + _hermitian_norm(mb)
     if comm > tau_comm:
         return CompatibilityResult(False, comm)
     basis = np.empty_like(res.eigenvectors)

@@ -422,3 +422,33 @@ def test_volterra_experiment_holds_one_kernel_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.64 * 8 * n * n + 128 * 1024  # with room for another numpy's temporaries
+
+
+def former_fmt(x) -> str:
+    """A CSV cell's text as _fmt wrote it cell by cell: the reference for the row formats."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return "%.17g" % float(x)
+    return str(x)
+
+
+CSV_CELLS = [True, False, np.bool_(True), 0, -7, 2 ** 70, np.int64(-3), np.int32(5), np.uint64(2 ** 64 - 1), 0.1, -0.0,
+             1e300, 5e-324, np.float64(2.0 / 3.0), np.float32(0.1), np.nan, np.inf, -np.inf, np.float64(-np.inf), "label", ""]
+
+
+def test_csv_rows_have_the_bytes_of_their_cells(tmp_path):
+    # a row of numbers is written by one %-format of its cell types; a row whose types differ from the
+    # row before (a float where an int was, a bool where an int was) needs a format of its own
+    rng = np.random.default_rng(5)
+    rows = [tuple(CSV_CELLS), (1, 0.5, np.float64(0.25)), (1.0, 0.5, np.float64(0.25)), (True, 0.5, np.float64(0.25)),
+            (np.int64(2), np.float32(0.5), 7), ("a", 0.5, 1), (), (3, -0.0, np.nan)]
+    rows += [tuple(rng.choice(np.array(CSV_CELLS, dtype=object), 4)) for _ in range(200)]
+    path = tmp_path / "cells.csv"
+    for order in (rows, rows[1:], rows[::-1]):  # the first row with a str in it, of numbers alone, random
+        cli._write_csv(path, ["a", "b"], order)
+        want = "\n".join(["a,b"] + [",".join(map(cli._fmt, row)) for row in order]) + "\n"
+        assert path.read_text() == want
+        assert want == "\n".join(["a,b"] + [",".join(map(former_fmt, row)) for row in order]) + "\n"

@@ -1,6 +1,7 @@
 """Nystrom operators, HS norm and trace, Volterra, Sturm-Liouville Green machinery."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
 import warnings
@@ -249,6 +250,33 @@ def test_hs_norm_rejects_non_finite_stacks():
     with pytest.raises(ValueError, match="expected a 2-d matrix or a stack"):
         hs_norm(np.ones(3))
     assert hs_norm(np.zeros((0, 0))) == 0.0 and hs_norm(np.zeros((2, 0, 3))).shape == (2,)
+
+
+HS_KERNELS = {
+    "real": lambda x, y: np.minimum(x, y) * (1.0 - np.maximum(x, y)),
+    "complex": lambda x, y: np.exp(1j * (x - y)) / (1.0 + (x - y) ** 2),
+}
+
+
+@pytest.mark.parametrize("kernel", HS_KERNELS.values(), ids=HS_KERNELS.keys())
+@pytest.mark.parametrize("panels", [50, 100])
+def test_operator_hs_norm_holds_a_few_blocks_of_b(kernel, panels):
+    # B summed by row blocks of about _CHUNK entries: two blocks live at a time (the next is formed
+    # before the last is released), 0.39 MB real and 0.65 MB complex at 400 and 800 nodes; forming B
+    # held 8 n^2 (real) or 16 n^2 (complex), 1.28 MB and 2.56 MB at 400 nodes
+    g = gauss_legendre_grid(0.0, 1.0, panels=panels, per_panel=8)
+    op = nystrom(kernel, g)
+    tracemalloc.start()
+    try:
+        got = hs_norm(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b = op.symmetrized
+    assert abs(got - np.linalg.norm(b, "fro")) <= 1e-14 * got
+    squares = np.concatenate([b.real.ravel() ** 2, b.imag.ravel() ** 2])
+    assert abs(got - np.sqrt(math.fsum(squares))) <= 1e-14 * got
+    assert peak <= 3 * 16 * linalg_core._CHUNK
 
 
 def test_trace_rank_one_projection():

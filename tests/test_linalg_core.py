@@ -203,6 +203,28 @@ def test_cluster_means_equal_per_cluster_np_mean_bitwise(sizes):
     assert res.eigenvalues.dtype == np.float64 and np.array_equal(res.eigenvalues, want)
 
 
+def former_cluster_offsets(w, tol):
+    """cluster_offsets as np.diff with a prepended -inf wrote it: the reference for the sliced gaps."""
+    return np.append(np.flatnonzero(np.diff(w, prepend=-np.inf) > tol), len(w))
+
+
+CLUSTER_INPUTS = {
+    "empty": [], "one": [2.0], "tied": [1.0, 1.0 + 5e-9, 1.0 + 1e-8, 3.0], "spread": [-2.0, 0.0, 1.5],
+    "nan-first": [np.nan, 1.0, 2.0], "nan-inside": [0.0, np.nan, np.nan, 1.0], "nan-only": [np.nan],
+    "-inf": [-np.inf, 0.0], "-inf-twice": [-np.inf, -np.inf, 1.0], "+inf": [0.0, np.inf, np.inf],
+}
+
+
+@pytest.mark.parametrize("values", CLUSTER_INPUTS.values(), ids=CLUSTER_INPUTS.keys())
+def test_cluster_offsets_keep_the_former_offsets(values):
+    # a NaN or -inf first value starts no cluster at 0, as np.diff's NaN gap from -inf did
+    w = np.array(values, dtype=float)
+    for tol in (0.0, 1e-8, 1.0):
+        with np.errstate(invalid="ignore"):  # a gap between equal infinities is NaN, in either form
+            got, want = cluster_offsets(w, tol), former_cluster_offsets(w, tol)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_reconstruction_oracle_8x8():
     a = random_hermitian(np.random.default_rng(17), 8)
     res = hermitian_eig(a)
@@ -448,6 +470,21 @@ def test_operator_norm_is_the_two_norm_bit_for_bit():
         real = rng.standard_normal((n, n))
         for a in (real, real + 1j * rng.standard_normal((n, n))):
             assert operator_norm(a) == np.linalg.norm(a.astype(complex), 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_hermitian_norm_is_the_two_norm_of_an_exactly_hermitian_stack(n):
+    rng = np.random.default_rng(37 + n)
+    z = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    for h in (linalg_core._hermitian_part(z), linalg_core._hermitian_part(z.real)):
+        got = linalg_core._hermitian_norm(h)
+        assert got.shape == (5,)
+        for k in range(5):
+            # one eigvalsh per matrix: the bits of a single call; the 2-norm to 4 n eps ||H||
+            single = linalg_core._hermitian_norm(h[k])
+            assert isinstance(single, float) and got[k] == single
+            assert abs(single - operator_norm(h[k])) <= 4 * n * np.finfo(float).eps * operator_norm(h[k])
+    assert linalg_core._hermitian_norm(np.zeros((0, 0))) == 0.0
 
 
 def test_operator_norm_takes_strided_views():
@@ -788,6 +825,28 @@ def test_non_finite_points_are_rejected_by_name(call, value, message):
     # passed both of its checks; a NaN weight made every norm NaN; pvm of
     # BorelSet.point(nan) was 0; an atom (nan, 1) or (0, inf) gave a NaN transform
     # or an infinite mass; and poisson_halfplane and poisson_disc returned NaN
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+# id: (call taking the bad value, the bad value, the message)
+NON_NUMERIC_CASES = {
+    "halfplane_window": (halfplane_window, "1", "y must be a real number, got '1'"),
+    "neumann_resolvent": (lambda v: neumann_resolvent(0.1 * np.eye(2), 1.0, tau=v), "1e-12", "tau must be a real number, got '1e-12'"),
+    "hermitian_eig": (lambda v: hermitian_eig(np.eye(2), cluster_tol=v), "x", "cluster_tol must be a real number, got 'x'"),
+    "resolvent": (lambda v: resolvent(np.diag([1.0, 2.0]), v), "1", "z must be numeric, got dtype <U1"),
+    "BorelSet.point": (BorelSet.point, "a", "x must be numeric, got dtype <U1"),
+    "herglotz_recover": (lambda v: herglotz_recover(ONES, v, (-1.0, 1.0), 11), None, "eps must be a real number, got None"),
+    "cluster_offsets": (lambda v: cluster_offsets(np.array([1.0, 2.0]), v), [1e-8, 1.0], "tol must be a real number, got [1e-08, 1.0]"),
+    "tolerance-complex": (lambda v: cluster_offsets(np.array([1.0, 2.0]), v), 1e-8 + 0j, "tol must be a real number, got (1e-08+0j)"),
+    "scale-bool": (halfplane_window, True, "y must be a real number, got True"),
+}
+
+
+@pytest.mark.parametrize("call, value, message", NON_NUMERIC_CASES.values(), ids=NON_NUMERIC_CASES.keys())
+def test_non_numeric_arguments_are_rejected_by_name(call, value, message):
+    # each raised numpy's TypeError ("ufunc 'isfinite' not supported for the input types",
+    # or "'<' not supported" for a list tolerance) in place of a ValueError naming the argument
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 

@@ -72,6 +72,7 @@ def test_each_shared_rule_has_one_site():
     leggauss, two_norm, square, set_distance, cumsum, integral_op, float_view = [], [], [], [], [], [], []
     negative_tolerance, margin, integer_test, real_kinds, lanczos = [], [], [], [], []
     real_split, real_split_calls, adjoint_product, synthesize, hermitian_part, hermitian_defect = [], [], [], [], [], []
+    eigenvalue_norm, hermitian_norm, disc_grid, disc_rule = [], [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
                   "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": []}
     for module, owner, node in _source_nodes():
@@ -95,6 +96,14 @@ def test_each_shared_rule_has_one_site():
         if not isinstance(node, ast.Call):
             continue
         func = ast.unparse(node.func)
+        if re.match(r"np\.max\(np\.abs\(np\.linalg\.eigvalsh\(", ast.unparse(node)):  # max |lambda| of an eigvalsh
+            eigenvalue_norm.append((module, owner))
+        if func.split(".")[-1] == "_hermitian_norm":
+            hermitian_norm.append((module, owner))
+        if module == "rkhs.py" and func.split(".")[-1] == "gauss_legendre_grid":
+            disc_grid.append((module, owner))
+        if func.split(".")[-1] == "_disc_rule":
+            disc_rule.append((module, owner))
         if func == "isinstance" and ast.unparse(node.args[1]) == "(int, np.integer)":
             integer_test.append((module, owner))
         if func.split(".")[-1] == "leggauss":
@@ -154,8 +163,16 @@ def test_each_shared_rule_has_one_site():
     ]
     # the Neumann skip's certified norm bounds clear their thresholds by one relative margin
     assert margin == [("spectral_fd.py", "_neumann_skip")]
+    # the 2-norm of an exactly Hermitian matrix, max |lambda| of one eigvalsh, is taken in one place
+    assert eigenvalue_norm == [("linalg_core.py", "_hermitian_norm")]
+    assert sorted(hermitian_norm) == [
+        ("cli.py", "block"), ("cli.py", "block"), ("cli.py", "block"), ("spectral_fd.py", "commuting_diagonalization"),
+    ]
+    # the disc rule is built in one place, once per size, and read by both of its users
+    assert disc_grid == [("rkhs.py", "_disc_rule")]
+    assert sorted(disc_rule) == [("rkhs.py", "dirichlet_seminorm_quad"), ("rkhs.py", "disc_quadrature")]
     # counts, scales and intervals are each checked by one helper, with one message;
-    # cli._fmt's integer test picks a number format and checks no argument
+    # cli._number_format's integer test picks a number format and checks no argument
     assert rule_texts == {
         "must be an integer >=": [("linalg_core.py", "_require_count")],
         "must be finite and > 0": [("linalg_core.py", "_require_scale")],
@@ -164,7 +181,7 @@ def test_each_shared_rule_has_one_site():
         "evaluator undefined at eigenvalue": [("spectral_fd.py", "_values_on_spectrum")],
         "evaluator not finite at eigenvalue": [("spectral_fd.py", "_values_on_spectrum")],
     }
-    assert sorted(integer_test) == [("cli.py", "_fmt"), ("linalg_core.py", "_require_count")]
+    assert sorted(integer_test) == [("cli.py", "_number_format"), ("linalg_core.py", "_require_count")]
 
 
 def test_private_helpers_have_a_src_caller():

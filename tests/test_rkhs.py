@@ -23,6 +23,7 @@ from speclab import (
     poly_eval,
     reproduce,
 )
+from speclab import rkhs
 from speclab.linalg_core import _sample
 
 HARDY = kernel_by_name("hardy")
@@ -393,3 +394,88 @@ def test_composed_function_chain_rule():
     for z in (0.1, -0.2 + 0.3j):
         fd = (composed.value(z + h) - composed.value(z - h)) / (2 * h)
         assert abs(composed.derivative(z) - fd) < 1e-6
+
+
+def fresh_disc_rule(n_radial, n_angular):
+    """disc_quadrature's rule as it was built on every call: the reference for the cached rule."""
+    radial = np.polynomial.legendre.leggauss(n_radial)
+    r, wr = (radial[0] + 1.0) / 2.0, radial[1] / 2.0
+    t = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    z = (r[:, None] * np.exp(1j * t)[None, :]).ravel()
+    return z, ((wr * r)[:, None] * np.full((1, n_angular), 2.0 * np.pi / n_angular)).ravel()
+
+
+def test_seminorm_reads_one_cached_read_only_rule():
+    rkhs._disc_rule.cache_clear()
+    assert dirichlet_seminorm_quad(lambda z: np.ones_like(z)) == pytest.approx(1.0, rel=1e-14)
+    z, w = rkhs._disc_rule(64, 256)
+    assert not z.flags.writeable and not w.flags.writeable
+    for got, want, public in zip((z, w), fresh_disc_rule(64, 256), disc_quadrature()):
+        assert np.array_equal(got, want) and np.array_equal(public, want)
+        assert public.flags.writeable and public is not got  # the public rule is a copy
+    assert rkhs._disc_rule(64, 256)[0] is z  # read again, not rebuilt
+    # a rule of another size replaces it: the cache holds one rule
+    dirichlet_seminorm_quad(lambda z: np.ones_like(z), 8, 16)
+    assert rkhs._disc_rule.cache_info().currsize == 1
+    assert rkhs._disc_rule(64, 256)[0] is not z
+
+
+def test_an_evaluator_cannot_write_into_the_cached_rule():
+    def scribble(z):
+        z[...] = 0.0  # read-only on the rule; a scalar point, its fallback, takes no item assignment
+        return np.ones_like(z)
+
+    dirichlet_seminorm_quad(lambda z: np.ones_like(z))
+    with pytest.raises((ValueError, TypeError)):
+        dirichlet_seminorm_quad(scribble)
+    for got, want in zip(rkhs._disc_rule(64, 256), fresh_disc_rule(64, 256)):
+        assert np.array_equal(got, want)
+
+
+def former_poly_eval(coeffs, z):
+    zv = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(zv)
+    for a in reversed(list(coeffs)):
+        acc = acc * zv + complex(a)
+    return acc if acc.shape else complex(acc)
+
+
+def former_mobius_value(m, z):
+    zv = np.asarray(z, dtype=complex)
+    return m.v * (m.a - zv) / (1.0 - np.conj(m.a) * zv)
+
+
+def former_mobius_derivative(m, z):
+    zv = np.asarray(z, dtype=complex)
+    return m.v * (abs(m.a) ** 2 - 1.0) / (1.0 - np.conj(m.a) * zv) ** 2
+
+
+def horner_inputs(rng):
+    """The disc rule (whole, 2-d, strided), arrays of 1 to 1000 points, and scalar points of each type."""
+    z = disc_quadrature()[0]
+    yield from (z, z.reshape(64, 256).T, z[::3])
+    for n in (1, 2, 3, 1000):
+        yield 0.9 * random_disc_points(rng, n)
+    for x in 0.9 * random_disc_points(rng, 20):
+        yield from (complex(x), np.complex128(x), np.asarray(x))
+
+
+def same_bits(got, want):
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_in_place_horner_and_mobius_maps_keep_the_former_bits():
+    # numpy rounds a complex product by a one-element loop in place apart from the same product into
+    # a new array (and numpy scalars as the former) wherever its array loops contract the products;
+    # the scalar and one-point cases cover that
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        coeffs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        composed = compose_mobius(coeffs, 0.6 * random_disc_points(rng, 1)[0], np.exp(2j * np.pi * rng.uniform()))
+        m = composed.mobius
+        for z in horner_inputs(rng):
+            assert same_bits(poly_eval(coeffs, z), former_poly_eval(coeffs, z))
+            assert same_bits(m.value(z), former_mobius_value(m, z))
+            assert same_bits(m.derivative(z), former_mobius_derivative(m, z))
+            want = former_poly_eval(poly_derivative(coeffs), m.value(z)) * former_mobius_derivative(m, z)
+            assert same_bits(composed.derivative(z), want)
