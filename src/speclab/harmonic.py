@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg_core import SpectralResolution, _from_parts, _require_count, _require_finite, _require_interval, _require_scale, _sample, _uniform_grid
+from .linalg_core import (SpectralResolution, _from_parts, _real_scalar, _require_count, _require_finite, _require_interval,
+                          _require_scale, _sample, _uniform_grid)
 
 __all__ = [
     "FourierSeries",
@@ -49,6 +50,7 @@ class FourierSeries:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (2 * self.order + 1,):
             raise ValueError(f"expected {2 * self.order + 1} coefficients, got {c.shape}")
+        _require_finite(coefficients=c)
         object.__setattr__(self, "coefficients", c)
 
     def coefficient(self, n: int) -> complex:
@@ -141,7 +143,7 @@ def inverse_dft(x: np.ndarray) -> np.ndarray:
 def halfplane_window(y: float, tau_tail: float = TAU_TAIL) -> float:
     """Half-width T with Poisson tail mass (2/pi) arctan(y/T) < tau_tail."""
     _require_scale(y=y)
-    if not 0 < tau_tail < 1:
+    if not 0 < _real_scalar("tau_tail", tau_tail) < 1:
         raise ValueError("tau_tail must lie in (0, 1)")
     return y / np.tan(np.pi * tau_tail / 2.0)
 
@@ -184,10 +186,10 @@ def poisson_disc(phi: SampledBoundaryFunction, rho: float, s: float) -> complex:
     """Poisson integral on the unit disc at the point rho * e^{is}.
 
     Kernel (1/2pi)(1 - rho^2) / (1 - 2 rho cos(s - t) + rho^2) against periodic
-    boundary samples; rho = 0 returns the boundary mean.  A non-finite s raises ValueError.
+    boundary samples; rho = 0 returns the boundary mean.  A non-finite s or a rho not in [0, 1) raises ValueError.
     """
     _require_finite(s=s)
-    if not 0.0 <= rho < 1.0:
+    if not 0.0 <= _real_scalar("rho", rho) < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if not phi.covers_period():
         raise ValueError("boundary samples must cover one full period")
@@ -199,11 +201,12 @@ def poisson_disc(phi: SampledBoundaryFunction, rho: float, s: float) -> complex:
 def momentum_model(lambda_twist: float, order: int) -> SpectralResolution:
     """Diagonal momentum operator on frequency modes n = -order..order.
 
-    Eigenvalue on mode n is lambda_twist + n (twist 0 gives the periodic case
-    where differentiation multiplies mode n by n).  Exact by construction:
+    Eigenvalue on mode n is lambda_twist + n for a finite real twist (twist 0 gives the
+    periodic case, where differentiation multiplies mode n by n).  Exact by construction:
     the eigenvectors are the coordinate basis in mode order.
     """
     _require_count(0, order=order)
+    _require_finite(lambda_twist=_real_scalar("lambda_twist", lambda_twist))
     modes = np.arange(-order, order + 1)
     dim = modes.size
     eigenvalues = lambda_twist + modes.astype(float)

@@ -7,8 +7,8 @@ columns).  The Sturm-Liouville path is: a spectral shift ladder for problems
 where the operator is not injective, homogeneous solutions u, v by
 fixed-step RK4 shooting (with cubic-Hermite dense output) and a Wronskian
 check, all run once per solve.  Each shot multiplies the 2 x 2 transfer
-matrices of its RK4 steps in blocks of 64, vectorized: 64 + n/64
-Python-level steps for n RK4 steps, 128 at the default n = 4096.  The Green
+matrices of its n RK4 steps in blocks of ceil(sqrt(n)), vectorized: about
+2 sqrt(n) Python-level steps, 126 at the default n = 4096.  The Green
 kernel u(max) v(min) / W is real and semiseparable, so its symmetrized
 Nystrom matrix S = W^{1/2} G W^{1/2} is never formed: S y is two cumulative
 sums over the nodes, O(n), and Lanczos with full reorthogonalization on that
@@ -30,6 +30,7 @@ its successive Rayleigh minima from one Hermitian eigensolve
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,7 +54,6 @@ from .linalg_core import (
     _row_blocks,
     _sample,
     _unstack,
-    operator_norm,
     require_hermitian,
     require_matrix,
 )
@@ -212,8 +212,8 @@ def _panels(n: int) -> list[slice]:
     return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
 
-def _check_positive(panels: list[np.ndarray], scale: float, message: str) -> None:
-    """ValueError(message) unless H + 1e-10 * scale * I has a Cholesky factor, for the
+def _check_positive(panels: list[np.ndarray], scale: float) -> None:
+    """ValueError unless H + 1e-10 * scale * I has a Cholesky factor, for the
     Hermitian matrix H given by its block columns from the diagonal down.
 
     panels[j] is H[lo:, cols] for the j-th block column cols of _panels(n), lo = cols.start,
@@ -234,7 +234,7 @@ def _check_positive(panels: list[np.ndarray], scale: float, message: str) -> Non
         try:
             panel[:width] = np.linalg.cholesky(panel[:width])
         except np.linalg.LinAlgError:
-            raise ValueError(message)
+            raise ValueError("operator trace requires a positive kernel")
         # L21 = A21 L11^-*: a product with L11's inverse, which costs less than a solve
         panel[width:] = panel[width:] @ np.linalg.inv(panel[:width]).conj().T
 
@@ -290,7 +290,7 @@ def trace(t):
         scale = largest + 1.0
         if defect > 1e-10 * scale:
             raise ValueError("operator trace requires a Hermitian kernel")
-        _check_positive(parts, scale, "operator trace requires a positive kernel")
+        _check_positive(parts, scale)
         return float(np.sum(t.grid.weights * np.real(np.diag(t.kernel_matrix))))
     return complex(np.trace(_require_square(require_matrix(t))))
 
@@ -360,7 +360,7 @@ class SturmLiouvilleProblem:
 
 def _eval_potential(q: Callable, xs: np.ndarray) -> np.ndarray:
     vals = _sample(q, xs)
-    if not np.isfinite(vals).all():
+    if _first_non_finite(vals) is not None:
         raise ValueError("potential not finite on the integration grid")
     if np.max(np.abs(vals.imag)) > 1e-12 * (1.0 + np.max(np.abs(vals.real))):
         raise ValueError("complex potentials are not supported")
@@ -390,9 +390,6 @@ def _rk4_step(q0, qm, q1, hh: float, cy, cp):
             cp + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
 
 
-_RK4_BLOCK = 64
-
-
 def _rk4_linear(qs: np.ndarray, hh: float, y0: float, p0: float):
     """Integrate y'' = q(x) y with classical RK4 at fixed step hh from the first node.
 
@@ -402,22 +399,23 @@ def _rk4_linear(qs: np.ndarray, hh: float, y0: float, p0: float):
 
     An RK4 step of this linear system is linear, (y, y')_{k+1} = M_k (y, y')_k,
     so the n step matrices come from one vectorized step applied to the start
-    vectors (1, 0) and (0, 1).  They are propagated in blocks of _RK4_BLOCK
-    steps, the last padded with identity steps: one loop over the positions in
-    a block forms the prefix products of every block at once, a second carries
-    the start vector from block to block, and one broadcast product gives every
-    node.  That is _RK4_BLOCK + n / _RK4_BLOCK Python-level steps in place
-    of n, 2 sqrt(n) at n = 4096.
+    vectors (1, 0) and (0, 1).  They are propagated in blocks of width
+    ceil(sqrt(n)), the last padded with identity steps: one loop over the
+    positions in a block forms the prefix products of every block at once, a
+    second carries the start vector from block to block, and one broadcast
+    product gives every node.  That is (width - 1) + (blocks - 1) Python-level
+    steps in place of n, the fewest of any width: 126 at n = 4096 (width 64).
     """
     n = (qs.size - 1) // 2
+    width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     q0, qm, q1 = qs[0:-1:2], qs[1::2], qs[2::2]
-    blocks = -(-n // _RK4_BLOCK)
-    prefix = np.empty((blocks * _RK4_BLOCK, 2, 2))
+    blocks = -(-n // width)
+    prefix = np.empty((blocks * width, 2, 2))
     prefix[:n, 0, 0], prefix[:n, 1, 0] = _rk4_step(q0, qm, q1, hh, 1.0, 0.0)
     prefix[:n, 0, 1], prefix[:n, 1, 1] = _rk4_step(q0, qm, q1, hh, 0.0, 1.0)
     prefix[n:] = np.eye(2)
-    prefix = prefix.reshape(blocks, _RK4_BLOCK, 2, 2)  # prefix[b, j] = M_{bB+j} ... M_{bB}, B = _RK4_BLOCK
-    for j in range(1, _RK4_BLOCK):
+    prefix = prefix.reshape(blocks, width, 2, 2)  # prefix[b, j] = M_{bB+j} ... M_{bB}, B = width
+    for j in range(1, width):
         prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
     starts = np.empty((blocks, 2))  # (y, y') at the first node of each block
     starts[0] = y0, p0
@@ -481,7 +479,7 @@ def sl_homogeneous_solutions(p: SturmLiouvilleProblem, h: float | None = None) -
     v starts at a with data (alpha1, -alpha0), u starts at b with data
     (beta1, -beta0); both are integrated with classical fixed-step RK4
     (default step (b-a)/4096, at least 16 steps), each shot as blocked
-    products of the steps' transfer matrices (_rk4_linear): 128 vectorized
+    products of the steps' transfer matrices (_rk4_linear): 126 vectorized
     Python-level steps at the default step.  W = u v' - u' v is constant up
     to O(h^4); if |W| <= 1e-6 (1 + max_x (|u v'| + |u' v|)), small against the
     two terms that cancel in it, the operator is not injective on the
@@ -790,19 +788,17 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     j - 1 minimizers is the j-th smallest eigenvalue of B, and the minimizers
     are orthonormal eigenvectors (Courant-Fischer).  So one Hermitian
     eigensolve of the checked Hermitian part gives them all.  Returns
-    (ascending eigenvalues, minimizer columns).  Raises ValueError when B is
-    not positive within tolerance.
+    (ascending eigenvalues, minimizer columns).  The same eigenvalues decide
+    positivity: ValueError when the least is below -1e-10 (1 + max |lambda|).
     """
     m = require_hermitian(_require_2d(b))
     n = m.shape[0]
     _require_count(1, k=k)
     if k > n:
         raise ValueError(f"k must be in 1..{n}")
-    # the check factors the lower triangle of its Hermitian part, and eigh gets a new one: so
-    # besides m at most two n x n arrays are held at once, eigh's input and its eigenvectors
-    _check_positive([_hermitian_part(m[cols.start:, cols], m[cols, cols.start:]) for cols in _panels(n)],
-                    1.0 + operator_norm(m), "matrix is not positive within tolerance")
     w, v = np.linalg.eigh(_hermitian_part(m))
+    if w[0] < -1e-10 * (1.0 + max(-w[0], w[-1])):
+        raise ValueError("matrix is not positive within tolerance")
     return w[:k], v[:, :k]
 
 

@@ -21,7 +21,7 @@ Conventions used throughout the package:
   exactly Hermitian matrix, max |lambda|, is taken by _hermitian_norm;
 * one helper owns each argument rule and names the argument in its ValueError:
   _require_count (an integer >= least), _require_scale (a real scalar, finite
-  and > 0), _require_interval (finite ends, lo < hi), _require_tolerance (a
+  and > 0), _require_interval (real, finite ends, lo < hi), _require_tolerance (a
   real scalar, finite, >= 0), _require_finite (numeric and finite).
 """
 
@@ -230,8 +230,8 @@ def _require_scale(**fields) -> None:
 
 
 def _require_interval(name: str, lo, hi) -> None:
-    """ValueError naming the interval unless both ends are finite and lo < hi."""
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    """ValueError naming the interval unless both ends are real scalars (_real_scalar), finite, and lo < hi."""
+    if not (np.isfinite(_real_scalar(name, lo)) and np.isfinite(_real_scalar(name, hi)) and lo < hi):
         raise ValueError(f"{name} must be a finite interval with lo < hi, got ({lo!r}, {hi!r})")
 
 
@@ -589,10 +589,10 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of matrix_to_json; validates lengths against rows*cols."""
+    """Inverse of matrix_to_json, bit for bit; checks lengths against rows*cols and entries by require_matrix."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError("re/im length does not match rows*cols")
-    return (re + 1j * im).reshape(rows, cols)
+    return require_matrix(np.stack([re, im], axis=-1).view(complex).reshape(rows, cols))

@@ -87,16 +87,18 @@ class FiniteMeasure:
         return FiniteMeasure(atoms=(), density_grid=grid, density_values=values)
 
     def total_mass(self) -> complex:
-        """mu(R): atom masses plus the trapezoid integral of the density."""
+        """mu(R): atom masses plus the density summed against its trapezoid weights, one _row_blocks block at a time."""
         out = sum((m for _, m in self.atoms), 0j)
         if self.density_grid is not None:
-            out += complex(_trapezoid(self.density_grid, self.density_values))
+            g, v = self.density_grid, self.density_values
+            out += complex(sum(_trapezoid_weights(g, r.start, r.stop) @ v[r] for r in _row_blocks(g.shape)))
         return complex(out)
 
     def total_variation(self) -> float:
         out = float(sum(abs(m) for _, m in self.atoms))
         if self.density_grid is not None:
-            out += float(_trapezoid(self.density_grid, self.density_values, np.abs))
+            g, v = self.density_grid, self.density_values
+            out += float(sum(_trapezoid_weights(g, r.start, r.stop) @ np.abs(v[r]) for r in _row_blocks(g.shape)))
         return out
 
     def is_positive(self, tau: float = TAU_NEG) -> bool:
@@ -139,22 +141,13 @@ def measure_fourier(mu: FiniteMeasure, omega) -> complex | np.ndarray:
 _ROWS, _COLS = 128, 512
 
 
-def _trapezoid(g: np.ndarray, v: np.ndarray, f: Callable = lambda x: x):
-    """np.trapezoid(f(v), g), summed over the _row_blocks chunks of the steps, which share their boundary points.
-
-    Each chunk's temporaries are O(_CHUNK), so no N-point array is formed; the sum differs from
-    one np.trapezoid call at roundoff.
-    """
-    return sum(np.trapezoid(f(v[r.start:r.stop + 1]), g[r.start:r.stop + 1]) for r in _row_blocks((g.size - 1,)))
-
-
 def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g, or their entries lo:hi.
+    """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g, or w[lo:hi] (hi <= g.size).
 
     Each entry is formed from the grid points beside it, so a slice has the bits of the whole.  The
     entries are written into out (hi - lo floats) when it is given, and into a new array otherwise.
     """
-    hi = g.size if hi is None else hi
+    hi = g.size if hi is None else min(hi, g.size)
     out = np.empty(hi - lo) if out is None else out
     first = max(lo - 1, 0)
     dg = np.diff(g[first:min(hi + 1, g.size)])  # dg[t] = g[first + t + 1] - g[first + t]
@@ -359,8 +352,9 @@ def extract_atoms(slice_measure: FiniteMeasure, eps: float, window_width: float 
     """
     if slice_measure.density_grid is None:
         raise ValueError("expected a density measure")
+    _require_scale(eps=eps)  # before 6 eps is formed from it
     window_width = 6.0 * eps if window_width is None else window_width
-    _require_scale(eps=eps, window_width=window_width)
+    _require_scale(window_width=window_width)
     x = slice_measure.density_grid
     v = slice_measure.density_values.real
     threshold = 10.0 * _median(v)

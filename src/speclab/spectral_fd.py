@@ -23,8 +23,10 @@ import numpy as np
 from .linalg_core import (
     SpectralResolution,
     _first_failure,
+    _first_non_finite,
     _hermitian_norm,
     _hermitian_part,
+    _real_scalar,
     _require_2d,
     _require_count,
     _require_finite,
@@ -84,11 +86,12 @@ class BorelSet:
     def interval(lo: float, hi: float, closed: str = "both") -> "BorelSet":
         if closed not in ("both", "left", "right", "neither"):
             raise ValueError(f"closed must be both/left/right/neither, got {closed!r}")
+        lo, hi = _real_scalar("lo", lo), _real_scalar("hi", hi)
         if not lo <= hi:
             raise ValueError("interval needs lo <= hi")
         lc = closed in ("both", "left")
         hc = closed in ("both", "right")
-        return BorelSet(intervals=((float(lo), float(hi), lc, hc),))
+        return BorelSet(intervals=((lo, hi, lc, hc),))
 
     @staticmethod
     def point(x: float) -> "BorelSet":
@@ -154,8 +157,8 @@ def _values_on_spectrum(m: Callable, eigenvalues: np.ndarray) -> np.ndarray:
             vals[i] = complex(m(float(lam)))
         except Exception as exc:
             raise ValueError(f"evaluator undefined at eigenvalue {lam}: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
+    bad = _first_non_finite(vals)
+    if bad is not None:
         raise ValueError(f"evaluator not finite at eigenvalue {eigenvalues[bad[0]]}: {vals[bad[0]]}")
     return vals
 
@@ -431,8 +434,7 @@ def evolve(a: np.ndarray, t: float) -> np.ndarray:
     """
     m = require_hermitian(a)
     t = np.asarray(t)
-    if not np.all(np.isfinite(t)):
-        raise ValueError(f"t must be finite, got {t}")
+    _require_finite(t=t)
     w, v = np.linalg.eigh(m)
     return _synthesize(v, np.exp(1j * w * t[..., None])[..., None, :])
 

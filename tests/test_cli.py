@@ -64,6 +64,14 @@ def test_reruns_are_byte_identical(tmp_path, name):
     assert strict_json(a / f"{name}.json")["passed"] is True
 
 
+@pytest.mark.parametrize("seed", [7, 42])
+def test_every_experiment_passes_its_checks_at_other_seeds(tmp_path, seed):
+    # the runs above use seed 0 only; every experiment must also pass its checks at other seeds
+    failed = [name for name in experiment_names()
+              if not run_experiment(ExperimentConfig(name=name, seed=seed, out=str(tmp_path))).passed]
+    assert failed == []
+
+
 def test_nan_in_a_later_trial_fails_its_check(tmp_path, monkeypatch):
     real = spectral_fd.hausdorff_distance_spectra
 

@@ -1,5 +1,7 @@
 """Fourier coefficients, the DFT, Poisson integrals, and the twisted momentum model."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,18 @@ def test_series_json_round_trip():
     back = series_from_json(series_to_json(series))
     assert back.order == 3
     np.testing.assert_allclose(back.coefficients, series.coefficients)
+
+
+def test_series_json_reader_and_writer_reject_non_finite_coefficients():
+    # FourierSeries(1, [nan, 1, 2]) was accepted, and json.dumps then wrote a bare NaN
+    for bad in (np.nan, np.inf, complex(1.0, -np.inf)):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            FourierSeries(1, [bad, 1.0, 2.0])
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            series_from_json([{"n": -1, "re": 1.0, "im": 0.0}, {"n": 1, "re": bad.real, "im": bad.imag}])
+    series = FourierSeries(2, [0.5 - 2.0j, -1.25, 3.0j, 0.0, 1e-300 + 7.0j])
+    back = series_from_json(json.loads(json.dumps(series_to_json(series), allow_nan=False)))
+    assert back.order == 2 and back.coefficients.tobytes() == series.coefficients.tobytes()
 
 
 @pytest.mark.parametrize("order", [2.5, True, -1, np.float64(1.0)])

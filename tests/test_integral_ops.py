@@ -373,9 +373,9 @@ def test_trace_check_sees_the_bits_of_the_whole_matrix_expressions(kernel, monke
         seen["defects"].append(defect_of(*args))
         return seen["defects"][-1]
 
-    def probe_check(panels, s, message):
+    def probe_check(panels, s):
         seen.update(panels=[p.copy() for p in panels], scale=s)  # before the shift
-        check(panels, s, message)
+        check(panels, s)
 
     monkeypatch.setattr(integral_ops, "_hermitian_defect", probe_defect)
     monkeypatch.setattr(integral_ops, "_check_positive", probe_check)
@@ -560,10 +560,10 @@ def test_blocked_cholesky_agrees_with_numpy(kind, n, dtype, monkeypatch):
     factor = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda d: blocks.append(len(d)) or factor(d))
     if want is None:
-        with pytest.raises(ValueError, match="^not positive$"):
-            integral_ops._check_positive(panels, scale, "not positive")
+        with pytest.raises(ValueError, match="^operator trace requires a positive kernel$"):
+            integral_ops._check_positive(panels, scale)
         return
-    integral_ops._check_positive(panels, scale, "not positive")
+    integral_ops._check_positive(panels, scale)
     assert blocks == [cols.stop - cols.start for cols in columns]
     got = np.zeros((n, n), dtype)
     for cols, panel in zip(columns, panels):
@@ -743,10 +743,11 @@ def sequential_rk4_shot(qs, hh, y0, p0):
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, 50.0, 200.0])
-@pytest.mark.parametrize("steps", [16, 100, 4096, 4097])
+@pytest.mark.parametrize("steps", [16, 17, 100, 4096, 4097])
 def test_transfer_matrix_shot_matches_sequential_steps(c, steps):
-    # 16, 100 and 4097 are not multiples of the 64-step block, so the last
-    # block is padded with identity steps; q = 200 grows the shot to ~1e19
+    # the blocks are ceil(sqrt(steps)) wide: 16, 100 and 4096 steps fill 4, 10 and 64 blocks
+    # exactly, while 17 and 4097 are not multiples of their 5- and 65-step blocks, so the
+    # last block is padded with identity steps; q = 200 grows the shot to ~1e19
     h = np.pi / steps
     qs = c + 0.3 * np.cos((h / 2.0) * np.arange(2 * steps + 1))
     for q_dir, hh in ((qs, h), (qs[::-1], -h)):
@@ -756,6 +757,46 @@ def test_transfer_matrix_shot_matches_sequential_steps(c, steps):
             assert y.shape == p.shape == (steps + 1,)
             assert np.max(np.abs(y - y_ref)) <= 1e-13 * np.max(np.abs(y_ref))
             assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
+
+
+def former_rk4_linear(qs, hh, y0, p0):
+    """_rk4_linear as it was with its transfer matrices propagated in fixed blocks of 64 steps."""
+    n = (qs.size - 1) // 2
+    q0, qm, q1 = qs[0:-1:2], qs[1::2], qs[2::2]
+    blocks = -(-n // 64)
+    prefix = np.empty((blocks * 64, 2, 2))
+    prefix[:n, 0, 0], prefix[:n, 1, 0] = integral_ops._rk4_step(q0, qm, q1, hh, 1.0, 0.0)
+    prefix[:n, 0, 1], prefix[:n, 1, 1] = integral_ops._rk4_step(q0, qm, q1, hh, 0.0, 1.0)
+    prefix[n:] = np.eye(2)
+    prefix = prefix.reshape(blocks, 64, 2, 2)
+    for j in range(1, 64):
+        prefix[:, j] = prefix[:, j] @ prefix[:, j - 1]
+    starts = np.empty((blocks, 2))
+    starts[0] = y0, p0
+    for b in range(1, blocks):
+        starts[b] = prefix[b - 1, -1] @ starts[b - 1]
+    nodes = (prefix @ starts[:, None, :, None]).reshape(-1, 2)[:n]
+    return np.concatenate([[y0], nodes[:, 0]]), np.concatenate([[p0], nodes[:, 1]])
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, 50.0, 200.0])
+def test_default_shot_keeps_the_bits_of_the_64_step_blocks(c, monkeypatch):
+    # at the default ODE_STEPS = 4096 the block width ceil(sqrt(n)) is 64, so every shot the
+    # CLI runs multiplies its transfer matrices in the former order
+    steps = integral_ops.ODE_STEPS
+    h = np.pi / steps
+    qs = c + 0.3 * np.cos((h / 2.0) * np.arange(2 * steps + 1))
+    for q_dir, hh in ((qs, h), (qs[::-1], -h)):
+        for y0, p0 in ((1.0, 0.0), (0.0, 1.0), (0.3, -2.0)):
+            y, p = integral_ops._rk4_linear(q_dir, hh, y0, p0)
+            y_ref, p_ref = former_rk4_linear(q_dir, hh, y0, p0)
+            assert y.tobytes() == y_ref.tobytes() and p.tobytes() == p_ref.tobytes()
+    p = SturmLiouvilleProblem(0.0, 1.0, lambda x: c + np.sin(5.0 * x), (1.0, 0.5), (0.0, 1.0))
+    sol = sl_homogeneous_solutions(p)
+    monkeypatch.setattr(integral_ops, "_rk4_linear", former_rk4_linear)
+    ref = sl_homogeneous_solutions(p)
+    for name in ("v", "vp", "u", "up"):
+        assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def test_solutions_and_derivatives_match_closed_forms():
@@ -1324,6 +1365,38 @@ def test_rayleigh_rejects_non_positive():
         rayleigh_refine((q * np.linspace(-1e-3, 1.0, 40)) @ q.conj().T, 3)
 
 
+@pytest.mark.parametrize("n", [8, 40, 400])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("place", [-0.5, -0.75, -1.25, -2.0])
+def test_rayleigh_verdict_matches_a_cholesky_of_the_shifted_hermitian_part(n, dtype, place):
+    # the verdict is read off eigh's eigenvalues: lambda_min < -1e-10 (1 + max |lambda|).  It
+    # agrees with a Cholesky factor of (B + B*) / 2 + 1e-10 (1 + ||B||) I when lambda_min sits
+    # at -0.5 or -2 times that shift, and between them: a threshold halved flips -0.75, one
+    # doubled flips -1.25
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(x)
+    spectrum = np.linspace(0.25, 3.0, n)
+    spectrum[0] = place * 1e-10 * (1.0 + 3.0)
+    b = (q * spectrum) @ q.conj().T
+    b[0, -1] += 1e-14  # Hermitian to roundoff, not exactly
+    shift = 1e-10 * (1.0 + operator_norm(b))
+    try:
+        np.linalg.cholesky((b + b.conj().T) / 2.0 + shift * np.eye(n))
+        positive = True
+    except np.linalg.LinAlgError:
+        positive = False
+    assert positive == (place > -1.0)
+    if positive:
+        vals, _ = rayleigh_refine(b, 3)
+        assert vals[0] == pytest.approx(spectrum[0], abs=1e-12)
+    else:
+        with pytest.raises(ValueError, match="^matrix is not positive within tolerance$"):
+            rayleigh_refine(b, 3)
+
+
 def test_rayleigh_holds_two_matrices():
     # the positivity check factored a copy of (B + B*) / 2 beside it, 2.15 * 16 n^2 at n = 400;
     # now it factors one Hermitian part in place, and eigh gets a new one: at most that part
@@ -1374,6 +1447,18 @@ def test_problem_from_config(tmp_path):
     p = sl_problem_from_config(str(cfg))
     assert (p.a, p.b) == (0.0, 1.0)
     assert float(p.q(0.5)) == 0.0
+
+
+def test_problem_from_config_reads_a_polynomial_potential(tmp_path):
+    # q = poly:c0,c1 is c0 + c1 x, and the problem solves as the one built directly
+    cfg = tmp_path / "poly.cfg"
+    cfg.write_text("interval = 0, 2\nq = poly: 1.5, -0.25\nbc_left = 1, 0\nbc_right = 0, 1\n")
+    p = sl_problem_from_config(str(cfg))
+    x = np.linspace(0.0, 2.0, 9)
+    assert p.q(x).tobytes() == (1.5 + x * -0.25).tobytes()
+    direct = SturmLiouvilleProblem(0.0, 2.0, lambda t: 1.5 - 0.25 * np.asarray(t), (1.0, 0.0), (0.0, 1.0))
+    got, want = sl_homogeneous_solutions(p), sl_homogeneous_solutions(direct)
+    assert got.v.tobytes() == want.v.tobytes() and got.u.tobytes() == want.u.tobytes()
 
 
 def test_config_rejects_unknown_key(tmp_path):

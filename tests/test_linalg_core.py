@@ -1,6 +1,7 @@
 """Inner products, spectral resolutions, Gram-Schmidt, and the norm identities."""
 
 import cmath
+import json
 import math
 import re
 import tracemalloc
@@ -19,6 +20,7 @@ from speclab import (
     SpectralResolution,
     SturmLiouvilleProblem,
     cluster_offsets,
+    cluster_tol_default,
     commuting_diagonalization,
     compose_power,
     dirichlet_seminorm_quad,
@@ -223,6 +225,19 @@ def test_cluster_offsets_keep_the_former_offsets(values):
         with np.errstate(invalid="ignore"):  # a gap between equal infinities is NaN, in either form
             got, want = cluster_offsets(w, tol), former_cluster_offsets(w, tol)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("diagonal, want", [
+    ([0.5, -2.0], 1e-8),  # 1e-12 ||A|| is below the floor
+    ([1e4, -3.0], 1e-8),  # at the floor
+    ([-3e6, 1.0, 2.0], 3e-6),  # 1e-12 ||A||
+    ([0.0, 0.0], 1e-8),
+])
+def test_cluster_tol_default_is_the_floor_or_the_relative_tolerance(diagonal, want):
+    # max(1e-8, 1e-12 ||A||), with ||A|| = max |d_i| for A = diag(d)
+    a = np.diag(diagonal)
+    assert cluster_tol_default(a) == pytest.approx(max(1e-8, 1e-12 * max(abs(d) for d in diagonal)), rel=1e-15)
+    assert cluster_tol_default(a) == pytest.approx(want, rel=1e-15)
 
 
 def test_reconstruction_oracle_8x8():
@@ -535,6 +550,11 @@ def test_schur_product_stays_psd():
 
 
 # ---------------------------------------------------------------- gram_schmidt
+
+def test_gram_schmidt_of_no_vectors_is_empty():
+    assert gram_schmidt([]) == []
+    assert gram_schmidt([], InnerProductSpace.coordinate(3)) == []
+
 
 def test_gram_schmidt_fixes_orthonormal_input():
     space = InnerProductSpace.coordinate(3)
@@ -851,6 +871,32 @@ def test_non_numeric_arguments_are_rejected_by_name(call, value, message):
         call(value)
 
 
+_CIRCLE = SampledBoundaryFunction.on_circle(np.cos, 64)
+_SLICE = FiniteMeasure.from_density(np.linspace(-1.0, 1.0, 21), np.ones(21))
+
+# id: (call taking the bad value, the bad value, the message)
+BAD_SCALAR_CASES = {
+    "poisson_disc-rho": (lambda v: poisson_disc(_CIRCLE, v, 0.0), "0.5", "rho must be a real number, got '0.5'"),
+    "halfplane_window-tau_tail": (lambda v: halfplane_window(1.0, v), "x", "tau_tail must be a real number, got 'x'"),
+    "extract_atoms-eps": (lambda v: extract_atoms(_SLICE, v), "x", "eps must be a real number, got 'x'"),
+    "BorelSet.interval-lo": (lambda v: BorelSet.interval(v, 1.0), "a", "lo must be a real number, got 'a'"),
+    "momentum_model-str": (lambda v: momentum_model(v, 2), "x", "lambda_twist must be a real number, got 'x'"),
+    "momentum_model-nan": (lambda v: momentum_model(v, 2), math.nan, "lambda_twist must be finite"),
+    "evolve-str": (lambda v: evolve(np.eye(2), v), "1", "t must be numeric, got dtype <U1"),
+    "evolve-None": (lambda v: evolve(np.eye(2), v), None, "t must be numeric, got dtype object"),
+    "gauss_legendre_grid": (lambda v: gauss_legendre_grid(v, 1.0), "0", "(a, b) must be a real number, got '0'"),
+    "SturmLiouvilleProblem": (lambda v: SturmLiouvilleProblem(v, 1.0, np.cos), "0", "(a, b) must be a real number, got '0'"),
+}
+
+
+@pytest.mark.parametrize("call, value, message", BAD_SCALAR_CASES.values(), ids=BAD_SCALAR_CASES.keys())
+def test_bad_scalar_arguments_are_rejected_by_name(call, value, message):
+    # each raised numpy's TypeError or UFuncTypeError from a bare comparison, an arithmetic
+    # operation or np.isfinite, or (momentum_model at NaN) returned NaN eigenvalues
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 # ---------------------------------------------------------------- sampled evaluators
 
 SAMPLE_DTYPES = {
@@ -1042,6 +1088,17 @@ def test_matrix_json_round_trip():
     assert obj["rows"] == 3 and obj["cols"] == 4
     assert len(obj["re"]) == 12
     np.testing.assert_allclose(matrix_from_json(obj), a)
+
+
+def test_matrix_json_reader_rejects_what_the_writer_rejects():
+    # matrix_from_json returned [[inf]] for an entry that matrix_to_json refuses
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            matrix_to_json(np.array([[1.0, bad]]))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            matrix_from_json({"rows": 1, "cols": 2, "re": [1.0, 0.0], "im": [0.0, bad]})
+    a = np.array([[1.5, -0.0], [2.0 - 1e-300j, 3.25j]])
+    assert matrix_from_json(json.loads(json.dumps(matrix_to_json(a), allow_nan=False))).tobytes() == a.tobytes()
 
 
 def test_matrix_json_length_validated():

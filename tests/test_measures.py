@@ -832,6 +832,23 @@ def test_measure_validation_and_properties(bad_grids):
     assert FiniteMeasure.from_atoms([(0.0, 1.0)]).is_positive()
 
 
+def test_is_positive_reads_a_density():
+    # a density is positive when every sample is real and >= 0 up to tau
+    g = np.linspace(-1.0, 1.0, 11)
+    tau = 1e-6
+    assert FiniteMeasure.from_density(g, 1.0 - g * g).is_positive(tau)
+    dipped = 1.0 - g * g
+    dipped[-1] = -2.0 * tau
+    assert not FiniteMeasure.from_density(g, dipped).is_positive(tau)
+    dipped[-1] = -0.5 * tau
+    assert FiniteMeasure.from_density(g, dipped).is_positive(tau)
+    tilted = (1.0 - g * g).astype(complex)
+    tilted[4] += 2j * tau
+    assert not FiniteMeasure.from_density(g, tilted).is_positive(tau)
+    tilted[4] -= 1.5j * tau
+    assert FiniteMeasure.from_density(g, tilted).is_positive(tau)
+
+
 def test_measure_json_round_trip():
     grid = np.linspace(-1.0, 1.0, 21)
     mu = FiniteMeasure(atoms=((0.5, 1.0 - 2.0j),), density_grid=grid,

@@ -73,6 +73,7 @@ def test_each_shared_rule_has_one_site():
     negative_tolerance, margin, integer_test, real_kinds, lanczos = [], [], [], [], []
     real_split, real_split_calls, adjoint_product, synthesize, hermitian_part, hermitian_defect = [], [], [], [], [], []
     eigenvalue_norm, hermitian_norm, disc_grid, disc_rule = [], [], [], []
+    finite_scan, trapezoid, positivity = [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
                   "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": []}
     for module, owner, node in _source_nodes():
@@ -104,6 +105,12 @@ def test_each_shared_rule_has_one_site():
             disc_grid.append((module, owner))
         if func.split(".")[-1] == "_disc_rule":
             disc_rule.append((module, owner))
+        if func.split(".")[-1] == "isfinite" and func != "math.isfinite":
+            finite_scan.append((module, owner))
+        if func.split(".")[-1] == "trapezoid":
+            trapezoid.append((module, owner))
+        if func.split(".")[-1] == "_check_positive":
+            positivity.append((module, owner))
         if func == "isinstance" and ast.unparse(node.args[1]) == "(int, np.integer)":
             integer_test.append((module, owner))
         if func.split(".")[-1] == "leggauss":
@@ -154,7 +161,7 @@ def test_each_shared_rule_has_one_site():
     assert _hermitian_rule_sites() == {"+": [("linalg_core.py", "_hermitian_part")], "-": [("linalg_core.py", "_hermitian_defect")]}
     assert sorted(hermitian_part) == [
         ("cli.py", "_hermitian_with_spectrum"), ("cli.py", "_hermitians"), ("cli.py", "worst_lowest_eigenvalue"),
-        ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "trace"),
+        ("integral_ops.py", "rayleigh_refine"), ("integral_ops.py", "trace"),
         ("measures.py", "positive_definite_test"), ("spectral_fd.py", "commuting_diagonalization"),
     ]
     assert sorted(hermitian_defect) == [
@@ -171,6 +178,17 @@ def test_each_shared_rule_has_one_site():
     # the disc rule is built in one place, once per size, and read by both of its users
     assert disc_grid == [("rkhs.py", "_disc_rule")]
     assert sorted(disc_rule) == [("rkhs.py", "dirichlet_seminorm_quad"), ("rkhs.py", "disc_quadrature")]
+    # arrays are scanned for NaN and infinity by _first_non_finite; a stack's whole-stack mask names its matrix,
+    # an interval's ends are scalars, and a JSON number and Neumann's tail norm are one float each
+    assert sorted(finite_scan) == [
+        ("cli.py", "_json_number"), ("linalg_core.py", "_first_non_finite"), ("linalg_core.py", "_first_non_finite"),
+        ("linalg_core.py", "_require_interval"), ("linalg_core.py", "_require_interval"),
+        ("linalg_core.py", "_require_stack"), ("linalg_core.py", "_require_stack"), ("spectral_fd.py", "neumann_resolvent"),
+    ]
+    # a density's integrals are sums against _trapezoid_weights; extract_atoms' window integrals keep np.trapezoid's bits
+    assert trapezoid == [("measures.py", "extract_atoms")]
+    # rayleigh_refine reads positivity off its own eigenvalues: the blocked Cholesky check serves trace alone
+    assert positivity == [("integral_ops.py", "trace")]
     # counts, scales and intervals are each checked by one helper, with one message;
     # cli._number_format's integer test picks a number format and checks no argument
     assert rule_texts == {
