@@ -46,6 +46,7 @@ from .linalg_core import (
     _read_key_values,
     _require_count,
     _row_blocks,
+    _sum_of_squares,
     hermitian_eig,
     inner_product,
     operator_norm,
@@ -163,8 +164,7 @@ def _hermitian_with_spectrum(q: np.ndarray, d: np.ndarray) -> np.ndarray:
 def _states(z: np.ndarray) -> np.ndarray:
     """Unit vectors h / ||h|| for h = z[..., 0, :] + i z[..., 1, :]: random states from standard draws."""
     h = z[..., 0, :] + 1j * z[..., 1, :]
-    # ||h|| as np.linalg.norm forms it for a single vector (one dot product per part), so a stack keeps its bits
-    return h / np.sqrt(np.vecdot(h.real, h.real) + np.vecdot(h.imag, h.imag))[..., None]
+    return h / np.sqrt(_sum_of_squares(h))[..., None]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg_core import (SpectralResolution, _from_parts, _real_scalar, _require_count, _require_finite, _require_interval,
-                          _require_scale, _sample, _uniform_grid)
+                          _require_scale, _sample, _to_parts, _uniform_grid)
 
 __all__ = [
     "FourierSeries",
@@ -215,30 +215,26 @@ def momentum_model(lambda_twist: float, order: int) -> SpectralResolution:
 
 def series_to_json(series: FourierSeries) -> list[dict]:
     """Export as a list of {n, re, im} triples."""
-    out = []
-    for n in range(-series.order, series.order + 1):
-        c = series.coefficient(n)
-        out.append({"n": n, "re": float(c.real), "im": float(c.imag)})
-    return out
+    re, im = _to_parts(series.coefficients)
+    return [{"n": n, "re": x, "im": y} for n, x, y in zip(range(-series.order, series.order + 1), re, im)]
 
 
 def series_from_json(items: list[dict]) -> FourierSeries:
+    """Inverse of series_to_json, bit for bit; a mode absent from items is 0, and a repeated mode keeps its last value."""
     if not items:
         raise ValueError("empty series")
-    order = max(abs(int(it["n"])) for it in items)
-    coeffs = np.zeros(2 * order + 1, dtype=complex)
-    for it in items:
-        coeffs[int(it["n"]) + order] = float(it["re"]) + 1j * float(it["im"])
-    return FourierSeries(order, coeffs)
+    last = dict(zip((int(it["n"]) for it in items), _from_parts([it["re"] for it in items], [it["im"] for it in items])))
+    order = max(map(abs, last))
+    return FourierSeries(order, [last.get(n, 0.0) for n in range(-order, order + 1)])
 
 
 def boundary_to_csv(f: SampledBoundaryFunction, path: str) -> None:
     """Write samples as CSV with header t, re, im."""
+    re, im = _to_parts(f.values)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "re", "im"])
-        for t, v in zip(f.grid, f.values):
-            w.writerow([f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+        w.writerows([f"{t:.17g}", f"{x:.17g}", f"{y:.17g}"] for t, x, y in zip(f.grid.tolist(), re, im))
 
 
 def boundary_from_csv(path: str) -> SampledBoundaryFunction:

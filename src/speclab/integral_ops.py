@@ -53,6 +53,7 @@ from .linalg_core import (
     _require_stack,
     _row_blocks,
     _sample,
+    _sum_of_squares,
     _unstack,
     require_hermitian,
     require_matrix,
@@ -256,11 +257,6 @@ def hs_norm(t) -> float | np.ndarray:
         return float(np.sqrt(sum(_sum_of_squares(b.reshape(-1)) for b in blocks)))
     m = _require_stack(t)
     return _unstack(np.sqrt(_sum_of_squares(m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]))))
-
-
-def _sum_of_squares(flat: np.ndarray) -> np.ndarray:
-    """sum |x|^2 along the last axis: one dot product of the real parts plus one of the imaginary parts."""
-    return np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
 
 
 def trace(t):
@@ -802,39 +798,34 @@ def rayleigh_refine(b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:k], v[:, :k]
 
 
-_BUILTIN_POTENTIALS = {
-    "zero": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    "one": lambda x: np.ones_like(np.asarray(x, dtype=float)),
-}
-
-
-def _parse_potential(text: str) -> Callable:
-    name = text.strip()
-    if name in _BUILTIN_POTENTIALS:
-        return _BUILTIN_POTENTIALS[name]
-    if name.startswith("const:"):
-        c = float(name.split(":", 1)[1])
-        return lambda x: c * np.ones_like(np.asarray(x, dtype=float))
-    if name.startswith("poly:"):
-        coeffs = [float(t) for t in name.split(":", 1)[1].split(",")]
-        return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
-    raise ValueError(f"unknown potential {text!r}: use zero, one, const:c, or poly:c0,c1,...")
-
-
 def sl_problem_from_config(path: str) -> SturmLiouvilleProblem:
     """Load a problem from a flat key=value file.
 
-    Keys: interval = a,b ; q = zero|one|const:c|poly:c0,c1,... ;
-    bc_left = alpha0,alpha1 ; bc_right = beta0,beta1.
-    Unknown keys are rejected; '#' starts a comment, alone or after a value.
+    Keys: interval = a,b ; q = zero|one|const:c|poly:c0,c1,... (zero is const:0, one is
+    const:1, and const:c is poly:c) ; bc_left = alpha0,alpha1 ; bc_right = beta0,beta1.
+    Unknown keys are rejected; '#' starts a comment, alone or after a value.  A value that is
+    not its key's count of finite numbers raises ValueError naming the file and the key.
     """
     data = _read_key_values(path, ("interval", "q", "bc_left", "bc_right"))
-    if "interval" not in data:
-        raise ValueError("config must set interval = a,b")
-    a, b = (float(t) for t in data["interval"].split(","))
-    q = _parse_potential(data.get("q", "zero"))
-    bcl = tuple(float(t) for t in data.get("bc_left", "1,0").split(","))
-    bcr = tuple(float(t) for t in data.get("bc_right", "1,0").split(","))
+
+    def numbers(key: str, text: str, count: int | None = None) -> list[float]:
+        """The comma-separated numbers of a key's value: `count` of them, or at least one, all finite."""
+        try:
+            values = [float(t) for t in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or count not in (None, len(values)) or not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: {key} must be {count or 'one or more'} comma-separated finite number(s), got {text!r}")
+        return values
+
+    a, b = numbers("interval", data.get("interval", ""), 2)
+    text = data.get("q", "zero")
+    kind, _, args = {"zero": "const:0", "one": "const:1"}.get(text, text).partition(":")
+    if kind not in ("const", "poly"):
+        raise ValueError(f"{path}: unknown potential {text!r}: use zero, one, const:c, or poly:c0,c1,...")
+    coeffs = numbers("q", args, 1 if kind == "const" else None)
+    q = lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+    bcl, bcr = (tuple(numbers(key, data.get(key, "1,0"), 2)) for key in ("bc_left", "bc_right"))
     return SturmLiouvilleProblem(a, b, q, bcl, bcr)
 
 

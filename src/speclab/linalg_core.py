@@ -8,6 +8,8 @@ Conventions used throughout the package:
 * validated matrices are complex128, but sampled values (kernels, potentials,
   measure densities, boundary samples) stay float64 when real (_real_or_complex);
   every evaluator is sampled by _sample, once per block of about _CHUNK points;
+* complex data is serialized as its real and imaginary parts, written by _to_parts
+  and read back bit for bit by _from_parts, float64 when every imaginary part is +0.0;
 * a Hermitian matrix is resolved as A = sum_i lambda_i P_i with strictly
   ascending distinct eigenvalues and orthogonal projections P_i, stored as
   the eigenvector matrix V plus cluster offsets, P_i = V_i V_i^* for the
@@ -107,9 +109,26 @@ def _real_or_complex(values) -> np.ndarray:
     return np.asarray(v, dtype=float if v.dtype.kind in "biuf" else complex)
 
 
-def _from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + 1j im read back from its parts: float64 re when every entry of im is zero, else complex128."""
-    return re if not np.any(im) else re + 1j * im
+def _to_parts(values) -> tuple[list[float], list[float]]:
+    """The real and imaginary parts of values, raveled, as two lists of floats: the one encoder of complex data."""
+    v = _real_or_complex(values).ravel()
+    return v.real.tolist(), v.imag.tolist()
+
+
+def _from_parts(re, im) -> np.ndarray:
+    """The one decoder of complex data, the inverse of _to_parts bit for bit: re as float64 when every imaginary
+    part is +0.0 (the one float whose bits are all zero), else the stacked (re, im) pairs read as complex128."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re and im must have one shape, got {re.shape} and {im.shape}")
+    if not im.view(np.uint64).any():
+        return re
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+def _sum_of_squares(flat: np.ndarray) -> np.ndarray:
+    """sum |x|^2 along the last axis, one dot product per part as np.linalg.norm forms it for one vector."""
+    return np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
 
 
 _CHUNK = 1 << 14  # points per chunk of a grid pass: bounds its temporaries
@@ -579,20 +598,14 @@ def hermitian_eig(a: np.ndarray, cluster_tol: float | None = None) -> SpectralRe
 def matrix_to_json(a: np.ndarray) -> dict:
     """Serialize to {rows, cols, re, im} with row-major entry lists."""
     m = require_matrix(a)
-    flat = m.ravel(order="C")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": [float(x) for x in flat.real],
-        "im": [float(x) for x in flat.imag],
-    }
+    re, im = _to_parts(m)
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "re": re, "im": im}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of matrix_to_json, bit for bit; checks lengths against rows*cols and entries by require_matrix."""
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
+    values = _from_parts(obj["re"], obj["im"])
+    if values.shape != (rows * cols,):
         raise ValueError("re/im length does not match rows*cols")
-    return require_matrix(np.stack([re, im], axis=-1).view(complex).reshape(rows, cols))
+    return require_matrix(values.reshape(rows, cols))

@@ -55,6 +55,14 @@ MAX_POLY_DEGREE = 32
 _SERIES_SWITCH = 1e-2
 
 
+def _polynomial(coeffs: Sequence[complex]) -> np.ndarray:
+    """Coefficients a_0, a_1, ... as a 1-d complex128 array; ValueError unless the degree is at most MAX_POLY_DEGREE."""
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    if c.size - 1 > MAX_POLY_DEGREE:
+        raise ValueError(f"polynomial degree {c.size - 1} exceeds {MAX_POLY_DEGREE}")
+    return c
+
+
 def _require_disc_point(z, name: str = "z") -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     outside = ~(np.abs(z) < 1.0)  # a NaN point is outside too
@@ -319,9 +327,7 @@ def poly_derivative(coeffs: Sequence[complex]) -> np.ndarray:
 
 def dirichlet_seminorm(coeffs: Sequence[complex]) -> float:
     """[f] = sum_n n |a_n|^2 for a polynomial of degree <= 32."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size - 1 > MAX_POLY_DEGREE:
-        raise ValueError(f"polynomial degree {c.size - 1} exceeds {MAX_POLY_DEGREE}")
+    c = _polynomial(coeffs)
     n = np.arange(c.size)
     return float(np.sum(n * np.abs(c) ** 2))
 
@@ -429,7 +435,4 @@ class ComposedFunction:
 
 def compose_mobius(coeffs: Sequence[complex], a: complex, v: complex) -> ComposedFunction:
     """f o phi with phi(z) = v (a - z)/(1 - conj(a) z); seminorm via quadrature."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size - 1 > MAX_POLY_DEGREE:
-        raise ValueError(f"polynomial degree {c.size - 1} exceeds {MAX_POLY_DEGREE}")
-    return ComposedFunction(c, MobiusMap(a, v))
+    return ComposedFunction(_polynomial(coeffs), MobiusMap(a, v))

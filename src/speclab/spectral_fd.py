@@ -34,6 +34,7 @@ from .linalg_core import (
     _require_stack,
     _require_tolerance,
     _synthesize,
+    _to_parts,
     _unstack,
     hermitian_eig,
     matrix_to_json,
@@ -552,9 +553,5 @@ def resolution_to_json(res: SpectralResolution) -> dict:
 def spectral_measure_to_json(pair: SpectralMeasurePair) -> dict:
     if np.ndim(pair.masses) != 1:
         raise ValueError("spectral_measure_to_json takes a single pair's measure, not a stack")
-    return {
-        "atoms": [
-            {"x": float(lam), "re": float(m.real), "im": float(m.imag)}
-            for lam, m in zip(pair.eigenvalues, pair.masses)
-        ]
-    }
+    re, im = _to_parts(pair.masses)
+    return {"atoms": [{"x": float(lam), "re": r, "im": i} for lam, r, i in zip(pair.eigenvalues, re, im)]}

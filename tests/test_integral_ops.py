@@ -1398,9 +1398,8 @@ def test_rayleigh_verdict_matches_a_cholesky_of_the_shifted_hermitian_part(n, dt
 
 
 def test_rayleigh_holds_two_matrices():
-    # the positivity check factored a copy of (B + B*) / 2 beside it, 2.15 * 16 n^2 at n = 400;
-    # now it factors one Hermitian part in place, and eigh gets a new one: at most that part
-    # and the eigenvectors are held, 2 * 16 n^2
+    # eigh gets one new Hermitian part (B + B*) / 2, and its eigenvalues give the positivity
+    # verdict: at most that part and the eigenvectors are held, 2 * 16 n^2
     n = 400
     rng = np.random.default_rng(400)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -1418,8 +1417,8 @@ def test_rayleigh_holds_two_matrices():
 
 
 def test_rayleigh_and_hermitian_defect_keep_the_bits_of_the_written_out_expressions():
-    # Hermitian to roundoff, not exactly: (B + B*) / 2 differs from B, and the positivity
-    # check's diagonal shift must not reach the matrix that is diagonalized
+    # Hermitian to roundoff, not exactly: (B + B*) / 2 differs from B, and it is (B + B*) / 2
+    # that is diagonalized
     rng = np.random.default_rng(11)
     m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     b = m @ m.conj().T + 0.5 * np.eye(8)
@@ -1446,7 +1445,11 @@ def test_problem_from_config(tmp_path):
     cfg.write_text("interval = 0, 1  # unit interval\nq = zero  # free particle\n")
     p = sl_problem_from_config(str(cfg))
     assert (p.a, p.b) == (0.0, 1.0)
-    assert float(p.q(0.5)) == 0.0
+    # zero and one are const:0 and const:1, with the bits of +0.0 and 1.0
+    x = np.linspace(-1.0, 1.0, 5)
+    assert p.q(x).tobytes() == np.zeros(5).tobytes()
+    cfg.write_text("interval = 0, 1\nq = one\n")
+    assert sl_problem_from_config(str(cfg)).q(x).tobytes() == np.ones(5).tobytes()
 
 
 def test_problem_from_config_reads_a_polynomial_potential(tmp_path):
@@ -1465,6 +1468,18 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("interval = 0,1\nwavelength = 3\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:2: unknown key 'wavelength'"):
+        sl_problem_from_config(str(cfg))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("q = const:inf", "q"), ("q = poly:1,nan", "q"), ("q = poly:", "q"), ("q = const:", "q"),
+    ("interval = 0", "interval"), ("interval = 0,1,2", "interval"), ("interval = 0,x", "interval"),
+])
+def test_config_rejects_a_bad_number_by_file_and_key(tmp_path, line, key):
+    # non-finite potentials loaded, and a missing, extra or malformed number raised an unpack or float message
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(("" if line.startswith("interval") else "interval = 0, 1\n") + line + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cfg))}: {key} must be .* finite number"):
         sl_problem_from_config(str(cfg))
 
 

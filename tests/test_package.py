@@ -74,9 +74,17 @@ def test_each_shared_rule_has_one_site():
     real_split, real_split_calls, adjoint_product, synthesize, hermitian_part, hermitian_defect = [], [], [], [], [], []
     eigenvalue_norm, hermitian_norm, disc_grid, disc_rule = [], [], [], []
     finite_scan, trapezoid, positivity = [], [], []
+    complex_view, decoders, encoders, reader_products, square_sum, square_sum_calls = [], [], [], [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
-                  "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": []}
+                  "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": [],
+                  "polynomial degree": []}
     for module, owner, node in _source_nodes():
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and re.fullmatch(r".+_from_(json|csv)", owner or "")
+                and any(isinstance(v, ast.Constant) and isinstance(v.value, complex) for v in (node.left, node.right))):
+            reader_products.append((module, owner))
+        if isinstance(node, ast.BinOp) and re.fullmatch(r"np\.vecdot\((.+)\.real, \1\.real\) \+ np\.vecdot\(\1\.imag, \1\.imag\)",
+                                                         ast.unparse(node)):
+            square_sum.append((module, owner))
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             for text, sites in rule_texts.items():
                 if text in node.value:
@@ -111,6 +119,14 @@ def test_each_shared_rule_has_one_site():
             trapezoid.append((module, owner))
         if func.split(".")[-1] == "_check_positive":
             positivity.append((module, owner))
+        if func.endswith(".view") and [ast.unparse(a) for a in node.args] == ["complex"]:
+            complex_view.append((module, owner))
+        if func.split(".")[-1] == "_from_parts":
+            decoders.append((module, owner))
+        if func.split(".")[-1] == "_to_parts":
+            encoders.append((module, owner))
+        if func.split(".")[-1] == "_sum_of_squares":
+            square_sum_calls.append((module, owner))
         if func == "isinstance" and ast.unparse(node.args[1]) == "(int, np.integer)":
             integer_test.append((module, owner))
         if func.split(".")[-1] == "leggauss":
@@ -189,6 +205,21 @@ def test_each_shared_rule_has_one_site():
     assert trapezoid == [("measures.py", "extract_atoms")]
     # rayleigh_refine reads positivity off its own eigenvalues: the blocked Cholesky check serves trace alone
     assert positivity == [("integral_ops.py", "trace")]
+    # complex data is read back by one decoder, bit for bit through a view of its (re, im) pairs, and written by one encoder;
+    # no reader forms re + 1j * im, which turns a -0.0 real part into +0.0 and warns on an infinite imaginary part
+    assert complex_view == [("linalg_core.py", "_from_parts")]
+    assert reader_products == []
+    assert sorted(decoders) == [
+        ("harmonic.py", "boundary_from_csv"), ("harmonic.py", "series_from_json"), ("linalg_core.py", "matrix_from_json"),
+        ("measures.py", "measure_from_json"), ("measures.py", "measure_from_json"),
+    ]
+    assert sorted(encoders) == [
+        ("harmonic.py", "boundary_to_csv"), ("harmonic.py", "series_to_json"), ("linalg_core.py", "matrix_to_json"),
+        ("measures.py", "measure_to_json"), ("measures.py", "measure_to_json"), ("spectral_fd.py", "spectral_measure_to_json"),
+    ]
+    # sum |x|^2 as one dot product per part is formed in one place, for the Hilbert-Schmidt norm and the CLI's states
+    assert square_sum == [("linalg_core.py", "_sum_of_squares")]
+    assert sorted(square_sum_calls) == [("cli.py", "_states"), ("integral_ops.py", "hs_norm"), ("integral_ops.py", "hs_norm")]
     # counts, scales and intervals are each checked by one helper, with one message;
     # cli._number_format's integer test picks a number format and checks no argument
     assert rule_texts == {
@@ -198,6 +229,8 @@ def test_each_shared_rule_has_one_site():
         # a function is evaluated on a spectrum, and its failures named, in one place
         "evaluator undefined at eigenvalue": [("spectral_fd.py", "_values_on_spectrum")],
         "evaluator not finite at eigenvalue": [("spectral_fd.py", "_values_on_spectrum")],
+        # a polynomial's coefficients are read, and its degree bounded, in one place
+        "polynomial degree": [("rkhs.py", "_polynomial")],
     }
     assert sorted(integer_test) == [("cli.py", "_number_format"), ("linalg_core.py", "_require_count")]
 

@@ -1,20 +1,41 @@
 """Structural invariants checked over generated inputs."""
 
+import csv
+import json
+import math
+import os
+import tempfile
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from speclab import (
     BorelSet,
     FiniteMeasure,
+    FourierSeries,
+    SampledBoundaryFunction,
+    SpectralMeasurePair,
+    boundary_from_csv,
+    boundary_to_csv,
     cayley_map,
     dft,
     dirichlet_seminorm,
     hadamard,
     inner_product,
     inverse_dft,
+    matrix_from_json,
+    matrix_to_json,
     measure_fourier,
+    measure_from_json,
+    measure_to_json,
     operator_norm,
+    require_matrix,
+    series_from_json,
+    series_to_json,
+    spectral_measure_to_json,
 )
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -101,3 +122,218 @@ def test_seminorm_energy_is_quadratically_homogeneous(coeffs, c):
     # the seminorm is the energy sum n |a_n|^2, so scaling f scales it by c^2
     base = dirichlet_seminorm(coeffs)
     assert abs(dirichlet_seminorm(c * coeffs) - c * c * base) <= 1e-9 * (1.0 + c * c * base)
+
+
+# ---------------------------------------------------------------- complex data through its readers and writers
+
+# signed zeros, the least subnormal, the least normal and numbers near the largest float
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+part = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(allow_nan=False, allow_infinity=False))
+bad_part = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+def complex_data(n):
+    """n complex numbers with the exact bits of generated (re, im) parts (re + 1j im would turn -0.0 into +0.0)."""
+    return st.lists(st.tuples(part, part), min_size=n, max_size=n).map(
+        lambda pairs: np.array(pairs, dtype=float).reshape(n, 2).view(complex)[:, 0])
+
+
+def real_data(n):
+    return st.lists(part, min_size=n, max_size=n).map(lambda xs: np.array(xs, dtype=float))
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj, allow_nan=False))
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def sampled(values):
+    """Sampled data as a reader gives it back: float64 when every imaginary part is +0.0, else complex128."""
+    plus_zero = all(y == 0.0 and math.copysign(1.0, y) > 0 for y in values.imag.tolist())
+    return values.real if plus_zero else values
+
+
+def boundary_through_csv(f):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "boundary.csv")
+        boundary_to_csv(f, path)
+        return boundary_from_csv(path)
+
+
+def density_grid(n):
+    # exact binary steps, so grid0 + step * k gives the points back
+    return 0.5 * np.arange(n) - 1.0
+
+
+def density_measure(values):
+    return FiniteMeasure.from_density(density_grid(values.size), values)
+
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+@settings(deadline=None)
+@given(shapes.flatmap(lambda rc: complex_data(rc[0] * rc[1]).map(lambda v: v.reshape(rc))))
+def test_matrix_json_round_trips_the_bits(a):
+    assert same_bits(matrix_from_json(through_json(matrix_to_json(a))), a)
+    # a real matrix is stored complex, so it comes back complex128 with +0.0 imaginary parts
+    assert same_bits(matrix_from_json(through_json(matrix_to_json(a.real))), require_matrix(a.real))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4).flatmap(lambda order: complex_data(2 * order + 1)))
+def test_series_json_round_trips_the_bits(c):
+    order = (c.size - 1) // 2
+    assert same_bits(series_from_json(through_json(series_to_json(FourierSeries(order, c)))).coefficients, c)
+    real = FourierSeries(order, c.real)
+    assert same_bits(series_from_json(through_json(series_to_json(real))).coefficients, real.coefficients)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(real_data(n), complex_data(n))),
+       st.integers(2, 9).flatmap(complex_data))
+def test_measure_json_round_trips_the_bits(atoms, density):
+    locations, masses = atoms
+    for m, v in ((masses, density), (masses.real, density.real)):
+        mu = FiniteMeasure(tuple(zip(locations.tolist(), m.tolist())), density_grid(v.size), v)
+        back = measure_from_json(through_json(measure_to_json(mu)))
+        assert same_bits([x for x, _ in back.atoms], locations) and all(type(b) is complex for _, b in back.atoms)
+        # atom masses are complex either way; a real density comes back float64
+        assert same_bits(np.array([b for _, b in back.atoms], dtype=complex), m.astype(complex))
+        assert same_bits(back.density_grid, mu.density_grid) and same_bits(back.density_values, sampled(v))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 9).flatmap(complex_data))
+def test_boundary_csv_round_trips_the_bits(values):
+    grid = 0.25 * np.arange(values.size)
+    assert same_bits(boundary_through_csv(SampledBoundaryFunction(grid, values)).values, sampled(values))
+    assert same_bits(boundary_through_csv(SampledBoundaryFunction(grid, values.real)).values, values.real)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(complex_data), st.data())
+def test_readers_reject_a_non_finite_part_without_a_warning(values, data):
+    i = data.draw(st.integers(0, values.size - 1))
+    key = data.draw(st.sampled_from(["re", "im"]))
+    bad = data.draw(bad_part)
+    matrix = matrix_to_json(values[None, :])
+    matrix[key][i] = bad
+    series = series_to_json(FourierSeries(0, values[:1]))
+    series[0][key] = bad
+    pairs = [(float(k), m) for k, m in enumerate(values.tolist())]
+    atoms = measure_to_json(FiniteMeasure.from_atoms(pairs))
+    atoms["atoms"][i][key] = bad
+    density = measure_to_json(density_measure(np.append(values, 1.0)))
+    density["density"][key][i] = bad
+    rows = [[0.25 * k, z.real, z.imag] for k, z in enumerate(np.append(values, 1.0))]
+    rows[i][1 if key == "re" else 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            matrix_from_json(matrix)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            series_from_json(series)
+        with pytest.raises(ValueError, match="^FiniteMeasure atoms: masses must be finite$"):
+            measure_from_json(atoms)
+        with pytest.raises(ValueError, match="^FiniteMeasure density: values must be finite$"):
+            measure_from_json(density)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "boundary.csv")
+            with open(path, "w") as fh:
+                fh.write("t,re,im\n" + "".join(f"{t:.17g},{x:.17g},{y:.17g}\n" for t, x, y in rows))
+            with pytest.raises(ValueError, match="^SampledBoundaryFunction: values must be finite$"):
+                boundary_from_csv(path)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), part, part), min_size=1, max_size=12))
+def test_series_json_keeps_the_last_value_of_a_repeated_mode(items):
+    got = series_from_json([{"n": n, "re": x, "im": y} for n, x, y in items])
+    last = {n: (x, y) for n, x, y in items}
+    order = max(abs(n) for n in last)
+    want = np.array([last.get(n, (0.0, 0.0)) for n in range(-order, order + 1)]).view(complex)[:, 0]
+    assert same_bits(got.coefficients, want)
+
+
+def former_matrix_to_json(a):
+    m = require_matrix(a)
+    flat = m.ravel(order="C")
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+            "re": [float(x) for x in flat.real], "im": [float(x) for x in flat.imag]}
+
+
+def former_series_to_json(series):
+    out = []
+    for n in range(-series.order, series.order + 1):
+        c = series.coefficient(n)
+        out.append({"n": n, "re": float(c.real), "im": float(c.imag)})
+    return out
+
+
+def former_measure_to_json(mu):
+    out = {"atoms": [{"x": x, "re": m.real, "im": m.imag} for x, m in mu.atoms]}
+    if mu.density_grid is not None:
+        out["density"] = {
+            "grid0": float(mu.density_grid[0]),
+            "step": mu.density_step,
+            "re": [float(t) for t in mu.density_values.real],
+            "im": [float(t) for t in mu.density_values.imag],
+        }
+    else:
+        out["density"] = None
+    return out
+
+
+def former_spectral_measure_to_json(pair):
+    return {"atoms": [{"x": float(lam), "re": float(m.real), "im": float(m.imag)}
+                      for lam, m in zip(pair.eigenvalues, pair.masses)]}
+
+
+def former_boundary_to_csv(f, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "re", "im"])
+        for t, v in zip(f.grid, f.values):
+            w.writerow([f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+
+
+def csv_text(writer, f):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "boundary.csv")
+        writer(f, path)
+        with open(path, newline="") as fh:
+            return fh.read()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9).flatmap(complex_data))
+def test_writers_keep_the_text_of_the_former_writer_expressions(values):
+    n = values.size
+    order = (n - 1) // 2
+    locations = np.linspace(-1.0, 1.0, n)
+    measures = [
+        FiniteMeasure(), FiniteMeasure.from_atoms(list(zip(locations.tolist(), values.tolist()))),
+        FiniteMeasure.from_atoms([(x, v) for x, v in zip(locations.tolist(), values.real.tolist())]),
+    ]
+    if n >= 2:
+        measures += [density_measure(values), density_measure(values.real),
+                     FiniteMeasure(tuple(zip(locations.tolist(), values.tolist())), locations, values)]
+    cases = [
+        (matrix_to_json, former_matrix_to_json, [values[None, :], values[:, None], values.real[None, :]]),
+        (series_to_json, former_series_to_json, [FourierSeries(order, values[:2 * order + 1]),
+                                                 FourierSeries(order, values.real[:2 * order + 1])]),
+        (measure_to_json, former_measure_to_json, measures),
+        (spectral_measure_to_json, former_spectral_measure_to_json,
+         [SpectralMeasurePair(locations, values), SpectralMeasurePair(locations, values.real)]),
+    ]
+    for writer, former, objects in cases:
+        for obj in objects:
+            assert json.dumps(writer(obj)) == json.dumps(former(obj))
+    if n >= 2:
+        for f in (SampledBoundaryFunction(locations, values), SampledBoundaryFunction(locations, values.real)):
+            assert csv_text(boundary_to_csv, f) == csv_text(former_boundary_to_csv, f)
