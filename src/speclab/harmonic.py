@@ -238,9 +238,20 @@ def boundary_to_csv(f: SampledBoundaryFunction, path: str) -> None:
 
 
 def boundary_from_csv(path: str) -> SampledBoundaryFunction:
+    """Inverse of boundary_to_csv; a file with no sample row, or a row that is not 3 numbers, raises
+    ValueError naming the file and the line."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["t", "re", "im"]:
-        raise ValueError("expected CSV header: t, re, im")
-    data = np.array([[float(a), float(b), float(c)] for a, b, c in rows[1:]])
+        raise ValueError(f"{path}: line 1: expected CSV header: t, re, im")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: line 2: expected a sample row t, re, im after the header")
+    samples = []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            t, re, im = map(float, row)
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: expected 3 numbers t, re, im, got {row}") from None
+        samples.append((t, re, im))
+    data = np.array(samples)
     return SampledBoundaryFunction(data[:, 0], _from_parts(data[:, 1], data[:, 2]))

@@ -123,10 +123,10 @@ def measure_fourier(mu: FiniteMeasure, omega) -> complex | np.ndarray:
     """mu_hat(omega) = integral e^{-i x omega} d mu(x).
 
     Atom part is summed exactly; the density part uses the trapezoid rule on
-    its grid.  omega may be a scalar or an array (evaluated pointwise).  On a
-    lattice grid the density's transform is summed once per distinct |omega|
-    for each real part of the density and conjugated for negative omega, since
-    a real part's transform is Hermitian: a symmetric omega set costs half.
+    its grid.  omega may be a scalar or an array (evaluated pointwise).  The
+    density's transform is summed once per distinct |omega| for each real part
+    of the density and conjugated for negative omega, since a real part's
+    transform is Hermitian: a symmetric omega set costs half.
     """
     w = np.asarray(omega, dtype=float)
     out = np.zeros(w.shape, dtype=complex)
@@ -140,44 +140,48 @@ def measure_fourier(mu: FiniteMeasure, omega) -> complex | np.ndarray:
 
 
 _ROWS, _COLS = 128, 512
+_SPLIT = 128  # the lattice transform's innermost index c runs over this many grid steps
 
 
 def _trapezoid_weights(g: np.ndarray, lo: int = 0, hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) on the ascending grid g, or w[lo:hi] (hi <= g.size).
+    """Weights w with sum_j w_j f(g_j) = np.trapezoid(f(g), g) to roundoff on the ascending grid g, or w[lo:hi].
 
-    Each entry is formed from the grid points beside it, so a slice has the bits of the whole.  The
-    entries are written into out (hi - lo floats) when it is given, and into a new array otherwise.
+    An inner weight is (g_{k+1} - g_{k-1}) / 2, one subtraction, and an end weight half its one step.  Each is
+    formed from the grid points beside it, so a slice has the bits of the whole.  The entries are written into
+    out (hi - lo floats, hi capped at g.size) when it is given, and into a new array otherwise.
     """
     hi = g.size if hi is None else min(hi, g.size)
     out = np.empty(hi - lo) if out is None else out
-    first = max(lo - 1, 0)
-    dg = np.diff(g[first:min(hi + 1, g.size)])  # dg[t] = g[first + t + 1] - g[first + t]
-    i, j = max(lo, 1), min(hi, g.size - 1)  # the points i..j-1 have a grid step on each side
-    np.add(dg[i - 1 - first:j - 1 - first], dg[i - first:j - first], out=out[i - lo:j - lo])
+    i, j = max(lo, 1), min(hi, g.size - 1)  # the points i..j-1 have a grid point on each side
+    np.subtract(g[i + 1:j + 1], g[i - 1:j - 1], out=out[i - lo:j - lo])
     if lo == 0:
-        out[0] = dg[0]
+        out[0] = g[1] - g[0]
     if hi == g.size:
-        out[-1] = dg[-1]
+        out[-1] = g[-1] - g[-2]
     out /= 2.0
     return out
+
+
+def _off_lattice(g: np.ndarray, lo: int, hi: int, origin: float, h: float, s: int, top: float, out: np.ndarray) -> bool:
+    """Whether some g_i, lo <= i < hi, lies more than 4 ulps of top (max |g|) from origin + (s + i) h.
+
+    The gaps are formed in out (at least hi - lo floats), and their max is exact.
+    """
+    gap = np.multiply(np.arange(lo + s, hi + s, dtype=float), h, out=out[:hi - lo])
+    gap += origin
+    gap -= g[lo:hi]
+    np.abs(gap, out=gap)
+    return bool(np.max(gap, initial=0.0) > 4.0 * np.spacing(top))
 
 
 def _on_lattice(g: np.ndarray, origin: float, h: float, s: int = 0) -> bool:
     """Whether g_i = origin + (s + i) h for every i, to within 4 ulps of max |g|.
 
-    The gaps are formed in place, one _row_blocks chunk at a time, and their max is exact, so the check
-    holds O(_CHUNK) floats beyond g.
+    The gaps are formed by _off_lattice, one _row_blocks chunk at a time in one buffer, so the check holds
+    O(_CHUNK) floats beyond g.
     """
-    worst = 0.0
-    for r in _row_blocks(g.shape):
-        gap = np.arange(*r.indices(g.size), dtype=float)
-        gap += s
-        gap *= h
-        gap += origin
-        gap -= g[r]
-        np.abs(gap, out=gap)
-        worst = max(worst, np.max(gap))
-    return bool(worst <= 4.0 * np.spacing(max(np.max(g), -np.min(g))))
+    top, gap = max(np.max(g), -np.min(g)), np.empty(min(g.size, _CHUNK))
+    return not any(_off_lattice(g, r.start, min(r.stop, g.size), origin, h, s, top, gap) for r in _row_blocks(g.shape))
 
 
 def _real_parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -191,15 +195,18 @@ def _joined(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _kernel_sum(kernel: Callable, x: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_j kernel(x_i, g_j) u_j for each x_i, one sum per trailing column of u, in the dtype of kernel * u.
+    """sum_j kernel(x_i, g_j) u_pj for each x_i and each row u_p of the P x len(g) array u, as a P x len(x) array
+    in the dtype of kernel * u.
 
-    The kernel is called on tiles of at most _ROWS x _COLS points, so no len(x) x len(g) array is
-    formed.  Each row block is the sum of its tiles; an empty x makes one empty block, of that dtype.
+    The kernel is called on tiles of at most _ROWS x _COLS points, so no len(x) x len(g) array is formed.  Each
+    tile takes one matrix-vector product per row of u, so a row's sums have the same bits whatever rows are
+    stacked with it.  Each row block is the sum of its tiles; an empty x makes one empty block, of that dtype.
     """
     return np.concatenate([
-        sum(kernel(x[r:r + _ROWS, None], g[None, c:c + _COLS]) @ u[c:c + _COLS] for c in range(0, g.size, _COLS))
+        sum(kernel(x[r:r + _ROWS, None], g[None, c:c + _COLS]) @ u[:, c:c + _COLS, None]
+            for c in range(0, g.size, _COLS))[..., 0]
         for r in range(0, max(x.size, 1), _ROWS)
-    ])
+    ], axis=1)
 
 
 def _phases(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -211,60 +218,69 @@ def _phases(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _density_fourier(g: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Trapezoid rule for int e^{-i x w} v(x) dx on the grid g, at each w (1-d).
 
-    The trapezoid weights are folded into the density.  When g is arithmetic
-    to within a few ulps, index k = a*B + b splits the phase into
-    e^{-i w (g_0 + a B h)} e^{-i w b h}, so the sum is an (A x B) @ (B x M)
-    product and only (A + B) M exponentials, with A, B ~ sqrt(N).  The product
-    is taken in real arithmetic, once per real part of v (v itself when it is
-    real, v.real and v.imag when it is complex): the weighted (A x B) blocks of
-    the part times the (B x 2M) real matrix of the inner phases' real and
-    imaginary parts.  The transform of a real part is Hermitian,
-    F(-w) = conj F(w), so M counts only the sorted unique |w|: each part's sum
-    is taken once per |w|, scattered back to w's order and conjugated where w's
-    sign bit is set (-0 included).  A complex v is transformed as
-    F(re) + i F(im).  The sum runs in the row blocks of _row_blocks((A, B)),
-    about _CHUNK points each: each block's trapezoid weights are written into
-    one buffer, which every block reuses, weighted by the part in place,
-    multiplied by the columns, and summed against the block's rows of outer
-    phases into the M-vector result; the columns are filled in the row blocks
-    of _row_blocks((B, B)), the same number of rows at a time.  So the working
-    set is O(sqrt(N) M + block): the columns and one block's arrays, and no
-    array of N points.  A grid of one block (N up to about _CHUNK) has the bits
-    of the unblocked product over the same columns; more blocks move the sum at
-    roundoff.  Otherwise the direct sum runs over tiles, at every w, so no
-    M x N temporary is formed.
+    The sum is taken once per real part of v (v itself when it is real, v.real and v.imag when it is
+    complex) and once per sorted unique |w|.  The transform of a real part is Hermitian,
+    F(-w) = conj F(w), so each part's sums are scattered back to w's order and conjugated where w's
+    sign bit is set (-0 included), and a complex v is transformed as F(re) + i F(im).  A symmetric w
+    set costs half.  _lattice_sums takes the sums when g is arithmetic to within 4 ulps; at the first
+    block that is not, the direct sum runs over tiles of the complex kernel instead, so no M x N
+    temporary is formed on either route.
     """
-    n = g.size
-    h = (g[-1] - g[0]) / (n - 1)
-    if not _on_lattice(g, g[0], h):
-        return _kernel_sum(lambda wr, gc: np.exp(-1j * (wr * gc)), w, g, v * _trapezoid_weights(g))
     w_abs, back = np.unique(np.abs(w), return_inverse=True)
-    m = w_abs.size
-    b = int(np.ceil(np.sqrt(n)))
-    a = -(-n // b)
-    columns = np.empty((b, 2 * m))
-    for r in _row_blocks((b, b)):
-        phase = _phases(np.arange(r.start, min(r.stop, b)) * h, w_abs)
-        columns[r, :m], columns[r, m:] = _real_parts(phase)
-    parts, sums = _real_parts(v), None
-    blocks = _row_blocks((a, b))
-    block = np.empty(len(range(a)[blocks[0]]) * b)
-    for r in blocks:
-        lo, hi, k = r.start * b, min(r.stop * b, n), len(range(a)[r])
-        outer = _phases(g[0] + np.arange(r.start, r.start + k) * (b * h), w_abs)
-        terms = []
-        for part in parts:
-            _trapezoid_weights(g, lo, hi, out=block[:hi - lo])
-            np.multiply(block[:hi - lo], part[lo:hi], out=block[:hi - lo])
-            block[hi - lo:] = 0.0  # the last block's rows past the grid's end
-            p = block[:k * b].reshape(k, b) @ columns
-            terms.append(np.einsum("am,am->m", outer, p[:, :m] + 1j * p[:, m:]))
-        sums = terms if sums is None else [s + t for s, t in zip(sums, terms)]
+    parts = _real_parts(v)
+    sums = _lattice_sums(g, parts, w_abs)
+    if sums is None:
+        weighted = np.stack(parts)
+        weighted *= _trapezoid_weights(g)
+        sums = _kernel_sum(lambda wr, gc: np.exp(-1j * (wr * gc)), w_abs, g, weighted)
     negative, folded = np.signbit(w), []
     for s in sums:
         s = s[back]
         folded.append(np.conjugate(s, out=s, where=negative))
     return _joined(folded)
+
+
+def _lattice_sums(g: np.ndarray, parts: Sequence[np.ndarray], w: np.ndarray) -> list[np.ndarray] | None:
+    """Each real part's trapezoid sum of e^{-i x w} part(x) dx at each w, or None when g is off the lattice.
+
+    On the lattice g_k = g_0 + k h, the index splits as k = (a B + b) C + c, with C = _SPLIT (or N when
+    N is smaller) and A ~ B ~ sqrt(N / C), so the phase is e^{-i w (g_0 + a B C h)} e^{-i w b C h}
+    e^{-i w c h}: (A + B + C) M exponentials in all.  The sum runs in the row blocks of
+    _row_blocks((A, B C)), about _CHUNK points each (one row, B C points, when that is more).  For each
+    block, the gaps g_k - (g_0 + k h) are formed in one buffer, which every block reuses, and checked by
+    _off_lattice; then the part's trapezoid weights are written into it and weighted by the part in
+    place.  The buffer, as a (rows B) x C matrix, takes one real product with the C x 2M matrix of the
+    inner phases' real and imaginary parts, and the result is contracted over b with the B x M middle
+    phases into the block's rows of an A x M array per part.  After the last block, that array is
+    contracted over a with the A x M outer phases.  So the working set is O((C + sqrt(N / C)) M + block):
+    the phases, the A x M arrays and one block's arrays, and no array of N points.
+    """
+    n, m = g.size, w.size
+    h = (g[-1] - g[0]) / (n - 1)
+    c = min(_SPLIT, n)
+    b = int(np.ceil(np.sqrt(-(-n // c))))
+    a = -(-n // (b * c))
+    columns = np.hstack(_real_parts(_phases(np.arange(c) * h, w)))
+    middle = _phases(np.arange(b) * (c * h), w).conj()  # vecdot conjugates its first operand
+    top = max(g[-1], -g[0])  # max |g|, as g ascends
+    blocks = _row_blocks((a, b * c))
+    block = np.empty(len(range(a)[blocks[0]]) * b * c)
+    rows = np.empty((len(parts), a, m), dtype=complex)  # each part's sum over b and c, for each a
+    for r in blocks:
+        lo, hi, k = r.start * b * c, min(r.stop * b * c, n), len(range(a)[r])
+        if _off_lattice(g, lo, hi, g[0], h, 0, top, block):
+            return None
+        for part, row in zip(parts, rows):
+            _trapezoid_weights(g, lo, hi, out=block[:hi - lo])
+            np.multiply(block[:hi - lo], part[lo:hi], out=block[:hi - lo])
+            block[hi - lo:] = 0.0  # the last block's points past the grid's end
+            p = block[:k * b * c].reshape(k * b, c) @ columns
+            inner = np.empty((k, b, m), dtype=complex)
+            inner.real = p[:, :m].reshape(k, b, m)
+            inner.imag = p[:, m:].reshape(k, b, m)
+            np.vecdot(middle, inner, axis=-2, out=row[r])
+    outer = _phases(g[0] + np.arange(a) * (b * c * h), w).conj()
+    return list(np.vecdot(outer, rows, axis=-2))
 
 
 def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasure:
@@ -303,7 +319,7 @@ def poisson_smooth(mu: FiniteMeasure, y: float, grid: np.ndarray) -> FiniteMeasu
             conv = np.fft.irfft(np.fft.rfft(k, n_fft) * np.fft.rfft(parts, n_fft), n_fft)
             rows = conv[:, n - 1:n - 1 + x.size]
         else:
-            rows = _kernel_sum(lambda xr, uc: kernel(xr - uc), x, u, parts.T).T
+            rows = _kernel_sum(lambda xr, uc: kernel(xr - uc), x, u, parts)
     real = len(rows) < 2 and not any(m.imag for _, m in mu.atoms)
     dens = np.zeros(x.shape, dtype=float if real else complex)
     for a, m in mu.atoms:

@@ -1,6 +1,7 @@
 """Fourier coefficients, the DFT, Poisson integrals, and the twisted momentum model."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ def test_real_boundary_sample_stays_real_through_csv(tmp_path):
     written = path.read_text()
     boundary_to_csv(back, str(path))
     assert path.read_text() == written
+
+
+def test_boundary_csv_without_samples_names_the_file_and_line(tmp_path):
+    # a header-only file raised numpy's IndexError from data[:, 0]
+    path = tmp_path / "boundary.csv"
+    path.write_text("t,re,im\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: expected a sample row t, re, im after the header$"):
+        boundary_from_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["0.5,2", "0.5,2,0,1", "0.5,x,0"])
+def test_boundary_csv_row_that_is_not_three_numbers_names_the_file_and_line(tmp_path, row):
+    # a row of two cells raised "not enough values to unpack", and a non-number named neither file nor line
+    path = tmp_path / "boundary.csv"
+    path.write_text(f"t,re,im\n0,1,0\n{row}\n1,3,0\n")
+    cells = re.escape(str(row.split(",")))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: expected 3 numbers t, re, im, got {cells}$"):
+        boundary_from_csv(str(path))
 
 
 def test_grid_validation(bad_grids):

@@ -205,23 +205,46 @@ def _lattice_density(kind, n):
     return g, v, rng
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("n", [2, 3, 1001, 16_384, 16_385, 40_001, 256_001])
-def test_blocked_lattice_transform_matches_the_unblocked_product(kind, n):
-    # a grid of one row block keeps the bits of the single product over the same columns,
-    # the sorted unique |w|; more blocks sum the same terms block by block, which moves the
-    # result at roundoff
+def _extended_fourier(g, v, w):
+    # the trapezoid sum at each w in np.longdouble, one w at a time: phases, weights and products
+    # carry about 11 more bits than float64, so the sum is an independent oracle to about 1e-18
+    gl = g.astype(np.longdouble)
+    weights = np.empty_like(gl)
+    weights[1:-1] = (gl[2:] - gl[:-2]) / 2
+    weights[0], weights[-1] = (gl[1] - gl[0]) / 2, (gl[-1] - gl[-2]) / 2
+    re = np.asarray(v.real, dtype=np.longdouble) * weights
+    im = np.asarray(v.imag, dtype=np.longdouble) * weights
+    out = np.empty(w.size, dtype=complex)
+    for i, wi in enumerate(w.astype(np.longdouble)):
+        cos, sin = np.cos(wi * gl), np.sin(wi * gl)
+        out[i] = complex(float(np.sum(re * cos + im * sin)), float(np.sum(im * cos - re * sin)))
+    return out
+
+
+def _dyadic_density(kind, n):
+    # a lattice density from -50 whose step h is a power of two, spanning 62.5 < (n - 1) h <= 125,
+    # and frequencies in steps of 1/32: every phase argument w x, and each partial argument the lattice
+    # route forms, is exact in float64
     g, v, rng = _lattice_density(kind, n)
-    w = np.concatenate([[0.0], rng.uniform(-20.0, 20.0, 36)])
-    got, ref = measures._density_fourier(g, v, w), _unblocked_fourier(g, v, w)
-    b = int(np.ceil(np.sqrt(n)))
-    one_block = -(-n // b) <= measures._CHUNK // b
-    assert one_block == (n <= 16_384)
-    assert got.dtype == ref.dtype == np.complex128
-    if one_block:
-        assert got.tobytes() == ref.tobytes()
-    else:
-        assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+    g = -50.0 + 2.0 ** np.floor(np.log2(125.0 / (n - 1))) * np.arange(n)
+    w = np.concatenate([[0.0], rng.integers(-640, 641, 36) / 32.0])
+    return g, v, w
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1001, 16_384, 16_385, 40_001, 256_001])
+def test_lattice_transform_matches_an_extended_precision_sum(kind, n):
+    # every grid size against the trapezoid sum in np.longdouble: the index split k = (a B + b) C + c
+    # with C = 128 has one step of c (n <= 128), one row past C (129), a zero-padded last row, and one
+    # or many row blocks.  The phase arguments are exact, so the difference is the route's own roundoff
+    # and not the rounding of w x at |w x| ~ 1500, which no float64 route escapes (about 2e-13 max |F|
+    # at n = 2 on np.linspace(-50, 75, n)).  max |F| is taken over w and 0, where these densities'
+    # transforms peak
+    g, v, w = _dyadic_density(kind, n)
+    got, ref = measures._density_fourier(g, v, w), _extended_fourier(g, v, w)
+    assert got.dtype == np.complex128 and got.shape == w.shape
+    assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
 
 
 _OMEGA_SETS = {
@@ -259,6 +282,101 @@ def test_transform_of_a_real_part_is_hermitian(n):
     assert measures._density_fourier(g, v, -w).tobytes() == flipped.tobytes()
 
 
+def _off_lattice_density(kind, n):
+    # a lattice density with its grid moved about 1e-12 off the lattice, far inside the uniformity check
+    g, v, rng = _lattice_density(kind, n)
+    g = g + 1e-12 * rng.standard_normal(n)
+    assert not measures._on_lattice(g, g[0], (g[-1] - g[0]) / (n - 1))
+    return g, v
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("name", sorted(_OMEGA_SETS))
+def test_off_lattice_fold_matches_the_unfolded_direct_sum(name, kind):
+    # the direct route takes one sum per |w| and real part; the sum at every w of the complex density,
+    # with the same phases and weights, agrees to roundoff.  max |F| is taken over w and 0
+    g, v = _off_lattice_density(kind, 20_001)
+    w = _OMEGA_SETS[name]
+    got = measures._density_fourier(g, v, w)
+    ref = np.exp(-1j * np.multiply.outer(np.append(w, 0.0), g)) @ (v * measures._trapezoid_weights(g))
+    assert got.shape == w.shape and got.dtype == np.complex128
+    assert np.max(np.abs(got - ref[:-1]), initial=0.0) <= 4e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1001, 20_001])
+def test_off_lattice_transform_of_a_real_part_is_hermitian(n):
+    # as on the lattice: F(-w) = conj F(w) bit for bit for a real density, F_v(-w) = conj F_{conj v}(w)
+    w = np.concatenate([[0.0], np.random.default_rng(n).uniform(0.0, 20.0, 24)])
+    g, v = _off_lattice_density("real", n)
+    assert measures._density_fourier(g, v, -w).tobytes() == measures._density_fourier(g, v, w).conj().tobytes()
+    g, v = _off_lattice_density("complex", n)
+    flipped = measures._density_fourier(g, v.conj(), w).conj()
+    assert measures._density_fourier(g, v, -w).tobytes() == flipped.tobytes()
+
+
+@pytest.mark.parametrize("at", ["first point", "inner point"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_defect_in_the_last_block_falls_back_to_the_direct_route(kind, at, monkeypatch):
+    # the lattice is checked block by block during the sum: a point off it in the last block alone,
+    # found after every other block was summed, gives the direct route's bits, none of the lattice sums
+    g, v, rng = _lattice_density(kind, 40_001)
+    w = np.concatenate([[0.0, -0.0], rng.uniform(-20.0, 20.0, 12)])
+    checked, check = [], measures._off_lattice
+
+    def recording(g, lo, hi, *rest):
+        checked.append((lo, hi, check(g, lo, hi, *rest)))
+        return checked[-1][-1]
+
+    monkeypatch.setattr(measures, "_off_lattice", recording)
+    measures._density_fourier(g, v, w)
+    blocks = [(lo, hi) for lo, hi, _ in checked]
+    assert len(blocks) > 2 and blocks[-1][1] == g.size and not any(off for *_, off in checked)
+    lo, hi = blocks[-1]
+    g = _ulps_off(g, 5, lo if at == "first point" else hi - 2)
+    checked.clear()
+    got = measures._density_fourier(g, v, w)
+    assert [(lo, hi) for lo, hi, _ in checked] == blocks
+    assert [off for *_, off in checked] == [False] * (len(blocks) - 1) + [True]
+    monkeypatch.setattr(measures, "_off_lattice", lambda *args: True)
+    assert got.tobytes() == measures._density_fourier(g, v, w).tobytes()
+
+
+@pytest.mark.parametrize("grid", ["lattice", "off lattice"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_no_frequencies_give_an_empty_transform(kind, grid):
+    g, v = _off_lattice_density(kind, 1001) if grid == "off lattice" else _lattice_density(kind, 1001)[:2]
+    mu = FiniteMeasure.from_density(g, v)
+    for w in (np.array([]), [], np.empty((0, 3))):
+        got = measure_fourier(mu, w)
+        assert got.shape == np.shape(w) and got.dtype == np.complex128
+
+
+def test_criterion_three_evaluates_under_ten_thousand_phases(monkeypatch):
+    # (C + B + A) |w| phases with C = 128 and A = B = 45 at the 41 distinct |w|: 8 938.  The
+    # two-factor split k = a B + b, A = B = 506, took 41 492
+    count, phases = [], measures._phases
+    monkeypatch.setattr(measures, "_phases", lambda x, w: count.append(x.size * w.size) or phases(x, w))
+    grid = np.arange(-3.2e4, 3.2e4 + 0.125, 0.25)
+    omega = np.linspace(-10.0, 10.0, 81)
+    got = measure_fourier(FiniteMeasure.from_density(grid, poisson_density(grid, 1.0)), omega)
+    assert np.max(np.abs(got - np.exp(-np.abs(omega)))) <= 1e-4
+    assert 0 < sum(count) <= 10_000
+
+
+def test_trapezoid_weights_match_np_trapezoid_and_a_slice_keeps_the_bits():
+    rng = np.random.default_rng(5)
+    g = np.linspace(-3.0, 5.0, 3 * measures._CHUNK) ** 3  # near 0 a sum of two steps rounds otherwise
+    f = rng.standard_normal(g.size)
+    whole = measures._trapezoid_weights(g)
+    assert abs(whole @ f - np.trapezoid(f, g)) <= 1e-13 * np.trapezoid(np.abs(f), g)
+    assert whole[1:-1].tobytes() == ((g[2:] - g[:-2]) / 2.0).tobytes()
+    assert (whole[0], whole[-1]) == ((g[1] - g[0]) / 2.0, (g[-1] - g[-2]) / 2.0)
+    for lo, hi in [(0, 1), (0, 17), (5, measures._CHUNK + 5), (g.size - 3, g.size), (g.size - 1, g.size + 5)]:
+        out = np.empty(min(hi, g.size) - lo)
+        assert measures._trapezoid_weights(g, lo, hi, out=out) is out
+        assert out.tobytes() == whole[lo:hi].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_non_finite_frequencies_give_nan_where_the_unfolded_route_does(kind):
     g, v, _ = _lattice_density(kind, 1001)
@@ -277,7 +395,9 @@ def test_lattice_transform_memory_per_point(kind):
     # real part took 8 B/point of blocks beside 8 B/point of weights: 16 MB for a real
     # density here.  Row blocks of about 16384 points cut that to the 1000 x 162 real
     # columns and one block's arrays, 1.87 MB; one sum per |w| and one reused block buffer
-    # cut it to the 1000 x 82 columns, the buffer and one block's grid steps, 0.95 MB
+    # cut it to the 1000 x 82 columns, the buffer and one block's grid steps, 0.95 MB.  The split
+    # k = (a B + b) C + c holds (128 + 89 + 88) x 41 phases and one buffer of 11 392 points: 0.57 MB
+    # for a real density, 0.62 MB for a complex one
     n = 1_000_000
     g = np.linspace(-3.2e4, 3.2e4, n)
     v = (1.0 / np.pi) / (g * g + 1.0)
@@ -497,10 +617,10 @@ def test_smooth_off_lattice_grids_take_direct_sum(name, monkeypatch):
 
 
 def test_smooth_real_measure_stays_real_on_the_direct_sum(monkeypatch):
-    # off the lattice a real density is one column of the tiled sum, and its
-    # complex-typed twin two: one column goes through a matrix-vector product,
-    # two through a matrix product, which sum in different orders, so the real
-    # parts agree to roundoff, not to the bit
+    # off the lattice a real density is one row of the tiled sum, and its
+    # complex-typed twin two.  Each row takes its own matrix-vector product per
+    # tile, so the twin's real part has the real density's bits: one matrix
+    # product over both rows would sum in another order
     u, x = _FALLBACK_CASES["half-step offset"]
     v = np.exp(-u ** 2) + 0.3 * np.random.default_rng(26).standard_normal(u.size)
     real = FiniteMeasure(atoms=((0.4, 1.5),), density_grid=u, density_values=v)
@@ -510,7 +630,7 @@ def test_smooth_real_measure_stays_real_on_the_direct_sum(monkeypatch):
     ref = poisson_smooth(twin, 0.3, x).density_values
     assert calls == [x.size, x.size]
     assert got.dtype == np.float64 and not np.any(ref.imag)
-    assert np.max(np.abs(got - ref.real)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(got, ref.real)
 
 
 def test_smooth_complex_atom_makes_the_output_complex():

@@ -73,7 +73,7 @@ def test_each_shared_rule_has_one_site():
     negative_tolerance, margin, integer_test, real_kinds, lanczos = [], [], [], [], []
     real_split, real_split_calls, adjoint_product, synthesize, hermitian_part, hermitian_defect = [], [], [], [], [], []
     eigenvalue_norm, hermitian_norm, disc_grid, disc_rule = [], [], [], []
-    finite_scan, trapezoid, positivity = [], [], []
+    finite_scan, trapezoid, positivity, lattice_tolerance, lattice_gap = [], [], [], [], []
     complex_view, decoders, encoders, reader_products, square_sum, square_sum_calls = [], [], [], [], [], []
     rule_texts = {"must be an integer >=": [], "must be finite and > 0": [], "must be a finite interval": [],
                   "evaluator undefined at eigenvalue": [], "evaluator not finite at eigenvalue": [],
@@ -89,6 +89,8 @@ def test_each_shared_rule_has_one_site():
             for text, sites in rule_texts.items():
                 if text in node.value:
                     sites.append((module, owner))
+        if isinstance(node, ast.BinOp) and re.fullmatch(r"4\.0 \* np\.spacing\(.+\)", ast.unparse(node)):
+            lattice_tolerance.append((module, owner))
         if isinstance(node, ast.Constant) and node.value == "biuf":
             real_kinds.append((module, owner))
         if isinstance(node, ast.Tuple) and re.fullmatch(r"\((.+)\.real, \1\.imag\)", ast.unparse(node)):
@@ -117,6 +119,8 @@ def test_each_shared_rule_has_one_site():
             finite_scan.append((module, owner))
         if func.split(".")[-1] == "trapezoid":
             trapezoid.append((module, owner))
+        if func.split(".")[-1] == "_off_lattice":
+            lattice_gap.append((module, owner))
         if func.split(".")[-1] == "_check_positive":
             positivity.append((module, owner))
         if func.endswith(".view") and [ast.unparse(a) for a in node.args] == ["complex"]:
@@ -169,7 +173,11 @@ def test_each_shared_rule_has_one_site():
     assert real_kinds == [("linalg_core.py", "_real_or_complex")]
     # data is split into its real parts in one place, and both real-arithmetic transforms use it
     assert real_split == [("measures.py", "_real_parts")]
-    assert sorted(real_split_calls) == [("measures.py", "_density_fourier")] * 2 + [("measures.py", "poisson_smooth")]
+    assert sorted(real_split_calls) == [("measures.py", f) for f in ("_density_fourier", "_lattice_sums", "poisson_smooth")]
+    # a grid's gaps from a lattice, and their 4-ulp tolerance, are formed in one place, for _on_lattice's whole-grid
+    # verdict and the lattice transform's block-by-block check in its own buffer
+    assert lattice_tolerance == [("measures.py", "_off_lattice")]
+    assert sorted(lattice_gap) == [("measures.py", "_lattice_sums"), ("measures.py", "_on_lattice")]
     # every V diag(d) V^* is formed by one helper, which reads V^T as a view and copies no V^*
     assert adjoint_product == []
     assert sorted(synthesize) == [("linalg_core.py", "combine"), ("linalg_core.py", "projections"), ("spectral_fd.py", "evolve")]
